@@ -112,11 +112,15 @@ def _feature_space(cfg: dict):
 
 def _solver_section(cfg: dict):
     s = cfg.get("solver", {})
+    if not isinstance(s, dict):
+        raise DataError("config solver section must be an object")
     if "lambda" not in s:
         raise DataError("config is missing solver.lambda")
+    refit = s.get("refit", {})
+    if not isinstance(refit, dict):
+        raise DataError("config solver.refit must be an object")
     try:
         lam = float(s["lambda"])
-        refit = s.get("refit", {})
         opts = FitOptions(
             max_atoms=int(s.get("max_atoms", 50)),
             mode=str(s.get("mode", "group")),
@@ -190,6 +194,26 @@ def _run_report(objective, atom_count, certificate, wall_ms, seed, digest):
     }
 
 
+def _finish_fit(args, raw: bytes, seed: int, state, model: dict, atom_count: int,
+                wall_ms) -> int:
+    """Write the model and its run report, emit the report, pick the exit code."""
+    _write_json_file(args.out, model)
+    report = _run_report(
+        state.objective_history[-1],
+        atom_count,
+        state.certificate,
+        wall_ms,
+        seed,
+        _config_digest(raw),
+    )
+    _write_json_file(args.out + ".report.json", report)
+    _emit(report)
+    if not state.converged:
+        print(f"{args.command} stopped before certificate convergence", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
+
+
 def _model_json_dict(state, spec: DualPairSpec, feat: FeatureMap) -> dict:
     d = measure_to_json_dict(state.measure)
     d["dim"] = spec.dim
@@ -218,21 +242,8 @@ def cmd_fit(args) -> int:
     except (ValueError, SolverError) as exc:
         raise DataError(f"fit failed: {exc}") from exc
     wall_ms = round((time.monotonic() - start) * 1000)
-    _write_json_file(args.out, _model_json_dict(state, spec, feat))
-    report = _run_report(
-        state.objective_history[-1],
-        len(state.measure.atoms),
-        state.certificate,
-        wall_ms,
-        opts.seed,
-        _config_digest(raw),
-    )
-    _write_json_file(args.out + ".report.json", report)
-    _emit(report)
-    if not state.converged:
-        print("fit stopped before certificate convergence", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    model = _model_json_dict(state, spec, feat)
+    return _finish_fit(args, raw, opts.seed, state, model, len(state.measure.atoms), wall_ms)
 
 
 def cmd_predict(args) -> int:
@@ -337,12 +348,14 @@ def cmd_hyper_fit(args) -> int:
             np.array(cfg["sampling"]["points"], dtype=float),
             np.array(cfg["sampling"]["functionals"], dtype=float),
         )
+        grids = cfg.get("grids", {})
+        if not isinstance(grids, dict):
+            raise DataError("config grids section must be an object")
+        w_grid = np.array(grids["w"], dtype=float) if "w" in grids else None
+        theta_grid = np.array(grids["theta"], dtype=float) if "theta" in grids else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad hyper-fit config: {exc}") from exc
     lam, opts, _ = _solver_section(cfg)
-    grids = cfg.get("grids", {})
-    w_grid = np.array(grids["w"], dtype=float) if "w" in grids else None
-    theta_grid = np.array(grids["theta"], dtype=float) if "theta" in grids else None
     Z, Y = _read_dataset(args.data, phi.dx, sampling.n_samples)
     try:
         start = time.monotonic()
@@ -353,21 +366,8 @@ def cmd_hyper_fit(args) -> int:
     except (ValueError, SolverError) as exc:
         raise DataError(f"hyper-fit failed: {exc}") from exc
     wall_ms = round((time.monotonic() - start) * 1000)
-    _write_json_file(args.out, hyper_model_to_json_dict(state.model))
-    report = _run_report(
-        state.objective_history[-1],
-        len(state.model.atoms),
-        state.certificate,
-        wall_ms,
-        opts.seed,
-        _config_digest(raw),
-    )
-    _write_json_file(args.out + ".report.json", report)
-    _emit(report)
-    if not state.converged:
-        print("hyper-fit stopped before certificate convergence", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    model = hyper_model_to_json_dict(state.model)
+    return _finish_fit(args, raw, opts.seed, state, model, len(state.model.atoms), wall_ms)
 
 
 def cmd_deeponet(args) -> int:

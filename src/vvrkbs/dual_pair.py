@@ -96,6 +96,23 @@ def vector_norm(u, norm: str) -> float:
     raise ValueError(f"unknown norm {norm!r}")
 
 
+def row_norms(A, norm: str) -> np.ndarray:
+    """||A[i]|| for every row of a 2-d array, shape (n,).
+
+    Each entry equals ``vector_norm(A[i], norm)`` bit for bit: the l2 form
+    is a batched dot product, which reduces in the same order as np.dot
+    (np.linalg.norm and einsum do not).
+    """
+    A = np.asarray(A, dtype=float)
+    if norm == L1:
+        return np.sum(np.abs(A), axis=1)
+    if norm == L2:
+        return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+    if norm == LINF:
+        return np.max(np.abs(A), axis=1)
+    raise ValueError(f"unknown norm {norm!r}")
+
+
 def norm_witness(u, norm: str) -> np.ndarray:
     """A vector v with ||v||_conjugate = 1 and <v, u> = ||u||_norm.
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, pair as _pair
 
 KINDS = ("neural", "gaussian", "tabulated")
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "gaussian_rbf")
@@ -279,33 +278,6 @@ def grad_phi_w(f: FeatureMap, x, w) -> np.ndarray:
     """d phi / dw at one (x, w); vector of length dw."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return grad_phi_w_batch(f, x[None, :], np.asarray(w, dtype=float))[0]
-
-
-# ------------------------------------------------------------------ kernel
-
-@dataclass(frozen=True)
-class KernelValue:
-    """K(x, w): the rank-one bilinear form phi_value * <u_dual, u>."""
-
-    phi_value: float
-
-    def bilinear(self, spec: DualPairSpec, u_dual, u) -> float:
-        return self.phi_value * _pair(spec, u_dual, u)
-
-    def apply_primal(self, u) -> np.ndarray:
-        return self.phi_value * np.asarray(u, dtype=float)
-
-    def apply_dual(self, u_dual) -> np.ndarray:
-        return self.phi_value * np.asarray(u_dual, dtype=float)
-
-
-def kernel_value(f: FeatureMap, x, w) -> KernelValue:
-    return KernelValue(eval_phi(f, x, w))
-
-
-def kernel(f: FeatureMap, spec: DualPairSpec, x, w, u_dual, u) -> float:
-    """K(x, w)(u_dual, u) = phi(x, w) * <u_dual, u>."""
-    return kernel_value(f, x, w).bilinear(spec, u_dual, u)
 
 
 # ------------------------------------------------- simple-function pairing

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, vector_norm
+from .dual_pair import DualPairSpec, row_norms
 from .feature import phi_matrix
 
 MERGE_TOL = 1e-9   # linf distance on w below which atoms are merged
@@ -135,6 +135,36 @@ def add(mu1: AtomicVectorMeasure, mu2: AtomicVectorMeasure) -> AtomicVectorMeasu
     return AtomicVectorMeasure(mu1.atoms + mu2.atoms, mu1.space, radius)
 
 
+def _group_by_location(points, tol: float = MERGE_TOL) -> list:
+    """Group the rows of ``points`` by max-norm distance to a group's first row.
+
+    Each row joins the earliest group whose first row lies within ``tol``,
+    otherwise it opens a new one.  Returns index lists in order of first
+    occurrence.
+    """
+    points = np.asarray(points, dtype=float)
+    groups = []
+    reps = np.empty_like(points)
+    for i, p in enumerate(points):
+        dists = np.max(np.abs(reps[: len(groups)] - p), axis=1)
+        hits = np.flatnonzero(dists <= tol)
+        if len(hits):
+            groups[hits[0]].append(i)
+        else:
+            reps[len(groups)] = p
+            groups.append([i])
+    return groups
+
+
+def _coalesce_rows(W, C, norm: str, tol=MERGE_TOL, prune_tol=PRUNE_TOL):
+    """``coalesce`` on stacked locations W and payloads C; returns (W, C)."""
+    groups = _group_by_location(W, tol)
+    sums = np.array([sum(C[g[1:]], C[g[0]]) for g in groups]).reshape(-1, C.shape[1])
+    keep = row_norms(sums, norm) >= prune_tol
+    reps = W[np.array([g[0] for g in groups], dtype=int)]
+    return reps[keep], sums[keep]
+
+
 def coalesce(
     mu: AtomicVectorMeasure,
     tol: float = MERGE_TOL,
@@ -148,23 +178,10 @@ def coalesce(
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    reps = []   # representative locations
-    sums = []   # summed payloads
-    for a in mu.atoms:
-        merged = False
-        for i, r in enumerate(reps):
-            if np.max(np.abs(a.w - r)) <= tol:
-                sums[i] = sums[i] + a.c
-                merged = True
-                break
-        if not merged:
-            reps.append(a.w)
-            sums.append(a.c.copy())
-    atoms = tuple(
-        Atom(r, s)
-        for r, s in zip(reps, sums)
-        if vector_norm(s, mu.space.primal_norm) >= prune_tol
+    W, C = _coalesce_rows(
+        mu.locations(), mu.payloads(), mu.space.primal_norm, tol, prune_tol
     )
+    atoms = tuple(Atom(w, c) for w, c in zip(W, C))
     return AtomicVectorMeasure(atoms, mu.space, mu.radius)
 
 
@@ -175,9 +192,7 @@ def total_variation(
 ) -> float:
     """|mu|(Omega) = sum of payload norms over coalesced atoms."""
     merged = coalesce(mu, tol, prune_tol)
-    return float(
-        sum(vector_norm(a.c, mu.space.primal_norm) for a in merged.atoms)
-    )
+    return float(sum(row_norms(merged.payloads(), mu.space.primal_norm).tolist()))
 
 
 def integrate(phi, mu: AtomicVectorMeasure, x) -> np.ndarray:

@@ -5,9 +5,9 @@ atomic model is simultaneously a measure over (w, theta) with vector
 payloads (weight form) and a measure over w whose payloads are base
 functions of x (function form).  Both views evaluate identically; their
 norms differ, with the function-form upper bound dominated by the
-weight-form total variation.  The joint fit runs the same conditional
-gradient scheme as the flat solver on the product feature
-phi(z_n, w) psi(x_j, theta) <v_j, v>.
+weight-form total variation.  A hyper-atom is an atom of the flat
+solver over the product feature phi(z_n, w) psi(x_j, theta) <v_j, v>, so
+the joint fit and the product-grid oracle run on the solver's engine.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, dual_norm_value, primal_witness, vector_norm
+from .dual_pair import DualPairSpec, dual_norm_value, primal_witness, row_norms
 from .feature import (
     FeatureMap,
     feature_from_json_dict,
@@ -25,7 +25,9 @@ from .feature import (
     phi_matrix,
 )
 from .measure import (
-    MERGE_TOL,
+    _coalesce_rows,
+    _frozen,
+    _group_by_location,
     coalesce,
     integrate,
     measure_from_arrays,
@@ -35,18 +37,12 @@ from .rkbs import RkbsFunction, evaluate as rkbs_evaluate
 from .solver import (
     FitOptions,
     Loss,
-    SolverError,
-    _fista,
-    _prox_rows,
-    loss_grad,
+    _AtomFamily,
+    _cg_fit,
+    _group_refit,
+    _multistart,
     loss_values,
 )
-
-
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,36 +98,12 @@ class HyperModel:
 
     def arrays(self):
         """(a, W, Theta, V) stacked over atoms."""
-        if not self.atoms:
-            return (
-                np.zeros(0),
-                np.zeros((0, self.phi.dw)),
-                np.zeros((0, self.psi.dw)),
-                np.zeros((0, self.spec.dim)),
-            )
         return (
-            np.array([at.a for at in self.atoms]),
-            np.stack([at.w for at in self.atoms]),
-            np.stack([at.theta for at in self.atoms]),
-            np.stack([at.v for at in self.atoms]),
+            np.array([at.a for at in self.atoms], dtype=float),
+            np.array([at.w for at in self.atoms]).reshape(-1, self.phi.dw),
+            np.array([at.theta for at in self.atoms]).reshape(-1, self.psi.dw),
+            np.array([at.v for at in self.atoms]).reshape(-1, self.spec.dim),
         )
-
-
-def _group_by_location(points: np.ndarray, tol: float = MERGE_TOL):
-    """Greedy grouping of rows by max-norm distance, first row representative."""
-    groups = []
-    reps = []
-    for i, p in enumerate(points):
-        placed = False
-        for g, r in enumerate(reps):
-            if np.max(np.abs(p - r)) <= tol:
-                groups[g].append(i)
-                placed = True
-                break
-        if not placed:
-            groups.append([i])
-            reps.append(p)
-    return groups
 
 
 # ------------------------------------------------------------- evaluation
@@ -148,22 +120,24 @@ def evaluate_weight_form(m: HyperModel, z, x) -> np.ndarray:
     return integrate(m.psi, inner, x)
 
 
+def _w_groups(m: HyperModel):
+    """(w, inner measure over theta) for each distinct-w group of atoms."""
+    a, W, Theta, V = m.arrays()
+    for idx in _group_by_location(W):
+        inner = measure_from_arrays(
+            Theta[idx], a[idx, None] * V[idx], m.spec, m.psi.radius
+        )
+        yield W[idx[0]], inner
+
+
 def evaluate_function_form(m: HyperModel, z, x) -> np.ndarray:
     """Collapse the base level first: one base function per distinct w."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, W, Theta, V = m.arrays()
     out = np.zeros(m.spec.dim)
-    for idx in _group_by_location(W):
-        g = RkbsFunction(
-            measure_from_arrays(
-                Theta[idx], a[idx, None] * V[idx], m.spec, m.psi.radius
-            ),
-            m.psi,
-            m.spec,
-        )
-        weight = float(phi_matrix(m.phi, z[None, :], W[idx[0]][None, :])[0, 0])
-        out += weight * rkbs_evaluate(g, x)
+    for w, inner in _w_groups(m):
+        weight = float(phi_matrix(m.phi, z[None, :], w[None, :])[0, 0])
+        out += weight * rkbs_evaluate(RkbsFunction(inner, m.psi, m.spec), x)
     return out
 
 
@@ -184,14 +158,7 @@ def hyper_evaluate(m: HyperModel, z, x) -> np.ndarray:
 
 def _inner_measures(m: HyperModel):
     """Coalesced inner measure over theta for each distinct w group."""
-    a, W, Theta, V = m.arrays()
-    out = []
-    for idx in _group_by_location(W):
-        inner = measure_from_arrays(
-            Theta[idx], a[idx, None] * V[idx], m.spec, m.psi.radius
-        )
-        out.append(coalesce(inner))
-    return out
+    return [coalesce(inner) for _, inner in _w_groups(m)]
 
 
 def weight_form_tv(m: HyperModel) -> float:
@@ -218,27 +185,14 @@ def function_form_tv_upper(
     about.
     """
     probes = _probe_points(m.psi, n_probes, probe_radius, seed)
+    norm = m.spec.primal_norm
     total = 0.0
     for inner in _inner_measures(m):
         if not inner.atoms:
             continue
-        thetas = inner.locations()
-        payloads = inner.payloads()
-        cols = phi_matrix(m.psi, probes, thetas)
-        merged = []
-        for k in range(cols.shape[1]):
-            hit = None
-            for g, (col, _) in enumerate(merged):
-                if np.allclose(cols[:, k], col, atol=1e-12, rtol=0.0):
-                    hit = g
-                    break
-            if hit is None:
-                merged.append((cols[:, k], payloads[k].copy()))
-            else:
-                merged[hit] = (merged[hit][0], merged[hit][1] + payloads[k])
-        total += float(
-            sum(vector_norm(p, m.spec.primal_norm) for _, p in merged)
-        )
+        cols = phi_matrix(m.psi, probes, inner.locations())
+        _, sums = _coalesce_rows(cols.T, inner.payloads(), norm, tol=1e-12, prune_tol=0.0)
+        total += float(sum(row_norms(sums, norm).tolist()))
     return total
 
 
@@ -308,7 +262,7 @@ def _hyper_score_grid(phi_f, psi_f, Z, Xj, GN, V, spec, w_grid, theta_grid):
     best = None
     for t in range(theta_grid.shape[0]):
         Q = (R * PsiG[:, t][None, :]) @ V         # (Gw, d)
-        scores = np.array([dual_norm_value(spec, q) for q in Q])
+        scores = row_norms(Q, spec.dual_norm)
         g = int(np.argmax(scores))
         if best is None or scores[g] > best[0]:
             best = (float(scores[g]), g, t, Q[g])
@@ -316,52 +270,70 @@ def _hyper_score_grid(phi_f, psi_f, Z, Xj, GN, V, spec, w_grid, theta_grid):
     return w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, q), score
 
 
-def _hyper_score_at(phi_f, psi_f, Z, Xj, GN, V, spec, w, th):
-    pc = phi_matrix(phi_f, Z, w[None, :])[:, 0]
-    qc = phi_matrix(psi_f, Xj, th[None, :])[:, 0]
-    q = ((pc @ GN) * qc) @ V
-    return dual_norm_value(spec, q), primal_witness(spec, q), pc, qc
+def _hyper_oracle_score(phi_f, psi_f, Z, Xj, GN, V, spec):
+    """(value, direction) of the oracle score at a location (w, theta)."""
+    dw = phi_f.dw
 
+    def value(L):
+        pc = phi_matrix(phi_f, Z, L[None, :dw])[:, 0]
+        qc = phi_matrix(psi_f, Xj, L[None, dw:])[:, 0]
+        q = ((pc @ GN) * qc) @ V
+        return dual_norm_value(spec, q), (primal_witness(spec, q), pc, qc)
 
-def _hyper_ascend(phi_f, psi_f, Z, Xj, GN, V, spec, w0, th0, max_steps=200):
-    """Joint projected ascent over (w, theta) with shared backtracking."""
-    w = np.asarray(w0, dtype=float).copy()
-    th = np.asarray(th0, dtype=float).copy()
-    score, u, pc, qc = _hyper_score_at(phi_f, psi_f, Z, Xj, GN, V, spec, w, th)
-    for _ in range(max_steps):
+    def direction(L, state):
+        u, pc, qc = state
         e = V @ u
-        gw = grad_phi_w_batch(phi_f, Z, w).T @ (GN @ (qc * e))
-        gt = grad_phi_w_batch(psi_f, Xj, th).T @ ((GN.T @ pc) * e)
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gt))):
-            raise SolverError("non-finite oracle gradient")
-        gg = float(np.dot(gw, gw) + np.dot(gt, gt))
-        if gg == 0.0:
-            break
-        step = 1.0
-        improved = False
-        while step >= 1e-12:
-            cw = _project_ball(w + step * gw, phi_f.radius)
-            ct = _project_ball(th + step * gt, psi_f.radius)
-            cand = _hyper_score_at(phi_f, psi_f, Z, Xj, GN, V, spec, cw, ct)
-            if cand[0] >= score + 1e-4 * step * gg:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        gain = cand[0] - score
-        w, th = cw, ct
-        score, u, pc, qc = cand
-        if gain <= 1e-12 * (1.0 + score):
-            break
-    return w, th, u, score
+        gw = grad_phi_w_batch(phi_f, Z, L[:dw]).T @ (GN @ (qc * e))
+        gt = grad_phi_w_batch(psi_f, Xj, L[dw:]).T @ ((GN.T @ pc) * e)
+        return np.concatenate([gw, gt])
+
+    return value, direction
 
 
-def _project_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    n = float(np.sqrt(np.dot(v, v)))
-    if n > radius:
-        return v * (radius / n)
-    return v
+def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
+                    w_grid=None, theta_grid=None) -> _AtomFamily:
+    """Hyper-atoms as flat atoms of the product feature.
+
+    The location is (w, theta), the payload v, and the measurement is the
+    lifted sampling: atom columns phi(z_n, w) psi(x_j, theta) <v_j, v>.
+    The oracle searches the product grid when both grids are given and
+    runs multistart ascent over both balls otherwise.
+    """
+    n, dw = Z.shape[0], phi.dw
+    Xj, V = sampling.points, sampling.functionals
+
+    def design(L):
+        return phi_matrix(phi, Z, L[:, :dw]), phi_matrix(psi, Xj, L[:, dw:])
+
+    def pull_back(B, G):
+        Phi, Psi = B
+        return ((Phi.T @ G) * Psi.T) @ V
+
+    def search(G, k):
+        GN = G / n
+        if w_grid is not None and theta_grid is not None:
+            w, th, u, score = _hyper_score_grid(
+                phi, psi, Z, Xj, GN, V, spec, w_grid, theta_grid
+            )
+            return np.concatenate([w, th]), u, score
+        value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
+        L, (u, _, _), score = _multistart(
+            value, direction, (phi, psi), opts.restarts, opts.seed + 7919 * k
+        )
+        return L, u, score
+
+    return _AtomFamily(
+        Y=Y,
+        loss=Loss(),
+        lam=lam,
+        norm=spec.primal_norm,
+        dim=spec.dim,
+        features=(phi, psi),
+        design=design,
+        predict=lambda B, C: _hyper_predictions(B[0], B[1], V, C),
+        pull_back=pull_back,
+        search=search,
+    )
 
 
 def hyper_fit(
@@ -381,7 +353,8 @@ def hyper_fit(
     The lifted data matrix couples each training input z_n with every
     sampling functional (v_j, x_j); atom locations are (w, theta) pairs
     searched jointly.  The weight-form total variation is the penalty,
-    which for free payload rows is the usual sum of primal norms.
+    which for free payload rows is the usual sum of primal norms.  The
+    loop is the flat solver's, run on the product feature.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -399,131 +372,24 @@ def hyper_fit(
         raise ValueError("functionals do not match the value space")
     if Y.shape[1] != sampling.n_samples:
         raise ValueError("Y width must equal the number of functionals")
-    loss = Loss()
-    n, d = Z.shape[0], spec.dim
-    Xj, V = sampling.points, sampling.functionals
     if w_grid is not None:
         w_grid = np.atleast_2d(np.asarray(w_grid, dtype=float))
         _check_ball(w_grid, phi.radius, "w_grid")
     if theta_grid is not None:
         theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
         _check_ball(theta_grid, psi.radius, "theta_grid")
-    gridded = w_grid is not None and theta_grid is not None
-
-    W = np.zeros((0, phi.dw))
-    Th = np.zeros((0, psi.dw))
-    C = np.zeros((0, d))
-
-    def refit(C0):
-        Phi = phi_matrix(phi, Z, W)
-        Psi = phi_matrix(psi, Xj, Th)
-
-        def val_grad(Cm):
-            P = _hyper_predictions(Phi, Psi, V, Cm)
-            val = float(np.sum(loss_values(loss, P, Y))) / n
-            G = loss_grad(loss, P, Y)
-            return val, (((Phi.T @ G) * Psi.T) @ V) / n
-
-        def penalty(Cm):
-            return lam * float(
-                np.sum([vector_norm(c, spec.primal_norm) for c in Cm])
-            )
-
-        def prox(Zm, step):
-            return _prox_rows(Zm, step * lam, spec.primal_norm)
-
-        return _fista(C0, val_grad, penalty, prox, opts.refit_max_iter, opts.refit_tol)
-
-    def data_term(Cm):
-        Phi = phi_matrix(phi, Z, W)
-        Psi = phi_matrix(psi, Xj, Th)
-        P = _hyper_predictions(Phi, Psi, V, Cm)
-        return float(np.sum(loss_values(loss, P, Y))) / n
-
-    def pen_term(Cm):
-        return lam * float(np.sum([vector_norm(c, spec.primal_norm) for c in Cm]))
-
-    history = [data_term(C) + pen_term(C)]
-    threshold = lam * (1.0 + opts.tol)
-    certificate = np.inf
-    converged = False
-    iterations = 0
-    rng = np.random.default_rng(opts.seed)
-
-    while True:
-        Phi = phi_matrix(phi, Z, W)
-        Psi = phi_matrix(psi, Xj, Th)
-        P = _hyper_predictions(Phi, Psi, V, C)
-        GN = loss_grad(loss, P, Y) / n
-        if not np.all(np.isfinite(GN)):
-            raise SolverError("non-finite residuals")
-        if gridded:
-            w_new, t_new, u_new, score = _hyper_score_grid(
-                phi, psi, Z, Xj, GN, V, spec, w_grid, theta_grid
-            )
-        else:
-            best = None
-            for _ in range(opts.restarts):
-                w0 = _random_ball(rng, phi.dw, phi.radius)
-                t0 = _random_ball(rng, psi.dw, psi.radius)
-                cand = _hyper_ascend(phi, psi, Z, Xj, GN, V, spec, w0, t0)
-                if best is None or cand[3] > best[3]:
-                    best = cand
-            w_new, t_new, u_new, score = best
-        certificate = score
-        if score <= threshold:
-            converged = True
-            break
-
-        loc_new = np.concatenate([w_new, t_new])
-        merged = False
-        if len(W) > 0:
-            locs = np.hstack([W, Th])
-            if np.any(np.max(np.abs(locs - loc_new), axis=1) <= MERGE_TOL):
-                merged = True
-        if not merged:
-            if len(W) >= opts.max_atoms:
-                break
-            W = np.vstack([W, w_new])
-            Th = np.vstack([Th, t_new])
-            C = np.vstack([C, np.zeros(d)])
-
-        C, obj = refit(C)
-        keep = np.array(
-            [vector_norm(c, spec.primal_norm) > 0.0 for c in C], dtype=bool
-        )
-        W, Th, C = W[keep], Th[keep], C[keep]
-        history.append(obj)
-        iterations += 1
-        if merged and history[-2] - history[-1] <= opts.refit_tol * max(1.0, abs(obj)):
-            break
-
-    atoms = tuple(
-        HyperAtom(1.0, W[k], Th[k], C[k])
-        for k in range(len(W))
-        if vector_norm(C[k], spec.primal_norm) > 1e-10
-    )
-    model = HyperModel(atoms, phi, psi, spec)
-    if converged and len(model.atoms) > n * sampling.n_samples:
-        raise SolverError(
-            f"converged model has {len(model.atoms)} atoms, over the "
-            f"N*d_meas bound {n * sampling.n_samples}"
-        )
+    fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, opts, w_grid, theta_grid)
+    L, C, history, certificate, iterations, converged = _cg_fit(fam, opts)
+    dw = phi.dw
+    atoms = tuple(HyperAtom(1.0, loc[:dw], loc[dw:], c) for loc, c in zip(L, C))
     return HyperFitState(
-        model=model,
-        objective_history=tuple(history),
+        model=HyperModel(atoms, phi, psi, spec),
+        objective_history=history,
         certificate=certificate,
         iterations=iterations,
         seed=opts.seed,
         converged=converged,
     )
-
-
-def _random_ball(rng, dim: int, radius: float) -> np.ndarray:
-    d = rng.standard_normal(dim)
-    nrm = float(np.sqrt(np.dot(d, d)))
-    r = radius * float(rng.uniform()) ** (1.0 / dim)
-    return d * (r / nrm) if nrm > 0 else np.zeros(dim)
 
 
 def hyper_grid_oracle(
@@ -545,30 +411,12 @@ def hyper_grid_oracle(
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     w_grid = np.atleast_2d(np.asarray(w_grid, dtype=float))
     theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
-    loss = Loss()
-    n = Z.shape[0]
-    Xj, V = sampling.points, sampling.functionals
     # product enumeration: pair index p = gw * Gt + gt
     Gw, Gt = w_grid.shape[0], theta_grid.shape[0]
-    W = np.repeat(w_grid, Gt, axis=0)
-    Th = np.tile(theta_grid, (Gw, 1))
-    Phi = phi_matrix(phi, Z, W)
-    Psi = phi_matrix(psi, Xj, Th)
-
-    def val_grad(Cm):
-        P = _hyper_predictions(Phi, Psi, V, Cm)
-        val = float(np.sum(loss_values(loss, P, Y))) / n
-        G = loss_grad(loss, P, Y)
-        return val, (((Phi.T @ G) * Psi.T) @ V) / n
-
-    def penalty(Cm):
-        return lam * float(np.sum([vector_norm(c, spec.primal_norm) for c in Cm]))
-
-    def prox(Zm, step):
-        return _prox_rows(Zm, step * lam, spec.primal_norm)
-
+    L = np.hstack([np.repeat(w_grid, Gt, axis=0), np.tile(theta_grid, (Gw, 1))])
+    fam = _product_family(Z, Y, sampling, phi, psi, spec, lam)
     C0 = np.zeros((Gw * Gt, spec.dim))
-    C, obj = _fista(C0, val_grad, penalty, prox, max_iter, tol)
+    C, obj = _group_refit(fam, fam.design(L), C0, max_iter, tol)
     return obj, C
 
 

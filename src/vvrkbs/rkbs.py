@@ -33,15 +33,12 @@ from scipy.linalg import cho_factor, cho_solve
 from .dual_pair import (
     DualPairSpec,
     conjugate,
-    dual_witness,
     pair,
     primal_norm_value,
-    vector_norm,
 )
 from .feature import FeatureMap, grid_sup_abs, phi_matrix
 from .measure import (
     AtomicVectorMeasure,
-    coalesce,
     integrate,
     measure_from_arrays,
     product_pairing,
@@ -292,16 +289,3 @@ def rkhs_stationarity(model: RkhsModel, Y, lam: float) -> float:
     R = (G + ridge * np.eye(n)) @ model.coeffs - Y
     return float(np.max(np.abs(R)))
 
-
-def rkhs_model_to_json_dict(model: RkhsModel) -> dict:
-    if isinstance(model.kernel, GaussianKernel):
-        kd = {"kind": "gaussian_rbf", "bandwidth": float(model.kernel.bandwidth)}
-    else:
-        from .feature import feature_to_json_dict
-
-        kd = {"kind": "tabulated", "feature": feature_to_json_dict(model.kernel.feature)}
-    return {
-        "centers": [[float(v) for v in row] for row in model.centers],
-        "coeffs": [[float(v) for v in row] for row in model.coeffs],
-        "kernel": kd,
-    }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .dual_pair import (
     DualPairSpec,
     dual_norm_value,
     primal_witness,
-    vector_norm,
+    row_norms,
 )
 from .feature import (
     FeatureMap,
@@ -36,7 +37,8 @@ from .feature import (
 from .measure import (
     MERGE_TOL,
     AtomicVectorMeasure,
-    coalesce,
+    _coalesce_rows,
+    _frozen,
     empty_measure,
     measure_from_arrays,
     total_variation,
@@ -45,12 +47,6 @@ from .measure import (
 
 class SolverError(RuntimeError):
     """Raised when descent or the atom search cannot proceed."""
-
-
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 # ------------------------------------------------------------------ losses
@@ -223,19 +219,19 @@ def product_grid(radius: float, dim: int, per_dim: int) -> np.ndarray:
     return pts[keep]
 
 
-def _predictions(p: Problem, Phi: np.ndarray, C: np.ndarray) -> np.ndarray:
-    return measurement_apply(p.measurement, Phi @ C)
+def _predictions(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
+    """M f_mu(x_n) for every data row, (N, d_meas)."""
+    if not mu.atoms:
+        return np.zeros_like(p.Y)
+    Phi = phi_matrix(p.feature, p.X, mu.locations())
+    return measurement_apply(p.measurement, Phi @ mu.payloads())
 
 
 def objective(p: Problem, mu: AtomicVectorMeasure) -> float:
     """(1/N) sum_n L(M f_mu(x_n), y_n) + lam * |mu|_TV."""
     if mu.space.dim != p.spec.dim or mu.space.primal_norm != p.spec.primal_norm:
         raise ValueError("measure space does not match the problem space")
-    if mu.atoms:
-        Phi = phi_matrix(p.feature, p.X, mu.locations())
-        P = _predictions(p, Phi, mu.payloads())
-    else:
-        P = np.zeros_like(p.Y)
+    P = _predictions(p, mu)
     data = float(np.sum(loss_values(p.loss, P, p.Y))) / p.n_data
     return data + p.lam * total_variation(mu)
 
@@ -245,33 +241,44 @@ def residual_duals(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
 
     Includes the 1/N data weight, so the oracle score compares directly
     against lam."""
-    if mu.atoms:
-        Phi = phi_matrix(p.feature, p.X, mu.locations())
-        P = _predictions(p, Phi, mu.payloads())
-    else:
-        P = np.zeros_like(p.Y)
-    G = loss_grad(p.loss, P, p.Y)
+    G = loss_grad(p.loss, _predictions(p, mu), p.Y)
     return measurement_adjoint(p.measurement, G) / p.n_data
 
 
 # --------------------------------------------------------------------- lmo
 
-def _score_at(p: Problem, eta: np.ndarray, w: np.ndarray):
-    """Best payload direction and score at a fixed location w."""
-    v = phi_matrix(p.feature, p.X, w[None, :])[:, 0] @ eta
-    u = primal_witness(p.spec, v)
-    return dual_norm_value(p.spec, v), u
+def _random_ball(rng, dim: int, radius: float) -> np.ndarray:
+    """Random point of the radius ball: a normal direction, then a radius."""
+    d = rng.standard_normal(dim)
+    n = float(np.sqrt(np.dot(d, d)))
+    r = radius * float(rng.uniform()) ** (1.0 / dim)
+    return d * (r / n) if n > 0 else np.zeros(dim)
 
 
-def _ascend(p: Problem, eta: np.ndarray, w0: np.ndarray, max_steps: int = 200):
-    """Projected gradient ascent on the oracle score from one start."""
-    radius = p.feature.radius
-    w = np.asarray(w0, dtype=float).copy()
-    score, u = _score_at(p, eta, w)
+def _project_balls(L: np.ndarray, features) -> np.ndarray:
+    """Project each consecutive block of L onto the weight ball of its feature."""
+    parts = []
+    start = 0
+    for f in features:
+        v = L[start:start + f.dw]
+        start += f.dw
+        n = float(np.sqrt(np.dot(v, v)))
+        parts.append(v * (f.radius / n) if n > f.radius else v)
+    return np.concatenate(parts)
+
+
+def _ascend(value, direction, features, L0, max_steps: int = 200):
+    """Projected gradient ascent on an oracle score from one start.
+
+    ``value(L)`` returns (score, payload state) at a location vector L,
+    ``direction(L, state)`` the ascent direction at that payload (Danskin);
+    L holds one weight block per feature in ``features`` and steps are
+    projected onto their balls.  Returns (L, state, score).
+    """
+    L = np.asarray(L0, dtype=float).copy()
+    score, state = value(L)
     for _ in range(max_steps):
-        # Danskin direction: gradient at the current best payload
-        s = eta @ u
-        g = grad_phi_w_batch(p.feature, p.X, w).T @ s
+        g = direction(L, state)
         if not np.all(np.isfinite(g)):
             raise SolverError("non-finite oracle gradient")
         gg = float(np.dot(g, g))
@@ -280,11 +287,8 @@ def _ascend(p: Problem, eta: np.ndarray, w0: np.ndarray, max_steps: int = 200):
         step = 1.0
         improved = False
         while step >= 1e-12:
-            cand = w + step * g
-            nrm = float(np.sqrt(np.dot(cand, cand)))
-            if nrm > radius:
-                cand = cand * (radius / nrm)
-            cand_score, cand_u = _score_at(p, eta, cand)
+            cand = _project_balls(L + step * g, features)
+            cand_score, cand_state = value(cand)
             if cand_score >= score + 1e-4 * step * gg:
                 improved = True
                 break
@@ -292,10 +296,37 @@ def _ascend(p: Problem, eta: np.ndarray, w0: np.ndarray, max_steps: int = 200):
         if not improved:
             break
         gain = cand_score - score
-        w, score, u = cand, cand_score, cand_u
+        L, score, state = cand, cand_score, cand_state
         if gain <= 1e-12 * (1.0 + score):
             break
-    return w, u, score
+    return L, state, score
+
+
+def _multistart(value, direction, features, restarts: int, seed: int):
+    """Best of ``restarts`` ascents started at random points of the balls."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        L0 = np.concatenate([_random_ball(rng, f.dw, f.radius) for f in features])
+        cand = _ascend(value, direction, features, L0)
+        if best is None or cand[2] > best[2]:
+            best = cand
+    return best
+
+
+def _oracle_score(p: Problem, eta: np.ndarray):
+    """(value, direction) of the oracle score |sum_n phi(x_n, w) eta_n| at w."""
+
+    def value(w):
+        v = phi_matrix(p.feature, p.X, w[None, :])[:, 0] @ eta
+        return dual_norm_value(p.spec, v), primal_witness(p.spec, v)
+
+    def direction(w, u):
+        return grad_phi_w_batch(p.feature, p.X, w).T @ (eta @ u)
+
+    return value, direction
 
 
 def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0):
@@ -313,23 +344,11 @@ def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0):
         raise SolverError("non-finite residual duals")
     if p.omega_grid is not None:
         V = phi_matrix(p.feature, p.X, p.omega_grid).T @ eta
-        scores = np.array([dual_norm_value(p.spec, v) for v in V])
+        scores = row_norms(V, p.spec.dual_norm)
         g = int(np.argmax(scores))
         return p.omega_grid[g].copy(), primal_witness(p.spec, V[g]), float(scores[g])
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    dw = p.feature.dw
-    best = None
-    for _ in range(restarts):
-        d = rng.standard_normal(dw)
-        n = float(np.sqrt(np.dot(d, d)))
-        r = p.feature.radius * float(rng.uniform()) ** (1.0 / dw)
-        w0 = d * (r / n) if n > 0 else np.zeros(dw)
-        w, u, score = _ascend(p, eta, w0)
-        if best is None or score > best[2]:
-            best = (w, u, score)
-    return best
+    value, direction = _oracle_score(p, eta)
+    return _multistart(value, direction, (p.feature,), restarts, seed)
 
 
 # ------------------------------------------------------------------- fista
@@ -393,44 +412,68 @@ def _fista(x0, val_grad, penalty, prox, max_iter: int, tol: float):
     return x, obj
 
 
-def _group_refit(p: Problem, W: np.ndarray, C0: np.ndarray, max_iter, tol):
-    """Refit free payload rows on fixed locations W."""
-    Phi = phi_matrix(p.feature, p.X, W)
-    n = p.n_data
-    norm = p.spec.primal_norm
+@dataclasses.dataclass(frozen=True)
+class _AtomFamily:
+    """One regression problem as the conditional-gradient engine sees it.
+
+    An atom is a location row, one weight block per feature in
+    ``features``, and a payload row in R^dim.  ``design(L)`` precomputes what
+    ``predict`` needs for fixed locations L; ``predict(B, C)`` maps payload
+    rows C to the (N, d_meas) predictions and ``pull_back(B, G)`` is its
+    adjoint, taking loss gradients back to payload rows.  ``search(G, k)``
+    is the atom oracle at CG iteration k for the loss gradients G of the
+    current model; it returns (location, unit payload, score), with the
+    score on the scale of lam.  ``measured(U)`` applies the measurement to
+    unit directions; families without it fit in group mode only.
+    """
+
+    Y: np.ndarray
+    loss: Loss
+    lam: float
+    norm: str
+    dim: int
+    features: tuple
+    design: Callable
+    predict: Callable
+    pull_back: Callable
+    search: Callable
+    measured: Callable | None = None
+
+
+def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
+    """Refit free payload rows on the locations behind the design B."""
+    n = fam.Y.shape[0]
 
     def val_grad(C):
-        P = _predictions(p, Phi, C)
-        val = float(np.sum(loss_values(p.loss, P, p.Y))) / n
-        G = measurement_adjoint(p.measurement, loss_grad(p.loss, P, p.Y))
-        return val, Phi.T @ G / n
+        P = fam.predict(B, C)
+        val = float(np.sum(loss_values(fam.loss, P, fam.Y))) / n
+        return val, fam.pull_back(B, loss_grad(fam.loss, P, fam.Y)) / n
 
     def penalty(C):
-        return p.lam * float(np.sum([vector_norm(c, norm) for c in C]))
+        return fam.lam * float(np.sum(row_norms(C, fam.norm)))
 
     def prox(Z, step):
-        return _prox_rows(Z, step * p.lam, norm)
+        return _prox_rows(Z, step * fam.lam, fam.norm)
 
     return _fista(C0, val_grad, penalty, prox, max_iter, tol)
 
 
-def _l1_refit(p: Problem, W: np.ndarray, U: np.ndarray, a0: np.ndarray, max_iter, tol):
-    """Refit scalar weights on fixed locations W and unit directions U."""
-    Phi = phi_matrix(p.feature, p.X, W)
-    D = measurement_apply(p.measurement, U)
-    n = p.n_data
+def _l1_refit(fam: _AtomFamily, Phi, U: np.ndarray, a0: np.ndarray, max_iter, tol):
+    """Refit scalar weights on the feature columns Phi and unit directions U."""
+    D = fam.measured(U)
+    n = fam.Y.shape[0]
 
     def val_grad(a):
         P = (Phi * a) @ D
-        val = float(np.sum(loss_values(p.loss, P, p.Y))) / n
-        G = loss_grad(p.loss, P, p.Y)
+        val = float(np.sum(loss_values(fam.loss, P, fam.Y))) / n
+        G = loss_grad(fam.loss, P, fam.Y)
         return val, np.sum(Phi * (G @ D.T), axis=0) / n
 
     def penalty(a):
-        return p.lam * float(np.sum(np.abs(a)))
+        return fam.lam * float(np.sum(np.abs(a)))
 
     def prox(z, step):
-        return np.sign(z) * np.maximum(np.abs(z) - step * p.lam, 0.0)
+        return np.sign(z) * np.maximum(np.abs(z) - step * fam.lam, 0.0)
 
     return _fista(a0, val_grad, penalty, prox, max_iter, tol)
 
@@ -482,14 +525,115 @@ class SolverState:
     converged: bool
 
 
-def _payload_rows(mode: str, C, U, a) -> np.ndarray:
-    if mode == "group":
-        return C
-    return a[:, None] * U
+def _cg_fit(fam: _AtomFamily, opts: FitOptions):
+    """Conditional-gradient loop: insert, refit, prune, until certified.
+
+    Terminates when the oracle score drops to lam*(1+tol), the atom budget
+    is exhausted, or the oracle re-proposes the current support without
+    progress; in every case the certificate (last oracle score) is
+    recorded.  Returns (locations, payload rows, objective history,
+    certificate, iterations, converged); group-mode payloads come out
+    coalesced, l1-mode atoms keep one row per (location, direction).
+    """
+    n = fam.Y.shape[0]
+    L = np.zeros((0, sum(f.dw for f in fam.features)))
+    U = np.zeros((0, fam.dim))   # oracle directions
+    C = np.zeros((0, fam.dim))   # payload rows
+    a = np.zeros(0)              # l1 mode weights, C = a * U
+
+    history = [float(np.sum(loss_values(fam.loss, np.zeros_like(fam.Y), fam.Y))) / n]
+    certificate = math.inf
+    threshold = fam.lam * (1.0 + opts.tol)
+    converged = False
+    iterations = 0
+
+    while True:
+        P = fam.predict(fam.design(L), C)
+        G = loss_grad(fam.loss, P, fam.Y)
+        if not np.all(np.isfinite(G)):
+            raise SolverError("non-finite residuals")
+        loc, u_new, score = fam.search(G, iterations)
+        certificate = score
+        if score <= threshold:
+            converged = True
+            break
+
+        # merge into an existing slot when the oracle re-proposes it; in
+        # l1 mode the slot identity includes the payload direction
+        merged = False
+        if len(L) > 0:
+            dists = np.max(np.abs(L - loc), axis=1)
+            for k in np.flatnonzero(dists <= MERGE_TOL):
+                if opts.mode == "group" or np.allclose(U[k], u_new, atol=1e-12):
+                    merged = True
+                    break
+        if not merged:
+            if len(L) >= opts.max_atoms:
+                break
+            L, U = np.vstack([L, loc]), np.vstack([U, u_new])
+            C, a = np.vstack([C, np.zeros(fam.dim)]), np.append(a, 0.0)
+
+        B = fam.design(L)
+        if opts.mode == "group":
+            C, obj = _group_refit(fam, B, C, opts.refit_max_iter, opts.refit_tol)
+        else:
+            a, obj = _l1_refit(fam, B, U, a, opts.refit_max_iter, opts.refit_tol)
+            C = a[:, None] * U
+
+        # drop slots the threshold zeroed out exactly; tiny survivors are
+        # left for the final coalesce so the recorded objective stays the
+        # objective of the kept state
+        keep = row_norms(C, fam.norm) > 0.0
+        L, U, C, a = L[keep], U[keep], C[keep], a[keep]
+
+        history.append(obj)
+        iterations += 1
+        if merged and history[-2] - history[-1] <= opts.refit_tol * max(1.0, abs(obj)):
+            break  # oracle keeps proposing the same support: stalled
+
+    if opts.mode == "l1":
+        # keep one atom per (location, direction) so every payload stays a
+        # scalar multiple of an extreme point; a blanket coalesce would fuse
+        # different directions parked at the same site
+        keep = np.abs(a) > 1e-10
+        L, C = L[keep], C[keep]
+    else:
+        L, C = _coalesce_rows(L, C, fam.norm)
+    if converged:
+        count = len(_coalesce_rows(L, C, fam.norm)[0])
+        if count > fam.Y.size:
+            raise SolverError(
+                f"converged model has {count} atoms, over the N*d_meas "
+                f"bound {fam.Y.size}"
+            )
+    return L, C, tuple(history), certificate, iterations, converged
+
+
+def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
+    """Atoms delta_w c of the flat problem; the oracle is ``lmo``."""
+    m = p.measurement
+
+    def search(G, k):
+        eta = measurement_adjoint(m, G) / p.n_data
+        return lmo(p, eta, opts.restarts, opts.seed + 7919 * k)
+
+    return _AtomFamily(
+        Y=p.Y,
+        loss=p.loss,
+        lam=p.lam,
+        norm=p.spec.primal_norm,
+        dim=p.spec.dim,
+        features=(p.feature,),
+        design=lambda W: phi_matrix(p.feature, p.X, W),
+        predict=lambda Phi, C: measurement_apply(m, Phi @ C),
+        pull_back=lambda Phi, G: Phi.T @ measurement_adjoint(m, G),
+        search=search,
+        measured=lambda U: measurement_apply(m, U),
+    )
 
 
 def fit(p: Problem, opts: FitOptions) -> SolverState:
-    """Conditional-gradient loop: insert, refit, prune, until certified.
+    """Conditional-gradient fit of an atomic measure, until certified.
 
     Terminates when the oracle score drops to lam*(1+tol) or the atom
     budget is exhausted; in either case the certificate (last oracle
@@ -499,100 +643,16 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
         raise ValueError("fit requires lam > 0")
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("fit supports l1 and l2 primal norms")
-    spec, feat = p.spec, p.feature
-    dw, d = feat.dw, spec.dim
-
-    W = np.zeros((0, dw))
-    C = np.zeros((0, d))       # group mode payloads
-    U = np.zeros((0, d))       # l1 mode directions
-    a = np.zeros(0)            # l1 mode weights
-
-    def current_measure():
-        rows = _payload_rows(opts.mode, C, U, a)
-        if len(W) == 0:
-            return empty_measure(spec, feat.radius)
-        return measure_from_arrays(W, rows, spec, feat.radius)
-
-    history = [objective(p, current_measure())]
-    certificate = math.inf
-    threshold = p.lam * (1.0 + opts.tol)
-    converged = False
-    iterations = 0
-
-    while True:
-        eta = residual_duals(p, current_measure())
-        w_new, u_new, score = lmo(p, eta, opts.restarts, opts.seed + 7919 * iterations)
-        certificate = score
-        if score <= threshold:
-            converged = True
-            break
-
-        # merge into an existing slot when the oracle re-proposes it; in
-        # l1 mode the slot identity includes the payload direction
-        merged = False
-        if len(W) > 0:
-            dists = np.max(np.abs(W - w_new), axis=1)
-            for k in np.flatnonzero(dists <= MERGE_TOL):
-                if opts.mode == "group" or np.allclose(U[k], u_new, atol=1e-12):
-                    merged = True
-                    break
-        if not merged:
-            if len(W) >= opts.max_atoms:
-                break
-            W = np.vstack([W, w_new])
-            if opts.mode == "group":
-                C = np.vstack([C, np.zeros(d)])
-            else:
-                U = np.vstack([U, u_new])
-                a = np.append(a, 0.0)
-
-        if opts.mode == "group":
-            C, obj = _group_refit(p, W, C, opts.refit_max_iter, opts.refit_tol)
-        else:
-            a, obj = _l1_refit(p, W, U, a, opts.refit_max_iter, opts.refit_tol)
-
-        # drop slots the threshold zeroed out exactly; tiny survivors are
-        # left for the final coalesce so the recorded objective stays the
-        # objective of the kept state
-        rows = _payload_rows(opts.mode, C, U, a)
-        keep = np.array([vector_norm(r, spec.primal_norm) > 0.0 for r in rows], dtype=bool)
-        W = W[keep]
-        if opts.mode == "group":
-            C = C[keep]
-        else:
-            U, a = U[keep], a[keep]
-
-        history.append(obj)
-        iterations += 1
-        if merged and history[-2] - history[-1] <= opts.refit_tol * max(1.0, abs(obj)):
-            break  # oracle keeps proposing the same support: stalled
-
-    if opts.mode == "l1" and len(W) > 0:
-        # keep one atom per (location, direction) so every payload stays a
-        # scalar multiple of an extreme point; a blanket coalesce would fuse
-        # different directions parked at the same site
-        keep = np.abs(a) > 1e-10
-        final = (
-            measure_from_arrays(W[keep], a[keep, None] * U[keep], spec, feat.radius)
-            if np.any(keep)
-            else empty_measure(spec, feat.radius)
-        )
-    else:
-        final = coalesce(current_measure())
-    if converged:
-        bound = p.n_data * measurement_dim(p.measurement, spec)
-        if len(coalesce(final).atoms) > bound:
-            raise SolverError(
-                f"converged measure has {len(final.atoms)} atoms, over the "
-                f"N*d_meas bound {bound}"
-            )
+    W, rows, history, certificate, iterations, converged = _cg_fit(
+        _flat_family(p, opts), opts
+    )
     return SolverState(
-        measure=final,
-        objective_history=tuple(history),
+        measure=measure_from_arrays(W, rows, p.spec, p.feature.radius),
+        objective_history=history,
         certificate=certificate,
         iterations=iterations,
         seed=opts.seed,
-        feature=feat,
+        feature=p.feature,
         converged=converged,
     )
 
@@ -607,12 +667,11 @@ def lambda_max(p: Problem, grid_per_dim: int = 17, restarts: int = 8, seed: int 
     if p.omega_grid is not None:
         return lmo(p, eta, seed=seed)[2]
     grid = product_grid(p.feature.radius, p.feature.dw, grid_per_dim)
-    V = phi_matrix(p.feature, p.X, grid).T @ eta
-    scores = np.array([dual_norm_value(p.spec, v) for v in V])
-    g = int(np.argmax(scores))
-    best = _ascend(p, eta, grid[g])[2]
+    w, _, score = lmo(dataclasses.replace(p, omega_grid=grid), eta)
+    value, direction = _oracle_score(p, eta)
+    best = _ascend(value, direction, (p.feature,), w)[2]
     rand = lmo(p, eta, restarts=restarts, seed=seed)[2]
-    return max(float(scores[g]), best, rand)
+    return max(score, best, rand)
 
 
 def grid_oracle(p: Problem, grid_per_dim: int, max_iter: int = 20000, tol: float = 1e-10):
@@ -630,8 +689,9 @@ def grid_oracle(p: Problem, grid_per_dim: int, max_iter: int = 20000, tol: float
         grid = product_grid(p.feature.radius, p.feature.dw, grid_per_dim)
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("grid oracle supports l1 and l2 primal norms")
+    fam = _flat_family(p, FitOptions())
     C0 = np.zeros((grid.shape[0], p.spec.dim))
-    C, obj = _group_refit(p, grid, C0, max_iter, tol)
+    C, obj = _group_refit(fam, fam.design(grid), C0, max_iter, tol)
     return obj, C
 
 

@@ -281,3 +281,43 @@ def test_predict_model_space_mismatch_exits_2(tmp_path, capsys):
                "--data", data, "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     capsys.readouterr()
+
+
+def _bad_fit_config():
+    cfg = _base_config()
+    cfg["solver"]["refit"] = [1, 2]
+    return "fit", cfg
+
+
+def _bad_hyper_refit():
+    cfg = _hyper_config()
+    cfg["solver"]["refit"] = "x"
+    return "hyper-fit", cfg
+
+
+def _bad_hyper_ragged_grid():
+    cfg = _hyper_config()
+    cfg["grids"]["w"] = [[0.5, 0.1], [-0.4]]
+    return "hyper-fit", cfg
+
+
+def _bad_hyper_grids_list():
+    cfg = _hyper_config()
+    cfg["grids"] = [1, 2]
+    return "hyper-fit", cfg
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_bad_fit_config, _bad_hyper_refit, _bad_hyper_ragged_grid, _bad_hyper_grids_list],
+)
+def test_malformed_solver_and_grids_sections_exit_2(tmp_path, capsys, case):
+    command, config = case()
+    cfg = _write(tmp_path, "bad.json", json.dumps(config))
+    data = _write(tmp_path, "data.csv", "\n".join(DATA_ROWS) + "\n")
+    out = str(tmp_path / "model.json")
+    assert main([command, "--config", cfg, "--data", data, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()

@@ -14,10 +14,12 @@ from vvrkbs.dual_pair import (
     pair,
     primal_norm_value,
     primal_witness,
+    row_norms,
     twin_apply_dual,
     twin_apply_primal,
     twin_norm,
     twin_value,
+    vector_norm,
 )
 
 NORMS = ("l1", "l2", "linf")
@@ -240,3 +242,15 @@ def test_twin_norm_vs_sampling_oracle_4x4():
             sampled = _sampled_twin_norm(T.matrix, norm, 100_000, seed=1000 + k)
             assert sampled <= closed + 1e-12
             assert closed <= sampled + 1e-2
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_row_norms_match_vector_norm_bitwise(norm):
+    rng = np.random.default_rng(17)
+    for d in range(1, 41):
+        block = rng.standard_normal((30, 2 * d + 1)) * 10.0 ** rng.uniform(-6, 6)
+        contiguous = np.ascontiguousarray(block[:, :d])
+        for A in (contiguous, block[:, ::2][:, :d], block[::2, 1:]):
+            expected = np.array([vector_norm(row, norm) for row in A])
+            assert np.array_equal(row_norms(A, norm), expected)
+    assert row_norms(np.zeros((0, 3)), norm).shape == (0,)

@@ -10,8 +10,6 @@ from vvrkbs.feature import (
     feature_to_json_dict,
     grad_phi_w,
     grid_sup_abs,
-    kernel,
-    kernel_value,
     phi_matrix,
     simple_approx_pairing,
 )
@@ -192,35 +190,6 @@ def test_grad_tabulated_inside_cell():
     )
     g = grad_phi_w(f, [0.5], [1.0])
     assert g[0] == pytest.approx(_central_diff(f, [0.5], [1.0])[0], abs=1e-9)
-
-
-# ------------------------------------------------------------------- kernel
-
-def test_kernel_examples():
-    f = FeatureMap(
-        "tabulated",
-        dx=1,
-        radius=2.0,
-        beta="one",
-        x_grid=[0.0, 1.0],
-        w_grid=[0.0, 1.0],
-        values=[[0.5, 0.5], [0.5, 0.5]],
-    )
-    s = DualPairSpec(2, "l2")
-    assert kernel(f, s, [0.5], [0.5], [1, 0], [1, 0]) == pytest.approx(0.5)
-    assert kernel(f, s, [0.5], [0.5], [1, 0], [0, 1]) == 0.0
-    u = np.array([2.0, 1.0])
-    assert kernel(f, s, [0.5], [0.5], u / np.dot(u, u), u) == pytest.approx(
-        eval_phi(f, [0.5], [0.5]), rel=1e-14
-    )
-
-
-def test_kernel_value_scalar_times_identity():
-    f = FeatureMap("neural", dx=1, radius=2.0, activation="sigmoid")
-    kv = kernel_value(f, [0.4], [0.5, 0.1])
-    u = np.array([1.0, -2.0])
-    assert np.allclose(kv.apply_primal(u), kv.phi_value * u)
-    assert np.allclose(kv.apply_dual(u), kv.phi_value * u)
 
 
 # ------------------------------------------------- simple-function pairing

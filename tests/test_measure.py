@@ -4,6 +4,7 @@ import pytest
 from vvrkbs.dual_pair import DualPairSpec, conjugate
 from vvrkbs.feature import FeatureMap, grid_sup_abs, phi_matrix
 from vvrkbs.measure import (
+    MERGE_TOL,
     Atom,
     AtomicVectorMeasure,
     add,
@@ -16,6 +17,7 @@ from vvrkbs.measure import (
     product_pairing,
     scale,
     total_variation,
+    _group_by_location,
 )
 
 L2 = DualPairSpec(2, "l2")
@@ -119,6 +121,30 @@ def test_coalesce_preserves_integrate_and_tv():
     x = np.array([0.4])
     assert np.allclose(integrate(TANH, mu, x), integrate(TANH, out, x))
     assert total_variation(mu) == total_variation(out)
+
+
+def _greedy_groups(points, tol):
+    # reference: compare each row with every group's first row, in order
+    groups, reps = [], []
+    for i, p in enumerate(points):
+        for g, r in enumerate(reps):
+            if np.max(np.abs(p - r)) <= tol:
+                groups[g].append(i)
+                break
+        else:
+            groups.append([i])
+            reps.append(p)
+    return groups
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, MERGE_TOL, 0.3])
+def test_group_by_location_matches_greedy_reference(tol):
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        P = rng.uniform(-1.0, 1.0, (40, 3))
+        P[20:] = P[rng.integers(0, 20, 20)] + tol * rng.uniform(-1.5, 1.5, (20, 3))
+        assert _group_by_location(P, tol) == _greedy_groups(P, tol)
+    assert _group_by_location(np.zeros((0, 2)), tol) == []
 
 
 # ---------------------------------------------------------------- integrate

@@ -5,7 +5,15 @@ from vvrkbs.dual_pair import DualPairSpec, dual_norm_value, vector_norm
 from vvrkbs.feature import FeatureMap, eval_phi
 from vvrkbs.measure import measure_from_arrays
 from vvrkbs.rkbs import RkbsFunction, evaluate
-from vvrkbs.solver import FitOptions
+from vvrkbs.solver import (
+    FitOptions,
+    Loss,
+    Problem,
+    fit,
+    identity_measurement,
+    lambda_max,
+    product_grid,
+)
 from vvrkbs.operator_learning import (
     HyperAtom,
     HyperModel,
@@ -310,6 +318,39 @@ def test_hyper_fit_free_search_smoke():
     assert state.converged
     assert state.certificate <= 0.05 * (1 + 1e-4)
     assert state.objective_history[-1] <= state.objective_history[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_level_fit_with_unit_base_feature_is_the_flat_fit(seed):
+    # psi = 1, one functional [[1.0]] and theta pinned to 0: every hyper-atom
+    # is the flat atom delta_w v, so both fits take bit-identical steps
+    rng = np.random.default_rng(seed)
+    spec = DualPairSpec(1, "l2")
+    phi = _neural(1, 1.5, "tanh", beta="smooth_bump")
+    Z = rng.uniform(-1.0, 1.0, (12, 1))
+    Y = rng.standard_normal((12, 1))
+    grid = product_grid(phi.radius, phi.dw, 7)
+
+    def problem(lam):
+        return Problem(Z, Y, Loss(), identity_measurement(), lam, phi, spec,
+                       omega_grid=grid)
+
+    lam = 0.2 * lambda_max(problem(1.0))
+    opts = FitOptions(max_atoms=15, tol=1e-5, refit_tol=1e-11, seed=seed)
+    flat = fit(problem(lam), opts)
+    two = hyper_fit(
+        Z, Y, SampledMeasurement(np.array([[0.0]]), np.array([[1.0]])),
+        phi, _ones_table(), spec, lam, opts=opts,
+        w_grid=grid, theta_grid=np.array([[0.0]]),
+    )
+    assert np.array_equal(two.objective_history, flat.objective_history)
+    assert two.converged == flat.converged
+    assert two.certificate == flat.certificate
+    a, W, Theta, V = two.model.arrays()
+    assert len(W) == len(flat.measure.atoms) > 0
+    assert np.array_equal(W, flat.measure.locations())
+    assert np.array_equal(a[:, None] * V, flat.measure.payloads())
+    assert np.all(Theta == 0.0)
 
 
 def test_hyper_fit_validation():

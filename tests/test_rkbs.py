@@ -18,7 +18,6 @@ from vvrkbs.rkbs import (
     b_norm_upper,
     evaluate,
     rkhs_fit,
-    rkhs_model_to_json_dict,
     rkhs_predict,
     rkhs_stationarity,
     verify_reproducing,
@@ -220,9 +219,3 @@ def test_rkhs_tabulated_kernel():
     model = rkhs_fit([[0.0], [1.0]], [[1.0], [2.0]], k, 0.5)
     assert rkhs_stationarity(model, [[1.0], [2.0]], 0.5) <= 1e-9
 
-
-def test_rkhs_json_shape():
-    model = rkhs_fit([[0.0]], [[1.0]], GaussianKernel(2.0), 0.1)
-    d = rkhs_model_to_json_dict(model)
-    assert list(d.keys()) == ["centers", "coeffs", "kernel"]
-    assert d["kernel"] == {"kind": "gaussian_rbf", "bandwidth": 2.0}
