@@ -296,7 +296,7 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
 
     The location is (w, theta), the payload v, and the measurement is the
     lifted sampling: atom columns phi(z_n, w) psi(x_j, theta) <v_j, v>.
-    The oracle searches the product grid when both grids are given and
+    The oracle searches the product grid when the grids are given and
     runs multistart ascent over both balls otherwise.
     """
     n, dw = Z.shape[0], phi.dw
@@ -311,7 +311,7 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
 
     def search(G, k):
         GN = G / n
-        if w_grid is not None and theta_grid is not None:
+        if w_grid is not None:
             w, th, u, score = _hyper_score_grid(
                 phi, psi, Z, Xj, GN, V, spec, w_grid, theta_grid
             )
@@ -354,7 +354,9 @@ def hyper_fit(
     sampling functional (v_j, x_j); atom locations are (w, theta) pairs
     searched jointly.  The weight-form total variation is the penalty,
     which for free payload rows is the usual sum of primal norms.  The
-    loop is the flat solver's, run on the product feature.
+    loop is the flat solver's, run on the product feature.  ``w_grid`` and
+    ``theta_grid`` restrict the search to their product; give both or
+    neither.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -372,6 +374,8 @@ def hyper_fit(
         raise ValueError("functionals do not match the value space")
     if Y.shape[1] != sampling.n_samples:
         raise ValueError("Y width must equal the number of functionals")
+    if (w_grid is None) != (theta_grid is None):
+        raise ValueError("grid search needs both w_grid and theta_grid, or neither")
     if w_grid is not None:
         w_grid = np.atleast_2d(np.asarray(w_grid, dtype=float))
         _check_ball(w_grid, phi.radius, "w_grid")

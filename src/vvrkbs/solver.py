@@ -273,10 +273,13 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
     ``value(L)`` returns (score, payload state) at a location vector L,
     ``direction(L, state)`` the ascent direction at that payload (Danskin);
     L holds one weight block per feature in ``features`` and steps are
-    projected onto their balls.  Returns (L, state, score).
+    projected onto their balls.  The first trial step is 1; each later
+    step first tries twice the last accepted one, then halves until the
+    Armijo test passes.  Returns (L, state, score).
     """
     L = np.asarray(L0, dtype=float).copy()
     score, state = value(L)
+    step = 1.0
     for _ in range(max_steps):
         g = direction(L, state)
         if not np.all(np.isfinite(g)):
@@ -284,7 +287,6 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
         gg = float(np.dot(g, g))
         if gg == 0.0:
             break
-        step = 1.0
         improved = False
         while step >= 1e-12:
             cand = _project_balls(L + step * g, features)
@@ -297,6 +299,7 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
             break
         gain = cand_score - score
         L, score, state = cand, cand_score, cand_state
+        step *= 2.0
         if gain <= 1e-12 * (1.0 + score):
             break
     return L, state, score
@@ -365,8 +368,37 @@ def _prox_rows(Z: np.ndarray, tau: float, norm: str) -> np.ndarray:
     raise ValueError(f"no proximal map for row norm {norm!r}")
 
 
-def _fista(x0, val_grad, penalty, prox, max_iter: int, tol: float):
-    """Accelerated proximal descent with backtracking.
+def _refit_step(normal, shape, max_iter: int = 100, tol: float = 1e-6) -> float:
+    """Initial refit step 1/L, L the top eigenvalue of the data term's
+    normal operator ``normal`` on arrays of ``shape``.
+
+    Power iteration from a fixed seeded direction (not all-ones: odd
+    features on a symmetric grid map that to zero), stopped when the
+    Rayleigh quotient changes by at most tol relative.  The estimate never
+    exceeds L, so the step can be too long; the backtracking in ``_fista``
+    guards that.  Huber curvature is at most 1, so the squared-loss L bounds
+    both losses.  Returns 1.0 when the operator vanishes on the iterates.
+    """
+    v = np.random.default_rng(0).standard_normal(shape)
+    if v.size == 0:
+        return 1.0
+    v /= math.sqrt(float(np.vdot(v, v)))
+    est = 0.0
+    for _ in range(max_iter):
+        Av = normal(v)
+        rq = float(np.vdot(v, Av))
+        size = math.sqrt(float(np.vdot(Av, Av)))
+        if not (rq > 0.0 and math.isfinite(size)):
+            break
+        done = abs(rq - est) <= tol * rq
+        v, est = Av / size, rq
+        if done:
+            break
+    return 1.0 / est if est > 0.0 else 1.0
+
+
+def _fista(x0, val_grad, penalty, prox, step: float, max_iter: int, tol: float):
+    """Accelerated proximal descent with backtracking from the step ``step``.
 
     Momentum restarts whenever the composite objective would increase,
     so the returned objective never exceeds the starting one.  Stops on
@@ -375,7 +407,6 @@ def _fista(x0, val_grad, penalty, prox, max_iter: int, tol: float):
     x = np.array(x0, dtype=float)
     z = x.copy()
     t_mom = 1.0
-    step = 1.0
     obj = val_grad(x)[0] + penalty(x)
 
     def descend(point):
@@ -455,7 +486,8 @@ def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     def prox(Z, step):
         return _prox_rows(Z, step * fam.lam, fam.norm)
 
-    return _fista(C0, val_grad, penalty, prox, max_iter, tol)
+    step = _refit_step(lambda C: fam.pull_back(B, fam.predict(B, C)) / n, C0.shape)
+    return _fista(C0, val_grad, penalty, prox, step, max_iter, tol)
 
 
 def _l1_refit(fam: _AtomFamily, Phi, U: np.ndarray, a0: np.ndarray, max_iter, tol):
@@ -475,7 +507,8 @@ def _l1_refit(fam: _AtomFamily, Phi, U: np.ndarray, a0: np.ndarray, max_iter, to
     def prox(z, step):
         return np.sign(z) * np.maximum(np.abs(z) - step * fam.lam, 0.0)
 
-    return _fista(a0, val_grad, penalty, prox, max_iter, tol)
+    step = _refit_step(lambda a: np.sum(Phi * (((Phi * a) @ D) @ D.T), axis=0) / n, a0.shape)
+    return _fista(a0, val_grad, penalty, prox, step, max_iter, tol)
 
 
 # --------------------------------------------------------------------- fit
@@ -547,8 +580,8 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
     converged = False
     iterations = 0
 
+    P = np.zeros_like(fam.Y)     # predictions of the current model
     while True:
-        P = fam.predict(fam.design(L), C)
         G = loss_grad(fam.loss, P, fam.Y)
         if not np.all(np.isfinite(G)):
             raise SolverError("non-finite residuals")
@@ -579,10 +612,12 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
         else:
             a, obj = _l1_refit(fam, B, U, a, opts.refit_max_iter, opts.refit_tol)
             C = a[:, None] * U
+        P = fam.predict(B, C)
 
-        # drop slots the threshold zeroed out exactly; tiny survivors are
-        # left for the final coalesce so the recorded objective stays the
-        # objective of the kept state
+        # drop slots the threshold zeroed out exactly, which leaves P as the
+        # predictions of the kept state; tiny survivors are left for the
+        # final coalesce so the recorded objective stays the objective of
+        # the kept state
         keep = row_norms(C, fam.norm) > 0.0
         L, U, C, a = L[keep], U[keep], C[keep], a[keep]
 

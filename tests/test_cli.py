@@ -244,6 +244,21 @@ def test_hyper_fit_writes_model(tmp_path, capsys):
     assert list(model["atoms"][0].keys()) == ["a", "w", "theta", "v"]
 
 
+@pytest.mark.parametrize("given", ["w", "theta"])
+def test_hyper_fit_with_one_grid_exits_2(tmp_path, capsys, given):
+    # grid search needs both grids; one alone used to fall back to free search
+    config = _hyper_config()
+    config["grids"] = {given: config["grids"][given]}
+    cfg = _write(tmp_path, "hcfg.json", json.dumps(config))
+    data = _write(tmp_path, "hdata.csv", "\n".join(DATA_ROWS) + "\n")
+    out = str(tmp_path / "hmodel.json")
+    assert main(["hyper-fit", "--config", cfg, "--data", data, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "hmodel.json").exists()
+
+
 def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
     cfg = _write(tmp_path, "dcfg.json", json.dumps(
         {"phi": {"kind": "gaussian", "dx": 2, "radius": 1.0, "beta": "one",

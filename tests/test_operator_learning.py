@@ -366,6 +366,11 @@ def test_hyper_fit_validation():
         hyper_fit(Z, np.array([[1.0, 2.0]]), samp, ones, ones, spec, 0.1)
     with pytest.raises(ValueError):
         SampledMeasurement(np.zeros((2, 1)), np.zeros((3, 1)))
+    grid = np.array([[0.0]])
+    with pytest.raises(ValueError, match="both"):
+        hyper_fit(Z, Y, samp, ones, ones, spec, 0.1, w_grid=grid)
+    with pytest.raises(ValueError, match="both"):
+        hyper_fit(Z, Y, samp, ones, ones, spec, 0.1, theta_grid=grid)
 
 
 def test_measurement_factorization():

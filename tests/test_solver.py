@@ -31,6 +31,7 @@ from vvrkbs.solver import (
     product_grid,
     residual_duals,
 )
+from vvrkbs.solver import _ascend, _fista, _flat_family, _prox_rows, _refit_step
 
 
 def _tab_feature():
@@ -422,6 +423,84 @@ def test_grid_oracle_rerun_identical():
     o2, C2 = grid_oracle(p, 5)
     assert abs(o1 - o2) <= 1e-8
     assert np.allclose(C1, C2, atol=1e-10)
+
+
+# ------------------------------------------------------------- step rules
+
+def _normal(fam, B, n):
+    # the data term's normal operator, as the group refit builds it
+    return lambda C: fam.pull_back(B, fam.predict(B, C)) / n
+
+
+def test_refit_step_is_inverse_top_eigenvalue_flat_identity():
+    rng = np.random.default_rng(30)
+    p = _neural_problem(rng, n=40, dim=3, grid_per_dim=4)
+    fam = _flat_family(p, FitOptions())
+    Phi = fam.design(p.omega_grid)
+    step = _refit_step(_normal(fam, Phi, p.n_data), (Phi.shape[1], 3))
+    assert step == pytest.approx(p.n_data / np.linalg.norm(Phi, 2) ** 2, rel=1e-3)
+
+
+def test_refit_step_zero_design_is_finite():
+    rng = np.random.default_rng(31)
+    p = _neural_problem(rng, n=5, dim=2)
+    fam = _flat_family(p, FitOptions())
+    step = _refit_step(_normal(fam, np.zeros((5, 3)), p.n_data), (3, 2))
+    assert math.isfinite(step) and step > 0
+
+
+def _group_lasso(rng, n=30, m=5, dim=2, lam=0.05):
+    Phi = rng.standard_normal((n, m))
+    Y = rng.standard_normal((n, dim))
+
+    def val_grad(C):
+        R = Phi @ C - Y
+        return 0.5 * float(np.sum(R * R)) / n, Phi.T @ R / n
+
+    def penalty(C):
+        return lam * float(np.sum(np.sqrt(np.sum(C * C, axis=1))))
+
+    def prox(Z, step):
+        return _prox_rows(Z, step * lam, "l2")
+
+    lip = np.linalg.norm(Phi, 2) ** 2 / n
+    return np.zeros((m, dim)), val_grad, penalty, prox, lip
+
+
+def test_fista_long_step_stays_monotone_and_reaches_minimizer():
+    C0, val_grad, penalty, prox, lip = _group_lasso(np.random.default_rng(32))
+    start = val_grad(C0)[0] + penalty(C0)
+    # the first k iterations are a prefix of the run, so this is the sequence
+    objs = [_fista(C0, val_grad, penalty, prox, 10.0 / lip, k, 0.0)[1]
+            for k in range(1, 40)]
+    assert max(objs) <= start
+    # non-increasing up to the line search's rounding slack
+    assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+    C_long, obj_long = _fista(C0, val_grad, penalty, prox, 10.0 / lip, 20000, 1e-15)
+    C_safe, obj_safe = _fista(C0, val_grad, penalty, prox, 1.0 / lip, 20000, 1e-15)
+    assert abs(obj_long - obj_safe) <= 1e-12 * obj_safe
+    # a stop on objective change pins the minimizer down to about the square
+    # root of the objective's rounding, ~1e-8 here
+    assert np.max(np.abs(C_long - C_safe)) <= 1e-7
+
+
+def test_ascend_grows_its_step_to_an_interior_maximizer():
+    feat = FeatureMap("neural", dx=2, radius=2.0, beta="one", activation="tanh")
+    h = np.array([40.0, 25.0, 16.0])
+    c = np.array([0.3, -0.2, 0.5])
+    calls = []
+
+    def value(L):
+        calls.append(1)
+        return -float(np.sum(h * (L - c) ** 2)), None
+
+    def direction(L, state):
+        return -2.0 * h * (L - c)
+
+    L, _, score = _ascend(value, direction, (feat,), np.array([1.0, 1.0, -0.5]))
+    assert np.max(np.abs(L - c)) <= 1e-6
+    # restarting every step at 1.0 and halving took 98 evaluations
+    assert len(calls) <= 50
 
 
 # ------------------------------------------------------------------ export
