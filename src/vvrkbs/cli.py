@@ -105,7 +105,7 @@ def _feature_space(cfg: dict):
         feat = feature_from_json_dict(cfg["feature"])
         space = cfg["space"]
         spec = DualPairSpec(int(space["d"]), str(space["norm"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad feature/space config: {exc}") from exc
     return feat, spec
 
@@ -132,7 +132,7 @@ def _solver_section(cfg: dict):
         )
         grid_per_dim = s.get("grid_per_dim")
         grid_per_dim = None if grid_per_dim is None else int(grid_per_dim)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad solver config: {exc}") from exc
     return lam, opts, grid_per_dim
 
@@ -230,10 +230,10 @@ def cmd_fit(args) -> int:
     feat, spec = _feature_space(cfg)
     lam, opts, grid_per_dim = _solver_section(cfg)
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
-    omega = None
-    if grid_per_dim is not None:
-        omega = product_grid(feat.radius, feat.dw, grid_per_dim)
     try:
+        omega = None
+        if grid_per_dim is not None:
+            omega = product_grid(feat.radius, feat.dw, grid_per_dim)
         problem = Problem(
             X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega
         )
@@ -310,11 +310,11 @@ def cmd_oracle(args) -> int:
     lam, opts, _ = _solver_section(cfg)
     try:
         grid_per_dim = int(cfg["oracle"]["grid_per_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"oracle runs need oracle.grid_per_dim: {exc}") from exc
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
-    omega = product_grid(feat.radius, feat.dw, grid_per_dim)
     try:
+        omega = product_grid(feat.radius, feat.dw, grid_per_dim)
         problem = Problem(
             X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega
         )
@@ -353,7 +353,7 @@ def cmd_hyper_fit(args) -> int:
             raise DataError("config grids section must be an object")
         w_grid = np.array(grids["w"], dtype=float) if "w" in grids else None
         theta_grid = np.array(grids["theta"], dtype=float) if "theta" in grids else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad hyper-fit config: {exc}") from exc
     lam, opts, _ = _solver_section(cfg)
     Z, Y = _read_dataset(args.data, phi.dx, sampling.n_samples)
@@ -374,7 +374,7 @@ def cmd_deeponet(args) -> int:
     _, cfg = _read_config(args.config)
     try:
         phi = feature_from_json_dict(cfg["phi"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad deeponet config: {exc}") from exc
     try:
         with open(args.data, "rb") as fh:

@@ -41,7 +41,7 @@ from .solver import (
     _cg_fit,
     _group_refit,
     _multistart,
-    loss_values,
+    loss_total,
 )
 
 
@@ -250,7 +250,7 @@ def hyper_objective(
         P = _hyper_predictions(Phi, Psi, sampling.functionals, a[:, None] * Vp)
     else:
         P = np.zeros_like(Y)
-    data = float(np.sum(loss_values(loss, P, Y))) / len(Z)
+    data = loss_total(loss, P, Y) / len(Z)
     return data + lam * weight_form_tv(model)
 
 

@@ -74,20 +74,20 @@ class Loss:
             raise ValueError("huber delta must be positive")
 
 
-def loss_values(loss: Loss, P, Y) -> np.ndarray:
-    """Per-row loss values, shape (N,)."""
-    R = np.asarray(P, dtype=float) - np.asarray(Y, dtype=float)
+def loss_total(loss: Loss, P, Y) -> float:
+    """Sum of the row-wise loss over all rows of the (N, d_meas) float
+    arrays P (predictions) and Y (targets), in one reduction."""
+    R = P - Y
     if loss.kind == SQUARED_HALF:
-        return 0.5 * np.sum(R * R, axis=-1)
+        return 0.5 * float(np.vdot(R, R))
     d = loss.delta
     A = np.abs(R)
-    vals = np.where(A <= d, 0.5 * R * R, d * A - 0.5 * d * d)
-    return np.sum(vals, axis=-1)
+    return float(np.where(A <= d, 0.5 * R * R, d * A - 0.5 * d * d).sum())
 
 
 def loss_grad(loss: Loss, P, Y) -> np.ndarray:
     """Gradient of the row-wise loss in the prediction, shape (N, d_meas)."""
-    R = np.asarray(P, dtype=float) - np.asarray(Y, dtype=float)
+    R = P - Y
     if loss.kind == SQUARED_HALF:
         return R
     return np.clip(R, -loss.delta, loss.delta)
@@ -232,7 +232,7 @@ def objective(p: Problem, mu: AtomicVectorMeasure) -> float:
     if mu.space.dim != p.spec.dim or mu.space.primal_norm != p.spec.primal_norm:
         raise ValueError("measure space does not match the problem space")
     P = _predictions(p, mu)
-    data = float(np.sum(loss_values(p.loss, P, p.Y))) / p.n_data
+    data = loss_total(p.loss, P, p.Y) / p.n_data
     return data + p.lam * total_variation(mu)
 
 
@@ -273,9 +273,11 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
     ``value(L)`` returns (score, payload state) at a location vector L,
     ``direction(L, state)`` the ascent direction at that payload (Danskin);
     L holds one weight block per feature in ``features`` and steps are
-    projected onto their balls.  The first trial step is 1; each later
-    step first tries twice the last accepted one, then halves until the
-    Armijo test passes.  Returns (L, state, score).
+    projected onto their balls.  The first trial step is 1 and each trial
+    halves until the Armijo test passes.  The accepted step is carried to
+    the next ascent step, doubled only when it passed on its first trial,
+    so a step that needed halving is not grown back into a rejection.
+    Returns (L, state, score).
     """
     L = np.asarray(L0, dtype=float).copy()
     score, state = value(L)
@@ -287,6 +289,7 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
         gg = float(np.dot(g, g))
         if gg == 0.0:
             break
+        first = step
         improved = False
         while step >= 1e-12:
             cand = _project_balls(L + step * g, features)
@@ -299,7 +302,8 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
             break
         gain = cand_score - score
         L, score, state = cand, cand_score, cand_state
-        step *= 2.0
+        if step == first:
+            step *= 2.0
         if gain <= 1e-12 * (1.0 + score):
             break
     return L, state, score
@@ -357,14 +361,18 @@ def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0):
 # ------------------------------------------------------------------- fista
 
 def _prox_rows(Z: np.ndarray, tau: float, norm: str) -> np.ndarray:
-    """Proximal map of tau * sum of row norms (l1 or l2)."""
+    """Proximal map of tau * sum of row norms (l1 or l2).
+
+    An l2 row shrinks by 1 - tau/||z|| when ||z|| > tau and is zeroed
+    otherwise (NaN norms included); tau/||z|| is formed only where the test
+    holds, so zero rows and tau = 0 divide by nothing.
+    """
     if norm == L1:
         return np.sign(Z) * np.maximum(np.abs(Z) - tau, 0.0)
     if norm == L2:
-        norms = np.sqrt(np.sum(Z * Z, axis=-1, keepdims=True))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(norms > tau, 1.0 - tau / norms, 0.0)
-        return Z * scale
+        norms = np.sqrt((Z * Z).sum(axis=-1))[..., None]
+        shrink = np.divide(tau, norms, out=np.ones_like(norms), where=norms > tau)
+        return Z * (1.0 - shrink)
     raise ValueError(f"no proximal map for row norm {norm!r}")
 
 
@@ -397,49 +405,58 @@ def _refit_step(normal, shape, max_iter: int = 100, tol: float = 1e-6) -> float:
     return 1.0 / est if est > 0.0 else 1.0
 
 
-def _fista(x0, val_grad, penalty, prox, step: float, max_iter: int, tol: float):
+def _fista(x0, forward, value, grad, penalty, prox, step: float, max_iter: int, tol: float):
     """Accelerated proximal descent with backtracking from the step ``step``.
 
-    Momentum restarts whenever the composite objective would increase,
-    so the returned objective never exceeds the starting one.  Stops on
-    relative objective change below tol.  Returns (x, objective).
+    ``forward`` is the linear map from coefficients to predictions,
+    ``value(P)`` the data term at predictions P and ``grad(P)`` its gradient
+    in the coefficients.  A line-search trial costs one ``forward`` and one
+    ``value``; the gradient is taken only where a descent step starts, and
+    the extrapolated point's predictions follow from linearity.  Momentum
+    restarts whenever the composite objective would increase, so the
+    returned objective never exceeds the starting one.  Stops on relative
+    objective change below tol.  Returns (x, objective).
     """
     x = np.array(x0, dtype=float)
-    z = x.copy()
+    Px = forward(x)
+    fx = value(Px)
+    obj = fx + penalty(x)
+    z, Pz, fz = x, Px, fx
     t_mom = 1.0
-    obj = val_grad(x)[0] + penalty(x)
 
-    def descend(point):
+    def descend(point, P, fp):
         nonlocal step
-        fz, gz = val_grad(point)
-        if not np.all(np.isfinite(gz)):
+        g = grad(P)
+        if not np.isfinite(g).all():
             raise SolverError("non-finite refit gradient")
         while True:
-            cand = prox(point - step * gz, step)
+            cand = prox(point - step * g, step)
             diff = cand - point
-            fc = val_grad(cand)[0]
-            bound = fz + float(np.vdot(gz, diff))
+            Pc = forward(cand)
+            fc = value(Pc)
+            bound = fp + float(np.vdot(g, diff))
             bound += float(np.vdot(diff, diff)) / (2.0 * step)
-            if fc <= bound + 1e-12 * (1.0 + abs(fz)):
-                return cand, fc + penalty(cand)
+            if fc <= bound + 1e-12 * (1.0 + abs(fp)):
+                return cand, Pc, fc, fc + penalty(cand)
             step *= 0.5
             if step < 1e-18:
                 raise SolverError("refit line search failed")
 
     for _ in range(max_iter):
-        cand, cand_obj = descend(z)
-        if cand_obj > obj:
+        cand = descend(z, Pz, fz)
+        if cand[3] > obj:
             # extrapolation overshot: restart momentum, plain step from x
-            z = x.copy()
             t_mom = 1.0
-            cand, cand_obj = descend(z)
-        prev_obj, x_prev = obj, x
-        x, obj = cand, cand_obj
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        z = x + ((t_mom - 1.0) / t_next) * (x - x_prev)
-        t_mom = t_next
+            cand = descend(x, Px, fx)
+        prev_obj, x_prev, P_prev = obj, x, Px
+        x, Px, fx, obj = cand
         if abs(prev_obj - obj) <= tol * max(1.0, abs(obj)):
             break
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        beta = (t_mom - 1.0) / t_next
+        z, Pz = x + beta * (x - x_prev), Px + beta * (Px - P_prev)
+        fz = value(Pz)
+        t_mom = t_next
     return x, obj
 
 
@@ -475,19 +492,23 @@ def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     """Refit free payload rows on the locations behind the design B."""
     n = fam.Y.shape[0]
 
-    def val_grad(C):
-        P = fam.predict(B, C)
-        val = float(np.sum(loss_values(fam.loss, P, fam.Y))) / n
-        return val, fam.pull_back(B, loss_grad(fam.loss, P, fam.Y)) / n
+    def forward(C):
+        return fam.predict(B, C)
+
+    def value(P):
+        return loss_total(fam.loss, P, fam.Y) / n
+
+    def grad(P):
+        return fam.pull_back(B, loss_grad(fam.loss, P, fam.Y)) / n
 
     def penalty(C):
-        return fam.lam * float(np.sum(row_norms(C, fam.norm)))
+        return fam.lam * float(row_norms(C, fam.norm).sum())
 
     def prox(Z, step):
         return _prox_rows(Z, step * fam.lam, fam.norm)
 
-    step = _refit_step(lambda C: fam.pull_back(B, fam.predict(B, C)) / n, C0.shape)
-    return _fista(C0, val_grad, penalty, prox, step, max_iter, tol)
+    step = _refit_step(lambda C: fam.pull_back(B, forward(C)) / n, C0.shape)
+    return _fista(C0, forward, value, grad, penalty, prox, step, max_iter, tol)
 
 
 def _l1_refit(fam: _AtomFamily, Phi, U: np.ndarray, a0: np.ndarray, max_iter, tol):
@@ -495,20 +516,23 @@ def _l1_refit(fam: _AtomFamily, Phi, U: np.ndarray, a0: np.ndarray, max_iter, to
     D = fam.measured(U)
     n = fam.Y.shape[0]
 
-    def val_grad(a):
-        P = (Phi * a) @ D
-        val = float(np.sum(loss_values(fam.loss, P, fam.Y))) / n
-        G = loss_grad(fam.loss, P, fam.Y)
-        return val, np.sum(Phi * (G @ D.T), axis=0) / n
+    def forward(a):
+        return (Phi * a) @ D
+
+    def value(P):
+        return loss_total(fam.loss, P, fam.Y) / n
+
+    def grad(P):
+        return (Phi * (loss_grad(fam.loss, P, fam.Y) @ D.T)).sum(axis=0) / n
 
     def penalty(a):
-        return fam.lam * float(np.sum(np.abs(a)))
+        return fam.lam * float(np.abs(a).sum())
 
     def prox(z, step):
         return np.sign(z) * np.maximum(np.abs(z) - step * fam.lam, 0.0)
 
-    step = _refit_step(lambda a: np.sum(Phi * (((Phi * a) @ D) @ D.T), axis=0) / n, a0.shape)
-    return _fista(a0, val_grad, penalty, prox, step, max_iter, tol)
+    step = _refit_step(lambda a: (Phi * (forward(a) @ D.T)).sum(axis=0) / n, a0.shape)
+    return _fista(a0, forward, value, grad, penalty, prox, step, max_iter, tol)
 
 
 # --------------------------------------------------------------------- fit
@@ -534,6 +558,10 @@ class FitOptions:
     def __post_init__(self):
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
+        if self.refit_max_iter < 1:
+            # a refit that takes no step leaves the new atom at zero; it is
+            # pruned and re-inserted forever
+            raise ValueError("refit_max_iter must be >= 1")
         if self.mode not in ("l1", "group"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.tol < 0 or self.refit_tol < 0:
@@ -574,7 +602,7 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
     C = np.zeros((0, fam.dim))   # payload rows
     a = np.zeros(0)              # l1 mode weights, C = a * U
 
-    history = [float(np.sum(loss_values(fam.loss, np.zeros_like(fam.Y), fam.Y))) / n]
+    history = [loss_total(fam.loss, np.zeros_like(fam.Y), fam.Y) / n]
     certificate = math.inf
     threshold = fam.lam * (1.0 + opts.tol)
     converged = False

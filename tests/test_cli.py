@@ -259,6 +259,23 @@ def test_hyper_fit_with_one_grid_exits_2(tmp_path, capsys, given):
     assert not (tmp_path / "hmodel.json").exists()
 
 
+@pytest.mark.parametrize("per_dim", [0, -1])
+@pytest.mark.parametrize("command", ["fit", "oracle"])
+def test_nonpositive_grid_per_dim_exits_2(tmp_path, capsys, command, per_dim):
+    # fit reads solver.grid_per_dim, oracle reads oracle.grid_per_dim
+    config = _base_config(grid_per_dim=per_dim)
+    config["oracle"]["grid_per_dim"] = per_dim
+    cfg, data = _write_fixture(tmp_path, config)
+    args = [command, "--config", cfg, "--data", data]
+    if command == "fit":
+        args += ["--out", str(tmp_path / "model.json")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
     cfg = _write(tmp_path, "dcfg.json", json.dumps(
         {"phi": {"kind": "gaussian", "dx": 2, "radius": 1.0, "beta": "one",

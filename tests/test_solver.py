@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from vvrkbs.solver import (
     lambda_max,
     lmo,
     loss_grad,
-    loss_values,
+    loss_total,
     measurement_adjoint,
     measurement_apply,
     network_apply,
@@ -76,7 +77,8 @@ def _neural_problem(
 def test_squared_loss_values_and_grad():
     P = np.array([[1.0, 2.0], [0.0, -1.0]])
     Y = np.array([[0.0, 2.0], [1.0, 1.0]])
-    assert loss_values(Loss(), P, Y) == pytest.approx([0.5, 2.5])
+    # per-row values 0.5 and 2.5
+    assert loss_total(Loss(), P, Y) == pytest.approx(0.5 + 2.5)
     assert np.allclose(loss_grad(Loss(), P, Y), P - Y)
 
 
@@ -86,8 +88,25 @@ def test_huber_matches_piecewise_formula():
     Y = np.zeros((1, 3))
     # componentwise: quadratic inside |t| <= delta, linear outside
     expected = 0.5 * 0.2**2 + (0.5 * 2.0 - 0.125) + (0.5 * 3.0 - 0.125)
-    assert loss_values(loss, P, Y)[0] == pytest.approx(expected, rel=1e-12)
+    assert loss_total(loss, P, Y) == pytest.approx(expected, rel=1e-12)
     assert np.allclose(loss_grad(loss, P, Y), [[0.2, 0.5, -0.5]])
+
+
+@pytest.mark.parametrize("loss", [Loss(), Loss("huber", delta=0.7)])
+def test_loss_total_matches_exact_sum_of_element_losses(loss):
+    rng = np.random.default_rng(40)
+    P = 2.0 * rng.standard_normal((37, 3))
+    Y = rng.standard_normal((37, 3))
+    R = (P - Y).ravel()
+    if loss.kind == "huber":
+        # residuals on both sides of delta
+        assert np.any(np.abs(R) <= loss.delta) and np.any(np.abs(R) > loss.delta)
+        terms = [0.5 * r * r if abs(r) <= loss.delta
+                 else loss.delta * abs(r) - 0.5 * loss.delta**2 for r in R]
+    else:
+        terms = [0.5 * r * r for r in R]
+    exact = math.fsum(terms)
+    assert abs(loss_total(loss, P, Y) - exact) <= 1e-14 * exact
 
 
 def test_loss_validation():
@@ -95,6 +114,14 @@ def test_loss_validation():
         Loss("absolute")
     with pytest.raises(ValueError):
         Loss("huber", delta=0.0)
+
+
+def test_fit_options_need_a_refit_step():
+    # a refit that takes no step leaves a new atom at zero; it is pruned and
+    # re-inserted forever
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            FitOptions(refit_max_iter=n)
 
 
 # ------------------------------------------------------------- measurement
@@ -453,9 +480,15 @@ def _group_lasso(rng, n=30, m=5, dim=2, lam=0.05):
     Phi = rng.standard_normal((n, m))
     Y = rng.standard_normal((n, dim))
 
-    def val_grad(C):
-        R = Phi @ C - Y
-        return 0.5 * float(np.sum(R * R)) / n, Phi.T @ R / n
+    def forward(C):
+        return Phi @ C
+
+    def value(P):
+        R = P - Y
+        return 0.5 * float(np.sum(R * R)) / n
+
+    def grad(P):
+        return Phi.T @ (P - Y) / n
 
     def penalty(C):
         return lam * float(np.sum(np.sqrt(np.sum(C * C, axis=1))))
@@ -464,20 +497,50 @@ def _group_lasso(rng, n=30, m=5, dim=2, lam=0.05):
         return _prox_rows(Z, step * lam, "l2")
 
     lip = np.linalg.norm(Phi, 2) ** 2 / n
-    return np.zeros((m, dim)), val_grad, penalty, prox, lip
+    return np.zeros((m, dim)), (forward, value, grad, penalty, prox), lip
+
+
+def _prox_l2_masked(Z, tau):
+    # the l2 branch as it was written with a silenced division
+    norms = np.sqrt(np.sum(Z * Z, axis=-1, keepdims=True))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(norms > tau, 1.0 - tau / norms, 0.0)
+    return Z * scale
+
+
+def test_prox_rows_l2_is_bitwise_the_masked_formula_and_silent():
+    rng = np.random.default_rng(41)
+    cases = [(rng.standard_normal((m, d)), float(tau))
+             for m, d in [(1, 1), (5, 3), (40, 2)]
+             for tau in rng.uniform(0.0, 2.0, 3)]
+    Z = rng.standard_normal((6, 3))
+    Z[1] = 0.0
+    Z[2] = -0.0
+    Z[3] *= 0.8 / np.sqrt(np.dot(Z[3], Z[3]))   # norm exactly tau (up to rounding)
+    Z[4, 1] = np.nan
+    tau_row = float(np.sqrt(np.sum(Z[3] * Z[3])))
+    cases += [(Z, 0.0), (Z, 0.8), (Z, tau_row), (np.zeros((3, 2)), 0.0),
+              (np.zeros((3, 2)), 0.5)]
+    for Z, tau in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _prox_rows(Z, tau, "l2")
+        want = _prox_l2_masked(Z, tau)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fista_long_step_stays_monotone_and_reaches_minimizer():
-    C0, val_grad, penalty, prox, lip = _group_lasso(np.random.default_rng(32))
-    start = val_grad(C0)[0] + penalty(C0)
+    C0, terms, lip = _group_lasso(np.random.default_rng(32))
+    forward, value, _, penalty, _ = terms
+    start = value(forward(C0)) + penalty(C0)
     # the first k iterations are a prefix of the run, so this is the sequence
-    objs = [_fista(C0, val_grad, penalty, prox, 10.0 / lip, k, 0.0)[1]
-            for k in range(1, 40)]
+    objs = [_fista(C0, *terms, 10.0 / lip, k, 0.0)[1] for k in range(1, 40)]
     assert max(objs) <= start
     # non-increasing up to the line search's rounding slack
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-    C_long, obj_long = _fista(C0, val_grad, penalty, prox, 10.0 / lip, 20000, 1e-15)
-    C_safe, obj_safe = _fista(C0, val_grad, penalty, prox, 1.0 / lip, 20000, 1e-15)
+    C_long, obj_long = _fista(C0, *terms, 10.0 / lip, 20000, 1e-15)
+    C_safe, obj_safe = _fista(C0, *terms, 1.0 / lip, 20000, 1e-15)
     assert abs(obj_long - obj_safe) <= 1e-12 * obj_safe
     # a stop on objective change pins the minimizer down to about the square
     # root of the objective's rounding, ~1e-8 here
