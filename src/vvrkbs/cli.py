@@ -259,6 +259,8 @@ def cmd_predict(args) -> int:
         mu.atoms and mu.space.dim != spec.dim
     ):
         raise DataError("model space does not match the config space")
+    if mu.atoms and mu.locations().shape[1] != feat.dw:
+        raise DataError("model atom locations do not match the config feature")
     X, _ = _read_dataset_inputs_only(args.data, feat.dx)
     if mu.atoms:
         preds = phi_matrix(feat, X, mu.locations()) @ mu.payloads()
@@ -367,7 +369,7 @@ def cmd_hyper_fit(args) -> int:
         raise DataError(f"hyper-fit failed: {exc}") from exc
     wall_ms = round((time.monotonic() - start) * 1000)
     model = hyper_model_to_json_dict(state.model)
-    return _finish_fit(args, raw, opts.seed, state, model, len(state.model.atoms), wall_ms)
+    return _finish_fit(args, raw, opts.seed, state, model, len(state.model.a), wall_ms)
 
 
 def cmd_deeponet(args) -> int:
@@ -395,7 +397,7 @@ def cmd_deeponet(args) -> int:
     except ValueError as exc:
         raise DataError(f"deeponet embedding failed: {exc}") from exc
     _write_json_file(args.out, hyper_model_to_json_dict(model))
-    _emit({"atom_count": len(model.atoms)})
+    _emit({"atom_count": len(model.a)})
     return EXIT_OK
 
 

@@ -369,7 +369,7 @@ def feature_from_json_dict(d: dict) -> FeatureMap:
         kind = d["kind"]
         dx = int(d["dx"])
         radius = float(d["radius"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed feature record: {exc}") from exc
     return FeatureMap(
         kind=kind,

@@ -240,13 +240,14 @@ def measure_to_json_dict(mu: AtomicVectorMeasure) -> dict:
 
 def measure_from_json_dict(d: dict) -> AtomicVectorMeasure:
     try:
-        raw = d["atoms"]
         norm = d["norm"]
         radius = float(d["radius"])
-    except (KeyError, TypeError, ValueError) as exc:
+        atoms = tuple(
+            Atom(np.asarray(a["w"], float), np.asarray(a["c"], float)) for a in d["atoms"]
+        )
+        dim = atoms[0].c.shape[0] if atoms else 1
+        if "dim" in d:
+            dim = int(d["dim"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measure record: {exc}") from exc
-    atoms = tuple(Atom(np.asarray(a["w"], float), np.asarray(a["c"], float)) for a in raw)
-    dim = atoms[0].c.shape[0] if atoms else 1
-    if "dim" in d:
-        dim = int(d["dim"])
     return AtomicVectorMeasure(atoms, DualPairSpec(dim, norm), radius)

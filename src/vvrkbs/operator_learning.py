@@ -1,13 +1,15 @@
 """Two-level spaces for operator learning.
 
-A hyper-atom contributes a * phi(z, w) * psi(x, theta) * v, so a finite
-atomic model is simultaneously a measure over (w, theta) with vector
-payloads (weight form) and a measure over w whose payloads are base
-functions of x (function form).  Both views evaluate identically; their
-norms differ, with the function-form upper bound dominated by the
-weight-form total variation.  A hyper-atom is an atom of the flat
-solver over the product feature phi(z_n, w) psi(x_j, theta) <v_j, v>, so
-the joint fit and the product-grid oracle run on the solver's engine.
+A two-level model is a finite atomic measure over the product parameter
+(w, theta), held as four arrays: atom m contributes
+a[m] * phi(z, W[m]) * psi(x, Theta[m]) * V[m].  The same atoms are a
+measure over (w, theta) with vector payloads (weight form) and a measure
+over w whose payloads are base functions of x (function form).  Both
+views evaluate identically; their norms differ, with the function-form
+upper bound dominated by the weight-form total variation.  An atom is an
+atom of the flat solver over the product feature
+phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit and the
+product-grid oracle run on the solver's engine.
 """
 
 from __future__ import annotations
@@ -24,16 +26,8 @@ from .feature import (
     grad_phi_w_batch,
     phi_matrix,
 )
-from .measure import (
-    _coalesce_rows,
-    _frozen,
-    _group_by_location,
-    coalesce,
-    integrate,
-    measure_from_arrays,
-    total_variation,
-)
-from .rkbs import RkbsFunction, evaluate as rkbs_evaluate
+from .measure import _coalesce_rows, _frozen, _group_by_location
+from .rkbs import RkbsFunction
 from .solver import (
     FitOptions,
     Loss,
@@ -45,26 +39,6 @@ from .solver import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class HyperAtom:
-    """One product atom a * phi(., w) psi(., theta) v."""
-
-    a: float
-    w: np.ndarray
-    theta: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        for name in ("w", "theta", "v"):
-            arr = _frozen(np.atleast_1d(getattr(self, name)))
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ValueError(f"atom field {name} must be a finite vector")
-            object.__setattr__(self, name, arr)
-        if not np.isfinite(self.a):
-            raise ValueError("atom weight must be finite")
-
-
 def _check_ball(points: np.ndarray, radius: float, what: str):
     norms = np.sqrt(np.sum(points * points, axis=1))
     if np.any(norms > radius * (1 + 1e-9) + 1e-12):
@@ -73,37 +47,42 @@ def _check_ball(points: np.ndarray, radius: float, what: str):
 
 @dataclasses.dataclass(frozen=True)
 class HyperModel:
-    """Atomic two-level model with hyper feature phi and base feature psi."""
+    """Atomic two-level model with hyper feature phi and base feature psi.
 
-    atoms: tuple
+    Atom m is a[m] * phi(., W[m]) psi(., Theta[m]) V[m]; the arrays are
+    read-only and C-ordered, with shapes (n,), (n, phi.dw), (n, psi.dw)
+    and (n, spec.dim).
+    """
+
+    a: np.ndarray
+    W: np.ndarray
+    Theta: np.ndarray
+    V: np.ndarray
     phi: FeatureMap
     psi: FeatureMap
     spec: DualPairSpec
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        for at in atoms:
-            if len(at.w) != self.phi.dw:
-                raise ValueError("atom w does not match the hyper feature")
-            if len(at.theta) != self.psi.dw:
-                raise ValueError("atom theta does not match the base feature")
-            if len(at.v) != self.spec.dim:
-                raise ValueError("atom payload does not match the value space")
-        if atoms:
-            _check_ball(np.stack([a.w for a in atoms]), self.phi.radius, "w")
-            _check_ball(
-                np.stack([a.theta for a in atoms]), self.psi.radius, "theta"
-            )
-        object.__setattr__(self, "atoms", atoms)
-
-    def arrays(self):
-        """(a, W, Theta, V) stacked over atoms."""
-        return (
-            np.array([at.a for at in self.atoms], dtype=float),
-            np.array([at.w for at in self.atoms]).reshape(-1, self.phi.dw),
-            np.array([at.theta for at in self.atoms]).reshape(-1, self.psi.dw),
-            np.array([at.v for at in self.atoms]).reshape(-1, self.spec.dim),
-        )
+        a = _frozen(self.a)
+        if a.ndim != 1:
+            raise ValueError("atom weights a must be a vector")
+        widths = {"W": self.phi.dw, "Theta": self.psi.dw, "V": self.spec.dim}
+        for name, width in widths.items():
+            # a fixed layout, so matrix products do not round by the caller's
+            arr = np.array(getattr(self, name), dtype=float, order="C")
+            if arr.size == 0:  # an empty model may come as empty lists
+                arr = arr.reshape(0, width)
+            if arr.shape != (len(a), width):
+                raise ValueError(
+                    f"{name} has shape {arr.shape}, expected ({len(a)}, {width})"
+                )
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if not all(np.isfinite(x).all() for x in (a, self.W, self.Theta, self.V)):
+            raise ValueError("atoms must have finite entries")
+        _check_ball(self.W, self.phi.radius, "w")
+        _check_ball(self.Theta, self.psi.radius, "theta")
+        object.__setattr__(self, "a", a)
 
 
 # ------------------------------------------------------------- evaluation
@@ -112,22 +91,10 @@ def evaluate_weight_form(m: HyperModel, z, x) -> np.ndarray:
     """Collapse the hyper level first: inner measure over theta, then base."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, W, Theta, V = m.arrays()
-    if not m.atoms:
+    if not len(m.a):
         return np.zeros(m.spec.dim)
-    coeff = a * phi_matrix(m.phi, z[None, :], W)[0]
-    inner = measure_from_arrays(Theta, coeff[:, None] * V, m.spec, m.psi.radius)
-    return integrate(m.psi, inner, x)
-
-
-def _w_groups(m: HyperModel):
-    """(w, inner measure over theta) for each distinct-w group of atoms."""
-    a, W, Theta, V = m.arrays()
-    for idx in _group_by_location(W):
-        inner = measure_from_arrays(
-            Theta[idx], a[idx, None] * V[idx], m.spec, m.psi.radius
-        )
-        yield W[idx[0]], inner
+    coeff = m.a * phi_matrix(m.phi, z[None, :], m.W)[0]
+    return phi_matrix(m.psi, x[None, :], m.Theta)[0] @ (coeff[:, None] * m.V)
 
 
 def evaluate_function_form(m: HyperModel, z, x) -> np.ndarray:
@@ -135,9 +102,10 @@ def evaluate_function_form(m: HyperModel, z, x) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(m.spec.dim)
-    for w, inner in _w_groups(m):
-        weight = float(phi_matrix(m.phi, z[None, :], w[None, :])[0, 0])
-        out += weight * rkbs_evaluate(RkbsFunction(inner, m.psi, m.spec), x)
+    for idx in _group_by_location(m.W):
+        weight = float(phi_matrix(m.phi, z[None, :], m.W[idx[0]][None, :])[0, 0])
+        base = phi_matrix(m.psi, x[None, :], m.Theta[idx])[0]
+        out += weight * (base @ (m.a[idx, None] * m.V[idx]))
     return out
 
 
@@ -156,15 +124,21 @@ def hyper_evaluate(m: HyperModel, z, x) -> np.ndarray:
 
 # ------------------------------------------------------------------- norms
 
-def _inner_measures(m: HyperModel):
-    """Coalesced inner measure over theta for each distinct w group."""
-    return [coalesce(inner) for _, inner in _w_groups(m)]
+def _inner_measures(m: HyperModel) -> list:
+    """Coalesced (Theta, payload) rows of the inner measure of each distinct w."""
+    return [
+        _coalesce_rows(m.Theta[idx], m.a[idx, None] * m.V[idx], m.spec.primal_norm)
+        for idx in _group_by_location(m.W)
+    ]
 
 
 def weight_form_tv(m: HyperModel) -> float:
     """Total variation of the measure over (w, theta): sum over distinct w
     of the inner measure's total variation."""
-    return float(sum(total_variation(inner) for inner in _inner_measures(m)))
+    norm = m.spec.primal_norm
+    return float(sum(
+        float(sum(row_norms(C, norm).tolist())) for _, C in _inner_measures(m)
+    ))
 
 
 def _probe_points(psi: FeatureMap, n_probes: int, radius: float, seed: int):
@@ -187,11 +161,11 @@ def function_form_tv_upper(
     probes = _probe_points(m.psi, n_probes, probe_radius, seed)
     norm = m.spec.primal_norm
     total = 0.0
-    for inner in _inner_measures(m):
-        if not inner.atoms:
+    for Theta, C in _inner_measures(m):
+        if not len(C):
             continue
-        cols = phi_matrix(m.psi, probes, inner.locations())
-        _, sums = _coalesce_rows(cols.T, inner.payloads(), norm, tol=1e-12, prune_tol=0.0)
+        cols = phi_matrix(m.psi, probes, Theta)
+        _, sums = _coalesce_rows(cols.T, C, norm, tol=1e-12, prune_tol=0.0)
         total += float(sum(row_norms(sums, norm).tolist()))
     return total
 
@@ -243,11 +217,12 @@ def hyper_objective(
     """Mean loss of the sampled predictions plus lam * weight_form_tv."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    a, W, Theta, Vp = model.arrays()
-    if model.atoms:
-        Phi = phi_matrix(model.phi, Z, W)
-        Psi = phi_matrix(model.psi, sampling.points, Theta)
-        P = _hyper_predictions(Phi, Psi, sampling.functionals, a[:, None] * Vp)
+    if len(model.a):
+        Phi = phi_matrix(model.phi, Z, model.W)
+        Psi = phi_matrix(model.psi, sampling.points, model.Theta)
+        P = _hyper_predictions(
+            Phi, Psi, sampling.functionals, model.a[:, None] * model.V
+        )
     else:
         P = np.zeros_like(Y)
     data = loss_total(loss, P, Y) / len(Z)
@@ -385,9 +360,8 @@ def hyper_fit(
     fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, opts, w_grid, theta_grid)
     L, C, history, certificate, iterations, converged = _cg_fit(fam, opts)
     dw = phi.dw
-    atoms = tuple(HyperAtom(1.0, loc[:dw], loc[dw:], c) for loc, c in zip(L, C))
     return HyperFitState(
-        model=HyperModel(atoms, phi, psi, spec),
+        model=HyperModel(np.ones(len(L)), L[:, :dw], L[:, dw:], C, phi, psi, spec),
         objective_history=history,
         certificate=certificate,
         iterations=iterations,
@@ -431,7 +405,8 @@ def deeponet_embed(basis, coeffs, phi: FeatureMap) -> HyperModel:
 
     ``basis`` holds atomic base functions zeta_n, ``coeffs[n]`` the list
     of (a_nk, w_nk) pairs defining a_n(z) = Sum_k a_nk phi(z, w_nk).
-    Every (coefficient atom, basis atom) pair becomes one hyper-atom.
+    Every (coefficient atom, basis atom) pair becomes one atom of the model,
+    ordered by basis function, then coefficient atom, then basis atom.
     """
     if len(basis) != len(coeffs):
         raise ValueError("need one coefficient list per basis function")
@@ -448,12 +423,14 @@ def deeponet_embed(basis, coeffs, phi: FeatureMap) -> HyperModel:
         ) == feature_to_json_dict(psi)
         if not same_feature or zeta.spec != spec:
             raise ValueError("basis functions must share one feature and space")
-    atoms = []
-    for zeta, pairs in zip(basis, coeffs):
-        for a_nk, w_nk in pairs:
-            for at in zeta.measure.atoms:
-                atoms.append(HyperAtom(float(a_nk), w_nk, at.w, at.c))
-    return HyperModel(tuple(atoms), phi, psi, spec)
+    rows = [
+        (float(a_nk), w_nk, at.w, at.c)
+        for zeta, pairs in zip(basis, coeffs)
+        for a_nk, w_nk in pairs
+        for at in zeta.measure.atoms
+    ]
+    a, W, Theta, V = zip(*rows) if rows else ((), (), (), ())
+    return HyperModel(a, W, Theta, V, phi, psi, spec)
 
 
 # -------------------------------------------------------------------- json
@@ -461,13 +438,10 @@ def deeponet_embed(basis, coeffs, phi: FeatureMap) -> HyperModel:
 def hyper_model_to_json_dict(m: HyperModel) -> dict:
     return {
         "atoms": [
-            {
-                "a": float(at.a),
-                "w": [float(v) for v in at.w],
-                "theta": [float(v) for v in at.theta],
-                "v": [float(v) for v in at.v],
-            }
-            for at in m.atoms
+            {"a": a, "w": w, "theta": theta, "v": v}
+            for a, w, theta, v in zip(
+                m.a.tolist(), m.W.tolist(), m.Theta.tolist(), m.V.tolist()
+            )
         ],
         "phi": feature_to_json_dict(m.phi),
         "psi": feature_to_json_dict(m.psi),
@@ -479,9 +453,7 @@ def hyper_model_from_json_dict(d: dict, spec: DualPairSpec) -> HyperModel:
     try:
         phi = feature_from_json_dict(d["phi"])
         psi = feature_from_json_dict(d["psi"])
-        atoms = tuple(
-            HyperAtom(e["a"], e["w"], e["theta"], e["v"]) for e in d["atoms"]
-        )
-    except (KeyError, TypeError) as exc:
+        a, W, Theta, V = ([e[k] for e in d["atoms"]] for k in ("a", "w", "theta", "v"))
+        return HyperModel(a, W, Theta, V, phi, psi, spec)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed hyper model payload: {exc}") from exc
-    return HyperModel(atoms, phi, psi, spec)

@@ -22,7 +22,6 @@ from .dual_pair import (
 from .feature import FeatureMap, eval_phi, grad_phi_w_batch
 from .measure import coalesce, integrate, measure_from_arrays, total_variation
 from .operator_learning import (
-    HyperAtom,
     HyperModel,
     evaluate_function_form,
     evaluate_weight_form,
@@ -176,20 +175,15 @@ def _check_hyper(rng, trials):
         phi = FeatureMap("neural", dx=1, radius=1.5, activation="tanh", beta="one")
         psi = FeatureMap("neural", dx=1, radius=1.2, activation="sigmoid",
                          beta="one")
-        atoms = []
+        a, W, Theta, V = [], [], [], []
         for k in range(int(rng.integers(1, 5))):
-            w = atoms[0].w if (k > 0 and rng.uniform() < 0.5) else (
+            W.append(W[0] if (k > 0 and rng.uniform() < 0.5) else (
                 rng.uniform(-0.5, 0.5, phi.dw) * phi.radius
-            )
-            atoms.append(
-                HyperAtom(
-                    rng.standard_normal(),
-                    w,
-                    rng.uniform(-0.5, 0.5, psi.dw) * psi.radius,
-                    rng.standard_normal(dim),
-                )
-            )
-        m = HyperModel(tuple(atoms), phi, psi, spec)
+            ))
+            a.append(rng.standard_normal())
+            Theta.append(rng.uniform(-0.5, 0.5, psi.dw) * psi.radius)
+            V.append(rng.standard_normal(dim))
+        m = HyperModel(a, W, Theta, V, phi, psi, spec)
         z = rng.uniform(-0.8, 0.8, 1)
         x = rng.uniform(-0.8, 0.8, 1)
         wf = evaluate_weight_form(m, z, x)

@@ -38,7 +38,6 @@ from vvrkbs.measure import (
     total_variation,
 )
 from vvrkbs.operator_learning import (
-    HyperAtom,
     HyperModel,
     deeponet_embed,
     evaluate_function_form,
@@ -321,17 +320,17 @@ def _random_hyper_model(rng):
     psi = FeatureMap("neural", dx=1, radius=1.2,
                      activation=SMOOTH_ACTIVATIONS[int(rng.integers(0, 3))],
                      beta=["one", "smooth_bump"][int(rng.integers(0, 2))])
-    atoms = []
+    a, W, Theta, V = [], [], [], []
     for k in range(int(rng.integers(1, 6))):
-        w = atoms[0].w if (k > 0 and rng.uniform() < 0.5) else (
+        W.append(W[0] if (k > 0 and rng.uniform() < 0.5) else (
             rng.uniform(-0.5, 0.5, phi.dw) * phi.radius
-        )
-        theta = atoms[0].theta if (k > 0 and rng.uniform() < 0.3) else (
+        ))
+        Theta.append(Theta[0] if (k > 0 and rng.uniform() < 0.3) else (
             rng.uniform(-0.5, 0.5, psi.dw) * psi.radius
-        )
-        atoms.append(HyperAtom(rng.standard_normal(), w, theta,
-                               rng.standard_normal(dim)))
-    return HyperModel(tuple(atoms), phi, psi, spec)
+        ))
+        a.append(rng.standard_normal())
+        V.append(rng.standard_normal(dim))
+    return HyperModel(a, W, Theta, V, phi, psi, spec)
 
 
 def test_acceptance_08_hyper_two_path_and_domination():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -276,12 +277,12 @@ def test_nonpositive_grid_per_dim_exits_2(tmp_path, capsys, command, per_dim):
     assert not (tmp_path / "model.json").exists()
 
 
-def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
-    cfg = _write(tmp_path, "dcfg.json", json.dumps(
-        {"phi": {"kind": "gaussian", "dx": 2, "radius": 1.0, "beta": "one",
-                 "bandwidth": 0.8}}
-    ))
-    payload = {
+DEEPONET_CONFIG = {"phi": {"kind": "gaussian", "dx": 2, "radius": 1.0, "beta": "one",
+                           "bandwidth": 0.8}}
+
+
+def _deeponet_payload():
+    return {
         "psi": {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "smooth_bump",
                 "activation": "gaussian_rbf"},
         "basis": [
@@ -291,7 +292,11 @@ def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
         ],
         "coeffs": [[[0.8, [0.1, -0.2]], [-0.6, [0.4, 0.3]]]],
     }
-    data = _write(tmp_path, "ddata.json", json.dumps(payload))
+
+
+def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
+    cfg = _write(tmp_path, "dcfg.json", json.dumps(DEEPONET_CONFIG))
+    data = _write(tmp_path, "ddata.json", json.dumps(_deeponet_payload()))
     out = str(tmp_path / "dmodel.json")
     assert main(["deeponet", "--config", cfg, "--data", data, "--out", out]) == 0
     assert json.loads(capsys.readouterr().out) == {"atom_count": 4}
@@ -300,6 +305,64 @@ def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
     )
     val = hyper_evaluate(model, [0.1, -0.2], [0.3])
     assert np.all(np.isfinite(val))
+
+
+def _flat_model():
+    return {"atoms": [{"w": [0.3, -0.2], "c": [1.0, 0.5]}], "norm": "l2",
+            "radius": 1.5, "dim": 2}
+
+
+def _model_atom_not_object():
+    model = _flat_model()
+    model["atoms"] = [1]
+    return "predict", model
+
+
+def _model_dim_infinite():
+    model = _flat_model()
+    model["dim"] = math.inf
+    return "predict", model
+
+
+def _model_location_too_short():
+    model = _flat_model()
+    model["atoms"][0]["w"] = [0.3]
+    return "predict", model
+
+
+def _deeponet_psi_dx_infinite():
+    payload = _deeponet_payload()
+    payload["psi"]["dx"] = math.inf
+    return "deeponet", payload
+
+
+def _deeponet_basis_dim_infinite():
+    payload = _deeponet_payload()
+    payload["basis"][0]["dim"] = math.inf
+    return "deeponet", payload
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_model_atom_not_object, _model_dim_infinite, _model_location_too_short,
+     _deeponet_psi_dx_infinite, _deeponet_basis_dim_infinite],
+)
+def test_malformed_model_and_deeponet_files_exit_2(tmp_path, capsys, case):
+    # json writes math.inf as Infinity, which the CLI's json reader accepts
+    command, doc = case()
+    bad = _write(tmp_path, "bad.json", json.dumps(doc))
+    out = str(tmp_path / "out")
+    if command == "predict":
+        cfg, data = _write_fixture(tmp_path)
+        args = ["predict", "--config", cfg, "--model", bad, "--data", data, "--out", out]
+    else:
+        cfg = _write(tmp_path, "dcfg.json", json.dumps(DEEPONET_CONFIG))
+        args = ["deeponet", "--config", cfg, "--data", bad, "--out", out]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_model_space_mismatch_exits_2(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""Property test: no `solver` / `oracle` config reaches a traceback.
+"""Property tests: no config, model file or DeepONet data file reaches a traceback.
 
-Every config the CLI reads must end in a documented exit code (0-4), with
+Every file the CLI reads must end in a documented exit code (0-4), with
 diagnostics on stderr.  The draws cover the documented keys with values of
 every JSON kind, including NaN and infinities, which Python's json module
-reads and writes.  The keys that size the work (grid_per_dim, max_atoms,
-restarts, refit.max_iter) are capped and never dropped one by one, so one
-example runs in milliseconds and the test stays bounded.
+reads and writes.  In `fit`/`oracle` configs the keys that size the work
+(grid_per_dim, max_atoms, restarts, refit.max_iter) are capped and never
+dropped one by one, so one example runs in milliseconds and the test stays
+bounded.  The `predict` model and the `deeponet` data hold no such key: any
+entry may take any value or be dropped.
 """
 
 import contextlib
@@ -89,21 +91,113 @@ def _config(draw):
     return config
 
 
+def _run(command, files, out=None):
+    """Run the command on ``files`` ({flag: JSON document}) and DATA, written
+    to a fresh directory, with ``--out`` there if given; returns (exit code,
+    stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [command]
+        for flag, doc in files.items():
+            path = os.path.join(tmp, f"{flag}.json")
+            with open(path, "w") as fh:
+                fh.write(json.dumps(doc))
+            args += [f"--{flag}", path]
+        if command != "deeponet":  # deeponet's --data is its JSON file
+            data = os.path.join(tmp, "data.csv")
+            with open(data, "w") as fh:
+                fh.write(DATA)
+            args += ["--data", data]
+        if out is not None:
+            args += ["--out", os.path.join(tmp, out)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(args)
+    return rc, err.getvalue()
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(["fit", "oracle"]), config=_config())
 def test_solver_and_oracle_configs_never_raise(command, config):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "config.json")
-        data = os.path.join(tmp, "data.csv")
-        with open(cfg, "w") as fh:
-            fh.write(json.dumps(config))
-        with open(data, "w") as fh:
-            fh.write(DATA)
-        args = [command, "--config", cfg, "--data", data]
-        if command == "fit":
-            args += ["--out", os.path.join(tmp, "model.json")]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(args)
+    rc, err = _run(command, {"config": config},
+                   out="model.json" if command == "fit" else None)
     assert rc in (0, 1, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+def _slot(section, name):
+    """The key or list index that ``name`` names in ``section``, or None."""
+    if isinstance(section, dict) and name in section:
+        return name
+    if isinstance(section, list) and name.isdigit() and int(name) < len(section):
+        return int(name)
+    return None
+
+
+@st.composite
+def _edited(draw, doc, keys):
+    """``doc`` with up to three of ``keys`` (dotted paths, a number indexes a
+    list) set to any JSON value or dropped; NaN and infinities are drawn
+    often, since one in a count or a size must still exit 2."""
+    doc = json.loads(json.dumps(doc))
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                             unique=True)):
+        *path, last = key.split(".")
+        section = doc
+        for name in path:
+            slot = _slot(section, name)
+            section = None if slot is None else section[slot]
+        slot = _slot(section, last)
+        if slot is None:
+            continue  # an earlier change replaced or dropped the entry
+        value = draw(st.one_of(st.just(DROP), SPECIAL, _values()))
+        if value is DROP:
+            del section[slot]
+        else:
+            section[slot] = value
+    return doc
+
+
+FEATURE = {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "one",
+           "activation": "tanh"}
+PREDICT_CONFIG = {"feature": FEATURE, "space": {"d": 2, "norm": "l2"}}
+MODEL = {"atoms": [{"w": [0.3, -0.2], "c": [1.0, 0.5]},
+                   {"w": [-0.4, 0.1], "c": [-0.7, 0.2]}],
+         "norm": "l2", "radius": 1.5, "dim": 2}
+MODEL_KEYS = ["atoms", "atoms.0", "atoms.0.w", "atoms.0.c", "atoms.1.w",
+              "atoms.1.c", "norm", "radius", "dim"]
+
+DEEPONET_CONFIG = {"phi": FEATURE}
+BASIS = {"atoms": [{"w": [0.1, 0.2], "c": [1.0, -0.5]},
+                   {"w": [-0.3, 0.4], "c": [0.2, 0.7]}],
+         "norm": "l2", "radius": 1.2, "dim": 2}
+DEEPONET_DATA = {
+    "psi": {"kind": "neural", "dx": 1, "radius": 1.2, "beta": "smooth_bump",
+            "activation": "sigmoid"},
+    "basis": [BASIS, BASIS],
+    "coeffs": [[[0.8, [0.1, -0.2]]], [[-0.6, [0.4, 0.3]], [0.5, [0.0, 0.2]]]],
+}
+DEEPONET_KEYS = [
+    "psi", "psi.kind", "psi.dx", "psi.radius", "psi.beta", "psi.activation",
+    "basis", "basis.0", "basis.0.atoms", "basis.0.atoms.0", "basis.0.atoms.0.w",
+    "basis.0.atoms.0.c", "basis.0.norm", "basis.0.radius", "basis.0.dim",
+    "basis.1.dim", "coeffs", "coeffs.0", "coeffs.0.0", "coeffs.0.0.0",
+    "coeffs.0.0.1", "coeffs.1.1.1",
+]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(model=_edited(MODEL, MODEL_KEYS))
+def test_predict_model_files_never_raise(model):
+    rc, err = _run("predict", {"config": PREDICT_CONFIG, "model": model},
+                   out="preds.csv")
+    assert rc in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(payload=_edited(DEEPONET_DATA, DEEPONET_KEYS))
+def test_deeponet_data_files_never_raise(payload):
+    rc, err = _run("deeponet", {"config": DEEPONET_CONFIG, "data": payload},
+                   out="model.json")
+    assert rc in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err

@@ -15,7 +15,6 @@ from vvrkbs.solver import (
     product_grid,
 )
 from vvrkbs.operator_learning import (
-    HyperAtom,
     HyperModel,
     SampledMeasurement,
     deeponet_embed,
@@ -65,26 +64,27 @@ def _random_model(rng):
     else:
         psi = _neural(1, 1.2, "sigmoid", beta=["one", "hard"][int(rng.integers(0, 2))])
     n_atoms = int(rng.integers(1, 6))
-    atoms = []
+    a, W, Theta, V = [], [], [], []
     for k in range(n_atoms):
         if k > 0 and rng.uniform() < 0.5:
-            w = atoms[0].w  # duplicated hyper location
+            w = W[0]  # duplicated hyper location
         else:
             w = rng.uniform(-0.5, 0.5, phi.dw) * phi.radius
         if k > 0 and rng.uniform() < 0.3:
-            theta = atoms[0].theta
+            theta = Theta[0]
         else:
             theta = rng.uniform(-0.5, 0.5, psi.dw) * psi.radius
-        atoms.append(
-            HyperAtom(rng.standard_normal(), w, theta, rng.standard_normal(dim))
-        )
-    return HyperModel(tuple(atoms), phi, psi, spec)
+        W.append(w)
+        Theta.append(theta)
+        a.append(rng.standard_normal())
+        V.append(rng.standard_normal(dim))
+    return HyperModel(a, W, Theta, V, phi, psi, spec)
 
 
 def test_single_atom_constant_features_returns_scaled_payload():
     spec = DualPairSpec(2, "l2")
     m = HyperModel(
-        (HyperAtom(1.75, [0.0], [0.0], [2.0, -1.0]),),
+        [1.75], [[0.0]], [[0.0]], [[2.0, -1.0]],
         _ones_table(),
         _ones_table(),
         spec,
@@ -95,9 +95,7 @@ def test_single_atom_constant_features_returns_scaled_payload():
 
 def test_evaluate_outside_table_support_is_zero():
     spec = DualPairSpec(1, "l2")
-    m = HyperModel(
-        (HyperAtom(2.0, [0.5], [0.0], [1.0]),), _ones_table(), _ones_table(), spec
-    )
+    m = HyperModel([2.0], [[0.5]], [[0.0]], [[1.0]], _ones_table(), _ones_table(), spec)
     assert hyper_evaluate(m, [2.5], [0.0]) == pytest.approx([0.0], abs=0.0)
 
 
@@ -108,7 +106,7 @@ def test_opposite_payloads_cancel_everywhere():
     phi = _neural(1, 1.0, "tanh")
     psi = _neural(1, 1.0, "sigmoid")
     m = HyperModel(
-        (HyperAtom(1.0, w, theta, v), HyperAtom(1.0, w, theta, -v)),
+        [1.0, 1.0], [w, w], [theta, theta], [v, -v],
         phi,
         psi,
         spec,
@@ -120,7 +118,7 @@ def test_opposite_payloads_cancel_everywhere():
 
 def test_empty_model_is_zero():
     spec = DualPairSpec(3, "l2")
-    m = HyperModel((), _neural(1, 1.0, "tanh"), _neural(1, 1.0, "tanh"), spec)
+    m = HyperModel([], [], [], [], _neural(1, 1.0, "tanh"), _neural(1, 1.0, "tanh"), spec)
     assert hyper_evaluate(m, [0.1], [0.2]) == pytest.approx([0.0] * 3, abs=0.0)
     assert weight_form_tv(m) == 0.0
     assert function_form_tv_upper(m) == 0.0
@@ -141,11 +139,42 @@ def test_two_path_agreement_random_models():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluations_match_the_written_out_sum(seed):
+    # 12 atoms on 3 distinct w rows and 4 distinct theta rows, so both
+    # collapse orders group and sum atoms before the base level
+    rng = np.random.default_rng(seed)
+    spec = DualPairSpec(3, ["l1", "l2", "linf"][seed % 3])
+    phi = _neural(2, 1.5, "tanh", beta="smooth_bump")
+    if seed % 2:
+        psi = FeatureMap("gaussian", dx=1, radius=1.2, bandwidth=0.7)
+    else:
+        psi = _neural(1, 1.2, "sigmoid", beta="hard")
+    n = 12
+    W = (rng.uniform(-0.5, 0.5, (3, phi.dw)) * phi.radius)[rng.integers(0, 3, n)]
+    Theta = (rng.uniform(-0.5, 0.5, (4, psi.dw)) * psi.radius)[rng.integers(0, 4, n)]
+    a = rng.standard_normal(n)
+    V = rng.standard_normal((n, spec.dim))
+    m = HyperModel(a, W, Theta, V, phi, psi, spec)
+    for _ in range(20):
+        z = rng.uniform(-1.0, 1.0, phi.dx)
+        x = rng.uniform(-1.0, 1.0, psi.dx)
+        terms = np.array([
+            a[k] * eval_phi(phi, z, W[k]) * eval_phi(psi, x, Theta[k]) * V[k]
+            for k in range(n)
+        ])
+        ref = terms.sum(axis=0)
+        bound = 1e-12 * np.abs(terms).sum(axis=0)
+        for evaluate_model in (evaluate_weight_form, evaluate_function_form,
+                               hyper_evaluate):
+            assert np.all(np.abs(evaluate_model(m, z, x) - ref) <= bound)
+
+
 def test_tv_single_atom_both_forms():
     spec = DualPairSpec(2, "l1")
     v = np.array([3.0, -4.0])
     m = HyperModel(
-        (HyperAtom(-0.5, [0.2, 0.1], [0.3, -0.2], [3.0, -4.0]),),
+        [-0.5], [[0.2, 0.1]], [[0.3, -0.2]], [[3.0, -4.0]],
         _neural(1, 1.0, "tanh"),
         _neural(1, 1.0, "sigmoid"),
         spec,
@@ -173,7 +202,7 @@ def test_duplicate_base_functions_give_strict_gap():
     w = np.array([0.2, -0.1])
     v1, v2 = np.array([1.0, 0.0]), np.array([-0.6, 0.3])
     m = HyperModel(
-        (HyperAtom(1.0, w, [-0.5], v1), HyperAtom(1.0, w, [0.7], v2)),
+        [1.0, 1.0], [w, w], [[-0.5], [0.7]], [v1, v2],
         phi,
         psi,
         spec,
@@ -197,13 +226,40 @@ def test_model_validation():
     phi = _neural(1, 1.0, "tanh")
     psi = _neural(1, 1.0, "sigmoid")
     with pytest.raises(ValueError):
-        HyperModel((HyperAtom(1.0, [0.1, 0.2, 0.3], [0.0], [1.0, 0.0]),), phi, psi, spec)
+        HyperModel([1.0], [[0.1, 0.2, 0.3]], [[0.0]], [[1.0, 0.0]], phi, psi, spec)
     with pytest.raises(ValueError):
-        HyperModel((HyperAtom(1.0, [0.1, 0.2], [0.0, 0.0, 0.0], [1.0, 0.0]),), phi, psi, spec)
+        HyperModel([1.0], [[0.1, 0.2]], [[0.0, 0.0, 0.0]], [[1.0, 0.0]], phi, psi, spec)
     with pytest.raises(ValueError):
-        HyperModel((HyperAtom(1.0, [0.1, 0.2], [0.0], [1.0]),), phi, psi, spec)
+        HyperModel([1.0], [[0.1, 0.2]], [[0.0]], [[1.0]], phi, psi, spec)
     with pytest.raises(ValueError):
-        HyperModel((HyperAtom(1.0, [3.0, 0.0], [0.0], [1.0, 0.0]),), phi, psi, spec)
+        HyperModel([1.0], [[3.0, 0.0]], [[0.0]], [[1.0, 0.0]], phi, psi, spec)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("a", [[1.0]]),           # not a vector
+        ("a", [1.0, 2.0]),        # one weight per row of the other arrays
+        ("W", [[0.1, 0.2, 0.3]]),
+        ("Theta", [[0.0]]),
+        ("V", [[1.0]]),
+        ("W", [[3.0, 0.0]]),      # outside the radius-1 ball
+        ("Theta", [[0.0, 1.5]]),
+        ("a", [np.inf]),
+        ("V", [[np.nan, 0.0]]),
+    ],
+)
+def test_model_rejects_each_malformed_array(field, value):
+    # every case of test_model_validation also has a theta of the wrong width;
+    # here each case breaks one array of an otherwise valid model
+    spec = DualPairSpec(2, "l2")
+    features = {"phi": _neural(1, 1.0, "tanh"), "psi": _neural(1, 1.0, "sigmoid"),
+                "spec": spec}
+    arrays = {"a": [1.0], "W": [[0.1, 0.2]], "Theta": [[0.0, 0.3]], "V": [[1.0, 0.0]]}
+    HyperModel(**arrays, **features)
+    arrays[field] = value
+    with pytest.raises(ValueError):
+        HyperModel(**arrays, **features)
 
 
 # ------------------------------------------------------------------ fitting
@@ -245,10 +301,10 @@ def test_hyper_fit_lambda_threshold():
     above = hyper_fit(Z, Y, samp, phi, psi, spec, 1.01 * lam_max,
                       w_grid=wg, theta_grid=tg)
     assert above.converged
-    assert len(above.model.atoms) == 0
+    assert len(above.model.a) == 0
     below = hyper_fit(Z, Y, samp, phi, psi, spec, 0.5 * lam_max,
                       w_grid=wg, theta_grid=tg)
-    assert len(below.model.atoms) > 0
+    assert len(below.model.a) > 0
 
 
 def test_hyper_fit_matches_product_grid_oracle():
@@ -284,8 +340,8 @@ def test_hyper_fit_constant_features_soft_threshold():
         w_grid=np.array([[0.0]]), theta_grid=np.array([[0.0]]),
     )
     assert state.converged
-    assert len(state.model.atoms) == 1
-    c = state.model.atoms[0].a * state.model.atoms[0].v[0]
+    assert len(state.model.a) == 1
+    c = state.model.a[0] * state.model.V[0, 0]
     assert c == pytest.approx(y - lam, rel=1e-6)
 
 
@@ -300,7 +356,7 @@ def test_hyper_fit_sparsity_bound():
         w_grid=wg, theta_grid=tg,
     )
     assert state.converged
-    assert len(state.model.atoms) <= len(Z) * samp.n_samples
+    assert len(state.model.a) <= len(Z) * samp.n_samples
 
 
 def test_hyper_fit_free_search_smoke():
@@ -346,7 +402,7 @@ def test_two_level_fit_with_unit_base_feature_is_the_flat_fit(seed):
     assert np.array_equal(two.objective_history, flat.objective_history)
     assert two.converged == flat.converged
     assert two.certificate == flat.certificate
-    a, W, Theta, V = two.model.arrays()
+    a, W, Theta, V = two.model.a, two.model.W, two.model.Theta, two.model.V
     assert len(W) == len(flat.measure.atoms) > 0
     assert np.array_equal(W, flat.measure.locations())
     assert np.array_equal(a[:, None] * V, flat.measure.payloads())
@@ -410,7 +466,7 @@ def test_deeponet_embed_matches_direct_sum():
             [(rng.standard_normal(), rng.uniform(-0.5, 0.5, 2)) for _ in range(2)]
         )
     m = deeponet_embed(basis, coeffs, phi)
-    assert len(m.atoms) == 8
+    assert len(m.a) == 8
     for _ in range(50):
         z = rng.uniform(-0.7, 0.7, 2)
         x = rng.uniform(-1.0, 1.0, 1)

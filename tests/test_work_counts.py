@@ -2,18 +2,24 @@
 
 The counts are deterministic for a seed, so these tests catch a regression
 of the step rules (refit steps start at 1/L, ascent steps carry the accepted
-step and grow it only after a first-trial pass) and of the refit's cost per
-line-search trial without timing anything.  The reference counts are those
-of the rules they replaced.
+step and grow it only after a first-trial pass), of the refit's cost per
+line-search trial and of the two-level model's read path without timing
+anything.  The reference counts are those of the code they replaced.
 """
 
 import dataclasses
 
 import numpy as np
 
-from vvrkbs import solver
+from vvrkbs import measure, solver
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
+from vvrkbs.operator_learning import (
+    HyperModel,
+    function_form_tv_upper,
+    hyper_evaluate,
+    weight_form_tv,
+)
 from vvrkbs.solver import (
     FitOptions,
     Loss,
@@ -126,3 +132,30 @@ def test_ascent_does_not_regrow_a_halved_step(monkeypatch):
         lmo(q, residual_duals(q, state.measure), restarts=4, seed=5)
 
     assert len(evals) <= 0.8 * 5375
+
+
+def test_two_level_reads_build_no_measures(monkeypatch):
+    # Evaluation and both norms work on the model's arrays.  Read through
+    # throwaway measures, this model cost 11 AtomicVectorMeasures per
+    # hyper_evaluate, 30 per weight_form_tv and 20 per function_form_tv_upper
+    # (one or more per distinct w, of which there are 10), and one Atom per row.
+    rng = np.random.default_rng(4)
+    phi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    w_rows = rng.uniform(-1.0, 1.0, (10, phi.dw))
+    theta_rows = rng.uniform(-1.0, 1.0, (25, psi.dw))
+    m = HyperModel(rng.standard_normal(100), w_rows[np.arange(100) % 10],
+                   theta_rows[np.arange(100) % 25], rng.standard_normal((100, 2)),
+                   phi, psi, DualPairSpec(2, "l2"))
+    built = []
+    post_init = measure.AtomicVectorMeasure.__post_init__
+
+    def counted(self):
+        built.append(len(self.atoms))
+        post_init(self)
+
+    monkeypatch.setattr(measure.AtomicVectorMeasure, "__post_init__", counted)
+    for z, x in rng.uniform(-1.0, 1.0, (3, 2, 1)):
+        assert np.all(np.isfinite(hyper_evaluate(m, z, x)))
+    assert 0.0 < function_form_tv_upper(m) <= weight_form_tv(m)
+    assert built == []
