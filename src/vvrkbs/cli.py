@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -137,27 +138,43 @@ def _solver_section(cfg: dict):
     return lam, opts, grid_per_dim
 
 
-def _read_dataset(path: str, dx: int, d_meas: int):
-    """CSV with header x0..x{dx-1},y0..y{dmeas-1}; every value finite."""
-    expected = [f"x{i}" for i in range(dx)] + [f"y{j}" for j in range(d_meas)]
+def _columns(dx: int, d_meas: int):
+    yield from (f"x{i}" for i in range(dx))
+    yield from (f"y{j}" for j in range(d_meas))
+
+
+def _read_csv(path: str, dx: int, d_meas: int = 0):
+    """Header, body rows and expected column names of the CSV at ``path``.
+
+    Names are generated lazily and the scan stops at the fifth missing
+    one, so a declared width far beyond the header costs no more than the
+    header: every name is present once the list is built.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise DataError(f"dataset {path} is empty")
     header = [h.strip() for h in rows[0]]
-    missing = [c for c in expected if c not in header]
+    present = set(header)
+    missing = list(itertools.islice(
+        (c for c in _columns(dx, d_meas) if c not in present), 5))
     if missing:
         raise DataError(
             f"dataset {path} is missing column(s): {', '.join(missing)}"
         )
+    return header, rows[1:], list(_columns(dx, d_meas))
+
+
+def _read_dataset(path: str, dx: int, d_meas: int):
+    """CSV with header x0..x{dx-1},y0..y{dmeas-1}; every value finite."""
+    header, body, expected = _read_csv(path, dx, d_meas)
     if header != expected:
         raise DataError(
             f"dataset {path} header must be exactly {','.join(expected)}"
         )
-    body = rows[1:]
     if not body:
         raise DataError(f"dataset {path} has a header but no rows")
     try:
@@ -243,7 +260,7 @@ def cmd_fit(args) -> int:
         raise DataError(f"fit failed: {exc}") from exc
     wall_ms = round((time.monotonic() - start) * 1000)
     model = _model_json_dict(state, spec, feat)
-    return _finish_fit(args, raw, opts.seed, state, model, len(state.measure.atoms), wall_ms)
+    return _finish_fit(args, raw, opts.seed, state, model, len(state.measure), wall_ms)
 
 
 def cmd_predict(args) -> int:
@@ -256,14 +273,14 @@ def cmd_predict(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
     if mu.space.primal_norm != spec.primal_norm or (
-        mu.atoms and mu.space.dim != spec.dim
+        len(mu) and mu.space.dim != spec.dim
     ):
         raise DataError("model space does not match the config space")
-    if mu.atoms and mu.locations().shape[1] != feat.dw:
+    if len(mu) and mu.W.shape[1] != feat.dw:
         raise DataError("model atom locations do not match the config feature")
     X, _ = _read_dataset_inputs_only(args.data, feat.dx)
-    if mu.atoms:
-        preds = phi_matrix(feat, X, mu.locations()) @ mu.payloads()
+    if len(mu):
+        preds = phi_matrix(feat, X, mu.W) @ mu.C
     else:
         preds = np.zeros((len(X), spec.dim))
     try:
@@ -279,22 +296,8 @@ def cmd_predict(args) -> int:
 
 
 def _read_dataset_inputs_only(path: str, dx: int):
-    expected = [f"x{i}" for i in range(dx)]
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"dataset {path} is empty")
-    header = [h.strip() for h in rows[0]]
-    missing = [c for c in expected if c not in header]
-    if missing:
-        raise DataError(
-            f"dataset {path} is missing column(s): {', '.join(missing)}"
-        )
+    header, body, expected = _read_csv(path, dx)
     cols = [header.index(c) for c in expected]
-    body = rows[1:]
     if not body:
         raise DataError(f"dataset {path} has a header but no rows")
     try:
@@ -390,7 +393,8 @@ def cmd_deeponet(args) -> int:
             [(float(a), np.array(w, dtype=float)) for a, w in pairs]
             for pairs in payload["coeffs"]
         ]
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError,
+            json.JSONDecodeError) as exc:
         raise DataError(f"cannot load deeponet data {args.data}: {exc}") from exc
     try:
         model = deeponet_embed(basis, coeffs, phi)

@@ -288,9 +288,7 @@ def _cell_masses(measure, grid_per_dim: int):
     Returns (centers, masses) for the occupied cells, ordered by flat
     cell index so the downstream reduction order is deterministic.
     """
-    W = measure.locations()
-    C = measure.payloads()
-    R = measure.radius
+    W, C, R = measure.W, measure.C, measure.radius
     dim = W.shape[1]
     if np.any(np.abs(W) > R + 1e-12):
         raise ValueError("atom outside the declared bounding box")
@@ -315,7 +313,7 @@ def simple_approx_pairing(f: FeatureMap, rho, mu, grid_per_dim: int) -> float:
     """
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be >= 1")
-    if not rho.atoms or not mu.atoms:
+    if not len(rho) or not len(mu):
         return 0.0
     cx, px = _cell_masses(rho, grid_per_dim)
     cw, pw = _cell_masses(mu, grid_per_dim)

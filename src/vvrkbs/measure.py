@@ -15,9 +15,11 @@ the pairing theory survives in closed form on atoms:
 
   which is bounded by sup|phi| * |rho| * |mu|.
 
-Values are immutable after construction; all operations return new
-measures.  The payload norm is the primal norm of the measure's own
-``space``; a dual-side measure simply carries the conjugate spec.
+A measure is two arrays, the stacked locations W (n, dw) and payloads
+C (n, d), checked once and read-only after construction; all operations
+return new measures.  The payload norm is the primal norm of the
+measure's own ``space``; a dual-side measure simply carries the
+conjugate spec.
 """
 
 from __future__ import annotations
@@ -39,100 +41,64 @@ def _frozen(a, dtype=float):
     return a
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One point mass: location ``w`` and vector payload ``c`` (= a*u)."""
-
-    w: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen(self.w)
-        c = _frozen(self.c)
-        if w.ndim != 1 or c.ndim != 1:
-            raise ValueError("atom location and payload must be 1-d vectors")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(c))):
-            raise ValueError("atom contains non-finite entries")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "c", c)
+def _check_ball(points: np.ndarray, radius: float, what: str):
+    norms = np.sqrt(np.sum(points * points, axis=1))
+    if np.any(norms > radius * (1 + 1e-9) + 1e-12):
+        raise ValueError(f"{what} must lie in the radius-{radius} ball")
 
 
 @dataclass(frozen=True)
 class AtomicVectorMeasure:
-    """Ordered list of atoms + the dual-pair spec of the payload space.
+    """mu = sum_m delta_{W[m]} C[m], with payloads in ``space``.
 
-    ``radius`` declares the Euclidean ball containing all locations;
-    construction rejects atoms outside it (tiny slack for roundoff).
+    ``W`` holds the locations and ``C`` the payloads, read-only and
+    C-ordered, with shapes (n, dw) and (n, space.dim); an empty measure
+    may come as empty lists.  ``radius`` declares the Euclidean ball
+    containing all locations; construction rejects a location outside it
+    (tiny slack for roundoff).
     """
 
-    atoms: tuple
+    W: np.ndarray
+    C: np.ndarray
     space: DualPairSpec
     radius: float
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        dw = None
-        for a in atoms:
-            if not isinstance(a, Atom):
-                a = Atom(*a)
-            if a.c.shape != (self.space.dim,):
-                raise ValueError(
-                    f"payload of shape {a.c.shape} does not match space "
-                    f"dim {self.space.dim}"
-                )
-            if dw is None:
-                dw = a.w.shape[0]
-            elif a.w.shape[0] != dw:
-                raise ValueError("atoms live in different weight dimensions")
-            if np.sqrt(np.dot(a.w, a.w)) > self.radius * (1 + 1e-9) + 1e-12:
-                raise ValueError(
-                    f"atom at {a.w} lies outside the declared radius {self.radius}"
-                )
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "radius", float(self.radius))
+        radius = float(self.radius)
+        if not 0 < radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        # a fixed layout, so matrix products do not round by the caller's
+        W = np.array(self.W, dtype=float, order="C")
+        C = np.array(self.C, dtype=float, order="C")
+        if W.shape == (0,):  # an empty measure may come as empty lists
+            W = W.reshape(0, 0)
+        if C.shape == (0,):
+            C = C.reshape(0, self.space.dim)
+        if W.ndim != 2:
+            raise ValueError(f"locations W must be 2-d, got shape {W.shape}")
+        if C.shape != (len(W), self.space.dim):
+            raise ValueError(
+                f"payloads C have shape {C.shape}, expected ({len(W)}, {self.space.dim})"
+            )
+        if not (np.isfinite(W).all() and np.isfinite(C).all()):
+            raise ValueError("atoms must have finite entries")
+        _check_ball(W, radius, "atom locations")
+        W.setflags(write=False)
+        C.setflags(write=False)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "radius", radius)
 
     def __len__(self):
-        return len(self.atoms)
-
-    def locations(self) -> np.ndarray:
-        """Atom locations stacked as a (n_atoms, dw) array."""
-        if not self.atoms:
-            return np.zeros((0, 0))
-        return np.stack([a.w for a in self.atoms])
-
-    def payloads(self) -> np.ndarray:
-        """Atom payloads stacked as a (n_atoms, d) array."""
-        if not self.atoms:
-            return np.zeros((0, self.space.dim))
-        return np.stack([a.c for a in self.atoms])
+        return len(self.W)
 
 
 def measure_from_arrays(W, C, space: DualPairSpec, radius: float) -> AtomicVectorMeasure:
-    W = np.asarray(W, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if len(W) != len(C):
-        raise ValueError("location and payload counts differ")
-    atoms = tuple(Atom(w, c) for w, c in zip(W, C))
-    return AtomicVectorMeasure(atoms, space, radius)
+    return AtomicVectorMeasure(W, C, space, radius)
 
 
 def empty_measure(space: DualPairSpec, radius: float) -> AtomicVectorMeasure:
-    return AtomicVectorMeasure((), space, radius)
-
-
-def scale(mu: AtomicVectorMeasure, alpha: float) -> AtomicVectorMeasure:
-    atoms = tuple(Atom(a.w, alpha * a.c) for a in mu.atoms)
-    return AtomicVectorMeasure(atoms, mu.space, mu.radius)
-
-
-def add(mu1: AtomicVectorMeasure, mu2: AtomicVectorMeasure) -> AtomicVectorMeasure:
-    """Concatenation of atom lists (no merging; coalesce separately)."""
-    if mu1.space != mu2.space:
-        raise ValueError("measures live on different payload spaces")
-    radius = max(mu1.radius, mu2.radius)
-    return AtomicVectorMeasure(mu1.atoms + mu2.atoms, mu1.space, radius)
+    return AtomicVectorMeasure([], [], space, radius)
 
 
 def _group_by_location(points, tol: float = MERGE_TOL) -> list:
@@ -178,11 +144,8 @@ def coalesce(
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    W, C = _coalesce_rows(
-        mu.locations(), mu.payloads(), mu.space.primal_norm, tol, prune_tol
-    )
-    atoms = tuple(Atom(w, c) for w, c in zip(W, C))
-    return AtomicVectorMeasure(atoms, mu.space, mu.radius)
+    W, C = _coalesce_rows(mu.W, mu.C, mu.space.primal_norm, tol, prune_tol)
+    return AtomicVectorMeasure(W, C, mu.space, mu.radius)
 
 
 def total_variation(
@@ -192,16 +155,16 @@ def total_variation(
 ) -> float:
     """|mu|(Omega) = sum of payload norms over coalesced atoms."""
     merged = coalesce(mu, tol, prune_tol)
-    return float(sum(row_norms(merged.payloads(), mu.space.primal_norm).tolist()))
+    return float(sum(row_norms(merged.C, mu.space.primal_norm).tolist()))
 
 
 def integrate(phi, mu: AtomicVectorMeasure, x) -> np.ndarray:
     """(A mu)(x) = sum_m phi(x, w_m) c_m."""
     x = np.asarray(x, dtype=float)
-    if not mu.atoms:
+    if not len(mu):
         return np.zeros(mu.space.dim)
-    vals = phi_matrix(phi, x[None, :], mu.locations())[0]  # (n_atoms,)
-    return vals @ mu.payloads()
+    vals = phi_matrix(phi, x[None, :], mu.W)[0]  # (n_atoms,)
+    return vals @ mu.C
 
 
 def product_pairing(rho: AtomicVectorMeasure, mu: AtomicVectorMeasure, phi) -> float:
@@ -217,10 +180,10 @@ def product_pairing(rho: AtomicVectorMeasure, mu: AtomicVectorMeasure, phi) -> f
         raise ValueError(
             "dual-side measure must carry the conjugate norm of the primal one"
         )
-    if not rho.atoms or not mu.atoms:
+    if not len(rho) or not len(mu):
         return 0.0
-    vals = phi_matrix(phi, rho.locations(), mu.locations())  # (n_rho, n_mu)
-    gram = rho.payloads() @ mu.payloads().T                  # <cd_i, c_j>
+    vals = phi_matrix(phi, rho.W, mu.W)  # (n_rho, n_mu)
+    gram = rho.C @ mu.C.T                # <cd_i, c_j>
     return float(np.sum(vals * gram))
 
 
@@ -229,10 +192,7 @@ def product_pairing(rho: AtomicVectorMeasure, mu: AtomicVectorMeasure, phi) -> f
 def measure_to_json_dict(mu: AtomicVectorMeasure) -> dict:
     """Plain-dict form with fixed key order: atoms, norm, radius."""
     return {
-        "atoms": [
-            {"w": [float(v) for v in a.w], "c": [float(v) for v in a.c]}
-            for a in mu.atoms
-        ],
+        "atoms": [{"w": w, "c": c} for w, c in zip(mu.W.tolist(), mu.C.tolist())],
         "norm": mu.space.primal_norm,
         "radius": float(mu.radius),
     }
@@ -242,12 +202,8 @@ def measure_from_json_dict(d: dict) -> AtomicVectorMeasure:
     try:
         norm = d["norm"]
         radius = float(d["radius"])
-        atoms = tuple(
-            Atom(np.asarray(a["w"], float), np.asarray(a["c"], float)) for a in d["atoms"]
-        )
-        dim = atoms[0].c.shape[0] if atoms else 1
-        if "dim" in d:
-            dim = int(d["dim"])
+        W, C = (np.array([a[k] for a in d["atoms"]], float) for k in ("w", "c"))
+        dim = int(d.get("dim", C.shape[1] if C.ndim == 2 else 1))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measure record: {exc}") from exc
-    return AtomicVectorMeasure(atoms, DualPairSpec(dim, norm), radius)
+    return AtomicVectorMeasure(W, C, DualPairSpec(dim, norm), radius)

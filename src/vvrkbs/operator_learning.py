@@ -26,7 +26,7 @@ from .feature import (
     grad_phi_w_batch,
     phi_matrix,
 )
-from .measure import _coalesce_rows, _frozen, _group_by_location
+from .measure import _check_ball, _coalesce_rows, _frozen, _group_by_location
 from .rkbs import RkbsFunction
 from .solver import (
     FitOptions,
@@ -37,12 +37,6 @@ from .solver import (
     _multistart,
     loss_total,
 )
-
-
-def _check_ball(points: np.ndarray, radius: float, what: str):
-    norms = np.sqrt(np.sum(points * points, axis=1))
-    if np.any(norms > radius * (1 + 1e-9) + 1e-12):
-        raise ValueError(f"{what} must lie in the radius-{radius} ball")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -424,10 +418,10 @@ def deeponet_embed(basis, coeffs, phi: FeatureMap) -> HyperModel:
         if not same_feature or zeta.spec != spec:
             raise ValueError("basis functions must share one feature and space")
     rows = [
-        (float(a_nk), w_nk, at.w, at.c)
+        (float(a_nk), w_nk, w, c)
         for zeta, pairs in zip(basis, coeffs)
         for a_nk, w_nk in pairs
-        for at in zeta.measure.atoms
+        for w, c in zip(zeta.measure.W, zeta.measure.C)
     ]
     a, W, Theta, V = zip(*rows) if rows else ((), (), (), ())
     return HyperModel(a, W, Theta, V, phi, psi, spec)

@@ -66,10 +66,10 @@ def evaluate(f: RkbsFunction, point) -> np.ndarray:
     mu = f.measure
     if not f.adjoint:
         return integrate(f.feature, mu, point)
-    if not mu.atoms:
+    if not len(mu):
         return np.zeros(mu.space.dim)
-    vals = phi_matrix(f.feature, mu.locations(), point[None, :])[:, 0]
-    return vals @ mu.payloads()
+    vals = phi_matrix(f.feature, mu.W, point[None, :])[:, 0]
+    return vals @ mu.C
 
 
 def b_norm_upper(f: RkbsFunction) -> float:
@@ -91,13 +91,12 @@ def b_norm_lower(f: RkbsFunction, probe_xs, sup_grid_per_dim: int = 9) -> float:
     if f.adjoint:
         raise ValueError("lower bound is defined for primal-side functions")
     mu = f.measure
-    if not mu.atoms:
+    if not len(mu):
         return 0.0
     best = 0.0
-    sites = mu.locations()
     for x in probe_xs:
         val = primal_norm_value(f.spec, evaluate(f, x))
-        sup = grid_sup_abs(f.feature, x, mu.radius, sup_grid_per_dim, extra_ws=sites)
+        sup = grid_sup_abs(f.feature, x, mu.radius, sup_grid_per_dim, extra_ws=mu.W)
         if sup > 1e-300:
             best = max(best, val / sup)
     return best
@@ -178,8 +177,8 @@ def verify_reproducing(
 
         fn = f if not f.adjoint else RkbsFunction(mu, feat, spec)
         double = product_pairing(rho, mu, feat)
-        via_f = sum(pair(spec, a.c, evaluate(fn, a.w)) for a in rho.atoms)
-        via_g = sum(pair(spec, evaluate(g, a.w), a.c) for a in mu.atoms)
+        via_f = sum(pair(spec, c, evaluate(fn, w)) for w, c in zip(rho.W, rho.C))
+        via_g = sum(pair(spec, evaluate(g, w), c) for w, c in zip(mu.W, mu.C))
         worst = max(worst, _rel(double, via_f), _rel(double, via_g))
     return ReproducingReport(worst, trials, worst <= tol)
 

@@ -221,10 +221,10 @@ def product_grid(radius: float, dim: int, per_dim: int) -> np.ndarray:
 
 def _predictions(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
     """M f_mu(x_n) for every data row, (N, d_meas)."""
-    if not mu.atoms:
+    if not len(mu):
         return np.zeros_like(p.Y)
-    Phi = phi_matrix(p.feature, p.X, mu.locations())
-    return measurement_apply(p.measurement, Phi @ mu.payloads())
+    Phi = phi_matrix(p.feature, p.X, mu.W)
+    return measurement_apply(p.measurement, Phi @ mu.C)
 
 
 def objective(p: Problem, mu: AtomicVectorMeasure) -> float:
@@ -789,14 +789,13 @@ def export_network(state: SolverState) -> NetworkDescription:
     mu = state.measure
     d = mu.space.dim
     dx = feat.dx
-    if not mu.atoms:
+    if not len(mu):
         return NetworkDescription(
             feat.activation, np.zeros((d, 0)), np.zeros((0, dx)), np.zeros(0)
         )
-    locs = mu.locations()
-    scale = beta_values(feat, locs)
-    U = (mu.payloads() * scale[:, None]).T
-    return NetworkDescription(feat.activation, U, locs[:, :dx], locs[:, dx])
+    scale = beta_values(feat, mu.W)
+    U = (mu.C * scale[:, None]).T
+    return NetworkDescription(feat.activation, U, mu.W[:, :dx], mu.W[:, dx])
 
 
 def network_apply(net: NetworkDescription, X) -> np.ndarray:

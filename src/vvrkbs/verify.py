@@ -62,8 +62,8 @@ def _check_reproducing(rng, trials, corruption, adjoint):
     for _ in range(max(1, trials // 5)):
         feat, spec, mu = _random_instance(rng)
         if adjoint:
-            xs = rng.uniform(-1.0, 1.0, (len(mu.atoms), feat.dx))
-            rho = measure_from_arrays(xs, mu.payloads(), conjugate(spec), 2.0)
+            xs = rng.uniform(-1.0, 1.0, (len(mu), feat.dx))
+            rho = measure_from_arrays(xs, mu.C, conjugate(spec), 2.0)
             fn = RkbsFunction(rho, feat, spec, adjoint=True)
         else:
             fn = RkbsFunction(mu, feat, spec)
@@ -117,11 +117,11 @@ def _check_point_eval_bound(rng, trials):
     for _ in range(max(1, trials // 4)):
         feat, spec, mu = _random_instance(rng)
         mc = coalesce(mu)
-        if not mc.atoms:
+        if not len(mc):
             continue
         x = rng.uniform(-1.0, 1.0, feat.dx)
         val = vector_norm(integrate(feat, mc, x), spec.primal_norm)
-        sup = max(abs(eval_phi(feat, x, w)) for w in mc.locations())
+        sup = max(abs(eval_phi(feat, x, w)) for w in mc.W)
         bound = sup * total_variation(mc)
         worst = max(worst, max(0.0, val - bound) / max(1.0, bound))
     return worst
@@ -137,8 +137,8 @@ def _check_measure_linearity(rng, trials):
         alpha = float(rng.standard_normal())
         x = rng.uniform(-1.0, 1.0, feat.dx)
         combined = measure_from_arrays(
-            np.vstack([mu1.locations(), mu2.locations()]),
-            np.vstack([alpha * mu1.payloads(), mu2.payloads()]),
+            np.vstack([mu1.W, mu2.W]),
+            np.vstack([alpha * mu1.C, mu2.C]),
             spec,
             feat.radius,
         )
@@ -162,7 +162,7 @@ def _check_solver_threshold():
     state = fit(p, FitOptions(max_atoms=2, tol=1e-6, refit_tol=1e-14))
     phi = eval_phi(feat, X[0], w[0])
     expected = (phi * Y[0, 0] - lam) / (phi * phi)
-    got = float(state.measure.payloads()[0, 0]) if state.measure.atoms else 0.0
+    got = float(state.measure.C[0, 0]) if len(state.measure) else 0.0
     return abs(got - expected) / max(1.0, abs(expected))
 
 

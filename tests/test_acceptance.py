@@ -108,8 +108,8 @@ def test_acceptance_01_reproducing_identities():
         f = RkbsFunction(mu, feat, spec)
         rep = verify_reproducing(f, trials=1, seed=int(rng.integers(0, 2**31)))
         worst = max(worst, rep.max_rel_error)
-        xs = rng.uniform(-1.0, 1.0, (len(mu.atoms), feat.dx))
-        rho = measure_from_arrays(xs, mu.payloads(), conjugate(spec), 2.0)
+        xs = rng.uniform(-1.0, 1.0, (len(mu), feat.dx))
+        rho = measure_from_arrays(xs, mu.C, conjugate(spec), 2.0)
         g = RkbsFunction(rho, feat, spec, adjoint=True)
         rep = verify_reproducing(g, trials=1, seed=int(rng.integers(0, 2**31)))
         worst = max(worst, rep.max_rel_error)
@@ -241,10 +241,10 @@ def test_acceptance_04_sparsity_and_extremality():
     for (p, opts, _), state in zip(_suite(), states):
         assert state.converged
         merged = coalesce(state.measure)
-        assert len(merged.atoms) <= p.n_data * p.spec.dim
+        assert len(merged) <= p.n_data * p.spec.dim
         if opts.mode == "l1":
-            for atom in state.measure.atoms:
-                mags = np.sort(np.abs(atom.c))
+            for c in state.measure.C:
+                mags = np.sort(np.abs(c))
                 worst_off_axis = max(worst_off_axis, float(np.sum(mags[:-1])))
     elapsed = time.monotonic() - start
     assert worst_off_axis <= 1e-10
@@ -271,10 +271,10 @@ def test_acceptance_06_zero_solution_threshold():
         above = fit(dataclasses.replace(p, lam=1.01 * lam_max),
                     dataclasses.replace(opts, tol=1e-3))
         assert above.converged
-        assert len(above.measure.atoms) == 0
+        assert len(above.measure) == 0
         below = fit(dataclasses.replace(p, lam=0.5 * lam_max),
                     dataclasses.replace(opts, tol=1e-3))
-        assert len(below.measure.atoms) > 0
+        assert len(below.measure) > 0
     elapsed = time.monotonic() - start
     _report(6, "zero-solution threshold", "10/10 instances on both sides",
             elapsed, 30)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vvrkbs
 from vvrkbs.cli import main
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
@@ -95,6 +100,31 @@ def test_fit_missing_csv_column_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == 2
     assert "y0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("feature", "dx"), ("space", "d")])
+def test_fit_width_beyond_the_header_exits_2(tmp_path, section, key):
+    # A declared width no header can hold must fail on the header.  The CLI
+    # runs in a child process capped at 2 GiB of address space, so a reader
+    # that builds one column name per declared column ends in MemoryError
+    # there instead of exhausting the machine.
+    config = _base_config()
+    config[section][key] = 10**400
+    cfg, data = _write_fixture(tmp_path, config)
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from vvrkbs.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(vvrkbs.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "fit", "--config", cfg, "--data", data,
+         "--out", str(tmp_path / "m.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "missing column" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_fit_above_lambda_max_writes_empty_atoms(tmp_path, capsys):
@@ -195,6 +225,22 @@ def test_oracle_empty_dataset_exits_2(tmp_path, capsys):
     empty = _write(tmp_path, "empty.csv", "x0,y0,y1\n")
     assert main(["oracle", "--config", cfg, "--data", empty]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("body", [b"0.1,\xff,0.2\n", b"1" * 200_000 + b",0,0\n"],
+                         ids=["not_utf8", "field_over_csv_limit"])
+def test_unreadable_csv_exits_2(tmp_path, capsys, command, body):
+    cfg, data = _write_fixture(tmp_path)
+    out = str(tmp_path / "model.json")
+    assert main(["fit", "--config", cfg, "--data", data, "--out", out]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x0,y0,y1\n" + body)
+    args = {"fit": ["fit", "--config", cfg],
+            "predict": ["predict", "--config", cfg, "--model", out]}[command]
+    capsys.readouterr()
+    assert main(args + ["--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read dataset")
 
 
 def test_predict_matches_library_evaluation(tmp_path, capsys):
@@ -330,6 +376,14 @@ def _model_location_too_short():
     return "predict", model
 
 
+def _model_radius_infinite():
+    # an unbounded radius would switch off the ball check on this atom
+    model = _flat_model()
+    model["atoms"][0]["w"] = [30.0, 0.0]
+    model["radius"] = math.inf
+    return "predict", model
+
+
 def _deeponet_psi_dx_infinite():
     payload = _deeponet_payload()
     payload["psi"]["dx"] = math.inf
@@ -342,10 +396,30 @@ def _deeponet_basis_dim_infinite():
     return "deeponet", payload
 
 
+def _deeponet_basis_radius_nan():
+    payload = _deeponet_payload()
+    payload["basis"][0]["radius"] = math.nan
+    return "deeponet", payload
+
+
+def _deeponet_coefficient_overflows():
+    payload = _deeponet_payload()
+    payload["coeffs"][0][0][0] = 10**400  # no float holds it
+    return "deeponet", payload
+
+
+def _deeponet_coefficient_location_overflows():
+    payload = _deeponet_payload()
+    payload["coeffs"][0][1][1][0] = 10**400
+    return "deeponet", payload
+
+
 @pytest.mark.parametrize(
     "case",
     [_model_atom_not_object, _model_dim_infinite, _model_location_too_short,
-     _deeponet_psi_dx_infinite, _deeponet_basis_dim_infinite],
+     _model_radius_infinite, _deeponet_psi_dx_infinite, _deeponet_basis_dim_infinite,
+     _deeponet_basis_radius_nan, _deeponet_coefficient_overflows,
+     _deeponet_coefficient_location_overflows],
 )
 def test_malformed_model_and_deeponet_files_exit_2(tmp_path, capsys, case):
     # json writes math.inf as Infinity, which the CLI's json reader accepts

@@ -1,4 +1,4 @@
-"""Property tests: no config, model file or DeepONet data file reaches a traceback.
+"""Property tests: no config, model, DeepONet or CSV data file reaches a traceback.
 
 Every file the CLI reads must end in a documented exit code (0-4), with
 diagnostics on stderr.  The draws cover the documented keys with values of
@@ -7,10 +7,14 @@ reads and writes.  In `fit`/`oracle` configs the keys that size the work
 (grid_per_dim, max_atoms, restarts, refit.max_iter) are capped and never
 dropped one by one, so one example runs in milliseconds and the test stays
 bounded.  The `predict` model and the `deeponet` data hold no such key: any
-entry may take any value or be dropped.
+entry may take any value or be dropped.  The `hyper-fit` sections that
+describe the problem (phi, psi, space, sampling, grids) and the CSV data of
+`fit` and `predict` also draw integers no float holds and ragged or too
+deep lists, or ragged rows and non-numeric cells.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -91,10 +95,10 @@ def _config(draw):
     return config
 
 
-def _run(command, files, out=None):
-    """Run the command on ``files`` ({flag: JSON document}) and DATA, written
-    to a fresh directory, with ``--out`` there if given; returns (exit code,
-    stderr)."""
+def _run(command, files, out=None, data_text=DATA):
+    """Run the command on ``files`` ({flag: JSON document}) and ``data_text``,
+    written to a fresh directory, with ``--out`` there if given; returns
+    (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         args = [command]
         for flag, doc in files.items():
@@ -105,7 +109,7 @@ def _run(command, files, out=None):
         if command != "deeponet":  # deeponet's --data is its JSON file
             data = os.path.join(tmp, "data.csv")
             with open(data, "w") as fh:
-                fh.write(DATA)
+                fh.write(data_text)
             args += ["--data", data]
         if out is not None:
             args += ["--out", os.path.join(tmp, out)]
@@ -134,10 +138,11 @@ def _slot(section, name):
 
 
 @st.composite
-def _edited(draw, doc, keys):
+def _edited(draw, doc, keys, values=None):
     """``doc`` with up to three of ``keys`` (dotted paths, a number indexes a
-    list) set to any JSON value or dropped; NaN and infinities are drawn
-    often, since one in a count or a size must still exit 2."""
+    list) set to any JSON value (or one of ``values``) or dropped; NaN and
+    infinities are drawn often, since one in a count or a size must still
+    exit 2."""
     doc = json.loads(json.dumps(doc))
     for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
                              unique=True)):
@@ -149,7 +154,7 @@ def _edited(draw, doc, keys):
         slot = _slot(section, last)
         if slot is None:
             continue  # an earlier change replaced or dropped the entry
-        value = draw(st.one_of(st.just(DROP), SPECIAL, _values()))
+        value = draw(st.one_of(st.just(DROP), SPECIAL, _values() if values is None else values))
         if value is DROP:
             del section[slot]
         else:
@@ -199,5 +204,83 @@ def test_predict_model_files_never_raise(model):
 def test_deeponet_data_files_never_raise(payload):
     rc, err = _run("deeponet", {"config": DEEPONET_CONFIG, "data": payload},
                    out="model.json")
+    assert rc in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+# integers beyond every float and C integer; lists ragged or one level too deep
+HUGE = st.sampled_from([10**400, -10**400, 2**64])
+SHAPES = st.sampled_from([[[0.1, 0.2], [0.3]], [[[0.1, 0.2]]], [[]], []])
+
+# The solver section is fixed and small: a dropped grid means free search.
+HYPER_CONFIG = {
+    "phi": FEATURE,
+    "psi": {"kind": "neural", "dx": 1, "radius": 1.2, "beta": "one",
+            "activation": "sigmoid"},
+    "space": {"d": 2, "norm": "l2"},
+    "sampling": {"points": [[0.2], [-0.5]], "functionals": [[1.0, 0.0], [0.5, -1.0]]},
+    "solver": {"lambda": 0.05, "max_atoms": 3, "restarts": 1, "tol": 1e-3,
+               "seed": 0, "refit": {"max_iter": 100, "tol": 1e-8}},
+    "grids": {"w": [[0.5, 0.1], [-0.4, 0.3]], "theta": [[0.2, -0.1], [-0.3, 0.4]]},
+}
+HYPER_KEYS = [
+    "phi", "phi.kind", "phi.dx", "phi.radius", "phi.activation", "psi", "psi.kind",
+    "psi.dx", "psi.radius", "psi.beta", "space", "space.d", "space.norm",
+    "sampling", "sampling.points", "sampling.points.0", "sampling.points.1.0",
+    "sampling.functionals", "sampling.functionals.0", "sampling.functionals.1.1",
+    "grids", "grids.w", "grids.w.0", "grids.w.1.1", "grids.theta",
+    "grids.theta.0", "grids.theta.1.0",
+]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(config=_edited(HYPER_CONFIG, HYPER_KEYS, st.one_of(_values(), HUGE, SHAPES)))
+def test_hyper_fit_configs_never_raise(config):
+    rc, err = _run("hyper-fit", {"config": config}, out="model.json")
+    assert rc in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+FIT_CONFIG = {
+    "feature": FEATURE, "space": {"d": 2, "norm": "l2"},
+    "solver": {"lambda": 0.05, "max_atoms": 3, "restarts": 1, "grid_per_dim": 3,
+               "refit": {"max_iter": 100}},
+}
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "x", "nan", "-Infinity", "1e999", str(10**400),
+                     "[[0.1]]", "x0", "y1", "0.5"]),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    """DATA with up to three edits, the header being row 0: a cell set to any
+    text, a row cut short or grown by a cell, or a row dropped."""
+    rows = [line.split(",") for line in DATA.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["set", "cut", "grow", "drop"]))
+        if edit == "drop":
+            del rows[i]
+        elif edit == "cut":
+            del rows[i][draw(st.integers(0, len(rows[i]))):]
+        elif edit == "grow":
+            rows[i].append(draw(CELLS))
+        elif rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(CELLS)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["fit", "predict"]), data_text=_csv_text())
+def test_fit_and_predict_csv_files_never_raise(command, data_text):
+    files = ({"config": FIT_CONFIG} if command == "fit"
+             else {"config": PREDICT_CONFIG, "model": MODEL})
+    rc, err = _run(command, files, out="out", data_text=data_text)
     assert rc in (0, 1, 2, 3, 4)
     assert "Traceback" not in err

@@ -15,7 +15,6 @@ from vvrkbs.feature import (
 )
 from vvrkbs.measure import (
     AtomicVectorMeasure,
-    Atom,
     measure_from_arrays,
     product_pairing,
     total_variation,
@@ -250,15 +249,15 @@ def test_simple_approx_refinement_decreases():
 
 def test_simple_approx_zero_measure():
     f, rho, _ = _pairing_instance()
-    mu0 = AtomicVectorMeasure((), rho.space, 2.0)
+    mu0 = AtomicVectorMeasure([], [], rho.space, 2.0)
     assert simple_approx_pairing(f, rho, mu0, 8) == 0.0
 
 
 def test_grid_sup_abs_dominates_atom_sites():
     f, _, mu = _pairing_instance()
     x = np.array([0.4])
-    s = grid_sup_abs(f, x, mu.radius, per_dim=5, extra_ws=mu.locations())
-    vals = phi_matrix(f, x[None, :], mu.locations())[0]
+    s = grid_sup_abs(f, x, mu.radius, per_dim=5, extra_ws=mu.W)
+    vals = phi_matrix(f, x[None, :], mu.W)[0]
     assert s >= np.max(np.abs(vals)) - 1e-15
 
 

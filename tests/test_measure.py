@@ -5,9 +5,7 @@ from vvrkbs.dual_pair import DualPairSpec, conjugate
 from vvrkbs.feature import FeatureMap, grid_sup_abs, phi_matrix
 from vvrkbs.measure import (
     MERGE_TOL,
-    Atom,
     AtomicVectorMeasure,
-    add,
     coalesce,
     empty_measure,
     integrate,
@@ -15,7 +13,6 @@ from vvrkbs.measure import (
     measure_from_json_dict,
     measure_to_json_dict,
     product_pairing,
-    scale,
     total_variation,
     _group_by_location,
 )
@@ -34,7 +31,7 @@ def _random_measure(rng, spec, radius, n_atoms, dw):
 
 def test_atom_rejects_nonfinite():
     with pytest.raises(ValueError):
-        Atom([0.0], [np.inf])
+        measure_from_arrays([[0.0]], [[np.inf, 0.0]], L2, radius=1.0)
 
 
 def test_measure_rejects_atom_outside_radius():
@@ -50,7 +47,44 @@ def test_measure_rejects_payload_dim_mismatch():
 def test_atoms_are_immutable():
     mu = measure_from_arrays([[0.5]], [[1.0, 2.0]], L2, radius=1.0)
     with pytest.raises(ValueError):
-        mu.atoms[0].c[0] = 5.0
+        mu.C[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("W", [0.1, 0.2]),                   # not 2-d
+        ("C", [[1.0, 0.0], [0.0, 1.0]]),     # one payload per location
+        ("C", [[1.0, 0.0, 0.0]]),            # payload width is the space dim
+        ("W", [[np.nan, 0.0]]),
+        ("C", [[np.inf, 0.0]]),
+        ("W", [[3.0, 0.0]]),                 # outside the radius-1 ball
+        ("radius", 0.0),
+        ("radius", -1.0),
+        ("radius", np.nan),
+        ("radius", np.inf),
+    ],
+)
+def test_measure_rejects_each_malformed_array(field, value):
+    # each case breaks one input of an otherwise valid measure
+    args = {"W": [[0.1, 0.2]], "C": [[1.0, 0.0]], "space": L2, "radius": 1.0}
+    AtomicVectorMeasure(**args)
+    args[field] = value
+    with pytest.raises(ValueError):
+        AtomicVectorMeasure(**args)
+
+
+def test_measure_arrays_are_read_only_copies():
+    W = np.array([[0.1, 0.2]])
+    C = np.asfortranarray([[1.0, 0.0]])
+    mu = AtomicVectorMeasure(W, C, L2, 1.0)
+    W[0, 0] = 0.5
+    C[0, 0] = 2.0
+    assert mu.W.tolist() == [[0.1, 0.2]] and mu.C.tolist() == [[1.0, 0.0]]
+    for arr in (mu.W, mu.C):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
 
 
 # --------------------------------------------------------------- variation
@@ -94,7 +128,7 @@ def test_coalesce_exact_merge():
     )
     merged = coalesce(mu)
     assert len(merged) == 1
-    assert np.allclose(merged.atoms[0].c, [1.0, 1.0])
+    assert np.allclose(merged.C[0], [1.0, 1.0])
 
 
 def test_coalesce_annihilation_prunes():
@@ -110,8 +144,8 @@ def test_coalesce_tol_zero_identity():
     )
     out = coalesce(mu, tol=0.0)
     assert len(out) == 2
-    assert np.allclose(out.locations(), mu.locations())
-    assert np.allclose(out.payloads(), mu.payloads())
+    assert np.allclose(out.W, mu.W)
+    assert np.allclose(out.C, mu.C)
 
 
 def test_coalesce_preserves_integrate_and_tv():
@@ -180,7 +214,9 @@ def test_integrate_linear_in_measure():
     f = FeatureMap("neural", dx=1, radius=2.0, activation="sigmoid")
     x = np.array([0.3])
     alpha = -1.7
-    combo = add(scale(mu1, alpha), mu2)
+    combo = measure_from_arrays(
+        np.vstack([mu1.W, mu2.W]), np.vstack([alpha * mu1.C, mu2.C]), L2, 2.0
+    )
     lhs = integrate(f, combo, x)
     rhs = alpha * integrate(f, mu1, x) + integrate(f, mu2, x)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
@@ -241,7 +277,7 @@ def test_point_evaluation_bound():
         mu = _random_measure(rng, L2, 2.0, rng.integers(1, 6), 2)
         x = rng.uniform(-1, 1, 1)
         val = np.linalg.norm(integrate(f, mu, x))
-        sup = grid_sup_abs(f, x, mu.radius, per_dim=9, extra_ws=mu.locations())
+        sup = grid_sup_abs(f, x, mu.radius, per_dim=9, extra_ws=mu.W)
         assert val <= sup * total_variation(mu) + 1e-12
 
 
@@ -255,8 +291,8 @@ def test_measure_json_round_trip():
     assert list(d.keys()) == ["atoms", "norm", "radius"]
     assert list(d["atoms"][0].keys()) == ["w", "c"]
     back = measure_from_json_dict(d)
-    assert np.allclose(back.locations(), mu.locations())
-    assert np.allclose(back.payloads(), mu.payloads())
+    assert np.allclose(back.W, mu.W)
+    assert np.allclose(back.C, mu.C)
     assert back.space == mu.space
     assert back.radius == mu.radius
 

@@ -403,9 +403,9 @@ def test_two_level_fit_with_unit_base_feature_is_the_flat_fit(seed):
     assert two.converged == flat.converged
     assert two.certificate == flat.certificate
     a, W, Theta, V = two.model.a, two.model.W, two.model.Theta, two.model.V
-    assert len(W) == len(flat.measure.atoms) > 0
-    assert np.array_equal(W, flat.measure.locations())
-    assert np.array_equal(a[:, None] * V, flat.measure.payloads())
+    assert len(W) == len(flat.measure) > 0
+    assert np.array_equal(W, flat.measure.W)
+    assert np.array_equal(a[:, None] * V, flat.measure.C)
     assert np.all(Theta == 0.0)
 
 

@@ -7,7 +7,6 @@ from vvrkbs.measure import (
     AtomicVectorMeasure,
     empty_measure,
     measure_from_arrays,
-    scale,
 )
 from vvrkbs.rkbs import (
     GaussianKernel,
@@ -42,10 +41,10 @@ def test_evaluate_is_atom_sum():
     f = _function(rng)
     x = np.array([0.3])
     expected = sum(
-        float(np.tanh(a.w[0] * x[0] + a.w[1]))
-        * (1 - np.dot(a.w, a.w) / 4.0) ** 2
-        * a.c
-        for a in f.measure.atoms
+        float(np.tanh(w[0] * x[0] + w[1]))
+        * (1 - np.dot(w, w) / 4.0) ** 2
+        * c
+        for w, c in zip(f.measure.W, f.measure.C)
     )
     assert np.allclose(evaluate(f, x), expected, rtol=1e-12)
 
@@ -63,7 +62,10 @@ def test_evaluate_zero_outside_support():
 def test_evaluate_homogeneous():
     rng = np.random.default_rng(1)
     f = _function(rng)
-    g = RkbsFunction(scale(f.measure, -2.5), f.feature, f.spec)
+    mu = f.measure
+    g = RkbsFunction(
+        measure_from_arrays(mu.W, -2.5 * mu.C, mu.space, mu.radius), f.feature, f.spec
+    )
     x = np.array([0.7])
     assert np.allclose(evaluate(g, x), -2.5 * evaluate(f, x))
 

@@ -291,7 +291,7 @@ def test_fit_above_lambda_max_returns_zero_measure():
     p_high = dataclasses.replace(p, lam=1.05 * lam_star)
     state = fit(p_high, FitOptions(max_atoms=10, seed=0))
     assert state.converged
-    assert state.measure.atoms == ()
+    assert len(state.measure) == 0
     assert lambda_max(p) == pytest.approx(lam_star, rel=1e-12)
 
 
@@ -300,7 +300,7 @@ def test_fit_below_half_lambda_max_returns_atoms():
     p = _neural_problem(rng, n=4, grid_per_dim=5, lam=1.0)
     lam_star = lambda_max(p)
     state = fit(dataclasses.replace(p, lam=0.5 * lam_star), FitOptions(max_atoms=10))
-    assert len(state.measure.atoms) >= 1
+    assert len(state.measure) >= 1
 
 
 def test_fit_single_point_soft_threshold_closed_form():
@@ -319,8 +319,8 @@ def test_fit_single_point_soft_threshold_closed_form():
         # roughly the square root of that tolerance
         state = fit(p, FitOptions(max_atoms=3, mode=mode, tol=1e-6, refit_tol=1e-14))
         assert state.converged
-        assert len(state.measure.atoms) == 1
-        got = state.measure.atoms[0].c[0]
+        assert len(state.measure) == 1
+        got = state.measure.C[0, 0]
         assert got == pytest.approx(c_star, rel=1e-6)
 
 
@@ -355,7 +355,7 @@ def test_fit_history_non_increasing_and_sparsity():
         h = state.objective_history
         assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
         if state.converged:
-            assert len(state.measure.atoms) <= p.n_data * 2
+            assert len(state.measure) <= p.n_data * 2
 
 
 def test_fit_l1_mode_payloads_are_axis_aligned():
@@ -363,9 +363,9 @@ def test_fit_l1_mode_payloads_are_axis_aligned():
     p = _neural_problem(rng, n=3, dim=3, norm="l1", grid_per_dim=5, lam=1.0)
     p = dataclasses.replace(p, lam=0.3 * lambda_max(p))
     state = fit(p, FitOptions(max_atoms=20, mode="l1"))
-    assert state.measure.atoms
-    for atom in state.measure.atoms:
-        off_axis = np.sort(np.abs(atom.c))[:-1]
+    assert len(state.measure)
+    for c in state.measure.C:
+        off_axis = np.sort(np.abs(c))[:-1]
         assert np.all(off_axis <= 1e-10)
 
 
@@ -376,10 +376,9 @@ def test_fit_deterministic_given_seed():
     s1 = fit(p, opts)
     s2 = fit(p, opts)
     assert s1.objective_history == s2.objective_history
-    assert len(s1.measure.atoms) == len(s2.measure.atoms)
-    for a1, a2 in zip(s1.measure.atoms, s2.measure.atoms):
-        assert np.array_equal(a1.w, a2.w)
-        assert np.array_equal(a1.c, a2.c)
+    assert len(s1.measure) == len(s2.measure)
+    assert np.array_equal(s1.measure.W, s2.measure.W)
+    assert np.array_equal(s1.measure.C, s2.measure.C)
 
 
 def test_fit_invariant_under_functional_permutation():

@@ -138,7 +138,7 @@ def test_two_level_reads_build_no_measures(monkeypatch):
     # Evaluation and both norms work on the model's arrays.  Read through
     # throwaway measures, this model cost 11 AtomicVectorMeasures per
     # hyper_evaluate, 30 per weight_form_tv and 20 per function_form_tv_upper
-    # (one or more per distinct w, of which there are 10), and one Atom per row.
+    # (one or more per distinct w, of which there are 10).
     rng = np.random.default_rng(4)
     phi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
     psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
@@ -151,7 +151,7 @@ def test_two_level_reads_build_no_measures(monkeypatch):
     post_init = measure.AtomicVectorMeasure.__post_init__
 
     def counted(self):
-        built.append(len(self.atoms))
+        built.append(len(self.W))
         post_init(self)
 
     monkeypatch.setattr(measure.AtomicVectorMeasure, "__post_init__", counted)
