@@ -282,7 +282,10 @@ def cmd_predict(args) -> int:
     if len(mu):
         preds = phi_matrix(feat, X, mu.W) @ mu.C
     else:
-        preds = np.zeros((len(X), spec.dim))
+        try:
+            preds = np.zeros((len(X), spec.dim))
+        except ValueError as exc:  # a width numpy cannot index
+            raise DataError(f"config space.d is too large for an output: {exc}") from exc
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

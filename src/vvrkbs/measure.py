@@ -106,19 +106,22 @@ def _group_by_location(points, tol: float = MERGE_TOL) -> list:
 
     Each row joins the earliest group whose first row lies within ``tol``,
     otherwise it opens a new one.  Returns index lists in order of first
-    occurrence.
+    occurrence.  The rows are finite, so an exact copy of an earlier row
+    joins that row's group without a scan.
     """
     points = np.asarray(points, dtype=float)
-    groups = []
+    groups, seen = [], {}  # row bytes -> group of its first copy
     reps = np.empty_like(points)
     for i, p in enumerate(points):
-        dists = np.max(np.abs(reps[: len(groups)] - p), axis=1)
-        hits = np.flatnonzero(dists <= tol)
-        if len(hits):
-            groups[hits[0]].append(i)
-        else:
-            reps[len(groups)] = p
-            groups.append([i])
+        key = p.tobytes()
+        if key not in seen:
+            dists = np.max(np.abs(reps[: len(groups)] - p), axis=1)
+            hits = np.flatnonzero(dists <= tol)
+            seen[key] = hits[0] if len(hits) else len(groups)
+            if not len(hits):
+                reps[len(groups)] = p
+                groups.append([])
+        groups[seen[key]].append(i)
     return groups
 
 

@@ -6,7 +6,9 @@ a[m] * phi(z, W[m]) * psi(x, Theta[m]) * V[m].  The same atoms are a
 measure over (w, theta) with vector payloads (weight form) and a measure
 over w whose payloads are base functions of x (function form).  Both
 views evaluate identically; their norms differ, with the function-form
-upper bound dominated by the weight-form total variation.  An atom is an
+upper bound dominated by the weight-form total variation.  The groups of
+atoms that share a w are computed once, when the model is built, and
+every evaluation and norm reads them.  An atom is an
 atom of the flat solver over the product feature
 phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit and the
 product-grid oracle run on the solver's engine.
@@ -45,7 +47,8 @@ class HyperModel:
 
     Atom m is a[m] * phi(., W[m]) psi(., Theta[m]) V[m]; the arrays are
     read-only and C-ordered, with shapes (n,), (n, phi.dw), (n, psi.dw)
-    and (n, spec.dim).
+    and (n, spec.dim).  ``groups`` holds one read-only index array per
+    distinct w, in order of first occurrence, computed at construction.
     """
 
     a: np.ndarray
@@ -55,6 +58,7 @@ class HyperModel:
     phi: FeatureMap
     psi: FeatureMap
     spec: DualPairSpec
+    groups: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _frozen(self.a)
@@ -77,6 +81,8 @@ class HyperModel:
         _check_ball(self.W, self.phi.radius, "w")
         _check_ball(self.Theta, self.psi.radius, "theta")
         object.__setattr__(self, "a", a)
+        groups = tuple(_frozen(g, int) for g in _group_by_location(self.W))
+        object.__setattr__(self, "groups", groups)
 
 
 # ------------------------------------------------------------- evaluation
@@ -96,10 +102,12 @@ def evaluate_function_form(m: HyperModel, z, x) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(m.spec.dim)
-    for idx in _group_by_location(m.W):
-        weight = float(phi_matrix(m.phi, z[None, :], m.W[idx[0]][None, :])[0, 0])
-        base = phi_matrix(m.psi, x[None, :], m.Theta[idx])[0]
-        out += weight * (base @ (m.a[idx, None] * m.V[idx]))
+    if not m.groups:
+        return out
+    weights = phi_matrix(m.phi, z[None, :], m.W[[g[0] for g in m.groups]])[0]
+    base = phi_matrix(m.psi, x[None, :], m.Theta)[0]
+    for weight, idx in zip(weights.tolist(), m.groups):
+        out += weight * (base[idx] @ (m.a[idx, None] * m.V[idx]))
     return out
 
 
@@ -122,7 +130,7 @@ def _inner_measures(m: HyperModel) -> list:
     """Coalesced (Theta, payload) rows of the inner measure of each distinct w."""
     return [
         _coalesce_rows(m.Theta[idx], m.a[idx, None] * m.V[idx], m.spec.primal_norm)
-        for idx in _group_by_location(m.W)
+        for idx in m.groups
     ]
 
 

@@ -439,6 +439,24 @@ def test_malformed_model_and_deeponet_files_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("d", [10**42, 10**400], ids=["1e42", "1e400"])
+def test_predict_empty_model_with_unallocatable_width_exits_2(tmp_path, capsys, d):
+    # an empty model skips the model/config width check, so space.d alone
+    # sizes the output
+    cfg = _base_config()
+    cfg["space"]["d"] = d
+    cfg_path, data = _write_fixture(tmp_path, cfg)
+    model = _write(tmp_path, "empty.json",
+                   json.dumps({"atoms": [], "norm": "l2", "radius": 1.5}))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--config", cfg_path, "--model", model,
+                 "--data", data, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_predict_model_space_mismatch_exits_2(tmp_path, capsys):
     cfg, data = _write_fixture(tmp_path)
     out = str(tmp_path / "model.json")

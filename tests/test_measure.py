@@ -178,6 +178,19 @@ def test_group_by_location_matches_greedy_reference(tol):
         P = rng.uniform(-1.0, 1.0, (40, 3))
         P[20:] = P[rng.integers(0, 20, 20)] + tol * rng.uniform(-1.5, 1.5, (20, 3))
         assert _group_by_location(P, tol) == _greedy_groups(P, tol)
+    for _ in range(20):
+        # exact copies spread through the input, of base rows and of rows
+        # within tol of a base row, so some copies' first copies joined an
+        # earlier group
+        B = rng.uniform(-1.0, 1.0, (6, 3))
+        rows = np.vstack([B, B + tol * rng.uniform(-1.0, 1.0, (6, 3))])
+        P = rows[rng.integers(0, 12, 50)]
+        assert _group_by_location(P, tol) == _greedy_groups(P, tol)
+    # -0.0 joins the group of 0.0 as any row within tol does; a later exact
+    # copy of it must land there too
+    Z = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, 0.5], [-0.0, 1.0], [0.0, 1.0]])
+    assert _group_by_location(Z, tol) == _greedy_groups(Z, tol) == [[0, 1, 3, 4], [2]]
+    assert _group_by_location(np.ones((1, 3)), tol) == [[0]]
     assert _group_by_location(np.zeros((0, 2)), tol) == []
 
 

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from vvrkbs.dual_pair import DualPairSpec, dual_norm_value, vector_norm
-from vvrkbs.feature import FeatureMap, eval_phi
-from vvrkbs.measure import measure_from_arrays
+from vvrkbs.feature import FeatureMap, eval_phi, phi_matrix
+from vvrkbs.measure import MERGE_TOL, _group_by_location, measure_from_arrays
 from vvrkbs.rkbs import RkbsFunction, evaluate
 from vvrkbs.solver import (
     FitOptions,
@@ -119,7 +121,9 @@ def test_opposite_payloads_cancel_everywhere():
 def test_empty_model_is_zero():
     spec = DualPairSpec(3, "l2")
     m = HyperModel([], [], [], [], _neural(1, 1.0, "tanh"), _neural(1, 1.0, "tanh"), spec)
+    assert m.groups == ()
     assert hyper_evaluate(m, [0.1], [0.2]) == pytest.approx([0.0] * 3, abs=0.0)
+    assert evaluate_function_form(m, [0.1], [0.2]) == pytest.approx([0.0] * 3, abs=0.0)
     assert weight_form_tv(m) == 0.0
     assert function_form_tv_upper(m) == 0.0
 
@@ -168,6 +172,59 @@ def test_evaluations_match_the_written_out_sum(seed):
         for evaluate_model in (evaluate_weight_form, evaluate_function_form,
                                hyper_evaluate):
             assert np.all(np.abs(evaluate_model(m, z, x) - ref) <= bound)
+
+
+def _function_form_by_regrouping(m, z, x):
+    # reference: regroup the w rows on every call and make two feature calls
+    # per group, one for the hyper weight and one for the base row
+    z, x = np.atleast_1d(z), np.atleast_1d(x)
+    out = np.zeros(m.spec.dim)
+    for idx in _group_by_location(m.W):
+        weight = float(phi_matrix(m.phi, z[None, :], m.W[idx[0]][None, :])[0, 0])
+        base = phi_matrix(m.psi, x[None, :], m.Theta[idx])[0]
+        out += weight * (base @ (m.a[idx, None] * m.V[idx]))
+    return out
+
+
+@pytest.mark.parametrize("dx", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_function_form_reads_the_stored_groups(seed, dx):
+    # 40 atoms on 6 distinct w rows, interleaved; about a third of the rows
+    # are moved by less than MERGE_TOL / 2, so they group with their row.
+    # With dx = 1 every feature value is one product, so batching the feature
+    # calls rounds nothing differently; with dx = 2 a batched product may.
+    rng = np.random.default_rng(seed)
+    spec = DualPairSpec(2, ["l1", "l2", "linf"][seed % 3])
+    phi = _neural(dx, 1.5, "tanh", beta="smooth_bump")
+    if seed % 2:
+        psi = FeatureMap("gaussian", dx=dx, radius=1.2, bandwidth=0.7)
+    else:
+        psi = _neural(dx, 1.2, "sigmoid", beta="hard")
+    n = 40
+    W = (rng.uniform(-0.5, 0.5, (6, phi.dw)) * phi.radius)[rng.integers(0, 6, n)]
+    near = rng.uniform(size=n) < 0.3
+    W[near] += rng.uniform(-0.5, 0.5, (near.sum(), phi.dw)) * MERGE_TOL
+    Theta = (rng.uniform(-0.5, 0.5, (8, psi.dw)) * psi.radius)[rng.integers(0, 8, n)]
+    a = rng.standard_normal(n)
+    V = rng.standard_normal((n, spec.dim))
+    m = HyperModel(a, W, Theta, V, phi, psi, spec)
+    assert len(m.groups) == 6 < len(np.unique(W, axis=0))
+    assert [g.tolist() for g in m.groups] == _group_by_location(W)
+    for g in m.groups:
+        assert not g.flags.writeable
+    m2 = hyper_model_from_json_dict(
+        json.loads(json.dumps(hyper_model_to_json_dict(m))), spec
+    )
+    assert [g.tolist() for g in m2.groups] == [g.tolist() for g in m.groups]
+    for _ in range(20):
+        z = rng.uniform(-1.0, 1.0, phi.dx)
+        x = rng.uniform(-1.0, 1.0, psi.dx)
+        got = evaluate_function_form(m, z, x)
+        ref = _function_form_by_regrouping(m, z, x)
+        if dx == 1:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_tv_single_atom_both_forms():

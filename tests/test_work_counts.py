@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from vvrkbs import measure, solver
+from vvrkbs import measure, operator_learning, solver
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
 from vvrkbs.operator_learning import (
@@ -134,19 +134,24 @@ def test_ascent_does_not_regrow_a_halved_step(monkeypatch):
     assert len(evals) <= 0.8 * 5375
 
 
+def _two_level_model(rng):
+    # 100 atoms on 10 distinct w rows and 25 distinct theta rows
+    phi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    w_rows = rng.uniform(-1.0, 1.0, (10, phi.dw))
+    theta_rows = rng.uniform(-1.0, 1.0, (25, psi.dw))
+    return HyperModel(rng.standard_normal(100), w_rows[np.arange(100) % 10],
+                      theta_rows[np.arange(100) % 25], rng.standard_normal((100, 2)),
+                      phi, psi, DualPairSpec(2, "l2"))
+
+
 def test_two_level_reads_build_no_measures(monkeypatch):
     # Evaluation and both norms work on the model's arrays.  Read through
     # throwaway measures, this model cost 11 AtomicVectorMeasures per
     # hyper_evaluate, 30 per weight_form_tv and 20 per function_form_tv_upper
     # (one or more per distinct w, of which there are 10).
     rng = np.random.default_rng(4)
-    phi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
-    psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
-    w_rows = rng.uniform(-1.0, 1.0, (10, phi.dw))
-    theta_rows = rng.uniform(-1.0, 1.0, (25, psi.dw))
-    m = HyperModel(rng.standard_normal(100), w_rows[np.arange(100) % 10],
-                   theta_rows[np.arange(100) % 25], rng.standard_normal((100, 2)),
-                   phi, psi, DualPairSpec(2, "l2"))
+    m = _two_level_model(rng)
     built = []
     post_init = measure.AtomicVectorMeasure.__post_init__
 
@@ -159,3 +164,35 @@ def test_two_level_reads_build_no_measures(monkeypatch):
         assert np.all(np.isfinite(hyper_evaluate(m, z, x)))
     assert 0.0 < function_form_tv_upper(m) <= weight_form_tv(m)
     assert built == []
+
+
+def test_two_level_query_is_four_feature_calls_and_no_regroup(monkeypatch):
+    # The model's distinct-w groups are computed when it is built.  Regrouped
+    # on every read, a hyper_evaluate on this model made 22 phi_matrix calls
+    # (two for the weight form, two per distinct w for the function form),
+    # and every query and norm called _group_by_location once.
+    rng = np.random.default_rng(4)
+    m = _two_level_model(rng)
+    feature_calls, regroups = [], []
+    phi_matrix_, group_by_location = (operator_learning.phi_matrix,
+                                      operator_learning._group_by_location)
+
+    def counted_phi_matrix(*args):
+        feature_calls.append(1)
+        return phi_matrix_(*args)
+
+    def counted_group_by_location(*args):
+        regroups.append(1)
+        return group_by_location(*args)
+
+    monkeypatch.setattr(operator_learning, "phi_matrix", counted_phi_matrix)
+    monkeypatch.setattr(operator_learning, "_group_by_location",
+                        counted_group_by_location)
+    per_query = []
+    for z, x in rng.uniform(-1.0, 1.0, (10, 2, 1)):
+        before = len(feature_calls)
+        hyper_evaluate(m, z, x)
+        per_query.append(len(feature_calls) - before)
+    assert 0.0 < function_form_tv_upper(m) <= weight_form_tv(m)
+    assert per_query == [4] * 10
+    assert regroups == []
