@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -284,7 +285,7 @@ def cmd_predict(args) -> int:
     else:
         try:
             preds = np.zeros((len(X), spec.dim))
-        except ValueError as exc:  # a width numpy cannot index
+        except (ValueError, MemoryError) as exc:  # a width numpy cannot index or hold
             raise DataError(f"config space.d is too large for an output: {exc}") from exc
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -451,7 +452,9 @@ def _validate_threads_env():
         raise UsageError("VVRKBS_THREADS must be >= 0 (0 = auto)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="vvrkbs", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command")
 

@@ -59,18 +59,17 @@ def _act(name: str, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_deriv(name: str, t: np.ndarray) -> np.ndarray:
-    # relu derivative at the kink (t == 0) is pinned to 0 for determinism
+def _act_deriv(name: str, t: np.ndarray, core: np.ndarray) -> np.ndarray:
+    # the derivative at t from core = _act(name, t); relu's at the kink
+    # (t == 0) is pinned to 0 for determinism
     if name == "relu":
         return (t > 0.0).astype(float)
     if name == "tanh":
-        th = np.tanh(t)
-        return 1.0 - th * th
+        return 1.0 - core * core
     if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-t))
-        return s * (1.0 - s)
+        return core * (1.0 - core)
     if name == "gaussian_rbf":
-        return -2.0 * t * np.exp(-t * t)
+        return -2.0 * t * core
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -150,7 +149,7 @@ def beta_values(f: FeatureMap, W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if f.beta == "one":
         return np.ones(len(W))
-    r2 = np.sum(W * W, axis=1) / (f.radius * f.radius)
+    r2 = (W * W).sum(axis=1) / (f.radius * f.radius)
     if f.beta == "hard":
         return (r2 <= 1.0).astype(float)
     t = np.maximum(0.0, 1.0 - r2)
@@ -184,6 +183,12 @@ def _tab_axis(grid: np.ndarray, t: np.ndarray):
     return idx, frac, inside
 
 
+def _neural_core(f: FeatureMap, X: np.ndarray, W: np.ndarray):
+    """Pre-activation <omega, x> + b and activation on all pairs, (n, m) each."""
+    pre = X @ W[:, : f.dx].T + W[:, f.dx][None, :]
+    return pre, _act(f.activation, pre)
+
+
 def phi_matrix(f: FeatureMap, X, W) -> np.ndarray:
     """phi evaluated on all pairs: result[i, j] = phi(X[i], W[j])."""
     X = np.asarray(X, dtype=float)
@@ -192,10 +197,7 @@ def phi_matrix(f: FeatureMap, X, W) -> np.ndarray:
     if X.size == 0 or W.size == 0:
         return np.zeros((len(X), len(W)))
     if f.kind == "neural":
-        omega = W[:, : f.dx]
-        b = W[:, f.dx]
-        pre = X @ omega.T + b[None, :]
-        return _act(f.activation, pre) * beta_values(f, W)[None, :]
+        return _neural_core(f, X, W)[1] * beta_values(f, W)[None, :]
     if f.kind == "gaussian":
         d2 = (
             np.sum(X * X, axis=1)[:, None]
@@ -240,16 +242,11 @@ def grad_phi_w_batch(f: FeatureMap, X, w) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
     _check_points(f, X, w[None, :])
+    if f.kind == "neural":
+        value, gradient = feature_column(f, X)
+        return gradient(w, value(w)[1])
     bv = beta_values(f, w[None, :])[0]
     bg = beta_grad(f, w)
-    if f.kind == "neural":
-        omega = w[: f.dx]
-        b = w[f.dx]
-        pre = X @ omega + b
-        core = _act(f.activation, pre)
-        dcore = _act_deriv(f.activation, pre)
-        aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # d pre / dw
-        return dcore[:, None] * aug * bv + core[:, None] * bg[None, :]
     if f.kind == "gaussian":
         diff = X - w[None, :]
         core = np.exp(-np.sum(diff * diff, axis=1) / (2.0 * f.bandwidth**2))
@@ -272,6 +269,34 @@ def grad_phi_w_batch(f: FeatureMap, X, w) -> np.ndarray:
     else:
         core_val = np.zeros(len(X))
     return (slope * bv + core_val * bg[0])[:, None]
+
+
+def feature_column(f: FeatureMap, X):
+    """(value, gradient) of phi(X, w) at one w at a time, X checked once.
+
+    ``value(w)`` returns (phi_matrix(f, X, w[None, :])[:, 0], parts);
+    ``gradient(w, parts)`` is grad_phi_w_batch(f, X, w).  The neural kind
+    keeps its pre-activation, activation and beta in ``parts``.
+    """
+    X = np.asarray(X, dtype=float)
+    _check_points(f, X, np.zeros((0, f.dw)))
+    if f.kind != "neural":
+        return (lambda w: (phi_matrix(f, X, w[None, :])[:, 0], None),
+                lambda w, parts: grad_phi_w_batch(f, X, w))
+    aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # d pre / dw
+
+    def value(w):
+        W = w[None, :]
+        pre, core = _neural_core(f, X, W)
+        bv = beta_values(f, W)[0]
+        return core[:, 0] * bv, (pre[:, 0], core[:, 0], bv)
+
+    def gradient(w, parts):
+        pre, core, bv = parts
+        dcore = _act_deriv(f.activation, pre, core)
+        return dcore[:, None] * aug * bv + core[:, None] * beta_grad(f, w)[None, :]
+
+    return value, gradient
 
 
 def grad_phi_w(f: FeatureMap, x, w) -> np.ndarray:

@@ -17,15 +17,16 @@ product-grid oracle run on the solver's engine.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, dual_norm_value, primal_witness, row_norms
+from .dual_pair import DualPairSpec, norm_witness, primal_witness, row_norms, vector_norm
 from .feature import (
     FeatureMap,
+    feature_column,
     feature_from_json_dict,
     feature_to_json_dict,
-    grad_phi_w_batch,
     phi_matrix,
 )
 from .measure import _check_ball, _coalesce_rows, _frozen, _group_by_location
@@ -84,6 +85,15 @@ class HyperModel:
         groups = tuple(_frozen(g, int) for g in _group_by_location(self.W))
         object.__setattr__(self, "groups", groups)
 
+    @functools.cached_property
+    def inner(self) -> tuple:
+        """Coalesced (Theta, payload) rows of the inner measure of each
+        distinct w, read-only; computed at the first norm and kept."""
+        return tuple(
+            tuple(_frozen(r) for r in _coalesce_rows(
+                self.Theta[idx], self.a[idx, None] * self.V[idx], self.spec.primal_norm))
+            for idx in self.groups)
+
 
 # ------------------------------------------------------------- evaluation
 
@@ -126,26 +136,13 @@ def hyper_evaluate(m: HyperModel, z, x) -> np.ndarray:
 
 # ------------------------------------------------------------------- norms
 
-def _inner_measures(m: HyperModel) -> list:
-    """Coalesced (Theta, payload) rows of the inner measure of each distinct w."""
-    return [
-        _coalesce_rows(m.Theta[idx], m.a[idx, None] * m.V[idx], m.spec.primal_norm)
-        for idx in m.groups
-    ]
-
-
 def weight_form_tv(m: HyperModel) -> float:
     """Total variation of the measure over (w, theta): sum over distinct w
     of the inner measure's total variation."""
     norm = m.spec.primal_norm
     return float(sum(
-        float(sum(row_norms(C, norm).tolist())) for _, C in _inner_measures(m)
+        float(sum(row_norms(C, norm).tolist())) for _, C in m.inner
     ))
-
-
-def _probe_points(psi: FeatureMap, n_probes: int, radius: float, seed: int):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-radius, radius, (n_probes, psi.dx))
 
 
 def function_form_tv_upper(
@@ -160,10 +157,11 @@ def function_form_tv_upper(
     so this representative bound is what the domination statement is
     about.
     """
-    probes = _probe_points(m.psi, n_probes, probe_radius, seed)
+    rng = np.random.default_rng(seed)
+    probes = rng.uniform(-probe_radius, probe_radius, (n_probes, m.psi.dx))
     norm = m.spec.primal_norm
     total = 0.0
-    for Theta, C in _inner_measures(m):
+    for Theta, C in m.inner:
         if not len(C):
             continue
         cols = phi_matrix(m.psi, probes, Theta)
@@ -231,37 +229,34 @@ def hyper_objective(
     return data + lam * weight_form_tv(model)
 
 
-def _hyper_score_grid(phi_f, psi_f, Z, Xj, GN, V, spec, w_grid, theta_grid):
-    """Exhaustive oracle over the product grid; ties to the lowest pair."""
-    PhiG = phi_matrix(phi_f, Z, w_grid)           # (N, Gw)
-    PsiG = phi_matrix(psi_f, Xj, theta_grid)      # (J, Gt)
+def _hyper_score_grid(PhiG, PsiG, GN, V, spec, w_grid, theta_grid):
+    """Exhaustive oracle over the product grid given its feature matrices,
+    all pairs in one batch; ties to the lowest (theta, w) pair."""
     R = PhiG.T @ GN                               # (Gw, J)
-    best = None
-    for t in range(theta_grid.shape[0]):
-        Q = (R * PsiG[:, t][None, :]) @ V         # (Gw, d)
-        scores = row_norms(Q, spec.dual_norm)
-        g = int(np.argmax(scores))
-        if best is None or scores[g] > best[0]:
-            best = (float(scores[g]), g, t, Q[g])
-    score, g, t, q = best
-    return w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, q), score
+    Q = (R[None, :, :] * PsiG.T[:, None, :]) @ V  # (Gt, Gw, d)
+    scores = row_norms(Q.reshape(-1, Q.shape[2]), spec.dual_norm)
+    t, g = divmod(int(np.argmax(scores)), R.shape[0])
+    return (w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, Q[t, g]),
+            float(scores[t * R.shape[0] + g]))
 
 
 def _hyper_oracle_score(phi_f, psi_f, Z, Xj, GN, V, spec):
     """(value, direction) of the oracle score at a location (w, theta)."""
-    dw = phi_f.dw
+    dw, kind = phi_f.dw, spec.dual_norm
+    phi_column, phi_gradient = feature_column(phi_f, Z)
+    psi_column, psi_gradient = feature_column(psi_f, Xj)
 
     def value(L):
-        pc = phi_matrix(phi_f, Z, L[None, :dw])[:, 0]
-        qc = phi_matrix(psi_f, Xj, L[None, dw:])[:, 0]
+        pc, phi_parts = phi_column(L[:dw])
+        qc, psi_parts = psi_column(L[dw:])
         q = ((pc @ GN) * qc) @ V
-        return dual_norm_value(spec, q), (primal_witness(spec, q), pc, qc)
+        return vector_norm(q, kind), (norm_witness(q, kind), pc, qc, phi_parts, psi_parts)
 
     def direction(L, state):
-        u, pc, qc = state
+        u, pc, qc, phi_parts, psi_parts = state
         e = V @ u
-        gw = grad_phi_w_batch(phi_f, Z, L[:dw]).T @ (GN @ (qc * e))
-        gt = grad_phi_w_batch(psi_f, Xj, L[dw:]).T @ ((GN.T @ pc) * e)
+        gw = phi_gradient(L[:dw], phi_parts).T @ (GN @ (qc * e))
+        gt = psi_gradient(L[dw:], psi_parts).T @ ((GN.T @ pc) * e)
         return np.concatenate([gw, gt])
 
     return value, direction
@@ -273,11 +268,14 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
 
     The location is (w, theta), the payload v, and the measurement is the
     lifted sampling: atom columns phi(z_n, w) psi(x_j, theta) <v_j, v>.
-    The oracle searches the product grid when the grids are given and
-    runs multistart ascent over both balls otherwise.
+    The oracle searches the product grid when the grids are given, with
+    the grid feature matrices built once, and runs multistart ascent over
+    both balls otherwise.
     """
     n, dw = Z.shape[0], phi.dw
     Xj, V = sampling.points, sampling.functionals
+    if w_grid is not None:
+        grid_features = phi_matrix(phi, Z, w_grid), phi_matrix(psi, Xj, theta_grid)
 
     def design(L):
         return phi_matrix(phi, Z, L[:, :dw]), phi_matrix(psi, Xj, L[:, dw:])
@@ -290,11 +288,11 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
         GN = G / n
         if w_grid is not None:
             w, th, u, score = _hyper_score_grid(
-                phi, psi, Z, Xj, GN, V, spec, w_grid, theta_grid
+                *grid_features, GN, V, spec, w_grid, theta_grid
             )
             return np.concatenate([w, th]), u, score
         value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
-        L, (u, _, _), score = _multistart(
+        L, (u, *_), score = _multistart(
             value, direction, (phi, psi), opts.restarts, opts.seed + 7919 * k
         )
         return L, u, score

@@ -14,6 +14,7 @@ weight grid provides an independent check of the optimal objective.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Callable
 
@@ -23,15 +24,16 @@ from .dual_pair import (
     L1,
     L2,
     DualPairSpec,
-    dual_norm_value,
+    norm_witness,
     primal_witness,
     row_norms,
+    vector_norm,
 )
 from .feature import (
     FeatureMap,
     activation_values,
     beta_values,
-    grad_phi_w_batch,
+    feature_column,
     phi_matrix,
 )
 from .measure import (
@@ -264,7 +266,7 @@ def _project_balls(L: np.ndarray, features) -> np.ndarray:
         start += f.dw
         n = float(np.sqrt(np.dot(v, v)))
         parts.append(v * (f.radius / n) if n > f.radius else v)
-    return np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _ascend(value, direction, features, L0, max_steps: int = 200):
@@ -284,9 +286,9 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
     step = 1.0
     for _ in range(max_steps):
         g = direction(L, state)
-        if not np.all(np.isfinite(g)):
+        gg = float(np.dot(g, g))  # finite unless g holds a non-finite entry or overflows
+        if not math.isfinite(gg) and not np.isfinite(g).all():
             raise SolverError("non-finite oracle gradient")
-        gg = float(np.dot(g, g))
         if gg == 0.0:
             break
         first = step
@@ -324,25 +326,31 @@ def _multistart(value, direction, features, restarts: int, seed: int):
 
 
 def _oracle_score(p: Problem, eta: np.ndarray):
-    """(value, direction) of the oracle score |sum_n phi(x_n, w) eta_n| at w."""
+    """(value, direction) of the oracle score |sum_n phi(x_n, w) eta_n| at w;
+    ``direction`` reuses the feature parts ``value`` kept with the witness."""
+    column, gradient = feature_column(p.feature, p.X)
+    kind = p.spec.dual_norm
 
     def value(w):
-        v = phi_matrix(p.feature, p.X, w[None, :])[:, 0] @ eta
-        return dual_norm_value(p.spec, v), primal_witness(p.spec, v)
+        col, parts = column(w)
+        v = col @ eta
+        return vector_norm(v, kind), (norm_witness(v, kind), parts)
 
-    def direction(w, u):
-        return grad_phi_w_batch(p.feature, p.X, w).T @ (eta @ u)
+    def direction(w, state):
+        u, parts = state
+        return gradient(w, parts).T @ (eta @ u)
 
     return value, direction
 
 
-def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0):
+def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0, *, grid_features=None):
     """Search for the atom delta_w u maximizing |sum_n phi(x_n, w) <eta_n, u>|.
 
     Over u the inner maximum is closed-form (primal-ball witness of the
     aggregated dual vector).  Over w the search is exhaustive when the
     problem carries an ``omega_grid`` (ties toward the lowest index) and
-    multistart projected ascent otherwise.  Returns (w, u, score).
+    multistart projected ascent otherwise.  ``grid_features`` may hold the
+    grid's ``phi_matrix``, built once by the caller.  Returns (w, u, score).
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (p.n_data, p.spec.dim):
@@ -350,12 +358,15 @@ def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0):
     if not np.all(np.isfinite(eta)):
         raise SolverError("non-finite residual duals")
     if p.omega_grid is not None:
-        V = phi_matrix(p.feature, p.X, p.omega_grid).T @ eta
+        if grid_features is None:
+            grid_features = phi_matrix(p.feature, p.X, p.omega_grid)
+        V = grid_features.T @ eta
         scores = row_norms(V, p.spec.dual_norm)
         g = int(np.argmax(scores))
         return p.omega_grid[g].copy(), primal_witness(p.spec, V[g]), float(scores[g])
     value, direction = _oracle_score(p, eta)
-    return _multistart(value, direction, (p.feature,), restarts, seed)
+    w, (u, _), score = _multistart(value, direction, (p.feature,), restarts, seed)
+    return w, u, score
 
 
 # ------------------------------------------------------------------- fista
@@ -673,12 +684,15 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
 
 
 def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
-    """Atoms delta_w c of the flat problem; the oracle is ``lmo``."""
+    """Atoms delta_w c of the flat problem; the oracle is ``lmo``, with a
+    grid's feature matrix built at the first search."""
     m = p.measurement
+    grid_features = functools.cache(lambda: phi_matrix(p.feature, p.X, p.omega_grid))
 
     def search(G, k):
         eta = measurement_adjoint(m, G) / p.n_data
-        return lmo(p, eta, opts.restarts, opts.seed + 7919 * k)
+        Phi = None if p.omega_grid is None else grid_features()
+        return lmo(p, eta, opts.restarts, opts.seed + 7919 * k, grid_features=Phi)
 
     return _AtomFamily(
         Y=p.Y,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import vvrkbs
+from vvrkbs import cli
 from vvrkbs.cli import main
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
@@ -164,6 +165,27 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--trials", "1"]) == 1
     monkeypatch.setenv("VVRKBS_THREADS", "0")
     assert main(["verify", "--trials", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_and_parses_alike(capsys, monkeypatch):
+    # main reuses one parser per process, and parsing leaves nothing behind
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    first = vars(parser.parse_args(["verify", "--trials", "5", "--seed", "2"]))
+    assert [main([]), main(["fit"]), main(["verify", "--trials", "0"])] == [1, 1, 1]
+    assert vars(parser.parse_args(["verify"])) == {
+        "command": "verify", "trials": 200, "seed": 0, "func": cli.cmd_verify}
+    assert vars(parser.parse_args(["verify", "--trials", "5", "--seed", "2"])) == first
+    assert built == []
     capsys.readouterr()
 
 
@@ -454,6 +476,32 @@ def test_predict_empty_model_with_unallocatable_width_exits_2(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_predict_empty_model_with_an_unholdable_width_exits_2(tmp_path):
+    # space.d = 10**9 is indexable, but three rows of it need 24 GB; the CLI
+    # runs in a child process capped at 2 GiB of address space, where the
+    # output array cannot be allocated
+    cfg = _base_config()
+    cfg["space"]["d"] = 10**9
+    cfg_path, data = _write_fixture(tmp_path, cfg)
+    model = _write(tmp_path, "empty.json",
+                   json.dumps({"atoms": [], "norm": "l2", "radius": 1.5}))
+    out = tmp_path / "p.csv"
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from vvrkbs.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(vvrkbs.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "predict", "--config", cfg_path, "--model", model,
+         "--data", data, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import (
+    ACTIVATIONS,
+    BETAS,
     FeatureMap,
+    activation_values,
+    beta_grad,
     beta_values,
     eval_phi,
+    feature_column,
     feature_from_json_dict,
     feature_to_json_dict,
     grad_phi_w,
+    grad_phi_w_batch,
     grid_sup_abs,
     phi_matrix,
     simple_approx_pairing,
@@ -189,6 +196,74 @@ def test_grad_tabulated_inside_cell():
     )
     g = grad_phi_w(f, [0.5], [1.0])
     assert g[0] == pytest.approx(_central_diff(f, [0.5], [1.0])[0], abs=1e-9)
+
+
+# every (kind, activation, beta) a FeatureMap accepts
+FEATURE_CASES = [
+    ("neural", act, beta) for act in ACTIVATIONS for beta in BETAS
+    if not (beta == "one" and act == "relu")
+] + [(kind, None, beta) for kind in ("gaussian", "tabulated") for beta in BETAS]
+
+
+def _feature_case(kind, act, beta, dx, rng):
+    if kind == "tabulated":
+        return FeatureMap("tabulated", dx=1, radius=1.5, beta=beta,
+                          x_grid=np.linspace(-1.0, 1.0, 5),
+                          w_grid=np.linspace(-1.2, 1.2, 7),
+                          values=rng.standard_normal((5, 7)))
+    return FeatureMap(kind, dx=dx, radius=1.5, beta=beta, activation=act,
+                      bandwidth=0.8)
+
+
+def _parent_neural_grad(f, X, w):
+    # grad_phi_w_batch's neural branch as it was when every call recomputed
+    # the pre-activation and evaluated the activation twice
+    pre = X @ w[: f.dx] + w[f.dx]
+    core = activation_values(f.activation, pre)
+    if f.activation == "tanh":
+        th = np.tanh(pre)
+        dcore = 1.0 - th * th
+    elif f.activation == "sigmoid":
+        s = 1.0 / (1.0 + np.exp(-pre))
+        dcore = s * (1.0 - s)
+    elif f.activation == "gaussian_rbf":
+        dcore = -2.0 * pre * np.exp(-pre * pre)
+    else:
+        dcore = (pre > 0.0).astype(float)
+    aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)
+    bv = beta_values(f, w[None, :])[0]
+    return dcore[:, None] * aug * bv + core[:, None] * beta_grad(f, w)[None, :]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(FEATURE_CASES), dx=st.integers(1, 3),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_feature_column_reuse_is_bitwise_the_feature_calls(case, dx, n, seed):
+    # The ascent's column and gradient at one w must be the bits of
+    # phi_matrix and grad_phi_w_batch at that w, whatever else was evaluated
+    # in between; the neural gradient also equals the formula that
+    # re-evaluated the pre-activation.  Points reach past the ball, where
+    # beta is 0, and relu meets its kink at x = 0, b = 0.
+    rng = np.random.default_rng(seed)
+    f = _feature_case(*case, dx, rng)
+    X = rng.uniform(-1.0, 1.0, (n, f.dx))
+    X[rng.random(n) < 0.2] = 0.0
+    ws = rng.uniform(-1.0, 1.0, (4, f.dw)) * rng.uniform(0.0, 2.0, (4, 1))
+    ws[0, -1] = 0.0
+    value, gradient = feature_column(f, X)
+    kept = [value(w) for w in ws]
+    for w, (col, parts) in zip(ws, kept):
+        assert col.tobytes() == phi_matrix(f, X, w[None, :])[:, 0].tobytes()
+        g = gradient(w, parts)
+        assert g.tobytes() == grad_phi_w_batch(f, X, w).tobytes()
+        if f.kind == "neural":
+            assert g.tobytes() == _parent_neural_grad(f, X, w).tobytes()
+
+
+def test_feature_column_checks_inputs_once():
+    f = FeatureMap("neural", dx=2, radius=1.0, activation="tanh")
+    with pytest.raises(ValueError):
+        feature_column(f, np.zeros((3, 1)))
 
 
 # ------------------------------------------------- simple-function pairing

@@ -3,9 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from vvrkbs.dual_pair import DualPairSpec, dual_norm_value, vector_norm
-from vvrkbs.feature import FeatureMap, eval_phi, phi_matrix
-from vvrkbs.measure import MERGE_TOL, _group_by_location, measure_from_arrays
+from vvrkbs.dual_pair import (
+    DualPairSpec,
+    dual_norm_value,
+    primal_witness,
+    row_norms,
+    vector_norm,
+)
+from vvrkbs.feature import FeatureMap, eval_phi, grad_phi_w_batch, phi_matrix
+from vvrkbs.measure import MERGE_TOL, _coalesce_rows, _group_by_location, measure_from_arrays
 from vvrkbs.rkbs import RkbsFunction, evaluate
 from vvrkbs.solver import (
     FitOptions,
@@ -31,6 +37,7 @@ from vvrkbs.operator_learning import (
     hyper_objective,
     weight_form_tv,
 )
+from vvrkbs.operator_learning import _hyper_oracle_score, _hyper_score_grid
 
 
 def _ones_table(dx_radius=1.0):
@@ -278,6 +285,38 @@ def test_tv_domination_random_models():
         assert function_form_tv_upper(m) <= weight_form_tv(m) + 1e-12
 
 
+def _norms_recoalesced(m, n_probes=32, probe_radius=1.0, seed=0):
+    # both norms as computed when every call coalesced the inner measures anew
+    norm = m.spec.primal_norm
+    inner = [_coalesce_rows(m.Theta[idx], m.a[idx, None] * m.V[idx], norm)
+             for idx in m.groups]
+    wf = float(sum(float(sum(row_norms(C, norm).tolist())) for _, C in inner))
+    probes = np.random.default_rng(seed).uniform(
+        -probe_radius, probe_radius, (n_probes, m.psi.dx))
+    ff = 0.0
+    for Theta, C in inner:
+        if len(C):
+            cols = phi_matrix(m.psi, probes, Theta)
+            _, sums = _coalesce_rows(cols.T, C, norm, tol=1e-12, prune_tol=0.0)
+            ff += float(sum(row_norms(sums, norm).tolist()))
+    return wf, ff
+
+
+def test_norm_pair_caches_the_inner_measures_bitwise():
+    # the inner measures are coalesced at the first norm, not at
+    # construction, kept read-only, and every later norm reads the same bits
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        m = _random_model(rng)
+        assert "inner" not in vars(m)
+        ref = _norms_recoalesced(m)
+        for _ in range(2):
+            assert (weight_form_tv(m), function_form_tv_upper(m)) == ref
+        assert function_form_tv_upper(m, 8, 2.0, 3) == _norms_recoalesced(m, 8, 2.0, 3)[1]
+        assert len(m.inner) == len(m.groups)
+        assert not any(a.flags.writeable for pair in m.inner for a in pair)
+
+
 def test_model_validation():
     spec = DualPairSpec(2, "l2")
     phi = _neural(1, 1.0, "tanh")
@@ -431,6 +470,84 @@ def test_hyper_fit_free_search_smoke():
     assert state.converged
     assert state.certificate <= 0.05 * (1 + 1e-4)
     assert state.objective_history[-1] <= state.objective_history[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hyper_oracle_score_matches_the_feature_calls_bitwise(seed):
+    # value and direction at (w, theta) are those of phi_matrix, the dual
+    # pair and grad_phi_w_batch, bit for bit, for every dual norm
+    rng = np.random.default_rng(seed)
+    spec = DualPairSpec(int(rng.integers(1, 4)), ["l1", "l2", "linf"][seed % 3])
+    phi = _neural(1 + seed % 2, 1.5, ["tanh", "sigmoid", "relu"][seed % 3], "smooth_bump")
+    psi = [_neural(1, 1.2, "gaussian_rbf", "hard"), _ones_table(1.2)][seed % 2]
+    n, J = int(rng.integers(1, 20)), int(rng.integers(1, 6))
+    Z = rng.uniform(-1.0, 1.0, (n, phi.dx))
+    Xj = rng.uniform(-1.0, 1.0, (J, 1))
+    GN, V = rng.standard_normal((n, J)), rng.standard_normal((J, spec.dim))
+    value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
+    Ls = [np.concatenate([rng.uniform(-1.0, 1.0, phi.dw), rng.uniform(-0.8, 0.8, psi.dw)])
+          for _ in range(3)]
+    for L, (score, state) in zip(Ls, [value(L) for L in Ls]):
+        w, th = L[:phi.dw], L[phi.dw:]
+        pc, qc = phi_matrix(phi, Z, w[None, :])[:, 0], phi_matrix(psi, Xj, th[None, :])[:, 0]
+        q = ((pc @ GN) * qc) @ V
+        u = primal_witness(spec, q)
+        assert score == dual_norm_value(spec, q) and state[0].tobytes() == u.tobytes()
+        e = V @ u
+        expected = np.concatenate([
+            grad_phi_w_batch(phi, Z, w).T @ (GN @ (qc * e)),
+            grad_phi_w_batch(psi, Xj, th).T @ ((GN.T @ pc) * e),
+        ])
+        assert direction(L, state).tobytes() == expected.tobytes()
+
+
+def _score_grid_by_theta(PhiG, PsiG, GN, V, spec, w_grid, theta_grid):
+    # the per-theta loop the batched search replaced: the first theta that
+    # reaches the best score wins, and within it the lowest w
+    R = PhiG.T @ GN
+    best = None
+    for t in range(theta_grid.shape[0]):
+        Q = (R * PsiG[:, t][None, :]) @ V
+        scores = row_norms(Q, spec.dual_norm)
+        g = int(np.argmax(scores))
+        if best is None or scores[g] > best[0]:
+            best = (float(scores[g]), g, t, Q[g])
+    score, g, t, q = best
+    return w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, q), score
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_grid_search_is_the_per_theta_loop(seed):
+    # bit for bit on random grids, and on repeated grids, where every score
+    # is tied with its copies across theta and across w
+    rng = np.random.default_rng(seed)
+    spec = DualPairSpec(int(rng.integers(1, 4)), ["l1", "l2", "linf"][seed % 3])
+    phi, psi = _neural(1, 2.0, "tanh", "smooth_bump"), _neural(1, 2.0, "sigmoid", "hard")
+    n, J = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+    Z, Xj = rng.uniform(-1.0, 1.0, (n, 1)), rng.uniform(-1.0, 1.0, (J, 1))
+    GN, V = rng.standard_normal((n, J)), rng.standard_normal((J, spec.dim))
+    w_grid = product_grid(phi.radius, phi.dw, int(rng.integers(1, 8)))
+    theta_grid = product_grid(psi.radius, psi.dw, int(rng.integers(1, 8)))
+    for wg, tg in ((w_grid, theta_grid), (np.vstack([w_grid] * 2), np.vstack([theta_grid] * 3))):
+        args = (phi_matrix(phi, Z, wg), phi_matrix(psi, Xj, tg), GN, V, spec, wg, tg)
+        got, ref = _hyper_score_grid(*args), _score_grid_by_theta(*args)
+        for a, b in zip(got, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_batched_grid_search_breaks_a_cross_tie_toward_the_lowest_theta():
+    # scores (theta 0, w 1) and (theta 1, w 0) tie at 2.0 above every other
+    # pair; the lowest theta wins, as in the per-theta loop, although w 0 is
+    # the lower w
+    spec = DualPairSpec(2, "l2")
+    w_grid, theta_grid = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[-0.1, 0.0], [0.5, 0.1]])
+    args = (np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), np.eye(2), spec,
+            w_grid, theta_grid)
+    w, th, u, score = _hyper_score_grid(*args)
+    assert (w.tolist(), th.tolist(), u.tolist(), score) == ([0.3, 0.4], [-0.1, 0.0],
+                                                            [0.0, 1.0], 2.0)
+    assert [np.asarray(a).tolist() for a in _score_grid_by_theta(*args)] == [
+        [0.3, 0.4], [-0.1, 0.0], [0.0, 1.0], 2.0]
 
 
 @pytest.mark.parametrize("seed", range(4))

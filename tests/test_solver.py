@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vvrkbs.dual_pair import DualPairSpec
-from vvrkbs.feature import FeatureMap, eval_phi, phi_matrix
+from vvrkbs.dual_pair import DualPairSpec, dual_norm_value, primal_witness
+from vvrkbs.feature import ACTIVATIONS, FeatureMap, eval_phi, grad_phi_w_batch, phi_matrix
 from vvrkbs.measure import empty_measure, measure_from_arrays, total_variation
 from vvrkbs.solver import (
     FitOptions,
@@ -32,7 +33,14 @@ from vvrkbs.solver import (
     product_grid,
     residual_duals,
 )
-from vvrkbs.solver import _ascend, _fista, _flat_family, _prox_rows, _refit_step
+from vvrkbs.solver import (
+    _ascend,
+    _fista,
+    _flat_family,
+    _oracle_score,
+    _prox_rows,
+    _refit_step,
+)
 
 
 def _tab_feature():
@@ -269,6 +277,38 @@ def test_lmo_rejects_nonfinite_residuals():
     eta = np.full((3, 2), np.nan)
     with pytest.raises(SolverError):
         lmo(p, eta)
+
+
+ORACLE_FEATURES = [
+    FeatureMap("neural", dx=2, radius=1.5, activation=act, beta=beta)
+    for act in ACTIVATIONS for beta in ("smooth_bump", "hard")
+] + [
+    FeatureMap("gaussian", dx=2, radius=1.5, bandwidth=0.7),
+    _tab_feature(),
+]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(feat=st.sampled_from(ORACLE_FEATURES), norm=st.sampled_from(["l1", "l2", "linf"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_oracle_score_matches_the_feature_calls_bitwise(feat, norm, seed):
+    # the score and witness at w are those of phi_matrix and the dual pair,
+    # and the direction at an accepted point is grad_phi_w_batch's, bit for
+    # bit, also after other points were scored in between
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+    X = rng.uniform(-1.0, 1.0, (n, feat.dx))
+    p = Problem(X, np.zeros((n, dim)), Loss(), identity_measurement(), 0.1, feat,
+                DualPairSpec(dim, norm))
+    eta = rng.standard_normal((n, dim))
+    value, direction = _oracle_score(p, eta)
+    ws = rng.uniform(-1.0, 1.0, (3, feat.dw)) * rng.uniform(0.0, 1.6, (3, 1))
+    for w, (score, state) in zip(ws, [value(w) for w in ws]):
+        v = phi_matrix(feat, X, w[None, :])[:, 0] @ eta
+        u = primal_witness(p.spec, v)
+        assert score == dual_norm_value(p.spec, v) and state[0].tobytes() == u.tobytes()
+        expected = grad_phi_w_batch(feat, X, w).T @ (eta @ u)
+        assert direction(w, state).tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------ product grid

@@ -11,13 +11,15 @@ import dataclasses
 
 import numpy as np
 
-from vvrkbs import measure, operator_learning, solver
+from vvrkbs import feature, measure, operator_learning, solver
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
 from vvrkbs.operator_learning import (
     HyperModel,
+    SampledMeasurement,
     function_form_tv_upper,
     hyper_evaluate,
+    hyper_fit,
     weight_form_tv,
 )
 from vvrkbs.solver import (
@@ -81,6 +83,81 @@ def test_step_rules_cut_refit_and_ascent_work(monkeypatch):
 
     assert len(prox_calls) <= 0.75 * 2954
     assert len(evals) <= 0.75 * 7949
+
+
+def test_free_search_evaluates_the_feature_once_per_score(monkeypatch):
+    # An ascent direction reuses the pre-activation, activation and beta the
+    # score evaluation at the same point kept.  When each direction called
+    # grad_phi_w_batch, these three searches made 508 activation passes for
+    # 314 score evaluations (and 508 phi_matrix/grad_phi_w_batch calls).
+    problems = [_teacher_problem(seed) for seed in range(3)]
+    evals, activations = [], []
+    oracle_score, act = solver._oracle_score, feature._act
+
+    def counted_score(*args):
+        value, direction = oracle_score(*args)
+
+        def counted_value(w):
+            evals.append(1)
+            return value(w)
+
+        return counted_value, direction
+
+    def counted_act(*args):
+        activations.append(1)
+        return act(*args)
+
+    monkeypatch.setattr(solver, "_oracle_score", counted_score)
+    monkeypatch.setattr(feature, "_act", counted_act)
+    for p in problems:
+        q = dataclasses.replace(p, omega_grid=None)
+        lmo(q, residual_duals(q, measure.empty_measure(q.spec, q.feature.radius)),
+            restarts=4, seed=5)
+    assert len(evals) == 314
+    assert len(activations) == len(evals)
+
+
+def _grid_builds(monkeypatch, module, grids):
+    # phi_matrix calls of ``module`` on each of ``grids`` (by identity)
+    builds = [0] * len(grids)
+    original = module.phi_matrix
+
+    def counted(f, X, W):
+        for i, g in enumerate(grids):
+            builds[i] += W is g
+        return original(f, X, W)
+
+    monkeypatch.setattr(module, "phi_matrix", counted)
+    return builds
+
+
+def test_grid_searches_build_their_grid_features_once_per_fit(monkeypatch):
+    # Rebuilt at every atom search, the grid feature matrices cost 14
+    # phi_matrix calls over the three flat grid fits below (one per search),
+    # and 10 per grid over the three two-level grid fits.
+    rng = np.random.default_rng(8)
+    flat = [_teacher_problem(seed) for seed in range(3)]
+    builds = _grid_builds(monkeypatch, solver, [p.omega_grid for p in flat])
+    states = [fit(p, FitOptions(max_atoms=20, seed=3)) for p in flat]
+    assert sum(s.iterations + 1 for s in states) == 14
+    assert builds == [1, 1, 1]
+
+    phi = psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    w_grid = product_grid(2.0, 2, 7)
+    theta_grid = product_grid(2.0, 2, 5)
+    builds = _grid_builds(monkeypatch, operator_learning, [w_grid, theta_grid])
+    iterations = []
+    for _ in range(3):
+        Z = rng.uniform(-1.0, 1.0, (20, 1))
+        Xj = np.linspace(-1.0, 1.0, 6)[:, None]
+        W, T = rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, (3, 2))
+        Y = phi_matrix(phi, Z, W) @ (phi_matrix(psi, Xj, T) * rng.standard_normal(3)).T
+        state = hyper_fit(Z, Y, SampledMeasurement(Xj, np.ones((6, 1))), phi, psi,
+                          DualPairSpec(1, "l2"), 0.01, FitOptions(max_atoms=20),
+                          w_grid=w_grid, theta_grid=theta_grid)
+        iterations.append(state.iterations)
+    assert min(iterations) >= 2
+    assert builds == [3, 3]
 
 
 def _counted(monkeypatch, name, log):
@@ -164,6 +241,25 @@ def test_two_level_reads_build_no_measures(monkeypatch):
         assert np.all(np.isfinite(hyper_evaluate(m, z, x)))
     assert 0.0 < function_form_tv_upper(m) <= weight_form_tv(m)
     assert built == []
+
+
+def test_norm_pair_coalesces_the_inner_measures_once(monkeypatch):
+    # Coalesced anew on every call, each norm pair on this model grouped the
+    # 10 inner measures twice (once per norm) on top of the 10 probe-column
+    # merges of function_form_tv_upper: 30 groupings per pair, 90 for three.
+    rng = np.random.default_rng(4)
+    m = _two_level_model(rng)
+    groupings = []
+    group_by_location = measure._group_by_location
+
+    def counted(*args):
+        groupings.append(1)
+        return group_by_location(*args)
+
+    monkeypatch.setattr(measure, "_group_by_location", counted)
+    pairs = [(weight_form_tv(m), function_form_tv_upper(m)) for _ in range(3)]
+    assert pairs == [pairs[0]] * 3
+    assert len(groupings) == 10 + 3 * 10
 
 
 def test_two_level_query_is_four_feature_calls_and_no_regroup(monkeypatch):
