@@ -454,7 +454,7 @@ def _validate_threads_env():
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; parsing leaves it unchanged."""
+    """The CLI parser, built once per process; ``main`` looks up the handler."""
     p = _Parser(prog="vvrkbs", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command")
 
@@ -462,36 +462,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("predict", help="evaluate a fitted model on inputs")
     sp.add_argument("--config", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("oracle", help="compare fit against the grid oracle")
     sp.add_argument("--config", required=True)
     sp.add_argument("--data", required=True)
-    sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("hyper-fit", help="fit a two-level operator model")
     sp.add_argument("--config", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_hyper_fit)
 
     sp = sub.add_parser("deeponet", help="embed basis functions as a hyper model")
     sp.add_argument("--config", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_deeponet)
     return p
 
 
@@ -500,9 +494,9 @@ def main(argv=None) -> int:
     try:
         _validate_threads_env()
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        if args.command is None:
             raise UsageError("a subcommand is required (try --help)")
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -286,9 +286,8 @@ def feature_column(f: FeatureMap, X):
     aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # d pre / dw
 
     def value(w):
-        W = w[None, :]
-        pre, core = _neural_core(f, X, W)
-        bv = beta_values(f, W)[0]
+        pre, core = _neural_core(f, X, w[None, :])
+        bv = beta_values(f, w[None, :])[0]
         return core[:, 0] * bv, (pre[:, 0], core[:, 0], bv)
 
     def gradient(w, parts):

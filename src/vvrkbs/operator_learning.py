@@ -229,15 +229,24 @@ def hyper_objective(
     return data + lam * weight_form_tv(model)
 
 
+_GRID_BLOCK = 1 << 20  # entries of a batch temporary in the grid search
+
+
 def _hyper_score_grid(PhiG, PsiG, GN, V, spec, w_grid, theta_grid):
-    """Exhaustive oracle over the product grid given its feature matrices,
-    all pairs in one batch; ties to the lowest (theta, w) pair."""
+    """Exhaustive oracle over the product grid given its feature matrices, one batch
+    per block of theta of at most _GRID_BLOCK entries; ties to the lowest (theta, w)."""
     R = PhiG.T @ GN                               # (Gw, J)
-    Q = (R[None, :, :] * PsiG.T[:, None, :]) @ V  # (Gt, Gw, d)
-    scores = row_norms(Q.reshape(-1, Q.shape[2]), spec.dual_norm)
-    t, g = divmod(int(np.argmax(scores)), R.shape[0])
-    return (w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, Q[t, g]),
-            float(scores[t * R.shape[0] + g]))
+    Gw, best = R.shape[0], None
+    step = max(1, _GRID_BLOCK // (Gw * max(R.shape[1], V.shape[1])))
+    for t0 in range(0, PsiG.shape[1], step):
+        Q = (R[None, :, :] * PsiG[:, t0:t0 + step].T[:, None, :]) @ V  # (block, Gw, d)
+        scores = row_norms(Q.reshape(-1, Q.shape[2]), spec.dual_norm)
+        k = int(np.argmax(scores))
+        if best is None or scores[k] > best[0]:
+            t, g = divmod(k, Gw)
+            best = (float(scores[k]), t0 + t, g, Q[t, g].copy())
+    score, t, g, q = best
+    return w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, q), score
 
 
 def _hyper_oracle_score(phi_f, psi_f, Z, Xj, GN, V, spec):
@@ -268,9 +277,8 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
 
     The location is (w, theta), the payload v, and the measurement is the
     lifted sampling: atom columns phi(z_n, w) psi(x_j, theta) <v_j, v>.
-    The oracle searches the product grid when the grids are given, with
-    the grid feature matrices built once, and runs multistart ascent over
-    both balls otherwise.
+    The oracle searches the product grid when the grids are given and
+    runs multistart ascent over both balls otherwise.
     """
     n, dw = Z.shape[0], phi.dw
     Xj, V = sampling.points, sampling.functionals

@@ -204,6 +204,11 @@ class Problem:
     def n_data(self) -> int:
         return self.X.shape[0]
 
+    @functools.cached_property
+    def grid_phi(self) -> np.ndarray:
+        """phi on (X, omega_grid), read-only; built at the first use and kept."""
+        return _frozen(phi_matrix(self.feature, self.X, self.omega_grid))
+
 
 def product_grid(radius: float, dim: int, per_dim: int) -> np.ndarray:
     """Cell centers of a regular product grid on [-R, R]^dim, kept inside
@@ -343,14 +348,13 @@ def _oracle_score(p: Problem, eta: np.ndarray):
     return value, direction
 
 
-def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0, *, grid_features=None):
+def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0):
     """Search for the atom delta_w u maximizing |sum_n phi(x_n, w) <eta_n, u>|.
 
     Over u the inner maximum is closed-form (primal-ball witness of the
     aggregated dual vector).  Over w the search is exhaustive when the
     problem carries an ``omega_grid`` (ties toward the lowest index) and
-    multistart projected ascent otherwise.  ``grid_features`` may hold the
-    grid's ``phi_matrix``, built once by the caller.  Returns (w, u, score).
+    multistart projected ascent otherwise.  Returns (w, u, score).
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (p.n_data, p.spec.dim):
@@ -358,9 +362,7 @@ def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0, *, grid_features=Non
     if not np.all(np.isfinite(eta)):
         raise SolverError("non-finite residual duals")
     if p.omega_grid is not None:
-        if grid_features is None:
-            grid_features = phi_matrix(p.feature, p.X, p.omega_grid)
-        V = grid_features.T @ eta
+        V = p.grid_phi.T @ eta
         scores = row_norms(V, p.spec.dual_norm)
         g = int(np.argmax(scores))
         return p.omega_grid[g].copy(), primal_witness(p.spec, V[g]), float(scores[g])
@@ -684,15 +686,12 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
 
 
 def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
-    """Atoms delta_w c of the flat problem; the oracle is ``lmo``, with a
-    grid's feature matrix built at the first search."""
+    """Atoms delta_w c of the flat problem; the oracle is ``lmo``."""
     m = p.measurement
-    grid_features = functools.cache(lambda: phi_matrix(p.feature, p.X, p.omega_grid))
 
     def search(G, k):
         eta = measurement_adjoint(m, G) / p.n_data
-        Phi = None if p.omega_grid is None else grid_features()
-        return lmo(p, eta, opts.restarts, opts.seed + 7919 * k, grid_features=Phi)
+        return lmo(p, eta, opts.restarts, opts.seed + 7919 * k)
 
     return _AtomFamily(
         Y=p.Y,
@@ -760,15 +759,14 @@ def grid_oracle(p: Problem, grid_per_dim: int, max_iter: int = 20000, tol: float
     and this oracle optimize over the identical candidate set.  Returns
     (objective, coefficient matrix).
     """
-    if p.omega_grid is not None:
-        grid = np.asarray(p.omega_grid)
-    else:
-        grid = product_grid(p.feature.radius, p.feature.dw, grid_per_dim)
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("grid oracle supports l1 and l2 primal norms")
+    if p.omega_grid is None:
+        p = dataclasses.replace(
+            p, omega_grid=product_grid(p.feature.radius, p.feature.dw, grid_per_dim))
     fam = _flat_family(p, FitOptions())
-    C0 = np.zeros((grid.shape[0], p.spec.dim))
-    C, obj = _group_refit(fam, fam.design(grid), C0, max_iter, tol)
+    C0 = np.zeros((p.omega_grid.shape[0], p.spec.dim))
+    C, obj = _group_refit(fam, p.grid_phi, C0, max_iter, tol)
     return obj, C
 
 

@@ -183,10 +183,21 @@ def test_parser_is_built_once_and_parses_alike(capsys, monkeypatch):
     first = vars(parser.parse_args(["verify", "--trials", "5", "--seed", "2"]))
     assert [main([]), main(["fit"]), main(["verify", "--trials", "0"])] == [1, 1, 1]
     assert vars(parser.parse_args(["verify"])) == {
-        "command": "verify", "trials": 200, "seed": 0, "func": cli.cmd_verify}
+        "command": "verify", "trials": 200, "seed": 0}
     assert vars(parser.parse_args(["verify", "--trials", "5", "--seed", "2"])) == first
     assert built == []
     capsys.readouterr()
+
+
+def test_main_calls_the_handler_bound_at_call_time(monkeypatch):
+    # the parser is built once, but a rebound cmd_* handler takes effect
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.trials) or 7)
+    monkeypatch.setattr(cli, "cmd_hyper_fit", lambda args: seen.append(args.config) or 8)
+    assert main(["verify", "--trials", "3"]) == 7
+    assert main(["hyper-fit", "--config", "c", "--data", "d", "--out", "o"]) == 8
+    assert seen == [3, "c"]
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from vvrkbs.operator_learning import (
     hyper_objective,
     weight_form_tv,
 )
+from vvrkbs import operator_learning
 from vvrkbs.operator_learning import _hyper_oracle_score, _hyper_score_grid
 
 
@@ -516,10 +518,13 @@ def _score_grid_by_theta(PhiG, PsiG, GN, V, spec, w_grid, theta_grid):
     return w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, q), score
 
 
+@pytest.mark.parametrize("block", [operator_learning._GRID_BLOCK, 512, 1])
 @pytest.mark.parametrize("seed", range(8))
-def test_batched_grid_search_is_the_per_theta_loop(seed):
+def test_batched_grid_search_is_the_per_theta_loop(seed, block, monkeypatch):
     # bit for bit on random grids, and on repeated grids, where every score
-    # is tied with its copies across theta and across w
+    # is tied with its copies across theta and across w; in one batch, in
+    # blocks of a few theta and in blocks of one theta
+    monkeypatch.setattr(operator_learning, "_GRID_BLOCK", block)
     rng = np.random.default_rng(seed)
     spec = DualPairSpec(int(rng.integers(1, 4)), ["l1", "l2", "linf"][seed % 3])
     phi, psi = _neural(1, 2.0, "tanh", "smooth_bump"), _neural(1, 2.0, "sigmoid", "hard")
@@ -535,10 +540,12 @@ def test_batched_grid_search_is_the_per_theta_loop(seed):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def test_batched_grid_search_breaks_a_cross_tie_toward_the_lowest_theta():
+@pytest.mark.parametrize("block", [operator_learning._GRID_BLOCK, 1])
+def test_batched_grid_search_breaks_a_cross_tie_toward_the_lowest_theta(block, monkeypatch):
     # scores (theta 0, w 1) and (theta 1, w 0) tie at 2.0 above every other
     # pair; the lowest theta wins, as in the per-theta loop, although w 0 is
-    # the lower w
+    # the lower w, in one batch and with each theta in a block of its own
+    monkeypatch.setattr(operator_learning, "_GRID_BLOCK", block)
     spec = DualPairSpec(2, "l2")
     w_grid, theta_grid = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[-0.1, 0.0], [0.5, 0.1]])
     args = (np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), np.eye(2), spec,
@@ -548,6 +555,27 @@ def test_batched_grid_search_breaks_a_cross_tie_toward_the_lowest_theta():
                                                             [0.0, 1.0], 2.0)
     assert [np.asarray(a).tolist() for a in _score_grid_by_theta(*args)] == [
         [0.3, 0.4], [-0.1, 0.0], [0.0, 1.0], 2.0]
+
+
+def test_grid_search_temporaries_stay_within_the_block(monkeypatch):
+    # 400 x 400 pairs and J = 10: one batch over all theta would allocate a
+    # 12.8 MB (Gt, Gw, J) temporary; blocks of 2**14 entries keep the peak
+    # allocation of the search below 1 MB, with the per-theta loop's result
+    monkeypatch.setattr(operator_learning, "_GRID_BLOCK", 1 << 14)
+    rng = np.random.default_rng(4)
+    spec = DualPairSpec(2, "l2")
+    args = (rng.standard_normal((30, 400)), rng.standard_normal((10, 400)),
+            rng.standard_normal((30, 10)), rng.standard_normal((10, 2)), spec,
+            rng.standard_normal((400, 2)), rng.standard_normal((400, 2)))
+    tracemalloc.start()
+    try:
+        got = _hyper_score_grid(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for a, b in zip(got, _score_grid_by_theta(*args)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))

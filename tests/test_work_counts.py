@@ -160,6 +160,18 @@ def test_grid_searches_build_their_grid_features_once_per_fit(monkeypatch):
     assert builds == [3, 3]
 
 
+def test_oracle_run_builds_its_grid_features_once(monkeypatch):
+    # An oracle run fits the grid-restricted problem, then solves its grid
+    # discretization on the same grid: 2 builds of the grid feature matrix
+    # per problem when the oracle built its design afresh, 1 now.
+    problems = [_teacher_problem(seed) for seed in range(3)]
+    builds = _grid_builds(monkeypatch, solver, [p.omega_grid for p in problems])
+    for p in problems:
+        fit(p, FitOptions(max_atoms=20, seed=3))
+        grid_oracle(p, 5)
+    assert builds == [1, 1, 1]
+
+
 def _counted(monkeypatch, name, log):
     original = getattr(solver, name)
 
