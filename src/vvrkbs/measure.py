@@ -47,6 +47,18 @@ def _check_ball(points: np.ndarray, radius: float, what: str):
         raise ValueError(f"{what} must lie in the radius-{radius} ball")
 
 
+def _check_grid(points, width: int, radius: float, what: str) -> np.ndarray:
+    """``points`` as a non-empty (n, width) float array of finite rows inside
+    the radius ball; the ValueError names the first fault found."""
+    G = np.atleast_2d(np.asarray(points, dtype=float))
+    if G.ndim != 2 or G.shape[1] != width or not len(G):
+        raise ValueError(f"{what} must be a non-empty (n, {width}) array, got shape {G.shape}")
+    if not np.isfinite(G).all():
+        raise ValueError(f"{what} must be finite")
+    _check_ball(G, radius, what)
+    return G
+
+
 @dataclass(frozen=True)
 class AtomicVectorMeasure:
     """mu = sum_m delta_{W[m]} C[m], with payloads in ``space``.

@@ -29,7 +29,7 @@ from .feature import (
     feature_to_json_dict,
     phi_matrix,
 )
-from .measure import _check_ball, _coalesce_rows, _frozen, _group_by_location
+from .measure import _check_ball, _check_grid, _coalesce_rows, _frozen, _group_by_location
 from .rkbs import RkbsFunction
 from .solver import (
     FitOptions,
@@ -292,7 +292,7 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
         Phi, Psi = B
         return ((Phi.T @ G) * Psi.T) @ V
 
-    def search(G, k):
+    def search(G, seed):
         GN = G / n
         if w_grid is not None:
             w, th, u, score = _hyper_score_grid(
@@ -300,9 +300,7 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
             )
             return np.concatenate([w, th]), u, score
         value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
-        L, (u, *_), score = _multistart(
-            value, direction, (phi, psi), opts.restarts, opts.seed + 7919 * k
-        )
+        L, (u, *_), score = _multistart(value, direction, (phi, psi), opts.restarts, seed)
         return L, u, score
 
     return _AtomFamily(
@@ -311,7 +309,7 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
         lam=lam,
         norm=spec.primal_norm,
         dim=spec.dim,
-        features=(phi, psi),
+        width=phi.dw + psi.dw,
         design=design,
         predict=lambda B, C: _hyper_predictions(B[0], B[1], V, C),
         pull_back=pull_back,
@@ -360,11 +358,8 @@ def hyper_fit(
     if (w_grid is None) != (theta_grid is None):
         raise ValueError("grid search needs both w_grid and theta_grid, or neither")
     if w_grid is not None:
-        w_grid = np.atleast_2d(np.asarray(w_grid, dtype=float))
-        _check_ball(w_grid, phi.radius, "w_grid")
-    if theta_grid is not None:
-        theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
-        _check_ball(theta_grid, psi.radius, "theta_grid")
+        w_grid = _check_grid(w_grid, phi.dw, phi.radius, "w_grid")
+        theta_grid = _check_grid(theta_grid, psi.dw, psi.radius, "theta_grid")
     fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, opts, w_grid, theta_grid)
     L, C, history, certificate, iterations, converged = _cg_fit(fam, opts)
     dw = phi.dw

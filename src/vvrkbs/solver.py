@@ -39,6 +39,7 @@ from .feature import (
 from .measure import (
     MERGE_TOL,
     AtomicVectorMeasure,
+    _check_grid,
     _coalesce_rows,
     _frozen,
     empty_measure,
@@ -187,18 +188,13 @@ class Problem:
             raise ValueError("Y width does not match the measurement output")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise ValueError("data must be finite")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         if self.omega_grid is not None:
-            G = _frozen(np.atleast_2d(self.omega_grid))
-            if G.shape[1] != self.feature.dw:
-                raise ValueError("omega_grid width does not match the weight dim")
-            norms = np.sqrt(np.sum(G * G, axis=1))
-            if np.any(norms > self.feature.radius * (1 + 1e-9)):
-                raise ValueError("omega_grid points must lie in the weight ball")
-            object.__setattr__(self, "omega_grid", G)
+            G = _check_grid(self.omega_grid, self.feature.dw, self.feature.radius, "omega_grid")
+            object.__setattr__(self, "omega_grid", _frozen(G))
 
     @property
     def n_data(self) -> int:
@@ -477,15 +473,15 @@ def _fista(x0, forward, value, grad, penalty, prox, step: float, max_iter: int, 
 class _AtomFamily:
     """One regression problem as the conditional-gradient engine sees it.
 
-    An atom is a location row, one weight block per feature in
-    ``features``, and a payload row in R^dim.  ``design(L)`` precomputes what
+    An atom is a location row of ``width`` entries and a free payload row
+    in R^dim, penalized by its ``norm``.  ``design(L)`` precomputes what
     ``predict`` needs for fixed locations L; ``predict(B, C)`` maps payload
     rows C to the (N, d_meas) predictions and ``pull_back(B, G)`` is its
-    adjoint, taking loss gradients back to payload rows.  ``search(G, k)``
-    is the atom oracle at CG iteration k for the loss gradients G of the
-    current model; it returns (location, unit payload, score), with the
+    adjoint, taking loss gradients back to payload rows.  ``search(G, seed)``
+    is the atom oracle, seeded for its random starts, at the loss gradients
+    G of the current model; it returns (location, unit payload, score), the
     score on the scale of lam.  ``measured(U)`` applies the measurement to
-    unit directions; families without it fit in group mode only.
+    unit directions; only families with it have a ``_pinned`` form.
     """
 
     Y: np.ndarray
@@ -493,7 +489,7 @@ class _AtomFamily:
     lam: float
     norm: str
     dim: int
-    features: tuple
+    width: int
     design: Callable
     predict: Callable
     pull_back: Callable
@@ -524,40 +520,16 @@ def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     return _fista(C0, forward, value, grad, penalty, prox, step, max_iter, tol)
 
 
-def _l1_refit(fam: _AtomFamily, Phi, U: np.ndarray, a0: np.ndarray, max_iter, tol):
-    """Refit scalar weights on the feature columns Phi and unit directions U."""
-    D = fam.measured(U)
-    n = fam.Y.shape[0]
-
-    def forward(a):
-        return (Phi * a) @ D
-
-    def value(P):
-        return loss_total(fam.loss, P, fam.Y) / n
-
-    def grad(P):
-        return (Phi * (loss_grad(fam.loss, P, fam.Y) @ D.T)).sum(axis=0) / n
-
-    def penalty(a):
-        return fam.lam * float(np.abs(a).sum())
-
-    def prox(z, step):
-        return np.sign(z) * np.maximum(np.abs(z) - step * fam.lam, 0.0)
-
-    step = _refit_step(lambda a: (Phi * (forward(a) @ D.T)).sum(axis=0) / n, a0.shape)
-    return _fista(a0, forward, value, grad, penalty, prox, step, max_iter, tol)
-
-
 # --------------------------------------------------------------------- fit
 
 @dataclasses.dataclass(frozen=True)
 class FitOptions:
     """Knobs for the conditional-gradient loop.
 
-    ``mode`` selects the coefficient penalty during refits: ``group``
-    keeps payloads free and penalizes their primal norms; ``l1`` pins
-    each atom to the extreme-point direction found by the oracle and
-    penalizes the scalar weights.
+    ``mode`` selects the atoms: ``group`` keeps payloads free and
+    penalizes their primal norms; ``l1`` pins each atom to the
+    extreme-point direction found by the oracle and penalizes its scalar
+    weight (see ``_pinned``).
     """
 
     max_atoms: int = 50
@@ -577,8 +549,8 @@ class FitOptions:
             raise ValueError("refit_max_iter must be >= 1")
         if self.mode not in ("l1", "group"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tol < 0 or self.refit_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.tol < math.inf and 0 <= self.refit_tol < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -602,18 +574,17 @@ class SolverState:
 def _cg_fit(fam: _AtomFamily, opts: FitOptions):
     """Conditional-gradient loop: insert, refit, prune, until certified.
 
+    Every atom is a location row and a free payload row, refit by
+    ``_group_refit``; round k seeds the atom search with opts.seed + 7919 k.
     Terminates when the oracle score drops to lam*(1+tol), the atom budget
     is exhausted, or the oracle re-proposes the current support without
     progress; in every case the certificate (last oracle score) is
-    recorded.  Returns (locations, payload rows, objective history,
-    certificate, iterations, converged); group-mode payloads come out
-    coalesced, l1-mode atoms keep one row per (location, direction).
+    recorded.  Returns (locations, coalesced payload rows, objective
+    history, certificate, iterations, converged).
     """
     n = fam.Y.shape[0]
-    L = np.zeros((0, sum(f.dw for f in fam.features)))
-    U = np.zeros((0, fam.dim))   # oracle directions
-    C = np.zeros((0, fam.dim))   # payload rows
-    a = np.zeros(0)              # l1 mode weights, C = a * U
+    L = np.zeros((0, fam.width))  # locations
+    C = np.zeros((0, fam.dim))    # payload rows
 
     history = [loss_total(fam.loss, np.zeros_like(fam.Y), fam.Y) / n]
     certificate = math.inf
@@ -626,33 +597,21 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
         G = loss_grad(fam.loss, P, fam.Y)
         if not np.all(np.isfinite(G)):
             raise SolverError("non-finite residuals")
-        loc, u_new, score = fam.search(G, iterations)
+        loc, _, score = fam.search(G, opts.seed + 7919 * iterations)
         certificate = score
         if score <= threshold:
             converged = True
             break
 
-        # merge into an existing slot when the oracle re-proposes it; in
-        # l1 mode the slot identity includes the payload direction
-        merged = False
-        if len(L) > 0:
-            dists = np.max(np.abs(L - loc), axis=1)
-            for k in np.flatnonzero(dists <= MERGE_TOL):
-                if opts.mode == "group" or np.allclose(U[k], u_new, atol=1e-12):
-                    merged = True
-                    break
+        # merge into an existing slot when the oracle re-proposes its location
+        merged = bool(np.any(np.max(np.abs(L - loc), axis=1) <= MERGE_TOL))
         if not merged:
             if len(L) >= opts.max_atoms:
                 break
-            L, U = np.vstack([L, loc]), np.vstack([U, u_new])
-            C, a = np.vstack([C, np.zeros(fam.dim)]), np.append(a, 0.0)
+            L, C = np.vstack([L, loc]), np.vstack([C, np.zeros(fam.dim)])
 
         B = fam.design(L)
-        if opts.mode == "group":
-            C, obj = _group_refit(fam, B, C, opts.refit_max_iter, opts.refit_tol)
-        else:
-            a, obj = _l1_refit(fam, B, U, a, opts.refit_max_iter, opts.refit_tol)
-            C = a[:, None] * U
+        C, obj = _group_refit(fam, B, C, opts.refit_max_iter, opts.refit_tol)
         P = fam.predict(B, C)
 
         # drop slots the threshold zeroed out exactly, which leaves P as the
@@ -660,28 +619,17 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
         # final coalesce so the recorded objective stays the objective of
         # the kept state
         keep = row_norms(C, fam.norm) > 0.0
-        L, U, C, a = L[keep], U[keep], C[keep], a[keep]
+        L, C = L[keep], C[keep]
 
         history.append(obj)
         iterations += 1
         if merged and history[-2] - history[-1] <= opts.refit_tol * max(1.0, abs(obj)):
             break  # oracle keeps proposing the same support: stalled
 
-    if opts.mode == "l1":
-        # keep one atom per (location, direction) so every payload stays a
-        # scalar multiple of an extreme point; a blanket coalesce would fuse
-        # different directions parked at the same site
-        keep = np.abs(a) > 1e-10
-        L, C = L[keep], C[keep]
-    else:
-        L, C = _coalesce_rows(L, C, fam.norm)
-    if converged:
-        count = len(_coalesce_rows(L, C, fam.norm)[0])
-        if count > fam.Y.size:
-            raise SolverError(
-                f"converged model has {count} atoms, over the N*d_meas "
-                f"bound {fam.Y.size}"
-            )
+    L, C = _coalesce_rows(L, C, fam.norm)
+    if converged and len(L) > fam.Y.size:
+        raise SolverError(
+            f"converged model has {len(L)} atoms, over the N*d_meas bound {fam.Y.size}")
     return L, C, tuple(history), certificate, iterations, converged
 
 
@@ -689,9 +637,9 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
     """Atoms delta_w c of the flat problem; the oracle is ``lmo``."""
     m = p.measurement
 
-    def search(G, k):
+    def search(G, seed):
         eta = measurement_adjoint(m, G) / p.n_data
-        return lmo(p, eta, opts.restarts, opts.seed + 7919 * k)
+        return lmo(p, eta, opts.restarts, seed)
 
     return _AtomFamily(
         Y=p.Y,
@@ -699,13 +647,34 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
         lam=p.lam,
         norm=p.spec.primal_norm,
         dim=p.spec.dim,
-        features=(p.feature,),
+        width=p.feature.dw,
         design=lambda W: phi_matrix(p.feature, p.X, W),
         predict=lambda Phi, C: measurement_apply(m, Phi @ C),
         pull_back=lambda Phi, G: Phi.T @ measurement_adjoint(m, G),
         search=search,
         measured=lambda U: measurement_apply(m, U),
     )
+
+
+def _pinned(fam: _AtomFamily) -> _AtomFamily:
+    """The l1-mode form of ``fam``: atoms a delta_w u, u the oracle's direction.
+
+    The location is [w, u], the direction riding after the weights, and the
+    payload is the scalar a with penalty |a|, so a re-proposal merges only
+    when both w and u agree to MERGE_TOL; ``fit`` returns the row a u.
+    """
+    def design(L):
+        return fam.design(L[:, :fam.width]), fam.measured(L[:, fam.width:])
+
+    def search(G, seed):
+        w, u, score = fam.search(G, seed)
+        return np.concatenate([w, u]), np.ones(1), score
+
+    return dataclasses.replace(
+        fam, norm=L1, dim=1, width=fam.width + fam.dim, design=design, search=search,
+        predict=lambda B, a: (B[0] * a[:, 0]) @ B[1],
+        pull_back=lambda B, G: (B[0] * (G @ B[1].T)).sum(axis=0)[:, None],
+        measured=None)
 
 
 def fit(p: Problem, opts: FitOptions) -> SolverState:
@@ -719,9 +688,11 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
         raise ValueError("fit requires lam > 0")
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("fit supports l1 and l2 primal norms")
+    fam = _flat_family(p, opts)
     W, rows, history, certificate, iterations, converged = _cg_fit(
-        _flat_family(p, opts), opts
-    )
+        _pinned(fam) if opts.mode == "l1" else fam, opts)
+    if opts.mode == "l1":  # locations [w, u], payloads a
+        W, rows = W[:, :p.feature.dw], rows * W[:, p.feature.dw:]
     return SolverState(
         measure=measure_from_arrays(W, rows, p.spec, p.feature.radius),
         objective_history=history,

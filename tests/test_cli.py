@@ -532,38 +532,75 @@ def test_predict_model_space_mismatch_exits_2(tmp_path, capsys):
 def _bad_fit_config():
     cfg = _base_config()
     cfg["solver"]["refit"] = [1, 2]
-    return "fit", cfg
+    return "fit", cfg, "solver.refit must be an object"
+
+
+def _nan_fit_lambda():
+    return "fit", _base_config(**{"lambda": math.nan}), "lam must be finite"
 
 
 def _bad_hyper_refit():
     cfg = _hyper_config()
     cfg["solver"]["refit"] = "x"
-    return "hyper-fit", cfg
+    return "hyper-fit", cfg, "solver.refit must be an object"
+
+
+def _nan_hyper_refit_tol():
+    cfg = _hyper_config()
+    cfg["solver"]["refit"]["tol"] = math.nan
+    return "hyper-fit", cfg, "tolerances must be finite"
+
+
+def _nan_hyper_tol():
+    cfg = _hyper_config()
+    cfg["solver"]["tol"] = math.nan
+    return "hyper-fit", cfg, "tolerances must be finite"
+
+
+def _inf_hyper_tol():
+    cfg = _hyper_config()
+    cfg["solver"]["tol"] = math.inf
+    return "hyper-fit", cfg, "tolerances must be finite"
 
 
 def _bad_hyper_ragged_grid():
     cfg = _hyper_config()
     cfg["grids"]["w"] = [[0.5, 0.1], [-0.4]]
-    return "hyper-fit", cfg
+    return "hyper-fit", cfg, "bad hyper-fit config"
+
+
+def _bad_hyper_grid_width():
+    cfg = _hyper_config()
+    cfg["grids"]["w"] = [[0.5, 0.1, 0.0]]
+    return "hyper-fit", cfg, "w_grid must be a non-empty (n, 2) array"
+
+
+def _nan_hyper_grid():
+    cfg = _hyper_config()
+    cfg["grids"]["theta"][1] = [math.nan, 0.4]
+    return "hyper-fit", cfg, "theta_grid must be finite"
 
 
 def _bad_hyper_grids_list():
     cfg = _hyper_config()
     cfg["grids"] = [1, 2]
-    return "hyper-fit", cfg
+    return "hyper-fit", cfg, "grids section must be an object"
 
 
 @pytest.mark.parametrize(
     "case",
-    [_bad_fit_config, _bad_hyper_refit, _bad_hyper_ragged_grid, _bad_hyper_grids_list],
+    [_bad_fit_config, _nan_fit_lambda, _bad_hyper_refit, _nan_hyper_refit_tol,
+     _nan_hyper_tol, _inf_hyper_tol, _bad_hyper_ragged_grid, _bad_hyper_grid_width,
+     _nan_hyper_grid, _bad_hyper_grids_list],
 )
 def test_malformed_solver_and_grids_sections_exit_2(tmp_path, capsys, case):
-    command, config = case()
+    command, config, fault = case()
     cfg = _write(tmp_path, "bad.json", json.dumps(config))
     data = _write(tmp_path, "data.csv", "\n".join(DATA_ROWS) + "\n")
     out = str(tmp_path / "model.json")
     assert main([command, "--config", cfg, "--data", data, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert fault in err
     assert "Traceback" not in err
     assert not (tmp_path / "model.json").exists()

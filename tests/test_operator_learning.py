@@ -631,6 +631,32 @@ def test_hyper_fit_validation():
         hyper_fit(Z, Y, samp, ones, ones, spec, 0.1, theta_grid=grid)
 
 
+@pytest.mark.parametrize(
+    "which, grid, fault",
+    [
+        ("w", [[0.1, 0.2, 0.3]], r"w_grid must be a non-empty \(n, 2\) array"),
+        ("theta", [[0.1]], r"theta_grid must be a non-empty \(n, 2\) array"),
+        ("w", np.zeros((0, 2)), "w_grid must be a non-empty"),
+        ("w", [[np.nan, 0.0]], "w_grid must be finite"),
+        ("theta", [[0.0, np.inf]], "theta_grid must be finite"),
+        ("w", [[3.0, 0.0]], "w_grid must lie in the radius-1.5 ball"),
+        ("theta", [[0.0, 1.3]], "theta_grid must lie in the radius-1.2 ball"),
+    ],
+)
+def test_hyper_fit_rejects_each_malformed_grid(which, grid, fault):
+    # each case breaks one grid of an otherwise valid grid-restricted fit
+    spec = DualPairSpec(2, "l2")
+    phi, psi = _neural(1, 1.5, "tanh"), _neural(1, 1.2, "sigmoid")
+    samp = SampledMeasurement(np.array([[0.2], [-0.5]]), np.array([[1.0, 0.0], [0.5, -1.0]]))
+    Z, Y = np.array([[0.1], [-0.4], [0.7]]), np.array([[0.9, -0.3], [0.2, 0.8], [-0.5, 0.1]])
+    grids = {"w": [[0.5, 0.1], [-0.4, 0.3]], "theta": [[0.2, -0.1]]}
+    opts = FitOptions(max_atoms=2)
+    hyper_fit(Z, Y, samp, phi, psi, spec, 0.05, opts, grids["w"], grids["theta"])
+    grids[which] = grid
+    with pytest.raises(ValueError, match=fault):
+        hyper_fit(Z, Y, samp, phi, psi, spec, 0.05, opts, grids["w"], grids["theta"])
+
+
 def test_measurement_factorization():
     # <v_j, (A nu)(x_j)> computed through the base function equals the
     # atom-wise pairing of nu with psi(x_j, .) v_j

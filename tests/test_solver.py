@@ -132,6 +132,39 @@ def test_fit_options_need_a_refit_step():
             FitOptions(refit_max_iter=n)
 
 
+@pytest.mark.parametrize("field", ["tol", "refit_tol"])
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
+def test_fit_options_reject_negative_and_non_finite_tolerances(field, value):
+    # a NaN tol can never certify, an infinite one certifies an empty model,
+    # and a NaN refit tol runs every refit to its iteration cap
+    with pytest.raises(ValueError, match="tolerances must be finite and nonnegative"):
+        FitOptions(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("lam", math.nan, "lam must be finite and nonnegative"),
+        ("lam", math.inf, "lam must be finite and nonnegative"),
+        ("lam", -0.1, "lam must be finite and nonnegative"),
+        ("omega_grid", [[0.1, 0.2, 0.3]], r"omega_grid must be a non-empty \(n, 2\) array"),
+        ("omega_grid", np.zeros((0, 2)), "omega_grid must be a non-empty"),
+        ("omega_grid", [[math.nan, 0.0]], "omega_grid must be finite"),
+        ("omega_grid", [[3.0, 0.0]], "omega_grid must lie in the radius-1.5 ball"),
+    ],
+)
+def test_problem_rejects_each_malformed_input(field, value, fault):
+    # each case breaks one input of an otherwise valid grid-restricted problem
+    feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
+    args = {"X": [[0.1]], "Y": [[1.0, 0.0]], "loss": Loss(),
+            "measurement": identity_measurement(), "lam": 0.1, "feature": feat,
+            "spec": DualPairSpec(2, "l2"), "omega_grid": [[0.1, 0.2]]}
+    Problem(**args)
+    args[field] = value
+    with pytest.raises(ValueError, match=fault):
+        Problem(**args)
+
+
 # ------------------------------------------------------------- measurement
 
 def test_measurement_apply_and_adjoint():
@@ -407,6 +440,28 @@ def test_fit_l1_mode_payloads_are_axis_aligned():
     for c in state.measure.C:
         off_axis = np.sort(np.abs(c))[:-1]
         assert np.all(off_axis <= 1e-10)
+
+
+def test_fit_l1_mode_splits_one_location_into_one_atom_per_axis():
+    # one candidate location, the l1 norm and targets along both axes: l1
+    # mode keeps one atom per (w, direction), and it solves group mode's
+    # convex problem, whose penalty on the single row is the same l1 norm
+    feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-1.0, 1.0, (8, 1))
+    Y = np.tanh(0.6 * X + 0.3) * [2.0, -1.5] + 0.05 * rng.standard_normal((8, 2))
+    p = Problem(X, Y, Loss(), identity_measurement(), 0.02, feat, DualPairSpec(2, "l1"),
+                omega_grid=[[0.6, 0.3]])
+    states = {mode: fit(p, FitOptions(max_atoms=5, mode=mode, tol=1e-8, refit_tol=1e-15))
+              for mode in ("l1", "group")}
+    assert all(s.converged for s in states.values())
+    mu = states["l1"].measure
+    assert mu.W.tolist() == [[0.6, 0.3], [0.6, 0.3]]
+    assert sorted(int(np.flatnonzero(c)[0]) for c in mu.C) == [0, 1]
+    assert np.count_nonzero(mu.C) == 2
+    assert len(states["group"].measure) == 1
+    obj = {mode: objective(p, s.measure) for mode, s in states.items()}
+    assert abs(obj["l1"] - obj["group"]) <= 1e-10 * obj["group"]
 
 
 def test_fit_deterministic_given_seed():
