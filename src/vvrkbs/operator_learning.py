@@ -8,7 +8,9 @@ over w whose payloads are base functions of x (function form).  Both
 views evaluate identically; their norms differ, with the function-form
 upper bound dominated by the weight-form total variation.  The groups of
 atoms that share a w are computed once, when the model is built, and
-every evaluation and norm reads them.  An atom is an
+every evaluation and norm reads them.  A query evaluates phi(z, W) and
+psi(x, Theta) once each; both collapse orders read those two rows, the
+function form as one segment sum over the groups.  An atom is an
 atom of the flat solver over the product feature
 phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit and the
 product-grid oracle run on the solver's engine.
@@ -50,6 +52,9 @@ class HyperModel:
     read-only and C-ordered, with shapes (n,), (n, phi.dw), (n, psi.dw)
     and (n, spec.dim).  ``groups`` holds one read-only index array per
     distinct w, in order of first occurrence, computed at construction.
+    ``layout`` is the same grouping flat, for segment sums: the atom
+    order (the groups concatenated), each group's offset in it, and the
+    rows a[m] V[m] in that order, all read-only.
     """
 
     a: np.ndarray
@@ -60,6 +65,9 @@ class HyperModel:
     psi: FeatureMap
     spec: DualPairSpec
     groups: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    layout: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _tv_upper: dict = dataclasses.field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         a = _frozen(self.a)
@@ -84,6 +92,11 @@ class HyperModel:
         object.__setattr__(self, "a", a)
         groups = tuple(_frozen(g, int) for g in _group_by_location(self.W))
         object.__setattr__(self, "groups", groups)
+        order = np.concatenate([np.zeros(0, dtype=int), *groups])
+        starts = np.cumsum([0] + [len(g) for g in groups])[:-1]
+        layout = (_frozen(order, int), _frozen(starts, int),
+                  _frozen(a[order, None] * self.V[order]))
+        object.__setattr__(self, "layout", layout)
 
     @functools.cached_property
     def inner(self) -> tuple:
@@ -97,37 +110,49 @@ class HyperModel:
 
 # ------------------------------------------------------------- evaluation
 
-def evaluate_weight_form(m: HyperModel, z, x) -> np.ndarray:
-    """Collapse the hyper level first: inner measure over theta, then base."""
+def _query_rows(m: HyperModel, z, x):
+    """phi(z, W) and psi(x, Theta) over all atoms: a query's two feature calls."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not len(m.a):
+    if not (np.isfinite(z).all() and np.isfinite(x).all()):
+        raise ValueError("query points z and x must be finite")
+    return phi_matrix(m.phi, z[None, :], m.W)[0], phi_matrix(m.psi, x[None, :], m.Theta)[0]
+
+
+def _weight_form(m: HyperModel, hw, base) -> np.ndarray:
+    return base @ ((m.a * hw)[:, None] * m.V)
+
+
+def _function_form(m: HyperModel, hw, base) -> np.ndarray:
+    order, starts, payloads = m.layout
+    if not len(starts):  # reduceat takes no empty offsets
         return np.zeros(m.spec.dim)
-    coeff = m.a * phi_matrix(m.phi, z[None, :], m.W)[0]
-    return phi_matrix(m.psi, x[None, :], m.Theta)[0] @ (coeff[:, None] * m.V)
+    sums = np.add.reduceat(base[order, None] * payloads, starts, axis=0)
+    return hw[order[starts]] @ sums
+
+
+def evaluate_weight_form(m: HyperModel, z, x) -> np.ndarray:
+    """Collapse the hyper level first: inner measure over theta, then base."""
+    return _weight_form(m, *_query_rows(m, z, x))
 
 
 def evaluate_function_form(m: HyperModel, z, x) -> np.ndarray:
     """Collapse the base level first: one base function per distinct w."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(m.spec.dim)
-    if not m.groups:
-        return out
-    weights = phi_matrix(m.phi, z[None, :], m.W[[g[0] for g in m.groups]])[0]
-    base = phi_matrix(m.psi, x[None, :], m.Theta)[0]
-    for weight, idx in zip(weights.tolist(), m.groups):
-        out += weight * (base[idx] @ (m.a[idx, None] * m.V[idx]))
-    return out
+    return _function_form(m, *_query_rows(m, z, x))
 
 
 def hyper_evaluate(m: HyperModel, z, x) -> np.ndarray:
-    """Evaluate f(z)(x), checking that both collapse orders agree."""
-    wf = evaluate_weight_form(m, z, x)
-    ff = evaluate_function_form(m, z, x)
+    """Evaluate f(z)(x), checking that both collapse orders agree.
+
+    Raises ValueError on a non-finite z or x, and ArithmeticError when
+    the two orders differ by more than 1e-12 relative.
+    """
+    hw, base = _query_rows(m, z, x)
+    wf = _weight_form(m, hw, base)
+    ff = _function_form(m, hw, base)
     scale = np.maximum(1.0, np.maximum(np.abs(wf), np.abs(ff)))
     err = np.max(np.abs(wf - ff) / scale)
-    if err > 1e-12:
+    if not err <= 1e-12:
         raise ArithmeticError(
             f"weight-form and function-form evaluations disagree ({err:.3e})"
         )
@@ -155,8 +180,15 @@ def function_form_tv_upper(
     payload norms; by the triangle inequality the result never exceeds
     weight_form_tv.  The true function-space infimum is not computable,
     so this representative bound is what the domination statement is
-    about.
+    about.  The bound is kept per (n_probes, probe_radius, seed).
     """
+    key = (n_probes, probe_radius, seed)
+    if key not in m._tv_upper:
+        m._tv_upper[key] = _probe_merged_tv(m, n_probes, probe_radius, seed)
+    return m._tv_upper[key]
+
+
+def _probe_merged_tv(m: HyperModel, n_probes, probe_radius, seed) -> float:
     rng = np.random.default_rng(seed)
     probes = rng.uniform(-probe_radius, probe_radius, (n_probes, m.psi.dx))
     norm = m.spec.primal_norm

@@ -185,14 +185,16 @@ def test_evaluations_match_the_written_out_sum(seed):
 
 def _function_form_by_regrouping(m, z, x):
     # reference: regroup the w rows on every call and make two feature calls
-    # per group, one for the hyper weight and one for the base row
+    # per group, one for the hyper weight and one for the base row; each
+    # group is summed with the same segment sum as the stored layout's
     z, x = np.atleast_1d(z), np.atleast_1d(x)
-    out = np.zeros(m.spec.dim)
+    weights, sums = [], []
     for idx in _group_by_location(m.W):
-        weight = float(phi_matrix(m.phi, z[None, :], m.W[idx[0]][None, :])[0, 0])
+        weights.append(phi_matrix(m.phi, z[None, :], m.W[idx[0]][None, :])[0, 0])
         base = phi_matrix(m.psi, x[None, :], m.Theta[idx])[0]
-        out += weight * (base @ (m.a[idx, None] * m.V[idx]))
-    return out
+        terms = base[:, None] * (m.a[idx, None] * m.V[idx])
+        sums.append(np.add.reduceat(terms, [0], axis=0)[0])
+    return np.array(weights) @ np.array(sums)
 
 
 @pytest.mark.parametrize("dx", [1, 2])
@@ -234,6 +236,60 @@ def test_function_form_reads_the_stored_groups(seed, dx):
             assert got.tobytes() == ref.tobytes()
         else:
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+@pytest.mark.parametrize("layout", ["distinct", "shared"])
+@pytest.mark.parametrize("seed", range(3))
+def test_function_form_segment_sum_edge_layouts(seed, layout):
+    # every w distinct (groups of one atom) or all atoms at one w (one group)
+    rng = np.random.default_rng(100 + seed)
+    spec = DualPairSpec(3, ["l1", "l2", "linf"][seed])
+    phi = _neural(2, 1.5, "tanh", beta="smooth_bump")
+    psi = _neural(1, 1.2, "sigmoid")
+    n = 9
+    W = rng.uniform(-0.5, 0.5, (n, phi.dw)) * phi.radius
+    if layout == "shared":
+        W[:] = W[0]
+    Theta = rng.uniform(-0.5, 0.5, (n, psi.dw)) * psi.radius
+    a = rng.standard_normal(n)
+    V = rng.standard_normal((n, spec.dim))
+    m = HyperModel(a, W, Theta, V, phi, psi, spec)
+    assert len(m.groups) == (n if layout == "distinct" else 1)
+    for _ in range(20):
+        z = rng.uniform(-1.0, 1.0, phi.dx)
+        x = rng.uniform(-1.0, 1.0, psi.dx)
+        terms = np.array([
+            a[k] * eval_phi(phi, z, W[k]) * eval_phi(psi, x, Theta[k]) * V[k]
+            for k in range(n)
+        ])
+        bound = 1e-12 * np.abs(terms).sum(axis=0)
+        for evaluate_model in (evaluate_weight_form, evaluate_function_form,
+                               hyper_evaluate):
+            assert np.all(np.abs(evaluate_model(m, z, x) - terms.sum(axis=0)) <= bound)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["z", "x"])
+@pytest.mark.parametrize("evaluate_model",
+                         [evaluate_weight_form, evaluate_function_form, hyper_evaluate])
+def test_non_finite_query_point_is_rejected(evaluate_model, where, bad):
+    spec = DualPairSpec(2, "l2")
+    m = HyperModel([1.0], [[0.2, 0.1]], [[0.3, -0.2]], [[1.0, -0.5]],
+                   _neural(1, 1.0, "tanh"), _neural(1, 1.0, "sigmoid"), spec)
+    z, x = np.array([0.3]), np.array([-0.4])
+    (z if where == "z" else x)[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_model(m, z, x)
+
+
+def test_agreement_guard_treats_nan_as_disagreement(monkeypatch):
+    spec = DualPairSpec(2, "l2")
+    m = HyperModel([1.0], [[0.2, 0.1]], [[0.3, -0.2]], [[1.0, -0.5]],
+                   _neural(1, 1.0, "tanh"), _neural(1, 1.0, "sigmoid"), spec)
+    monkeypatch.setattr(operator_learning, "_function_form",
+                        lambda m, hw, base: np.full(m.spec.dim, np.nan))
+    with pytest.raises(ArithmeticError):
+        hyper_evaluate(m, [0.3], [-0.4])
 
 
 def test_tv_single_atom_both_forms():

@@ -259,6 +259,7 @@ def test_norm_pair_coalesces_the_inner_measures_once(monkeypatch):
     # Coalesced anew on every call, each norm pair on this model grouped the
     # 10 inner measures twice (once per norm) on top of the 10 probe-column
     # merges of function_form_tv_upper: 30 groupings per pair, 90 for three.
+    # Both the inner measures and the probe-merged bound are kept per model.
     rng = np.random.default_rng(4)
     m = _two_level_model(rng)
     groupings = []
@@ -271,14 +272,16 @@ def test_norm_pair_coalesces_the_inner_measures_once(monkeypatch):
     monkeypatch.setattr(measure, "_group_by_location", counted)
     pairs = [(weight_form_tv(m), function_form_tv_upper(m)) for _ in range(3)]
     assert pairs == [pairs[0]] * 3
-    assert len(groupings) == 10 + 3 * 10
+    assert len(groupings) == 10 + 10
 
 
-def test_two_level_query_is_four_feature_calls_and_no_regroup(monkeypatch):
+def test_two_level_query_is_two_feature_calls_and_no_regroup(monkeypatch):
     # The model's distinct-w groups are computed when it is built.  Regrouped
     # on every read, a hyper_evaluate on this model made 22 phi_matrix calls
     # (two for the weight form, two per distinct w for the function form),
-    # and every query and norm called _group_by_location once.
+    # and every query and norm called _group_by_location once.  With stored
+    # groups each form made two calls; both forms now share one phi(z, W)
+    # row and one psi(x, Theta) row.
     rng = np.random.default_rng(4)
     m = _two_level_model(rng)
     feature_calls, regroups = [], []
@@ -302,5 +305,5 @@ def test_two_level_query_is_four_feature_calls_and_no_regroup(monkeypatch):
         hyper_evaluate(m, z, x)
         per_query.append(len(feature_calls) - before)
     assert 0.0 < function_form_tv_upper(m) <= weight_form_tv(m)
-    assert per_query == [4] * 10
+    assert per_query == [2] * 10
     assert regroups == []
