@@ -20,6 +20,12 @@ The truncation beta is one of
 The kernel of the induced integral space is scalar times identity:
 K(x, w)(u_dual, u) = phi(x, w) * <u_dual, u>.
 
+Each kind computes phi before beta in one place, ``_core``, which also
+keeps what the w-derivative reads (the neural pre-activation, the
+tabulated cells).  ``phi_matrix`` is that core times beta; the w-gradient
+(``feature_column``, ``grad_phi_w_batch``) is the one product rule
+dcore * beta + core * dbeta on a column's kept core.
+
 ``simple_approx_pairing`` is the verification route for the pairing: it
 replaces phi by the piecewise-constant function taking phi's value at
 the centers of a product grid of cells and pairs the cell masses of the
@@ -100,8 +106,8 @@ class FeatureMap:
             raise ValueError(f"unknown beta kind {self.beta!r}")
         if self.dx < 1:
             raise ValueError("dx must be positive")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and positive")
         if self.kind == "neural":
             if self.activation not in ACTIVATIONS:
                 raise ValueError(
@@ -113,8 +119,8 @@ class FeatureMap:
                     f"({', '.join(_BOUNDED_ACTIVATIONS)})"
                 )
         elif self.kind == "gaussian":
-            if self.bandwidth <= 0:
-                raise ValueError("gaussian bandwidth must be positive")
+            if not 0 < self.bandwidth < math.inf:
+                raise ValueError("gaussian bandwidth must be finite and positive")
         else:  # tabulated
             if self.dx != 1:
                 raise ValueError("tabulated features are 1-d in x and w")
@@ -131,6 +137,8 @@ class FeatureMap:
                     f"({len(xg)}, {len(wg)})"
                 )
             for name, arr in (("x_grid", xg), ("w_grid", wg), ("values", vv)):
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"tabulated {name} must be finite")
                 arr = arr.copy()
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
@@ -183,32 +191,26 @@ def _tab_axis(grid: np.ndarray, t: np.ndarray):
     return idx, frac, inside
 
 
-def _neural_core(f: FeatureMap, X: np.ndarray, W: np.ndarray):
-    """Pre-activation <omega, x> + b and activation on all pairs, (n, m) each."""
-    pre = X @ W[:, : f.dx].T + W[:, f.dx][None, :]
-    return pre, _act(f.activation, pre)
+def _core(f: FeatureMap, X: np.ndarray, W: np.ndarray):
+    """phi before beta on all pairs, (n, m), and what its w-derivative reads.
 
-
-def phi_matrix(f: FeatureMap, X, W) -> np.ndarray:
-    """phi evaluated on all pairs: result[i, j] = phi(X[i], W[j])."""
-    X = np.asarray(X, dtype=float)
-    W = np.asarray(W, dtype=float)
-    _check_points(f, X, W)
-    if X.size == 0 or W.size == 0:
-        return np.zeros((len(X), len(W)))
+    The kept part is the pre-activation <omega, x> + b (neural), None
+    (gaussian), or the bilinear cell indices, fractions and inside masks
+    of both axes (tabulated).
+    """
     if f.kind == "neural":
-        return _neural_core(f, X, W)[1] * beta_values(f, W)[None, :]
+        pre = X @ W[:, : f.dx].T + W[:, f.dx][None, :]
+        return _act(f.activation, pre), pre
     if f.kind == "gaussian":
         d2 = (
             np.sum(X * X, axis=1)[:, None]
             + np.sum(W * W, axis=1)[None, :]
             - 2.0 * (X @ W.T)
         )
-        core = np.exp(-np.maximum(d2, 0.0) / (2.0 * f.bandwidth**2))
-        return core * beta_values(f, W)[None, :]
+        return np.exp(-np.maximum(d2, 0.0) / (2.0 * f.bandwidth**2)), None
     # tabulated, bilinear with zero extension outside the table
-    ix, fx, okx = _tab_axis(f.x_grid, X[:, 0])
-    iw, fw, okw = _tab_axis(f.w_grid, W[:, 0])
+    cells = _tab_axis(f.x_grid, X[:, 0]) + _tab_axis(f.w_grid, W[:, 0])
+    ix, fx, okx, iw, fw, okw = cells
     V = f.values
     v00 = V[np.ix_(ix, iw)]
     v10 = V[np.ix_(ix + 1, iw)]
@@ -223,7 +225,17 @@ def phi_matrix(f: FeatureMap, X, W) -> np.ndarray:
         + gx * gw * v11
     )
     out *= okx[:, None] * okw[None, :]
-    return out * beta_values(f, W)[None, :]
+    return out, cells
+
+
+def phi_matrix(f: FeatureMap, X, W) -> np.ndarray:
+    """phi evaluated on all pairs: result[i, j] = phi(X[i], W[j])."""
+    X = np.asarray(X, dtype=float)
+    W = np.asarray(W, dtype=float)
+    _check_points(f, X, W)
+    if X.size == 0 or W.size == 0:
+        return np.zeros((len(X), len(W)))
+    return _core(f, X, W)[0] * beta_values(f, W)[None, :]
 
 
 def eval_phi(f: FeatureMap, x, w) -> float:
@@ -242,58 +254,41 @@ def grad_phi_w_batch(f: FeatureMap, X, w) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
     _check_points(f, X, w[None, :])
-    if f.kind == "neural":
-        value, gradient = feature_column(f, X)
-        return gradient(w, value(w)[1])
-    bv = beta_values(f, w[None, :])[0]
-    bg = beta_grad(f, w)
-    if f.kind == "gaussian":
-        diff = X - w[None, :]
-        core = np.exp(-np.sum(diff * diff, axis=1) / (2.0 * f.bandwidth**2))
-        dcore = core[:, None] * diff / f.bandwidth**2
-        return dcore * bv + core[:, None] * bg[None, :]
-    # tabulated: piecewise-linear in w inside each cell, zero outside
-    ix, fx, okx = _tab_axis(f.x_grid, X[:, 0])
-    iw, fw, okw = _tab_axis(f.w_grid, np.array([w[0]]))
-    V = f.values
-    dw_cell = f.w_grid[iw[0] + 1] - f.w_grid[iw[0]]
-    slope = (
-        (1 - fx) * (V[ix, iw[0] + 1] - V[ix, iw[0]])
-        + fx * (V[ix + 1, iw[0] + 1] - V[ix + 1, iw[0]])
-    ) / dw_cell
-    slope = slope * okx * okw[0]
-    # value itself, for the beta product rule
-    val = phi_matrix(f, X, w[None, :])[:, 0]
-    if bv != 0.0:
-        core_val = val / bv
-    else:
-        core_val = np.zeros(len(X))
-    return (slope * bv + core_val * bg[0])[:, None]
+    value, gradient = feature_column(f, X)
+    return gradient(w, value(w)[1])
 
 
 def feature_column(f: FeatureMap, X):
     """(value, gradient) of phi(X, w) at one w at a time, X checked once.
 
-    ``value(w)`` returns (phi_matrix(f, X, w[None, :])[:, 0], parts);
-    ``gradient(w, parts)`` is grad_phi_w_batch(f, X, w).  The neural kind
-    keeps its pre-activation, activation and beta in ``parts``.
+    ``value(w)`` returns (phi_matrix(f, X, w[None, :])[:, 0], parts), with
+    parts the column's core, kept part and beta; ``gradient(w, parts)`` is
+    grad_phi_w_batch(f, X, w), the product rule dcore * beta + core * dbeta.
     """
     X = np.asarray(X, dtype=float)
     _check_points(f, X, np.zeros((0, f.dw)))
-    if f.kind != "neural":
-        return (lambda w: (phi_matrix(f, X, w[None, :])[:, 0], None),
-                lambda w, parts: grad_phi_w_batch(f, X, w))
-    aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # d pre / dw
+    aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # neural d pre / dw
 
     def value(w):
-        pre, core = _neural_core(f, X, w[None, :])
+        core, kept = _core(f, X, w[None, :])
         bv = beta_values(f, w[None, :])[0]
-        return core[:, 0] * bv, (pre[:, 0], core[:, 0], bv)
+        return core[:, 0] * bv, (core[:, 0], kept, bv)
 
     def gradient(w, parts):
-        pre, core, bv = parts
-        dcore = _act_deriv(f.activation, pre, core)
-        return dcore[:, None] * aug * bv + core[:, None] * beta_grad(f, w)[None, :]
+        core, kept, bv = parts
+        if f.kind == "neural":
+            dcore = _act_deriv(f.activation, kept[:, 0], core)[:, None] * aug
+        elif f.kind == "gaussian":
+            dcore = core[:, None] * (X - w[None, :]) / f.bandwidth**2
+        else:  # tabulated: linear in w inside a cell, zero outside the table
+            ix, fx, okx, iw, _, okw = kept
+            V, i = f.values, iw[0]
+            slope = (
+                (1 - fx) * (V[ix, i + 1] - V[ix, i])
+                + fx * (V[ix + 1, i + 1] - V[ix + 1, i])
+            ) / (f.w_grid[i + 1] - f.w_grid[i])
+            dcore = (slope * okx * okw[0])[:, None]
+        return dcore * bv + core[:, None] * beta_grad(f, w)[None, :]
 
     return value, gradient
 

@@ -192,18 +192,14 @@ class GaussianKernel:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be finite and positive")
 
     def pairwise(self, A, B) -> np.ndarray:
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        d2 = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        return np.exp(-np.maximum(d2, 0.0) / (2.0 * self.bandwidth**2))
+        f = FeatureMap("gaussian", dx=A.shape[1], radius=1.0, beta="one",
+                       bandwidth=self.bandwidth)
+        return phi_matrix(f, A, np.atleast_2d(B))
 
 
 @dataclass(frozen=True)

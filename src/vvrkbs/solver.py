@@ -529,7 +529,8 @@ class FitOptions:
     ``mode`` selects the atoms: ``group`` keeps payloads free and
     penalizes their primal norms; ``l1`` pins each atom to the
     extreme-point direction found by the oracle and penalizes its scalar
-    weight (see ``_pinned``).
+    weight (see ``_pinned``), and ``fit`` takes it only for the l1 primal
+    norm or d = 1.
     """
 
     max_atoms: int = 50
@@ -688,6 +689,10 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
         raise ValueError("fit requires lam > 0")
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("fit supports l1 and l2 primal norms")
+    if opts.mode == "l1" and p.spec.primal_norm == L2 and p.spec.dim > 1:
+        # the l2 ball's extreme points are a continuum: CG rounds would add
+        # directions at one w instead of rotating one
+        raise ValueError("mode 'l1' needs the l1 primal norm when d > 1")
     fam = _flat_family(p, opts)
     W, rows, history, certificate, iterations, converged = _cg_fit(
         _pinned(fam) if opts.mode == "l1" else fam, opts)

@@ -356,6 +356,20 @@ def test_nonpositive_grid_per_dim_exits_2(tmp_path, capsys, command, per_dim):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "oracle"])
+def test_l1_mode_with_an_l2_primal_norm_exits_2(tmp_path, capsys, command):
+    # the l2 ball's extreme points are a continuum (d = 2 here)
+    cfg, data = _write_fixture(tmp_path, _base_config(mode="l1"))
+    args = [command, "--config", cfg, "--data", data]
+    if command == "fit":
+        args += ["--out", str(tmp_path / "model.json")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "mode 'l1' needs the l1 primal norm" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 DEEPONET_CONFIG = {"phi": {"kind": "gaussian", "dx": 2, "radius": 1.0, "beta": "one",
                            "bandwidth": 0.8}}
 
@@ -384,6 +398,70 @@ def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
     )
     val = hyper_evaluate(model, [0.1, -0.2], [0.3])
     assert np.all(np.isfinite(val))
+
+
+def _gaussian_feature(**keys):
+    return {"kind": "gaussian", "dx": 1, "radius": 1.5, "beta": "one",
+            "bandwidth": 0.8, **keys}
+
+
+def _tabulated_feature(**keys):
+    return {"kind": "tabulated", "dx": 1, "radius": 1.5, "beta": "one",
+            "x_grid": [-1.0, 0.0, 1.0], "w_grid": [-1.5, 1.5],
+            "values": [[0.0, 1.0], [1.0, 0.5], [0.2, 0.3]], **keys}
+
+
+# (command, section holding the feature, feature record, fault named on stderr)
+NON_FINITE_FEATURES = {
+    "fit-radius-nan": ("fit", "feature", {**_base_config()["feature"], "radius": math.nan},
+                       "radius must be finite"),
+    "fit-radius-inf": ("fit", "feature", _gaussian_feature(radius=math.inf),
+                       "radius must be finite"),
+    "fit-bandwidth-nan": ("fit", "feature", _gaussian_feature(bandwidth=math.nan),
+                          "bandwidth must be finite"),
+    "fit-bandwidth-inf": ("fit", "feature", _gaussian_feature(bandwidth=math.inf),
+                          "bandwidth must be finite"),
+    "fit-x_grid-nan": ("fit", "feature", _tabulated_feature(x_grid=[-1.0, math.nan, 1.0]),
+                       "x_grid must be finite"),
+    "fit-w_grid-nan": ("fit", "feature", _tabulated_feature(w_grid=[math.nan, 1.5]),
+                       "w_grid must be finite"),
+    "fit-values-inf": ("fit", "feature",
+                       _tabulated_feature(values=[[0.0, 1.0], [math.inf, 0.5], [0.2, 0.3]]),
+                       "values must be finite"),
+    "hyper-fit-phi-radius-nan": ("hyper-fit", "phi",
+                                 {**_hyper_config()["phi"], "radius": math.nan},
+                                 "radius must be finite"),
+    "hyper-fit-psi-bandwidth-inf": ("hyper-fit", "psi", _gaussian_feature(bandwidth=math.inf),
+                                    "bandwidth must be finite"),
+    "deeponet-psi-radius-inf": ("deeponet", "psi",
+                                {**_deeponet_payload()["psi"], "radius": math.inf},
+                                "radius must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_FEATURES))
+def test_non_finite_feature_parameters_exit_2(tmp_path, capsys, case):
+    # the feature is rejected where the config is read, before any fit
+    # work could fail on it later with a misleading message (or not at all)
+    command, section, feature, fault = NON_FINITE_FEATURES[case]
+    data = _write(tmp_path, "data.csv", "\n".join(DATA_ROWS) + "\n")
+    out = str(tmp_path / "out.json")
+    if command == "deeponet":  # psi sits in the data file
+        payload = _deeponet_payload()
+        payload[section] = feature
+        cfg = _write(tmp_path, "cfg.json", json.dumps(DEEPONET_CONFIG))
+        data = _write(tmp_path, "data.json", json.dumps(payload))
+    else:
+        # hyper-fit searches freely, so no grid width can be at fault
+        config = _base_config() if command == "fit" else {**_hyper_config(), "grids": {}}
+        config[section] = feature
+        cfg = _write(tmp_path, "cfg.json", json.dumps(config))
+    assert main([command, "--config", cfg, "--data", data, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert fault in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def _flat_model():

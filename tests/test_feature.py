@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,29 @@ def test_bad_enums_rejected():
         FeatureMap("neural", dx=1, radius=1.0, activation="swish")
     with pytest.raises(ValueError):
         FeatureMap("neural", dx=1, radius=1.0, activation="tanh", beta="two")
+
+
+TABLE = {"x_grid": [0.0, 0.5, 1.0], "w_grid": [-1.0, 1.0],
+         "values": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]}
+
+
+@pytest.mark.parametrize("kind,key,value,fault", [
+    ("neural", "radius", math.nan, "radius must be finite and positive"),
+    ("neural", "radius", math.inf, "radius must be finite and positive"),
+    ("gaussian", "bandwidth", math.nan, "bandwidth must be finite and positive"),
+    ("gaussian", "bandwidth", math.inf, "bandwidth must be finite and positive"),
+    ("tabulated", "x_grid", [0.0, math.nan, 1.0], "x_grid must be finite"),
+    ("tabulated", "w_grid", [-1.0, math.nan], "w_grid must be finite"),
+    ("tabulated", "values", [[0.0, 1.0], [2.0, math.inf], [4.0, 5.0]], "values must be finite"),
+    ("tabulated", "values", [[0.0, 1.0], [2.0, 3.0], [math.nan, 5.0]], "values must be finite"),
+], ids=["radius-nan", "radius-inf", "bandwidth-nan", "bandwidth-inf", "x_grid-nan",
+        "w_grid-nan", "values-inf", "values-nan"])
+def test_non_finite_parameters_rejected(kind, key, value, fault):
+    # a NaN compares false with everything and an inf is positive and
+    # increasing, so neither fails a sign or an ordering test
+    base = {"neural": {"activation": "tanh"}, "gaussian": {}, "tabulated": TABLE}[kind]
+    with pytest.raises(ValueError, match=fault):
+        FeatureMap(kind, dx=1, **{"radius": 1.5, **base, key: value})
 
 
 # ------------------------------------------------------------------- values
@@ -243,7 +268,9 @@ def test_feature_column_reuse_is_bitwise_the_feature_calls(case, dx, n, seed):
     # phi_matrix and grad_phi_w_batch at that w, whatever else was evaluated
     # in between; the neural gradient also equals the formula that
     # re-evaluated the pre-activation.  Points reach past the ball, where
-    # beta is 0, and relu meets its kink at x = 0, b = 0.
+    # beta is 0, and relu meets its kink at x = 0, b = 0.  Since both calls
+    # share one product rule, the gradient is also checked against central
+    # differences of phi_matrix for every (kind, activation, beta).
     rng = np.random.default_rng(seed)
     f = _feature_case(*case, dx, rng)
     X = rng.uniform(-1.0, 1.0, (n, f.dx))
@@ -258,6 +285,18 @@ def test_feature_column_reuse_is_bitwise_the_feature_calls(case, dx, n, seed):
         assert g.tobytes() == grad_phi_w_batch(f, X, w).tobytes()
         if f.kind == "neural":
             assert g.tobytes() == _parent_neural_grad(f, X, w).tobytes()
+    # w strictly inside the ball (|w| <= 1 < 1.5) and inside a table cell
+    # (0.05 from the nodes -1.2 + 0.4 k), x off the relu kink
+    w = rng.uniform(-0.5, 0.5, f.dw)
+    if f.kind == "tabulated":
+        w = 0.4 * rng.integers(-3, 3, 1) + rng.uniform(0.05, 0.35, 1)
+    X = X[np.abs(X @ w[: f.dx] + w[-1]) > 1e-3] if f.kind == "neural" else X
+    h = 1e-5
+    fd = np.stack([(phi_matrix(f, X, (w + h * e)[None, :])
+                    - phi_matrix(f, X, (w - h * e)[None, :]))[:, 0] / (2 * h)
+                   for e in np.eye(f.dw)], axis=1)
+    g = grad_phi_w_batch(f, X, w)
+    assert np.max(np.abs(g - fd), initial=0.0) <= 1e-8 * (1.0 + np.max(np.abs(g), initial=0.0))
 
 
 def test_feature_column_checks_inputs_once():

@@ -161,6 +161,23 @@ def test_verify_reproducing_corrupted_fails():
 
 # ----------------------------------------------------------------- vv-RKHS
 
+def test_gaussian_kernel_is_the_gaussian_feature():
+    # pairwise is phi_matrix of a gaussian feature with beta one, bit for bit
+    # the squared-distance formula; a non-finite bandwidth is rejected
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 4):
+        A = rng.standard_normal((7, d)) * 3.0
+        B = np.concatenate([A[:2], rng.standard_normal((5, d))])
+        s = 0.7
+        d2 = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+              - 2.0 * (A @ B.T))
+        expected = np.exp(-np.maximum(d2, 0.0) / (2.0 * s**2))
+        assert GaussianKernel(s).pairwise(A, B).tobytes() == expected.tobytes()
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GaussianKernel(bad)
+
+
 def test_rkhs_single_point_closed_form():
     y = np.array([[2.0, -1.0]])
     lam = 0.3

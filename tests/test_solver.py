@@ -421,7 +421,7 @@ def test_fit_matches_grid_oracle_l1_mode():
 
 def test_fit_history_non_increasing_and_sparsity():
     rng = np.random.default_rng(9)
-    for norm, mode in (("l2", "group"), ("l1", "l1"), ("l2", "l1"), ("l1", "group")):
+    for norm, mode in (("l2", "group"), ("l1", "l1"), ("l1", "group")):
         p = _neural_problem(rng, n=3, dim=2, norm=norm, grid_per_dim=5, lam=1.0)
         p = dataclasses.replace(p, lam=0.35 * lambda_max(p))
         state = fit(p, FitOptions(max_atoms=20, mode=mode))
@@ -429,6 +429,19 @@ def test_fit_history_non_increasing_and_sparsity():
         assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
         if state.converged:
             assert len(state.measure) <= p.n_data * 2
+
+
+def test_fit_rejects_l1_mode_with_an_l2_primal_norm():
+    # the l2 ball's extreme points are a continuum: l1 mode would stack
+    # directions at one w instead of rotating one.  In d = 1 both norms
+    # are |.| and l1 mode stays.
+    rng = np.random.default_rng(9)
+    for grid_per_dim in (5, None):
+        p = _neural_problem(rng, n=3, dim=2, norm="l2", grid_per_dim=grid_per_dim)
+        with pytest.raises(ValueError, match="mode 'l1' needs the l1 primal norm"):
+            fit(p, FitOptions(max_atoms=20, mode="l1"))
+    p = _neural_problem(rng, n=3, dim=1, norm="l2", grid_per_dim=5)
+    assert fit(p, FitOptions(max_atoms=20, mode="l1")).converged
 
 
 def test_fit_l1_mode_payloads_are_axis_aligned():
