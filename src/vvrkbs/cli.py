@@ -264,6 +264,20 @@ def cmd_fit(args) -> int:
     return _finish_fit(args, raw, opts.seed, state, model, len(state.measure), wall_ms)
 
 
+def _feature_mismatch(fitted: dict, configured: dict) -> str:
+    """Names the feature record keys on which a model and a config differ;
+    a table key is named without its values."""
+    def show(k):
+        a, b = fitted.get(k), configured.get(k)
+        if isinstance(a, list) or isinstance(b, list):
+            return k
+        return f"{k} ({a!r} in the model, {b!r} in the config)"
+
+    keys = dict.fromkeys([*fitted, *configured])
+    diffs = [show(k) for k in keys if fitted.get(k) != configured.get(k)]
+    return f"model was fitted with another feature: {', '.join(diffs)}"
+
+
 def cmd_predict(args) -> int:
     _, cfg = _read_config(args.config)
     feat, spec = _feature_space(cfg)
@@ -271,8 +285,15 @@ def cmd_predict(args) -> int:
         with open(args.model, "rb") as fh:
             model = json.loads(fh.read().decode("utf-8"))
         mu = measure_from_json_dict(model)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        fitted = model.get("feature")
+        if fitted is not None:
+            fitted = feature_to_json_dict(feature_from_json_dict(fitted))
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            json.JSONDecodeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
+    configured = feature_to_json_dict(feat)
+    if fitted not in (None, configured):
+        raise DataError(_feature_mismatch(fitted, configured))
     if mu.space.primal_norm != spec.primal_norm or (
         len(mu) and mu.space.dim != spec.dim
     ):

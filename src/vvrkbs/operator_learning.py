@@ -218,6 +218,10 @@ class SampledMeasurement:
             raise ValueError("points and functionals differ in length")
         if P.shape[0] < 1:
             raise ValueError("need at least one sampling functional")
+        if not np.isfinite(P).all():
+            raise ValueError("sampling points must be finite")
+        if not np.isfinite(V).all():
+            raise ValueError("sampling functionals must be finite")
         object.__setattr__(self, "points", P)
         object.__setattr__(self, "functionals", V)
 
@@ -349,6 +353,38 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
     )
 
 
+def _check_hyper_inputs(Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid):
+    """Z, Y and the grids as checked float arrays, for hyper_fit and
+    hyper_grid_oracle; the ValueError names the first fault.  lam must be
+    finite and nonnegative; the grids are optional, but both or neither."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+    if Z.shape[0] != Y.shape[0]:
+        raise ValueError("Z and Y differ in length")
+    if Z.shape[0] < 1:
+        raise ValueError("need at least one task input")
+    if Z.shape[1] != phi.dx:
+        raise ValueError("Z width does not match the hyper feature")
+    if sampling.points.shape[1] != psi.dx:
+        raise ValueError("sampling points do not match the base feature")
+    if sampling.functionals.shape[1] != spec.dim:
+        raise ValueError("functionals do not match the value space")
+    if Y.shape[1] != sampling.n_samples:
+        raise ValueError("Y width must equal the number of functionals")
+    if not np.isfinite(Z).all():
+        raise ValueError("Z must be finite")
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must be finite")
+    if (w_grid is None) != (theta_grid is None):
+        raise ValueError("grid search needs both w_grid and theta_grid, or neither")
+    if w_grid is not None:
+        w_grid = _check_grid(w_grid, phi.dw, phi.radius, "w_grid")
+        theta_grid = _check_grid(theta_grid, psi.dw, psi.radius, "theta_grid")
+    return Z, Y, w_grid, theta_grid
+
+
 def hyper_fit(
     Z,
     Y,
@@ -371,27 +407,13 @@ def hyper_fit(
     ``theta_grid`` restrict the search to their product; give both or
     neither.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if not lam > 0:
         raise ValueError("hyper_fit requires lam > 0")
     if opts.mode != "group":
         raise ValueError("hyper_fit refits free payloads (group mode only)")
-    if Z.shape[0] != Y.shape[0]:
-        raise ValueError("Z and Y differ in length")
-    if Z.shape[1] != phi.dx:
-        raise ValueError("Z width does not match the hyper feature")
-    if sampling.points.shape[1] != psi.dx:
-        raise ValueError("sampling points do not match the base feature")
-    if sampling.functionals.shape[1] != spec.dim:
-        raise ValueError("functionals do not match the value space")
-    if Y.shape[1] != sampling.n_samples:
-        raise ValueError("Y width must equal the number of functionals")
-    if (w_grid is None) != (theta_grid is None):
-        raise ValueError("grid search needs both w_grid and theta_grid, or neither")
-    if w_grid is not None:
-        w_grid = _check_grid(w_grid, phi.dw, phi.radius, "w_grid")
-        theta_grid = _check_grid(theta_grid, psi.dw, psi.radius, "theta_grid")
+    Z, Y, w_grid, theta_grid = _check_hyper_inputs(
+        Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid
+    )
     fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, opts, w_grid, theta_grid)
     L, C, history, certificate, iterations, converged = _cg_fit(fam, opts)
     dw = phi.dw
@@ -419,11 +441,13 @@ def hyper_grid_oracle(
     tol: float = 1e-10,
 ):
     """Solve the product-grid discretization: one free payload row per
-    (w, theta) pair.  Returns (objective, coefficient matrix)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    w_grid = np.atleast_2d(np.asarray(w_grid, dtype=float))
-    theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
+    (w, theta) pair.  Returns (objective, coefficient matrix).  The inputs
+    are checked as in hyper_fit, except that lam = 0 is allowed."""
+    if w_grid is None or theta_grid is None:
+        raise ValueError("the grid oracle needs both w_grid and theta_grid")
+    Z, Y, w_grid, theta_grid = _check_hyper_inputs(
+        Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid
+    )
     # product enumeration: pair index p = gw * Gt + gt
     Gw, Gt = w_grid.shape[0], theta_grid.shape[0]
     L = np.hstack([np.repeat(w_grid, Gt, axis=0), np.tile(theta_grid, (Gw, 1))])

@@ -19,7 +19,8 @@ a bracket:
 ``rkhs_fit`` is the Hilbert-space baseline the sparse solver is
 contrasted with: kernel ridge regression for the operator-valued kernel
 K_s(x, y) * Id, which decouples into d scalar ridge problems sharing
-one Gram matrix.  ``verify_reproducing`` batch-checks the reproducing
+one Gram matrix, solved by a numpy Cholesky factorization on finite
+inputs.  ``verify_reproducing`` batch-checks the reproducing
 identities that make these spaces reproducing-kernel spaces at all.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dual_pair import (
     DualPairSpec,
@@ -233,6 +233,12 @@ class RkhsModel:
         object.__setattr__(self, "coeffs", coeffs)
 
 
+def _ridge(n: int, lam: float) -> float:
+    """The diagonal shift of the normal equations: n lam, or a 1e-12 jitter
+    at lam = 0."""
+    return n * lam if lam > 0 else 1e-12
+
+
 def rkhs_fit(X, Y, kernel, lam: float) -> RkhsModel:
     """Solve (G + N lam I) C = Y for the coefficient rows u_n.
 
@@ -241,14 +247,17 @@ def rkhs_fit(X, Y, kernel, lam: float) -> RkhsModel:
     output components.  At lam = 0 a 1e-12 jitter keeps the Cholesky
     factorization alive on badly conditioned but invertible Grams;
     duplicated centers make the system genuinely singular, so they are
-    rejected up front rather than papered over by the jitter.
+    rejected up front rather than papered over by the jitter.  Non-finite
+    inputs, targets or lam raise ValueError before any arithmetic.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if len(X) != len(Y):
         raise ValueError("inputs and targets differ in length")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and nonnegative")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("inputs and targets must be finite")
     n = len(X)
     if lam == 0 and n > 1:
         diffs = X[:, None, :] - X[None, :, :]
@@ -259,14 +268,13 @@ def rkhs_fit(X, Y, kernel, lam: float) -> RkhsModel:
                 "Gram system is singular: duplicate centers at lam=0"
             )
     G = kernel.pairwise(X, X)
-    ridge = n * lam if lam > 0 else 1e-12
     try:
-        factor = cho_factor(G + ridge * np.eye(n), lower=True)
+        L = np.linalg.cholesky(G + _ridge(n, lam) * np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"Gram system is singular (duplicate centers at lam={lam}?)"
         ) from exc
-    C = cho_solve(factor, Y)
+    C = np.linalg.solve(L.T, np.linalg.solve(L, Y))
     return RkhsModel(X, C, kernel)
 
 
@@ -280,7 +288,5 @@ def rkhs_stationarity(model: RkhsModel, Y, lam: float) -> float:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = len(model.centers)
     G = model.kernel.pairwise(model.centers, model.centers)
-    ridge = n * lam if lam > 0 else 1e-12
-    R = (G + ridge * np.eye(n)) @ model.coeffs - Y
+    R = (G + _ridge(n, lam) * np.eye(n)) @ model.coeffs - Y
     return float(np.max(np.abs(R)))
-

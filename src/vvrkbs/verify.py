@@ -19,7 +19,14 @@ from .dual_pair import (
     twin_norm,
     vector_norm,
 )
-from .feature import FeatureMap, eval_phi, grad_phi_w_batch
+from .feature import (
+    _BOUNDED_ACTIVATIONS,
+    ACTIVATIONS,
+    BETAS,
+    FeatureMap,
+    eval_phi,
+    grad_phi_w_batch,
+)
 from .measure import coalesce, integrate, measure_from_arrays, total_variation
 from .operator_learning import (
     HyperModel,
@@ -90,19 +97,39 @@ def _check_twin_norm(rng, trials):
     return worst
 
 
+# every (kind, activation, beta) a FeatureMap accepts
+_FEATURE_CASES = [
+    ("neural", act, beta) for act in ACTIVATIONS for beta in BETAS
+    if beta != "one" or act in _BOUNDED_ACTIVATIONS
+] + [(kind, None, beta) for kind in ("gaussian", "tabulated") for beta in BETAS]
+
+
+def _random_feature(rng):
+    """A feature of a random (kind, activation, beta) with weight ball radius 1.5."""
+    kind, act, beta = _FEATURE_CASES[int(rng.integers(len(_FEATURE_CASES)))]
+    if kind == "tabulated":
+        return FeatureMap(kind, dx=1, radius=1.5, beta=beta,
+                          x_grid=np.linspace(-1.0, 1.0, 5),
+                          w_grid=np.linspace(-1.2, 1.2, 7),
+                          values=rng.standard_normal((5, 7)))
+    return FeatureMap(kind, dx=int(rng.integers(1, 4)), radius=1.5, beta=beta,
+                      activation=act, bandwidth=float(rng.uniform(0.5, 1.5)))
+
+
 def _check_feature_gradient(rng, trials):
     worst = 0.0
     h = 1e-6
     for _ in range(max(1, trials)):
-        feat = FeatureMap(
-            "neural",
-            dx=int(rng.integers(1, 4)),
-            radius=1.5,
-            activation=["tanh", "sigmoid", "gaussian_rbf"][int(rng.integers(0, 3))],
-            beta="one",
-        )
+        feat = _random_feature(rng)
+        # w strictly inside the ball (|w| <= 1 < 1.5) and at least 0.05 inside
+        # a table cell (nodes at -1.2 + 0.4 k); x off the relu kink
+        if feat.kind == "tabulated":
+            w = 0.4 * rng.integers(-3, 3, 1) + rng.uniform(0.05, 0.35, 1)
+        else:
+            w = rng.uniform(-0.5, 0.5, feat.dw)
         x = rng.uniform(-1.0, 1.0, (1, feat.dx))
-        w = rng.uniform(-0.5, 0.5, feat.dw) * feat.radius
+        while feat.activation == "relu" and abs(x[0] @ w[:-1] + w[-1]) <= 1e-3:
+            x = rng.uniform(-1.0, 1.0, (1, feat.dx))
         g = grad_phi_w_batch(feat, x, w)[0]
         for k in range(feat.dw):
             e = np.zeros(feat.dw)

@@ -525,10 +525,36 @@ def _deeponet_coefficient_location_overflows():
     return "deeponet", payload
 
 
+def _model_feature_not_object():
+    model = _flat_model()
+    model["feature"] = [1]
+    return "predict", model
+
+
+def _model_feature_radius_nan():
+    model = _flat_model()
+    model["feature"] = {**_base_config()["feature"], "radius": math.nan}
+    return "predict", model
+
+
+def _model_feature_bandwidth_overflows():
+    model = _flat_model()
+    model["feature"] = _gaussian_feature(bandwidth=10**400)
+    return "predict", model
+
+
+def _model_feature_bandwidth_list():
+    model = _flat_model()
+    model["feature"] = _gaussian_feature(bandwidth=[1.0])
+    return "predict", model
+
+
 @pytest.mark.parametrize(
     "case",
     [_model_atom_not_object, _model_dim_infinite, _model_location_too_short,
-     _model_radius_infinite, _deeponet_psi_dx_infinite, _deeponet_basis_dim_infinite,
+     _model_radius_infinite, _model_feature_not_object, _model_feature_radius_nan,
+     _model_feature_bandwidth_overflows, _model_feature_bandwidth_list,
+     _deeponet_psi_dx_infinite, _deeponet_basis_dim_infinite,
      _deeponet_basis_radius_nan, _deeponet_coefficient_overflows,
      _deeponet_coefficient_location_overflows],
 )
@@ -607,6 +633,38 @@ def test_predict_model_space_mismatch_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_predict_under_another_feature_exits_2(tmp_path, capsys):
+    # a tanh model applied as a relu/hard one used to exit 0 with other
+    # numbers; the model's feature record must match the config's
+    cfg, data = _write_fixture(tmp_path)
+    out = tmp_path / "model.json"
+    assert main(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    other = _base_config()
+    other["feature"].update(activation="relu", beta="hard")
+    cfg2 = _write(tmp_path, "other.json", json.dumps(other))
+    preds = tmp_path / "p.csv"
+    args = ["--model", str(out), "--data", data, "--out", str(preds)]
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg2, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model was fitted with another feature")
+    assert "activation ('tanh' in the model, 'relu' in the config)" in err
+    assert "beta ('one' in the model, 'hard' in the config)" in err
+    assert "radius" not in err
+    assert not preds.exists()
+    # the same record written with other number spellings still matches
+    model = json.loads(out.read_text())
+    model["feature"]["radius"] = 3 / 2
+    model["feature"]["dx"] = 1.0
+    out.write_text(json.dumps(model))
+    assert main(["predict", "--config", cfg, *args]) == 0
+    # a model without the record is applied under the config's feature
+    del model["feature"]
+    out.write_text(json.dumps(model))
+    assert main(["predict", "--config", cfg2, *args]) == 0
+    capsys.readouterr()
+
+
 def _bad_fit_config():
     cfg = _base_config()
     cfg["solver"]["refit"] = [1, 2]
@@ -665,11 +723,32 @@ def _bad_hyper_grids_list():
     return "hyper-fit", cfg, "grids section must be an object"
 
 
+def _nan_hyper_sampling_point():
+    cfg = _hyper_config()
+    cfg["sampling"]["points"][1] = [math.nan]
+    return "hyper-fit", cfg, "sampling points must be finite"
+
+
+def _nan_hyper_sampling_point_free_search():
+    # without grids the search used to run first and fail on its gradient
+    cfg = _hyper_config()
+    del cfg["grids"]
+    cfg["sampling"]["points"][0] = [math.nan]
+    return "hyper-fit", cfg, "sampling points must be finite"
+
+
+def _inf_hyper_functional():
+    cfg = _hyper_config()
+    cfg["sampling"]["functionals"][0][1] = -math.inf
+    return "hyper-fit", cfg, "sampling functionals must be finite"
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_fit_config, _nan_fit_lambda, _bad_hyper_refit, _nan_hyper_refit_tol,
      _nan_hyper_tol, _inf_hyper_tol, _bad_hyper_ragged_grid, _bad_hyper_grid_width,
-     _nan_hyper_grid, _bad_hyper_grids_list],
+     _nan_hyper_grid, _bad_hyper_grids_list, _nan_hyper_sampling_point,
+     _nan_hyper_sampling_point_free_search, _inf_hyper_functional],
 )
 def test_malformed_solver_and_grids_sections_exit_2(tmp_path, capsys, case):
     command, config, fault = case()
@@ -682,3 +761,24 @@ def test_malformed_solver_and_grids_sections_exit_2(tmp_path, capsys, case):
     assert fault in err
     assert "Traceback" not in err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_no_vvrkbs_process_loads_scipy():
+    # numpy is the only runtime dependency: importing every module and
+    # running the verify suite leaves scipy (and its BLAS) unloaded
+    code = (
+        "import contextlib, importlib, io, pkgutil, sys\n"
+        "import vvrkbs\n"
+        "for info in pkgutil.iter_modules(vvrkbs.__path__):\n"
+        "    importlib.import_module('vvrkbs.' + info.name)\n"
+        "from vvrkbs.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify', '--trials', '1'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(vvrkbs.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"

@@ -167,9 +167,10 @@ FEATURE = {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "one",
 PREDICT_CONFIG = {"feature": FEATURE, "space": {"d": 2, "norm": "l2"}}
 MODEL = {"atoms": [{"w": [0.3, -0.2], "c": [1.0, 0.5]},
                    {"w": [-0.4, 0.1], "c": [-0.7, 0.2]}],
-         "norm": "l2", "radius": 1.5, "dim": 2}
+         "norm": "l2", "radius": 1.5, "dim": 2, "feature": FEATURE}
 MODEL_KEYS = ["atoms", "atoms.0", "atoms.0.w", "atoms.0.c", "atoms.1.w",
-              "atoms.1.c", "norm", "radius", "dim"]
+              "atoms.1.c", "norm", "radius", "dim", "feature", "feature.kind",
+              "feature.dx", "feature.radius", "feature.beta", "feature.activation"]
 
 DEEPONET_CONFIG = {"phi": FEATURE}
 BASIS = {"atoms": [{"w": [0.1, 0.2], "c": [1.0, -0.5]},

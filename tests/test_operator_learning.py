@@ -680,6 +680,8 @@ def test_hyper_fit_validation():
         hyper_fit(Z, np.array([[1.0, 2.0]]), samp, ones, ones, spec, 0.1)
     with pytest.raises(ValueError):
         SampledMeasurement(np.zeros((2, 1)), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="need at least one task input"):
+        hyper_fit(np.zeros((0, 1)), np.zeros((0, 1)), samp, ones, ones, spec, 0.1)
     grid = np.array([[0.0]])
     with pytest.raises(ValueError, match="both"):
         hyper_fit(Z, Y, samp, ones, ones, spec, 0.1, w_grid=grid)
@@ -711,6 +713,66 @@ def test_hyper_fit_rejects_each_malformed_grid(which, grid, fault):
     grids[which] = grid
     with pytest.raises(ValueError, match=fault):
         hyper_fit(Z, Y, samp, phi, psi, spec, 0.05, opts, grids["w"], grids["theta"])
+
+
+@pytest.mark.parametrize("where", ["points", "functionals"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampled_measurement_rejects_non_finite_entries(where, bad):
+    arrays = {"points": np.array([[0.2], [-0.5]]),
+              "functionals": np.array([[1.0, 0.0], [0.5, -1.0]])}
+    arrays[where][1, 0] = bad
+    with pytest.raises(ValueError, match=f"sampling {where} must be finite"):
+        SampledMeasurement(arrays["points"], arrays["functionals"])
+
+
+def _oracle_instance():
+    # the grid-restricted instance of the malformed-grid test, with its grids
+    spec = DualPairSpec(2, "l2")
+    phi, psi = _neural(1, 1.5, "tanh"), _neural(1, 1.2, "sigmoid")
+    samp = SampledMeasurement(np.array([[0.2], [-0.5]]), np.array([[1.0, 0.0], [0.5, -1.0]]))
+    Z, Y = np.array([[0.1], [-0.4], [0.7]]), np.array([[0.9, -0.3], [0.2, 0.8], [-0.5, 0.1]])
+    return {"Z": Z, "Y": Y, "sampling": samp, "phi": phi, "psi": psi, "spec": spec,
+            "lam": 0.05, "w_grid": np.array([[0.5, 0.1], [-0.4, 0.3]]),
+            "theta_grid": np.array([[0.2, -0.1]])}
+
+
+@pytest.mark.parametrize(
+    "key, value, fault",
+    [
+        ("w_grid", np.array([[3.0, 0.0]]), "w_grid must lie in the radius-1.5 ball"),
+        ("theta_grid", np.array([[np.nan, 0.0]]), "theta_grid must be finite"),
+        ("Y", np.zeros((3, 3)), "Y width must equal the number of functionals"),
+        ("Y", np.zeros((2, 2)), "Z and Y differ in length"),
+        ("Z", np.zeros((3, 2)), "Z width does not match the hyper feature"),
+        ("Z", np.array([[0.1], [np.nan], [0.7]]), "Z must be finite"),
+        ("Y", np.array([[0.9, -0.3], [0.2, np.inf], [-0.5, 0.1]]), "Y must be finite"),
+        ("lam", -0.1, "lam must be finite and nonnegative"),
+        ("lam", np.inf, "lam must be finite and nonnegative"),
+    ],
+)
+@pytest.mark.parametrize("solve", ["hyper_fit", "hyper_grid_oracle"])
+def test_hyper_fit_and_grid_oracle_share_the_input_checks(solve, key, value, fault):
+    # each case breaks one input of an instance both functions solve
+    args = _oracle_instance()
+    getattr(operator_learning, solve)(**args)
+    args[key] = value
+    if solve == "hyper_fit" and key == "lam" and value < 0:
+        fault = "hyper_fit requires lam > 0"
+    with pytest.raises(ValueError, match=fault):
+        getattr(operator_learning, solve)(**args)
+
+
+def test_grid_oracle_allows_lambda_zero_and_needs_both_grids():
+    # lam = 0 is the unregularized least-squares fit over the product grid,
+    # as grid_oracle allows it for the flat problem; hyper_fit keeps lam > 0
+    args = {**_oracle_instance(), "lam": 0.0}
+    obj, C = hyper_grid_oracle(**args)
+    assert np.isfinite(obj) and obj >= 0.0
+    assert C.shape == (2, 2)
+    with pytest.raises(ValueError, match="hyper_fit requires lam > 0"):
+        hyper_fit(**args)
+    with pytest.raises(ValueError, match="needs both w_grid and theta_grid"):
+        hyper_grid_oracle(**{**args, "theta_grid": None})
 
 
 def test_measurement_factorization():

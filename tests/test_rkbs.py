@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,26 @@ def test_rkhs_duplicate_centers_fail_at_zero():
     Y = np.array([[1.0], [0.0]])
     with pytest.raises(np.linalg.LinAlgError):
         rkhs_fit(X, Y, GaussianKernel(1.0), 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["X", "Y"])
+def test_rkhs_rejects_non_finite_inputs_before_any_arithmetic(where, bad, lam):
+    # without the check the Cholesky solve returns NaN coefficients, and at
+    # lam = 0 the duplicate-center distances warn on an infinite X first
+    data = {"X": np.array([[0.0], [1.0], [2.0]]), "Y": np.array([[1.0], [0.0], [2.0]])}
+    data[where][1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="inputs and targets must be finite"):
+            rkhs_fit(data["X"], data["Y"], GaussianKernel(1.0), lam)
+
+
+@pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+def test_rkhs_rejects_a_lambda_that_is_negative_or_not_finite(lam):
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        rkhs_fit([[0.0], [1.0]], [[1.0], [2.0]], GaussianKernel(1.0), lam)
 
 
 def test_rkhs_tabulated_kernel():
