@@ -243,9 +243,10 @@ def rkhs_fit(X, Y, kernel, lam: float) -> RkhsModel:
     """Solve (G + N lam I) C = Y for the coefficient rows u_n.
 
     This is the normal equation of ridge regression in the space with
-    operator-valued kernel K_s * Id; one SPD factorization serves all d
-    output components.  At lam = 0 a 1e-12 jitter keeps the Cholesky
-    factorization alive on badly conditioned but invertible Grams;
+    operator-valued kernel K_s * Id; one solve serves all d output
+    components, after a Cholesky factorization has checked that the system
+    is positive definite.  At lam = 0 a 1e-12 jitter keeps that check
+    passing on badly conditioned but invertible Grams;
     duplicated centers make the system genuinely singular, so they are
     rejected up front rather than papered over by the jitter.  Non-finite
     inputs, targets or lam raise ValueError before any arithmetic.
@@ -267,14 +268,16 @@ def rkhs_fit(X, Y, kernel, lam: float) -> RkhsModel:
             raise np.linalg.LinAlgError(
                 "Gram system is singular: duplicate centers at lam=0"
             )
-    G = kernel.pairwise(X, X)
+    A = kernel.pairwise(X, X) + _ridge(n, lam) * np.eye(n)
     try:
-        L = np.linalg.cholesky(G + _ridge(n, lam) * np.eye(n))
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"Gram system is singular (duplicate centers at lam={lam}?)"
         ) from exc
-    C = np.linalg.solve(L.T, np.linalg.solve(L, Y))
+    # numpy has no triangular solver: solving with the factor would LU-factor
+    # each triangle again, so one solve on the system itself is cheaper
+    C = np.linalg.solve(A, Y)
     return RkhsModel(X, C, kernel)
 
 

@@ -7,7 +7,8 @@ The learning problem is
 where f_mu integrates the feature map against an atomic vector measure.
 Atoms delta_w u are inserted by a linear maximization oracle over the
 extreme points of the primal unit ball, coefficients are refit by
-accelerated proximal descent, and a fully discretized solve on a fixed
+proximal and Newton steps on the support (accelerated proximal descent for
+the Huber loss and wide designs), and a fully discretized solve on a fixed
 weight grid provides an independent check of the optimal objective.
 """
 
@@ -271,20 +272,23 @@ def _project_balls(L: np.ndarray, features) -> np.ndarray:
 
 
 def _ascend(value, direction, features, L0, max_steps: int = 200):
-    """Projected gradient ascent on an oracle score from one start.
+    """Spectral projected gradient ascent on an oracle score from one start.
 
     ``value(L)`` returns (score, payload state) at a location vector L,
     ``direction(L, state)`` the ascent direction at that payload (Danskin);
     L holds one weight block per feature in ``features`` and steps are
-    projected onto their balls.  The first trial step is 1 and each trial
-    halves until the Armijo test passes.  The accepted step is carried to
-    the next ascent step, doubled only when it passed on its first trial,
-    so a step that needed halving is not grown back into a rejection.
+    projected onto their balls.  The first trial step is 1; from the second
+    ascent step on it is the Barzilai-Borwein step s.s / -(s.y), s and y the
+    last changes of L and of the direction, when s.y < 0, and otherwise the
+    step carried from the last acceptance, doubled only when that passed on
+    its first trial.  Each trial halves until the Armijo test on the
+    projected step passes (Birgin, Martinez & Raydan 2000).
     Returns (L, state, score).
     """
     L = np.asarray(L0, dtype=float).copy()
     score, state = value(L)
     step = 1.0
+    prev = None  # (L, direction) where the last accepted step started
     for _ in range(max_steps):
         g = direction(L, state)
         gg = float(np.dot(g, g))  # finite unless g holds a non-finite entry or overflows
@@ -292,18 +296,24 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
             raise SolverError("non-finite oracle gradient")
         if gg == 0.0:
             break
+        if prev is not None:
+            s, y = L - prev[0], g - prev[1]
+            sy = float(np.dot(s, y))
+            if sy < 0.0:
+                step = min(max(float(np.dot(s, s)) / -sy, 1e-10), 1e10)
         first = step
         improved = False
         while step >= 1e-12:
             cand = _project_balls(L + step * g, features)
             cand_score, cand_state = value(cand)
-            if cand_score >= score + 1e-4 * step * gg:
+            if cand_score >= score + 1e-4 * float(np.dot(g, cand - L)):
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
         gain = cand_score - score
+        prev = L, g
         L, score, state = cand, cand_score, cand_state
         if step == first:
             step *= 2.0
@@ -498,7 +508,20 @@ class _AtomFamily:
 
 
 def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
-    """Refit free payload rows on the locations behind the design B."""
+    """Refit free payload rows on the locations behind the design B.
+
+    The squared loss with at most N*d_meas coefficients goes to
+    ``_newton_refit``; the Huber loss, and designs with more coefficients
+    than observations (whose support Hessians can be singular), to
+    ``_fista``.  Returns (payload rows, objective).
+    """
+    if fam.loss.kind == SQUARED_HALF and C0.size <= fam.Y.size:
+        return _newton_refit(fam, B, C0, max_iter, tol)
+    return _fista_refit(fam, B, C0, max_iter, tol)
+
+
+def _fista_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
+    """Refit by ``_fista`` from the power-iteration step; any loss, any K."""
     n = fam.Y.shape[0]
 
     def forward(C):
@@ -518,6 +541,112 @@ def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
 
     step = _refit_step(lambda C: fam.pull_back(B, forward(C)) / n, C0.shape)
     return _fista(C0, forward, value, grad, penalty, prox, step, max_iter, tol)
+
+
+def _newton_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
+    """Squared-loss group-lasso refit: prox-gradient steps, each followed by
+    Newton steps on the support (Pieper & Walter 2021).
+
+    The K = k*dim payload entries act through the lifted design D, whose
+    columns are the predictions of unit payloads, so the data term is
+    0.5 |D c - y|^2 / N with Hessian H = D^T D / N.  A prox-gradient step
+    takes the step 1/lambda_max(H).  The penalty is a sum of l2 norms of
+    groups: the rows for the l2 norm, single entries for l1.  The Newton
+    step solves the smooth problem on the nonzero groups: its Hessian is H
+    there plus lam (I - u u^T) / |c_m| for a group c_m of direction u, its
+    gradient (H c - q) plus lam u.  A group that turns by a right angle or
+    more along the step is set to zero.  The full step is kept on Armijo
+    decrease of the exact objective, computed from the residual.  When it
+    fails and a group turns before it, the iterate moves to the first such
+    turn, that group is set to zero and the step is solved again on the
+    smaller support (feature-sign search, Lee et al. 2007); otherwise the
+    step is halved until Armijo passes, and dropped if it never does, as it
+    is when numpy finds the Newton system singular.  A prox step is kept
+    only if it does not raise the objective, so the returned objective never
+    exceeds the starting one.  Stops when one iteration changes the
+    objective by at most tol relative, or after max_iter iterations.
+    Returns (C, objective).
+    """
+    k, dim = C0.shape
+    n = fam.Y.shape[0]
+    y = fam.Y.ravel()
+    units = np.eye(k * dim).reshape(-1, k, dim)
+    D = np.stack([fam.predict(B, E).ravel() for E in units], axis=1)
+    H = D.T @ D / n
+    q = D.T @ y / n
+    top = float(np.linalg.eigvalsh(H)[-1])
+    step = 1.0 / top if top > 0.0 else 1.0
+    lam = fam.lam
+    g = dim if fam.norm == L2 else 1   # an l1 entry is an l2 group of one
+
+    def objective(c):
+        r = D @ c - y
+        return 0.5 * float(r @ r) / n + lam * float(row_norms(c.reshape(k, dim), fam.norm).sum())
+
+    def move(c, on, d, t, zero):
+        # c + t d on the groups ``on``, with the groups on[zero] set to zero
+        new = c.reshape(-1, g).copy()
+        new[on] += t * d.reshape(-1, g)
+        new[on[zero]] = 0.0
+        return new.ravel()
+
+    def newton(c, obj):
+        while True:
+            groups = c.reshape(-1, g)
+            norms = np.sqrt((groups * groups).sum(axis=1))
+            on = np.flatnonzero(norms > 0.0)
+            if not on.size:
+                return c, obj
+            s, r = len(on), norms[on]
+            idx = (on[:, None] * g + np.arange(g)).ravel()
+            u = groups[on] / r[:, None]
+            grad = H[idx] @ c - q[idx] + lam * u.ravel()
+            hess = H[np.ix_(idx, idx)]
+            diag = np.arange(s)
+            hess.reshape(s, g, s, g)[diag, :, diag, :] += (
+                (np.eye(g) - u[:, :, None] * u[:, None, :]) * (lam / r)[:, None, None])
+            try:
+                d = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                return c, obj
+            slope = float(grad @ d)
+            if not (math.isfinite(slope) and slope < 0.0):
+                return c, obj
+            # group m turns by a right angle at t = |c_m|^2 / -(c_m . d_m)
+            cd = (groups[on] * d.reshape(s, g)).sum(axis=1)
+            turn = np.divide(r * r, -cd, out=np.full(s, np.inf), where=cd < 0.0)
+            new = move(c, on, d, 1.0, turn <= 1.0)
+            new_obj = objective(new)
+            if new_obj <= obj + 1e-4 * slope:
+                return new, new_obj
+            first = int(np.argmin(turn))
+            if turn[first] < 1.0:
+                new = move(c, on, d, turn[first], [first])
+                new_obj = objective(new)
+                if new_obj <= obj:
+                    c, obj = new, new_obj
+                    continue
+            t = 0.5
+            while t >= 1e-6:
+                new = move(c, on, d, t, turn <= t)
+                new_obj = objective(new)
+                if new_obj <= obj + 1e-4 * t * slope:
+                    return new, new_obj
+                t *= 0.5
+            return c, obj
+
+    c = np.array(C0, dtype=float).ravel()
+    obj = objective(c)
+    for _ in range(max_iter):
+        start = obj
+        cand = _prox_rows((c - step * (H @ c - q)).reshape(k, dim), step * lam, fam.norm).ravel()
+        cand_obj = objective(cand)
+        if cand_obj <= obj:
+            c, obj = cand, cand_obj
+        c, obj = newton(c, obj)
+        if start - obj <= tol * max(1.0, abs(obj)):
+            break
+    return c.reshape(k, dim), obj
 
 
 # --------------------------------------------------------------------- fit

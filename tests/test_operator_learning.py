@@ -513,6 +513,30 @@ def test_hyper_fit_sparsity_bound():
     assert len(state.model.a) <= len(Z) * samp.n_samples
 
 
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_hyper_fit_certifies_with_default_refit_settings(seed):
+    # A three-atom teacher on the 5x5 product grid, with the CLI's default
+    # refit (tol 1e-8, 5000 iterations).  Refit by FISTA to that tolerance,
+    # each of these fits ended uncertified through the stall branch: the
+    # oracle re-proposed a location of the support and the refit gained
+    # nothing, while the certificate stayed above lam (1 + tol).
+    rng = np.random.default_rng(seed)
+    phi = psi = _neural(1, 2.0, "tanh", beta="smooth_bump")
+    Z = rng.uniform(-1.0, 1.0, (20, 1))
+    Xj = np.linspace(-1.0, 1.0, 6)[:, None]
+    V = rng.standard_normal((6, 2))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    W, T = rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, (3, 2))
+    Y = phi_matrix(phi, Z, W) @ (phi_matrix(psi, Xj, T) * (rng.standard_normal((3, 2)) @ V.T).T).T
+    Y = Y + 0.05 * np.std(Y) * rng.standard_normal(Y.shape)
+    grid = product_grid(2.0, 2, 5)
+    opts = FitOptions(max_atoms=50, tol=1e-3)
+    state = hyper_fit(Z, Y, SampledMeasurement(Xj, V), phi, psi, DualPairSpec(2, "l2"),
+                      0.002, opts, w_grid=grid, theta_grid=grid)
+    assert state.converged
+    assert state.certificate <= 0.002 * (1 + opts.tol)
+
+
 def test_hyper_fit_free_search_smoke():
     rng = np.random.default_rng(5)
     spec = DualPairSpec(1, "l2")

@@ -33,11 +33,18 @@ from vvrkbs.solver import (
     product_grid,
     residual_duals,
 )
+from vvrkbs.dual_pair import row_norms
+from vvrkbs.operator_learning import SampledMeasurement, _product_family
+from vvrkbs import solver
 from vvrkbs.solver import (
     _ascend,
     _fista,
+    _fista_refit,
     _flat_family,
+    _group_refit,
+    _newton_refit,
     _oracle_score,
+    _pinned,
     _prox_rows,
     _refit_step,
 )
@@ -671,6 +678,112 @@ def test_ascend_grows_its_step_to_an_interior_maximizer():
     assert np.max(np.abs(L - c)) <= 1e-6
     # restarting every step at 1.0 and halving took 98 evaluations
     assert len(calls) <= 50
+
+
+# ------------------------------------------------------------ newton refit
+
+def _at_fraction(fam, B, frac):
+    # lam at ``frac`` of the smallest lam for which zero payloads are optimal
+    dual = {"l1": "linf", "l2": "l2"}[fam.norm]
+    top = float(np.max(row_norms(fam.pull_back(B, fam.Y) / fam.Y.shape[0], dual)))
+    return dataclasses.replace(fam, lam=frac * top)
+
+
+def _refit_objective(fam, B, C):
+    data = loss_total(fam.loss, fam.predict(B, C), fam.Y) / fam.Y.shape[0]
+    return data + fam.lam * float(row_norms(C, fam.norm).sum())
+
+
+def _flat_case(seed, n, dim, norm, k, measurement=None, duplicate=False):
+    rng = np.random.default_rng(seed)
+    p = _neural_problem(rng, n=n, dim=dim, norm=norm, measurement=measurement)
+    fam = _flat_family(p, FitOptions())
+    W = rng.uniform(-1.0, 1.0, (k - duplicate, p.feature.dw))
+    if duplicate:
+        W = np.vstack([W, W[1]])
+    return fam, fam.design(W), k
+
+
+def _pinned_case(seed):
+    rng = np.random.default_rng(seed)
+    p = _neural_problem(rng, n=6, dim=3, norm="l1")
+    fam = _pinned(_flat_family(p, FitOptions()))
+    W = rng.uniform(-1.0, 1.0, (5, p.feature.dw))
+    U = np.eye(3)[rng.integers(0, 3, 5)] * rng.choice([-1.0, 1.0], (5, 1))
+    return fam, fam.design(np.hstack([W, U])), 5
+
+
+def _product_case(seed):
+    rng = np.random.default_rng(seed)
+    phi = psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    Z = rng.uniform(-1.0, 1.0, (6, 1))
+    V = rng.standard_normal((4, 2))
+    sampling = SampledMeasurement(np.linspace(-1.0, 1.0, 4)[:, None], V)
+    fam = _product_family(Z, rng.standard_normal((6, 4)), sampling, phi, psi,
+                          DualPairSpec(2, "l2"), 1.0)
+    L = rng.uniform(-1.0, 1.0, (6, phi.dw + psi.dw))
+    return fam, fam.design(L), 6
+
+
+NEWTON_CASES = {
+    "l2-d3": lambda s: _flat_case(s, 8, 3, "l2", 5),
+    "l1-d3": lambda s: _flat_case(s, 8, 3, "l1", 5),
+    "l2-d1": lambda s: _flat_case(s, 10, 1, "l2", 6),
+    "l1-d1": lambda s: _flat_case(s, 10, 1, "l1", 6),
+    "functionals": lambda s: _flat_case(
+        s, 10, 3, "l2", 5, functionals_measurement(np.random.default_rng(s).standard_normal((2, 3)))),
+    "pinned": _pinned_case,
+    "product": _product_case,
+    "K-equals-N-dmeas": lambda s: _flat_case(s, 4, 3, "l2", 4),
+    "duplicated-location": lambda s: _flat_case(s, 8, 2, "l2", 5, duplicate=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+@pytest.mark.parametrize("frac", [0.005, 0.02, 0.3])
+def test_newton_refit_matches_fista(case, frac):
+    for seed in range(5):
+        fam, B, k = NEWTON_CASES[case](seed)
+        fam = _at_fraction(fam, B, frac)
+        C0 = np.zeros((k, fam.dim))
+        assert C0.size <= fam.Y.size
+        C_n, obj_n = _newton_refit(fam, B, C0, 5000, 1e-14)
+        C_f, obj_f = _fista_refit(fam, B, C0, 20000, 1e-14)
+        assert obj_n == pytest.approx(_refit_objective(fam, B, C_n), rel=1e-12)
+        assert abs(obj_n - obj_f) <= 1e-9 * max(1.0, obj_f)
+        assert obj_n <= _refit_objective(fam, B, C0)
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_newton_refit_never_raises_the_starting_objective(case):
+    for seed in range(3):
+        fam, B, k = NEWTON_CASES[case](seed)
+        fam = _at_fraction(fam, B, 0.1)
+        C0 = np.random.default_rng(seed + 50).standard_normal((k, fam.dim))
+        start = _refit_objective(fam, B, C0)
+        for max_iter in (1, 2, 5000):
+            assert _newton_refit(fam, B, C0, max_iter, 1e-14)[1] <= start
+
+
+def test_group_refit_routes_huber_and_wide_designs_to_fista(monkeypatch):
+    calls = []
+    fista = solver._fista
+
+    def counted(*args):
+        calls.append(1)
+        return fista(*args)
+
+    monkeypatch.setattr(solver, "_fista", counted)
+    fam, B, k = _flat_case(0, 8, 3, "l2", 5)
+    C0 = np.zeros((k, 3))
+    _group_refit(fam, B, C0, 100, 1e-10)
+    assert calls == []
+    _group_refit(dataclasses.replace(fam, loss=Loss("huber", 0.5)), B, C0, 100, 1e-10)
+    assert calls == [1]
+    # 9 rows of 3 payload entries on 8 rows of 3 observations
+    wide, B_wide, _ = _flat_case(0, 8, 3, "l2", 9)
+    _group_refit(wide, B_wide, np.zeros((9, 3)), 100, 1e-10)
+    assert calls == [1, 1]
 
 
 # ------------------------------------------------------------------ export

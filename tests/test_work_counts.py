@@ -85,11 +85,42 @@ def test_step_rules_cut_refit_and_ascent_work(monkeypatch):
     assert len(evals) <= 0.75 * 7949
 
 
+def test_newton_refit_and_spectral_ascent_cut_inner_iterations(monkeypatch):
+    # Sums over the ten seeded problems.  With FISTA refits and ascent steps
+    # that start from the carried step, the grid-restricted CG fits took 786
+    # proximal maps and the free-search searches on their fitted residuals
+    # 3800 score evaluations.  Newton steps on the support and spectral steps:
+    # 101 and 959.
+    prox_calls, evals = [], []
+    _counted(monkeypatch, "_prox_rows", prox_calls)
+    oracle_score = solver._oracle_score
+
+    def counted_score(*args):
+        value, direction = oracle_score(*args)
+
+        def counted_value(w):
+            evals.append(1)
+            return value(w)
+
+        return counted_value, direction
+
+    monkeypatch.setattr(solver, "_oracle_score", counted_score)
+    for seed in range(10):
+        p = _teacher_problem(seed)
+        state = fit(p, FitOptions(max_atoms=20, seed=3))
+        q = dataclasses.replace(p, omega_grid=None)
+        lmo(q, residual_duals(q, state.measure), restarts=4, seed=5)
+
+    assert len(prox_calls) <= 0.25 * 786
+    assert len(evals) <= 0.5 * 3800
+
+
 def test_free_search_evaluates_the_feature_once_per_score(monkeypatch):
     # An ascent direction reuses the pre-activation, activation and beta the
     # score evaluation at the same point kept.  When each direction called
     # grad_phi_w_batch, these three searches made 508 activation passes for
     # 314 score evaluations (and 508 phi_matrix/grad_phi_w_batch calls).
+    # Spectral (Barzilai-Borwein) steps cut the evaluations to 219.
     problems = [_teacher_problem(seed) for seed in range(3)]
     evals, activations = [], []
     oracle_score, act = solver._oracle_score, feature._act
@@ -113,7 +144,7 @@ def test_free_search_evaluates_the_feature_once_per_score(monkeypatch):
         q = dataclasses.replace(p, omega_grid=None)
         lmo(q, residual_duals(q, measure.empty_measure(q.spec, q.feature.radius)),
             restarts=4, seed=5)
-    assert len(evals) == 314
+    assert len(evals) == 219
     assert len(activations) == len(evals)
 
 
