@@ -8,7 +8,7 @@ The package has three layers:
 * spaces: integral-RKBS functions, norm brackets, the kernel-ridge
   baseline, and reproducing-identity checks (``rkbs``);
 * learning: total-variation-regularized fitting by atom-inserting
-  conditional gradient plus a full-grid convex oracle (``solver``), and
+  conditional gradient and its certified grid oracle (``solver``), and
   the two-level operator-learning models built from product features
   (``operator_learning``).
 

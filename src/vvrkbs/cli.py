@@ -349,7 +349,7 @@ def cmd_oracle(args) -> int:
             X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega
         )
         state = fit(problem, opts)
-        oracle_obj, _ = grid_oracle(problem, grid_per_dim)
+        oracle_obj, _, _ = grid_oracle(problem, grid_per_dim)
     except (ValueError, SolverError) as exc:
         raise DataError(f"oracle run failed: {exc}") from exc
     fit_obj = state.objective_history[-1]

@@ -38,7 +38,7 @@ from .solver import (
     Loss,
     _AtomFamily,
     _cg_fit,
-    _group_refit,
+    _grid_solve,
     _multistart,
     loss_total,
 )
@@ -356,11 +356,11 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
 def _check_hyper_inputs(Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid):
     """Z, Y and the grids as checked float arrays, for hyper_fit and
     hyper_grid_oracle; the ValueError names the first fault.  lam must be
-    finite and nonnegative; the grids are optional, but both or neither."""
+    finite and positive; the grids are optional, but both or neither."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     if Z.shape[0] != Y.shape[0]:
         raise ValueError("Z and Y differ in length")
     if Z.shape[0] < 1:
@@ -407,8 +407,6 @@ def hyper_fit(
     ``theta_grid`` restrict the search to their product; give both or
     neither.
     """
-    if not lam > 0:
-        raise ValueError("hyper_fit requires lam > 0")
     if opts.mode != "group":
         raise ValueError("hyper_fit refits free payloads (group mode only)")
     Z, Y, w_grid, theta_grid = _check_hyper_inputs(
@@ -427,34 +425,20 @@ def hyper_fit(
     )
 
 
-def hyper_grid_oracle(
-    Z,
-    Y,
-    sampling: SampledMeasurement,
-    phi: FeatureMap,
-    psi: FeatureMap,
-    spec: DualPairSpec,
-    lam: float,
-    w_grid,
-    theta_grid,
-    max_iter: int = 20000,
-    tol: float = 1e-10,
-):
-    """Solve the product-grid discretization: one free payload row per
-    (w, theta) pair.  Returns (objective, coefficient matrix).  The inputs
-    are checked as in hyper_fit, except that lam = 0 is allowed."""
+def hyper_grid_oracle(Z, Y, sampling: SampledMeasurement, phi: FeatureMap, psi: FeatureMap,
+                      spec: DualPairSpec, lam: float, w_grid, theta_grid):
+    """Solve the product-grid discretization, certified: hyper_fit's engine on
+    both grids until the score is within 1e-9 relative of lam.  Returns
+    (objective, coefficient matrix with row gw * len(theta_grid) + gt for
+    (w_grid[gw], theta_grid[gt]), relative duality gap)."""
     if w_grid is None or theta_grid is None:
         raise ValueError("the grid oracle needs both w_grid and theta_grid")
     Z, Y, w_grid, theta_grid = _check_hyper_inputs(
         Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid
     )
-    # product enumeration: pair index p = gw * Gt + gt
-    Gw, Gt = w_grid.shape[0], theta_grid.shape[0]
-    L = np.hstack([np.repeat(w_grid, Gt, axis=0), np.tile(theta_grid, (Gw, 1))])
-    fam = _product_family(Z, Y, sampling, phi, psi, spec, lam)
-    C0 = np.zeros((Gw * Gt, spec.dim))
-    C, obj = _group_refit(fam, fam.design(L), C0, max_iter, tol)
-    return obj, C
+    fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, w_grid=w_grid,
+                          theta_grid=theta_grid)
+    return _grid_solve(fam, (w_grid, theta_grid))
 
 
 # ---------------------------------------------------------------- deeponet

@@ -8,8 +8,8 @@ where f_mu integrates the feature map against an atomic vector measure.
 Atoms delta_w u are inserted by a linear maximization oracle over the
 extreme points of the primal unit ball, coefficients are refit by
 proximal and Newton steps on the support (accelerated proximal descent for
-the Huber loss and wide designs), and a fully discretized solve on a fixed
-weight grid provides an independent check of the optimal objective.
+the Huber loss and wide designs), and the same loop on a fixed weight grid,
+whose atom search is exhaustive, certifies the optimum by a duality gap.
 """
 
 from __future__ import annotations
@@ -395,35 +395,6 @@ def _prox_rows(Z: np.ndarray, tau: float, norm: str) -> np.ndarray:
     raise ValueError(f"no proximal map for row norm {norm!r}")
 
 
-def _refit_step(normal, shape, max_iter: int = 100, tol: float = 1e-6) -> float:
-    """Initial refit step 1/L, L the top eigenvalue of the data term's
-    normal operator ``normal`` on arrays of ``shape``.
-
-    Power iteration from a fixed seeded direction (not all-ones: odd
-    features on a symmetric grid map that to zero), stopped when the
-    Rayleigh quotient changes by at most tol relative.  The estimate never
-    exceeds L, so the step can be too long; the backtracking in ``_fista``
-    guards that.  Huber curvature is at most 1, so the squared-loss L bounds
-    both losses.  Returns 1.0 when the operator vanishes on the iterates.
-    """
-    v = np.random.default_rng(0).standard_normal(shape)
-    if v.size == 0:
-        return 1.0
-    v /= math.sqrt(float(np.vdot(v, v)))
-    est = 0.0
-    for _ in range(max_iter):
-        Av = normal(v)
-        rq = float(np.vdot(v, Av))
-        size = math.sqrt(float(np.vdot(Av, Av)))
-        if not (rq > 0.0 and math.isfinite(size)):
-            break
-        done = abs(rq - est) <= tol * rq
-        v, est = Av / size, rq
-        if done:
-            break
-    return 1.0 / est if est > 0.0 else 1.0
-
-
 def _fista(x0, forward, value, grad, penalty, prox, step: float, max_iter: int, tol: float):
     """Accelerated proximal descent with backtracking from the step ``step``.
 
@@ -520,8 +491,20 @@ def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     return _fista_refit(fam, B, C0, max_iter, tol)
 
 
+def _refit_step(fam: _AtomFamily, B, shape):
+    """Step 1/lambda_max(D^T D / N) of a refit of payload rows of ``shape`` on
+    the design B, from ``eigvalsh`` on the smaller Gram: D^T D / N, or D D^T / N
+    when D is wide; 1.0 when D vanishes.  Column j of the lifted design D
+    holds the predictions of the j-th unit payload entry.  Returns (step, D, Gram)."""
+    units = np.eye(math.prod(shape)).reshape(-1, *shape)
+    D = np.stack([fam.predict(B, E).ravel() for E in units], axis=1)
+    gram = (D @ D.T if D.shape[1] > D.shape[0] else D.T @ D) / fam.Y.shape[0]
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    return (1.0 / top if top > 0.0 else 1.0), D, gram
+
+
 def _fista_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
-    """Refit by ``_fista`` from the power-iteration step; any loss, any K."""
+    """Refit by ``_fista``; any loss (Huber curvature is at most 1), any K."""
     n = fam.Y.shape[0]
 
     def forward(C):
@@ -539,7 +522,7 @@ def _fista_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     def prox(Z, step):
         return _prox_rows(Z, step * fam.lam, fam.norm)
 
-    step = _refit_step(lambda C: fam.pull_back(B, forward(C)) / n, C0.shape)
+    step = _refit_step(fam, B, C0.shape)[0]
     return _fista(C0, forward, value, grad, penalty, prox, step, max_iter, tol)
 
 
@@ -570,12 +553,8 @@ def _newton_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     k, dim = C0.shape
     n = fam.Y.shape[0]
     y = fam.Y.ravel()
-    units = np.eye(k * dim).reshape(-1, k, dim)
-    D = np.stack([fam.predict(B, E).ravel() for E in units], axis=1)
-    H = D.T @ D / n
+    step, D, H = _refit_step(fam, B, C0.shape)   # K <= N*d_meas: the Gram is H
     q = D.T @ y / n
-    top = float(np.linalg.eigvalsh(H)[-1])
-    step = 1.0 / top if top > 0.0 else 1.0
     lam = fam.lam
     g = dim if fam.norm == L2 else 1   # an l1 entry is an l2 group of one
 
@@ -674,8 +653,7 @@ class FitOptions:
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
         if self.refit_max_iter < 1:
-            # a refit that takes no step leaves the new atom at zero; it is
-            # pruned and re-inserted forever
+            # a refit that takes no step prunes each new atom: the run stalls at once
             raise ValueError("refit_max_iter must be >= 1")
         if self.mode not in ("l1", "group"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -707,10 +685,12 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
     Every atom is a location row and a free payload row, refit by
     ``_group_refit``; round k seeds the atom search with opts.seed + 7919 k.
     Terminates when the oracle score drops to lam*(1+tol), the atom budget
-    is exhausted, or the oracle re-proposes the current support without
-    progress; in every case the certificate (last oracle score) is
-    recorded.  Returns (locations, coalesced payload rows, objective
-    history, certificate, iterations, converged).
+    is exhausted, or a round ends on the support it started from (the
+    proposal merged, or its new slot was pruned) with the objective down by
+    at most refit_tol relative, so that the next round would repeat it; in
+    every case the certificate (last oracle score) is recorded.  Returns
+    (locations, coalesced payload rows, objective history, certificate,
+    iterations, converged).
     """
     n = fam.Y.shape[0]
     L = np.zeros((0, fam.width))  # locations
@@ -753,8 +733,9 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
 
         history.append(obj)
         iterations += 1
-        if merged and history[-2] - history[-1] <= opts.refit_tol * max(1.0, abs(obj)):
-            break  # oracle keeps proposing the same support: stalled
+        stalled = history[-2] - history[-1] <= opts.refit_tol * max(1.0, abs(obj))
+        if stalled and (merged or not keep[-1]):
+            break  # back on the support the round started from
 
     L, C = _coalesce_rows(L, C, fam.norm)
     if converged and len(L) > fam.Y.size:
@@ -855,24 +836,55 @@ def lambda_max(p: Problem, grid_per_dim: int = 17, restarts: int = 8, seed: int 
     return max(score, best, rand)
 
 
-def grid_oracle(p: Problem, grid_per_dim: int, max_iter: int = 20000, tol: float = 1e-10):
-    """Solve the weight-grid discretization of the problem to high accuracy.
+def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
+    """Objective and relative duality gap of payload rows C at locations L.
 
-    All grid locations get a free payload row; the penalty is the sum of
-    primal row norms, handled by row-wise soft thresholding.  Uses the
-    problem's ``omega_grid`` when present so that grid-restricted fits
-    and this oracle optimize over the identical candidate set.  Returns
-    (objective, coefficient matrix).
+    With G the loss gradient and s = ``fam.search(G, 0)``, the dual point
+    theta = -G/N min(1, lam/s) is feasible (for the Huber loss too, inside
+    its box |theta| <= delta/N), with the dual value <theta, Y> - N|theta|^2/2.
+    A certificate when the search is exhaustive, as on a grid."""
+    n = fam.Y.shape[0]
+    P = fam.predict(fam.design(L), C)
+    primal = loss_total(fam.loss, P, fam.Y) / n + fam.lam * float(row_norms(C, fam.norm).sum())
+    G = loss_grad(fam.loss, P, fam.Y)
+    s = fam.search(G, 0)[2]
+    theta = -G / n * (1.0 if s <= fam.lam else fam.lam / s)
+    dual = float(np.vdot(theta, fam.Y)) - 0.5 * n * float(np.vdot(theta, theta))
+    return primal, (primal - dual) / primal if primal > 0.0 else primal - dual
+
+
+def _grid_solve(fam: _AtomFamily, grids):
+    """The CG engine at fixed tolerances on a grid family over the product
+    of ``grids``, each holding the next columns of a location.  Returns
+    (objective, payload rows for every grid point in C order, relative gap)."""
+    sizes = [len(g) for g in grids]
+    L, C = _cg_fit(fam, FitOptions(max_atoms=math.prod(sizes), tol=1e-9, refit_tol=1e-13))[:2]
+    ends = np.cumsum([g.shape[1] for g in grids])
+    at = [np.argmin(np.abs(L[:, None, e - g.shape[1]:e] - g).max(axis=2), axis=1)
+          for g, e in zip(grids, ends)]
+    rows = np.zeros((math.prod(sizes), fam.dim))
+    rows[np.ravel_multi_index(at, sizes)] = C
+    obj, gap = _duality_gap(fam, L, C)
+    return obj, rows, gap
+
+
+def grid_oracle(p: Problem, grid_per_dim: int):
+    """Solve the weight-grid discretization of the problem, certified.
+
+    The CG engine runs on the grid (the problem's ``omega_grid`` when
+    present, so grid-restricted fits and this oracle share their candidate
+    set) until the score is within 1e-9 relative of lam > 0.  Returns
+    (objective, coefficient matrix with a row per grid point, relative
+    duality gap).
     """
+    if not p.lam > 0:
+        raise ValueError("grid oracle requires lam > 0")
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("grid oracle supports l1 and l2 primal norms")
     if p.omega_grid is None:
         p = dataclasses.replace(
             p, omega_grid=product_grid(p.feature.radius, p.feature.dw, grid_per_dim))
-    fam = _flat_family(p, FitOptions())
-    C0 = np.zeros((p.omega_grid.shape[0], p.spec.dim))
-    C, obj = _group_refit(fam, p.grid_phi, C0, max_iter, tol)
-    return obj, C
+    return _grid_solve(_flat_family(p, FitOptions()), (p.omega_grid,))
 
 
 # ------------------------------------------------------------------ export

@@ -255,14 +255,18 @@ def test_acceptance_04_sparsity_and_extremality():
 def test_acceptance_05_oracle_equivalence():
     start = time.monotonic()
     states = _suite_states()
-    worst = 0.0
+    worst = worst_dual = 0.0
     for (p, opts, _), state in zip(_suite(), states):
-        oracle_obj, _ = grid_oracle(p, 7, max_iter=50000, tol=1e-13)
+        oracle_obj, _, dual_gap = grid_oracle(p, 7)
         gap = abs(state.objective_history[-1] - oracle_obj) / oracle_obj
         worst = max(worst, gap)
+        worst_dual = max(worst_dual, dual_gap)
     elapsed = time.monotonic() - start
     assert worst <= 1e-4
-    _report(5, "oracle equivalence", f"max relative gap {worst:.2e}", elapsed, 120)
+    assert worst_dual <= 1e-7
+    _report(5, "oracle equivalence",
+            f"max relative gap {worst:.2e}, max oracle duality gap {worst_dual:.2e}",
+            elapsed, 120)
 
 
 def test_acceptance_06_zero_solution_threshold():

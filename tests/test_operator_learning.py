@@ -471,9 +471,13 @@ def test_hyper_fit_matches_product_grid_oracle():
         opts=FitOptions(max_atoms=14, tol=1e-6, refit_tol=1e-12),
         w_grid=wg, theta_grid=tg,
     )
-    obj_oracle, _ = hyper_grid_oracle(
-        Z, Y, samp, phi, psi, spec, lam, wg, tg, max_iter=50000, tol=1e-13
-    )
+    obj_oracle, C, gap = hyper_grid_oracle(Z, Y, samp, phi, psi, spec, lam, wg, tg)
+    assert gap <= 1e-7
+    # row gw * len(tg) + gt of C is the payload of the pair (wg[gw], tg[gt])
+    on = np.flatnonzero(np.abs(C).sum(axis=1))
+    grid_model = HyperModel(np.ones(len(on)), wg[on // len(tg)], tg[on % len(tg)], C[on],
+                            phi, psi, spec)
+    assert hyper_objective(Z, Y, samp, grid_model, lam) == pytest.approx(obj_oracle, rel=1e-10)
     assert state.objective_history[-1] <= obj_oracle * (1 + 1e-4)
     assert abs(state.objective_history[-1] - obj_oracle) / obj_oracle <= 1e-4
     # the reported objective matches the model-level recomputation
@@ -770,8 +774,8 @@ def _oracle_instance():
         ("Z", np.zeros((3, 2)), "Z width does not match the hyper feature"),
         ("Z", np.array([[0.1], [np.nan], [0.7]]), "Z must be finite"),
         ("Y", np.array([[0.9, -0.3], [0.2, np.inf], [-0.5, 0.1]]), "Y must be finite"),
-        ("lam", -0.1, "lam must be finite and nonnegative"),
-        ("lam", np.inf, "lam must be finite and nonnegative"),
+        ("lam", -0.1, "lam must be finite and positive"),
+        ("lam", np.inf, "lam must be finite and positive"),
     ],
 )
 @pytest.mark.parametrize("solve", ["hyper_fit", "hyper_grid_oracle"])
@@ -780,21 +784,16 @@ def test_hyper_fit_and_grid_oracle_share_the_input_checks(solve, key, value, fau
     args = _oracle_instance()
     getattr(operator_learning, solve)(**args)
     args[key] = value
-    if solve == "hyper_fit" and key == "lam" and value < 0:
-        fault = "hyper_fit requires lam > 0"
     with pytest.raises(ValueError, match=fault):
         getattr(operator_learning, solve)(**args)
 
 
-def test_grid_oracle_allows_lambda_zero_and_needs_both_grids():
-    # lam = 0 is the unregularized least-squares fit over the product grid,
-    # as grid_oracle allows it for the flat problem; hyper_fit keeps lam > 0
+def test_grid_oracle_requires_positive_lambda_and_both_grids():
+    # lam = 0 is refused by both, as by the flat fit and grid_oracle
     args = {**_oracle_instance(), "lam": 0.0}
-    obj, C = hyper_grid_oracle(**args)
-    assert np.isfinite(obj) and obj >= 0.0
-    assert C.shape == (2, 2)
-    with pytest.raises(ValueError, match="hyper_fit requires lam > 0"):
-        hyper_fit(**args)
+    for solve in (hyper_grid_oracle, hyper_fit):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            solve(**args)
     with pytest.raises(ValueError, match="needs both w_grid and theta_grid"):
         hyper_grid_oracle(**{**args, "theta_grid": None})
 

@@ -410,9 +410,10 @@ def test_fit_matches_grid_oracle_l2_group():
     lam = 0.3 * lambda_max(p)
     p = dataclasses.replace(p, lam=lam)
     state = fit(p, FitOptions(max_atoms=40, mode="group", tol=1e-6, refit_tol=1e-12))
-    ref_obj, _ = grid_oracle(p, 7, max_iter=50000, tol=1e-13)
+    ref_obj, _, gap = grid_oracle(p, 7)
     got = objective(p, state.measure)
     assert abs(got - ref_obj) / ref_obj <= 1e-4
+    assert gap <= 1e-7
 
 
 def test_fit_matches_grid_oracle_l1_mode():
@@ -421,9 +422,10 @@ def test_fit_matches_grid_oracle_l1_mode():
     lam = 0.4 * lambda_max(p)
     p = dataclasses.replace(p, lam=lam)
     state = fit(p, FitOptions(max_atoms=40, mode="l1", tol=1e-6, refit_tol=1e-12))
-    ref_obj, _ = grid_oracle(p, 5, max_iter=50000, tol=1e-13)
+    ref_obj, _, gap = grid_oracle(p, 5)
     got = objective(p, state.measure)
     assert abs(got - ref_obj) / ref_obj <= 1e-4
+    assert gap <= 1e-7
 
 
 def test_fit_history_non_increasing_and_sparsity():
@@ -521,12 +523,90 @@ def test_fit_requires_positive_lam():
         fit(p, FitOptions(max_atoms=2))
 
 
+def test_fit_stops_when_the_refit_prunes_the_atom_it_inserted(monkeypatch):
+    # A refit that zeroes the newest row ends the round on the support it
+    # started from, so every later round would propose the same atom again
+    # with the same objective; the run ends there as stalled.
+    calls = []
+
+    def prune_newest(fam, B, C0, max_iter, tol):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("the CG loop proposes the pruned atom forever")
+        C = C0.copy()
+        C[-1] = 0.0
+        data = loss_total(fam.loss, fam.predict(B, C), fam.Y) / fam.Y.shape[0]
+        return C, data + fam.lam * float(row_norms(C, fam.norm).sum())
+
+    p = _neural_problem(np.random.default_rng(40), n=4, grid_per_dim=5)
+    p = dataclasses.replace(p, lam=0.1 * lambda_max(p))
+    monkeypatch.setattr(solver, "_group_refit", prune_newest)
+    state = fit(p, FitOptions(max_atoms=10, tol=0.0))
+    assert len(calls) == 1
+    assert state.iterations == 1 and not state.converged
+    assert len(state.measure) == 0
+
+
 # ------------------------------------------------------------- grid oracle
+
+def _grid_teacher(seed, n, loss=None):
+    # four-atom teacher plus noise on the 81-point grid of a 3-d weight ball
+    rng = np.random.default_rng(seed)
+    feat = FeatureMap("neural", dx=2, radius=2.0, activation="tanh")
+    X = rng.uniform(-1.0, 1.0, (n, 2))
+    W = rng.uniform(-0.8, 0.8, (4, 3))
+    Y = phi_matrix(feat, X, W) @ rng.standard_normal((4, 3))
+    Y = Y + 0.05 * rng.standard_normal((n, 3))
+    p = Problem(X, Y, loss or Loss(), identity_measurement(), 1.0, feat,
+                DualPairSpec(3, "l2"), omega_grid=product_grid(2.0, 3, 5))
+    return dataclasses.replace(p, lam=0.05 * lambda_max(p))
+
+
+def test_grid_oracle_refits_its_working_set_by_newton_steps(monkeypatch):
+    # 81 grid rows of 3 payload entries on 50 rows of 3 observations: a
+    # full-grid refit would be wide and go to FISTA; the working set stays
+    # within N*d_meas unknowns
+    sizes, fista_calls = [], []
+    newton, fista = solver._newton_refit, solver._fista
+
+    def counted_newton(fam, B, C0, *args):
+        sizes.append((C0.size, fam.Y.size))
+        return newton(fam, B, C0, *args)
+
+    def counted_fista(*args):
+        fista_calls.append(1)
+        return fista(*args)
+
+    monkeypatch.setattr(solver, "_newton_refit", counted_newton)
+    monkeypatch.setattr(solver, "_fista", counted_fista)
+    p = _grid_teacher(0, 50)
+    assert p.omega_grid.shape == (81, 3)
+    obj, C, gap = grid_oracle(p, 5)
+    assert fista_calls == []
+    assert sizes and all(k <= m for k, m in sizes)
+    assert C.shape == (81, 3)
+    assert gap <= 1e-7
+
+
+def test_grid_oracle_huber_loss_has_a_finite_gap():
+    p = _grid_teacher(1, 12, Loss("huber", 0.05))
+    obj, C, gap = grid_oracle(p, 5)
+    assert math.isfinite(gap) and gap >= -1e-12
+    mu = measure_from_arrays(p.omega_grid, C, p.spec, p.feature.radius)
+    assert objective(p, mu) == pytest.approx(obj, rel=1e-10)
+
+
+def test_grid_oracle_requires_positive_lam():
+    p = _neural_problem(np.random.default_rng(41), lam=0.0)
+    with pytest.raises(ValueError, match="requires lam > 0"):
+        grid_oracle(p, 5)
+
+
 
 def test_grid_oracle_huge_lam_returns_zero():
     rng = np.random.default_rng(14)
     p = _neural_problem(rng, n=3, lam=1e6)
-    obj, C = grid_oracle(p, 5)
+    obj, C, _ = grid_oracle(p, 5)
     assert np.all(C == 0.0)
     assert obj == pytest.approx(
         objective(p, empty_measure(p.spec, p.feature.radius)), rel=1e-12
@@ -542,7 +622,7 @@ def test_grid_oracle_single_cell_soft_threshold():
     c_star = (phi * y - lam) / phi**2
     p = Problem([[x]], [[y]], Loss(), identity_measurement(), lam, feat, spec,
                 omega_grid=w)
-    obj, C = grid_oracle(p, 1, tol=1e-14)
+    obj, C, _ = grid_oracle(p, 1)
     assert C[0, 0] == pytest.approx(c_star, rel=1e-6)
     by_hand = 0.5 * (phi * c_star - y) ** 2 + lam * abs(c_star)
     assert obj == pytest.approx(by_hand, rel=1e-10)
@@ -551,7 +631,7 @@ def test_grid_oracle_single_cell_soft_threshold():
 def test_grid_oracle_objective_matches_reported_coefficients():
     rng = np.random.default_rng(15)
     p = _neural_problem(rng, n=4, lam=0.08)
-    obj, C = grid_oracle(p, 5)
+    obj, C, _ = grid_oracle(p, 5)
     grid = product_grid(p.feature.radius, 2, 5)
     mu = measure_from_arrays(grid, C, p.spec, p.feature.radius)
     assert objective(p, mu) == pytest.approx(obj, rel=1e-10)
@@ -560,33 +640,31 @@ def test_grid_oracle_objective_matches_reported_coefficients():
 def test_grid_oracle_rerun_identical():
     rng = np.random.default_rng(16)
     p = _neural_problem(rng, n=3, lam=0.05)
-    o1, C1 = grid_oracle(p, 5)
-    o2, C2 = grid_oracle(p, 5)
+    o1, C1, _ = grid_oracle(p, 5)
+    o2, C2, _ = grid_oracle(p, 5)
     assert abs(o1 - o2) <= 1e-8
     assert np.allclose(C1, C2, atol=1e-10)
 
 
 # ------------------------------------------------------------- step rules
 
-def _normal(fam, B, n):
-    # the data term's normal operator, as the group refit builds it
-    return lambda C: fam.pull_back(B, fam.predict(B, C)) / n
-
-
-def test_refit_step_is_inverse_top_eigenvalue_flat_identity():
+@pytest.mark.parametrize("n", [40, 3])
+def test_refit_step_is_inverse_top_eigenvalue_flat_identity(n):
+    # 12 grid rows of 3 payload entries: a tall lifted design at n = 40 and
+    # a wide one, stepped from the smaller Gram D D^T, at n = 3
     rng = np.random.default_rng(30)
-    p = _neural_problem(rng, n=40, dim=3, grid_per_dim=4)
+    p = _neural_problem(rng, n=n, dim=3, grid_per_dim=4)
     fam = _flat_family(p, FitOptions())
     Phi = fam.design(p.omega_grid)
-    step = _refit_step(_normal(fam, Phi, p.n_data), (Phi.shape[1], 3))
-    assert step == pytest.approx(p.n_data / np.linalg.norm(Phi, 2) ** 2, rel=1e-3)
+    step = _refit_step(fam, Phi, (Phi.shape[1], 3))[0]
+    assert step == pytest.approx(p.n_data / np.linalg.norm(Phi, 2) ** 2, rel=1e-12)
 
 
 def test_refit_step_zero_design_is_finite():
     rng = np.random.default_rng(31)
     p = _neural_problem(rng, n=5, dim=2)
     fam = _flat_family(p, FitOptions())
-    step = _refit_step(_normal(fam, np.zeros((5, 3)), p.n_data), (3, 2))
+    step = _refit_step(fam, np.zeros((5, 3)), (3, 2))[0]
     assert math.isfinite(step) and step > 0
 
 
