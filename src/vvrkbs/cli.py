@@ -257,7 +257,7 @@ def cmd_fit(args) -> int:
         )
         start = time.monotonic()
         state = fit(problem, opts)
-    except (ValueError, SolverError) as exc:
+    except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
         raise DataError(f"fit failed: {exc}") from exc
     wall_ms = round((time.monotonic() - start) * 1000)
     model = _model_json_dict(state, spec, feat)
@@ -350,7 +350,7 @@ def cmd_oracle(args) -> int:
         )
         state = fit(problem, opts)
         oracle_obj, _, _ = grid_oracle(problem, grid_per_dim)
-    except (ValueError, SolverError) as exc:
+    except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
         raise DataError(f"oracle run failed: {exc}") from exc
     fit_obj = state.objective_history[-1]
     gap = 0.0 if fit_obj == oracle_obj else abs(fit_obj - oracle_obj) / abs(oracle_obj)

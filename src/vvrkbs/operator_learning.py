@@ -240,10 +240,13 @@ class HyperFitState:
     converged: bool
 
 
-def _hyper_predictions(Phi, Psi, V, C):
-    # P[n, j] = sum_m Phi[n, m] Psi[j, m] (C V^T)[m, j]
-    B = C @ V.T
-    return Phi @ (Psi.T * B)
+def _product_design(Phi, Psi, V):
+    """Lifted design of sampled two-level predictions: entry ((n, j), (m, i))
+    is Phi[n, m] (Psi[j, m] V[j, i]), the prediction at task n and functional
+    j of the unit payload e_i at atom m, for Phi = phi(z_n, w_m),
+    Psi = psi(x_j, theta_m) and the functional rows V."""
+    shape = (Phi.shape[0] * Psi.shape[0], Phi.shape[1] * V.shape[1])
+    return (Phi[:, None, :, None] * (Psi[:, :, None] * V[:, None, :])).reshape(shape)
 
 
 def hyper_objective(
@@ -253,14 +256,10 @@ def hyper_objective(
     """Mean loss of the sampled predictions plus lam * weight_form_tv."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if len(model.a):
-        Phi = phi_matrix(model.phi, Z, model.W)
-        Psi = phi_matrix(model.psi, sampling.points, model.Theta)
-        P = _hyper_predictions(
-            Phi, Psi, sampling.functionals, model.a[:, None] * model.V
-        )
-    else:
-        P = np.zeros_like(Y)
+    D = _product_design(phi_matrix(model.phi, Z, model.W),
+                        phi_matrix(model.psi, sampling.points, model.Theta),
+                        sampling.functionals)
+    P = (D @ (model.a[:, None] * model.V).ravel()).reshape(len(Z), sampling.n_samples)
     data = loss_total(loss, P, Y) / len(Z)
     return data + lam * weight_form_tv(model)
 
@@ -321,12 +320,8 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
     if w_grid is not None:
         grid_features = phi_matrix(phi, Z, w_grid), phi_matrix(psi, Xj, theta_grid)
 
-    def design(L):
-        return phi_matrix(phi, Z, L[:, :dw]), phi_matrix(psi, Xj, L[:, dw:])
-
-    def pull_back(B, G):
-        Phi, Psi = B
-        return ((Phi.T @ G) * Psi.T) @ V
+    def lift(L):
+        return _product_design(phi_matrix(phi, Z, L[:, :dw]), phi_matrix(psi, Xj, L[:, dw:]), V)
 
     def search(G, seed):
         GN = G / n
@@ -346,9 +341,7 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
         norm=spec.primal_norm,
         dim=spec.dim,
         width=phi.dw + psi.dw,
-        design=design,
-        predict=lambda B, C: _hyper_predictions(B[0], B[1], V, C),
-        pull_back=pull_back,
+        lift=lift,
         search=search,
     )
 

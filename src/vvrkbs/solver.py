@@ -6,10 +6,14 @@ The learning problem is
 
 where f_mu integrates the feature map against an atomic vector measure.
 Atoms delta_w u are inserted by a linear maximization oracle over the
-extreme points of the primal unit ball, coefficients are refit by
-proximal and Newton steps on the support (accelerated proximal descent for
-the Huber loss and wide designs), and the same loop on a fixed weight grid,
-whose atom search is exhaustive, certifies the optimum by a duality gap.
+extreme points of the primal unit ball.  On fixed atoms the problem is a
+group lasso on one matrix, the lifted design D, whose column (m, i) holds
+the predictions of the unit payload e_i at atom m.  Each round builds D
+once; the payloads are refit on it by proximal and Newton steps on the
+support (accelerated proximal descent for the Huber loss and wide designs),
+and the predictions are D times the payloads.  The same loop on a fixed
+weight grid, whose atom search is exhaustive, certifies the optimum by a
+duality gap.
 """
 
 from __future__ import annotations
@@ -395,39 +399,47 @@ def _prox_rows(Z: np.ndarray, tau: float, norm: str) -> np.ndarray:
     raise ValueError(f"no proximal map for row norm {norm!r}")
 
 
-def _fista(x0, forward, value, grad, penalty, prox, step: float, max_iter: int, tol: float):
-    """Accelerated proximal descent with backtracking from the step ``step``.
+def _fista(fam: _AtomFamily, D, C0: np.ndarray, step: float, max_iter: int, tol: float):
+    """Accelerated proximal descent on payload rows acting through the lifted
+    design D, with backtracking from the step ``step``; any loss (Huber
+    curvature is at most 1) and any number of rows.
 
-    ``forward`` is the linear map from coefficients to predictions,
-    ``value(P)`` the data term at predictions P and ``grad(P)`` its gradient
-    in the coefficients.  A line-search trial costs one ``forward`` and one
-    ``value``; the gradient is taken only where a descent step starts, and
-    the extrapolated point's predictions follow from linearity.  Momentum
-    restarts whenever the composite objective would increase, so the
-    returned objective never exceeds the starting one.  Stops on relative
-    objective change below tol.  Returns (x, objective).
+    A line-search trial costs one product with D and one loss value; the
+    gradient is taken only where a descent step starts, and the extrapolated
+    point's predictions follow from linearity.  Momentum restarts whenever
+    the composite objective would increase, so the returned objective never
+    exceeds the starting one.  Stops on relative objective change below tol.
+    Returns (C, objective).
     """
-    x = np.array(x0, dtype=float)
-    Px = forward(x)
-    fx = value(Px)
-    obj = fx + penalty(x)
+    n, y = fam.Y.shape[0], fam.Y.ravel()
+
+    def data(P):
+        return loss_total(fam.loss, P, y) / n
+
+    def total(C, f):
+        return f + fam.lam * float(row_norms(C, fam.norm).sum())
+
+    x = np.array(C0, dtype=float)
+    Px = D @ x.ravel()
+    fx = data(Px)
+    obj = total(x, fx)
     z, Pz, fz = x, Px, fx
     t_mom = 1.0
 
     def descend(point, P, fp):
         nonlocal step
-        g = grad(P)
+        g = (D.T @ loss_grad(fam.loss, P, y)).reshape(point.shape) / n
         if not np.isfinite(g).all():
             raise SolverError("non-finite refit gradient")
         while True:
-            cand = prox(point - step * g, step)
+            cand = _prox_rows(point - step * g, step * fam.lam, fam.norm)
             diff = cand - point
-            Pc = forward(cand)
-            fc = value(Pc)
+            Pc = D @ cand.ravel()
+            fc = data(Pc)
             bound = fp + float(np.vdot(g, diff))
             bound += float(np.vdot(diff, diff)) / (2.0 * step)
             if fc <= bound + 1e-12 * (1.0 + abs(fp)):
-                return cand, Pc, fc, fc + penalty(cand)
+                return cand, Pc, fc, total(cand, fc)
             step *= 0.5
             if step < 1e-18:
                 raise SolverError("refit line search failed")
@@ -445,7 +457,7 @@ def _fista(x0, forward, value, grad, penalty, prox, step: float, max_iter: int, 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         beta = (t_mom - 1.0) / t_next
         z, Pz = x + beta * (x - x_prev), Px + beta * (Px - P_prev)
-        fz = value(Pz)
+        fz = data(Pz)
         t_mom = t_next
     return x, obj
 
@@ -455,14 +467,14 @@ class _AtomFamily:
     """One regression problem as the conditional-gradient engine sees it.
 
     An atom is a location row of ``width`` entries and a free payload row
-    in R^dim, penalized by its ``norm``.  ``design(L)`` precomputes what
-    ``predict`` needs for fixed locations L; ``predict(B, C)`` maps payload
-    rows C to the (N, d_meas) predictions and ``pull_back(B, G)`` is its
-    adjoint, taking loss gradients back to payload rows.  ``search(G, seed)``
-    is the atom oracle, seeded for its random starts, at the loss gradients
-    G of the current model; it returns (location, unit payload, score), the
-    score on the scale of lam.  ``measured(U)`` applies the measurement to
-    unit directions; only families with it have a ``_pinned`` form.
+    in R^dim, penalized by its ``norm``.  On fixed locations L the model is
+    linear in the payloads: ``lift(L)`` is the lifted design D, of shape
+    (Y.size, len(L) * dim), whose column (m, i) holds the predictions of
+    the unit payload e_i at atom m, so payload rows C predict
+    (D @ C.ravel()).reshape(Y.shape); an empty L gives shape (Y.size, 0).
+    ``search(G, seed)`` is the atom oracle, seeded for its random starts, at
+    the loss gradients G of the current model; it returns (location, unit
+    payload, score), the score on the scale of lam.
     """
 
     Y: np.ndarray
@@ -471,15 +483,12 @@ class _AtomFamily:
     norm: str
     dim: int
     width: int
-    design: Callable
-    predict: Callable
-    pull_back: Callable
+    lift: Callable
     search: Callable
-    measured: Callable | None = None
 
 
-def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
-    """Refit free payload rows on the locations behind the design B.
+def _group_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
+    """Refit payload rows on the lifted design D of their locations.
 
     The squared loss with at most N*d_meas coefficients goes to
     ``_newton_refit``; the Huber loss, and designs with more coefficients
@@ -487,46 +496,20 @@ def _group_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     ``_fista``.  Returns (payload rows, objective).
     """
     if fam.loss.kind == SQUARED_HALF and C0.size <= fam.Y.size:
-        return _newton_refit(fam, B, C0, max_iter, tol)
-    return _fista_refit(fam, B, C0, max_iter, tol)
+        return _newton_refit(fam, D, C0, max_iter, tol)
+    return _fista(fam, D, C0, _refit_step(fam, D)[0], max_iter, tol)
 
 
-def _refit_step(fam: _AtomFamily, B, shape):
-    """Step 1/lambda_max(D^T D / N) of a refit of payload rows of ``shape`` on
-    the design B, from ``eigvalsh`` on the smaller Gram: D^T D / N, or D D^T / N
-    when D is wide; 1.0 when D vanishes.  Column j of the lifted design D
-    holds the predictions of the j-th unit payload entry.  Returns (step, D, Gram)."""
-    units = np.eye(math.prod(shape)).reshape(-1, *shape)
-    D = np.stack([fam.predict(B, E).ravel() for E in units], axis=1)
+def _refit_step(fam: _AtomFamily, D):
+    """Step 1/lambda_max(D^T D / N) of a refit on the lifted design D, from
+    ``eigvalsh`` on the smaller Gram: D^T D / N, or D D^T / N when D is wide;
+    1.0 when D vanishes.  Returns (step, Gram)."""
     gram = (D @ D.T if D.shape[1] > D.shape[0] else D.T @ D) / fam.Y.shape[0]
     top = float(np.linalg.eigvalsh(gram)[-1])
-    return (1.0 / top if top > 0.0 else 1.0), D, gram
+    return (1.0 / top if top > 0.0 else 1.0), gram
 
 
-def _fista_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
-    """Refit by ``_fista``; any loss (Huber curvature is at most 1), any K."""
-    n = fam.Y.shape[0]
-
-    def forward(C):
-        return fam.predict(B, C)
-
-    def value(P):
-        return loss_total(fam.loss, P, fam.Y) / n
-
-    def grad(P):
-        return fam.pull_back(B, loss_grad(fam.loss, P, fam.Y)) / n
-
-    def penalty(C):
-        return fam.lam * float(row_norms(C, fam.norm).sum())
-
-    def prox(Z, step):
-        return _prox_rows(Z, step * fam.lam, fam.norm)
-
-    step = _refit_step(fam, B, C0.shape)[0]
-    return _fista(C0, forward, value, grad, penalty, prox, step, max_iter, tol)
-
-
-def _newton_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
+def _newton_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
     """Squared-loss group-lasso refit: prox-gradient steps, each followed by
     Newton steps on the support (Pieper & Walter 2021).
 
@@ -553,7 +536,7 @@ def _newton_refit(fam: _AtomFamily, B, C0: np.ndarray, max_iter, tol):
     k, dim = C0.shape
     n = fam.Y.shape[0]
     y = fam.Y.ravel()
-    step, D, H = _refit_step(fam, B, C0.shape)   # K <= N*d_meas: the Gram is H
+    step, H = _refit_step(fam, D)   # K <= N*d_meas: the Gram is H
     q = D.T @ y / n
     lam = fam.lam
     g = dim if fam.norm == L2 else 1   # an l1 entry is an l2 group of one
@@ -665,9 +648,12 @@ class FitOptions:
 class SolverState:
     """Outcome of a conditional-gradient run.
 
-    ``certificate`` is the oracle score at the last iteration; the run
-    converged when it dropped to lam*(1+tol), otherwise the state is
-    returned as-is with ``converged`` False.
+    ``certificate`` is the oracle score at the last iteration.  The run
+    ends in one of three ways: certified (``converged`` True), when that
+    score dropped to lam*(1+tol); at the atom budget, when a new atom would
+    exceed ``max_atoms``; or stalled, when a round ended on the support it
+    started from with the objective down by at most ``refit_tol`` relative.
+    The last two return the state as-is with ``converged`` False.
     """
 
     measure: AtomicVectorMeasure
@@ -682,13 +668,16 @@ class SolverState:
 def _cg_fit(fam: _AtomFamily, opts: FitOptions):
     """Conditional-gradient loop: insert, refit, prune, until certified.
 
-    Every atom is a location row and a free payload row, refit by
-    ``_group_refit``; round k seeds the atom search with opts.seed + 7919 k.
-    Terminates when the oracle score drops to lam*(1+tol), the atom budget
-    is exhausted, or a round ends on the support it started from (the
-    proposal merged, or its new slot was pruned) with the objective down by
-    at most refit_tol relative, so that the next round would repeat it; in
-    every case the certificate (last oracle score) is recorded.  Returns
+    Every atom is a location row and a free payload row.  Each round builds
+    the lifted design D of its locations once; ``_group_refit`` refits the
+    payload rows on D and the predictions are D times them.  Round k seeds
+    the atom search with opts.seed + 7919 k.  There are three exits:
+    certified, when the oracle score drops to lam*(1+tol); atom budget, when
+    a new atom would exceed opts.max_atoms; and stalled, when a round ends
+    on the support it started from (the proposal merged, or its new slot was
+    pruned) with the objective down by at most refit_tol relative, so that
+    the next round would repeat it.  In every case the certificate (last
+    oracle score) is recorded.  Returns
     (locations, coalesced payload rows, objective history, certificate,
     iterations, converged).
     """
@@ -720,9 +709,9 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
                 break
             L, C = np.vstack([L, loc]), np.vstack([C, np.zeros(fam.dim)])
 
-        B = fam.design(L)
-        C, obj = _group_refit(fam, B, C, opts.refit_max_iter, opts.refit_tol)
-        P = fam.predict(B, C)
+        D = fam.lift(L)
+        C, obj = _group_refit(fam, D, C, opts.refit_max_iter, opts.refit_tol)
+        P = (D @ C.ravel()).reshape(fam.Y.shape)
 
         # drop slots the threshold zeroed out exactly, which leaves P as the
         # predictions of the kept state; tiny survivors are left for the
@@ -745,8 +734,18 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
 
 
 def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
-    """Atoms delta_w c of the flat problem; the oracle is ``lmo``."""
+    """Atoms delta_w c of the flat problem; the oracle is ``lmo``.
+
+    The lifted design is kron(Phi, M), M the measurement matrix (the
+    identity for the identity measurement): entry ((n, j), (m, i)) is
+    phi(x_n, w_m) M[j, i].
+    """
     m = p.measurement
+    M = np.eye(p.spec.dim) if m.kind == "identity" else m.matrix
+
+    def lift(W):
+        Phi = phi_matrix(p.feature, p.X, W)
+        return (Phi[:, None, :, None] * M[:, None, :]).reshape(p.Y.size, len(W) * p.spec.dim)
 
     def search(G, seed):
         eta = measurement_adjoint(m, G) / p.n_data
@@ -759,11 +758,8 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
         norm=p.spec.primal_norm,
         dim=p.spec.dim,
         width=p.feature.dw,
-        design=lambda W: phi_matrix(p.feature, p.X, W),
-        predict=lambda Phi, C: measurement_apply(m, Phi @ C),
-        pull_back=lambda Phi, G: Phi.T @ measurement_adjoint(m, G),
+        lift=lift,
         search=search,
-        measured=lambda U: measurement_apply(m, U),
     )
 
 
@@ -772,28 +768,29 @@ def _pinned(fam: _AtomFamily) -> _AtomFamily:
 
     The location is [w, u], the direction riding after the weights, and the
     payload is the scalar a with penalty |a|, so a re-proposal merges only
-    when both w and u agree to MERGE_TOL; ``fit`` returns the row a u.
+    when both w and u agree to MERGE_TOL; ``fit`` returns the row a u.  The
+    lifted design contracts each atom's block of the free design with u.
     """
-    def design(L):
-        return fam.design(L[:, :fam.width]), fam.measured(L[:, fam.width:])
+    def lift(L):
+        D = fam.lift(L[:, :fam.width]).reshape(fam.Y.size, len(L), fam.dim)
+        return (D * L[:, fam.width:]).sum(axis=2)
 
     def search(G, seed):
         w, u, score = fam.search(G, seed)
         return np.concatenate([w, u]), np.ones(1), score
 
     return dataclasses.replace(
-        fam, norm=L1, dim=1, width=fam.width + fam.dim, design=design, search=search,
-        predict=lambda B, a: (B[0] * a[:, 0]) @ B[1],
-        pull_back=lambda B, G: (B[0] * (G @ B[1].T)).sum(axis=0)[:, None],
-        measured=None)
+        fam, norm=L1, dim=1, width=fam.width + fam.dim, lift=lift, search=search)
 
 
 def fit(p: Problem, opts: FitOptions) -> SolverState:
     """Conditional-gradient fit of an atomic measure, until certified.
 
-    Terminates when the oracle score drops to lam*(1+tol) or the atom
-    budget is exhausted; in either case the certificate (last oracle
-    score) is recorded.  Deterministic for a fixed seed.
+    Terminates certified, when the oracle score drops to lam*(1+tol); at
+    the atom budget, when a new atom would exceed opts.max_atoms; or
+    stalled, when a round would repeat the last one (see ``_cg_fit``).  In
+    every case the certificate (last oracle score) is recorded, and only
+    the first sets ``converged``.  Deterministic for a fixed seed.
     """
     if not p.lam > 0:
         raise ValueError("fit requires lam > 0")
@@ -844,7 +841,7 @@ def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
     its box |theta| <= delta/N), with the dual value <theta, Y> - N|theta|^2/2.
     A certificate when the search is exhaustive, as on a grid."""
     n = fam.Y.shape[0]
-    P = fam.predict(fam.design(L), C)
+    P = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape)
     primal = loss_total(fam.loss, P, fam.Y) / n + fam.lam * float(row_norms(C, fam.norm).sum())
     G = loss_grad(fam.loss, P, fam.Y)
     s = fam.search(G, 0)[2]

@@ -103,28 +103,51 @@ def test_fit_missing_csv_column_exits_2(tmp_path, capsys):
     assert "y0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section,key", [("feature", "dx"), ("space", "d")])
-def test_fit_width_beyond_the_header_exits_2(tmp_path, section, key):
-    # A declared width no header can hold must fail on the header.  The CLI
-    # runs in a child process capped at 2 GiB of address space, so a reader
-    # that builds one column name per declared column ends in MemoryError
-    # there instead of exhausting the machine.
-    config = _base_config()
-    config[section][key] = 10**400
-    cfg, data = _write_fixture(tmp_path, config)
+def _main_capped(argv):
+    # the CLI in a child process capped at 2 GiB of address space, so an
+    # allocation beyond it ends in MemoryError there instead of exhausting
+    # the machine
     code = ("import resource, sys; "
             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
             "from vvrkbs.cli import main; sys.exit(main(sys.argv[1:]))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(pathlib.Path(vvrkbs.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "fit", "--config", cfg, "--data", data,
-         "--out", str(tmp_path / "m.json")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("section,key", [("feature", "dx"), ("space", "d")])
+def test_fit_width_beyond_the_header_exits_2(tmp_path, section, key):
+    # A declared width no header can hold must fail on the header, even
+    # where a reader that builds one column name per declared column would
+    # run out of memory.
+    config = _base_config()
+    config[section][key] = 10**400
+    cfg, data = _write_fixture(tmp_path, config)
+    proc = _main_capped(["fit", "--config", cfg, "--data", data,
+                         "--out", str(tmp_path / "m.json")])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "missing column" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["fit", "oracle"])
+def test_grid_beyond_memory_exits_2(tmp_path, command):
+    # 2000 points per dimension of a 3-d weight ball: the product grid alone
+    # needs about 60 GiB, which the 2 GiB cap refuses at once
+    config = _base_config(grid_per_dim=2000)
+    config["feature"]["dx"] = 2
+    config["oracle"]["grid_per_dim"] = 2000
+    cfg = _write(tmp_path, "config.json", json.dumps(config))
+    data = _write(tmp_path, "data.csv", "x0,x1,y0,y1\n0.1,0.2,0.9,-0.3\n-0.4,0.5,0.2,0.8\n")
+    argv = [command, "--config", cfg, "--data", data]
+    if command == "fit":
+        argv += ["--out", str(tmp_path / "m.json")]
+    proc = _main_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Unable to allocate" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

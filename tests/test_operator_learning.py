@@ -485,6 +485,20 @@ def test_hyper_fit_matches_product_grid_oracle():
     assert recomputed == pytest.approx(state.objective_history[-1], rel=1e-9)
 
 
+def test_hyper_grid_oracle_huge_lambda_returns_zero_with_no_gap():
+    # no atom enters, so the duality gap is taken on the empty product lift
+    rng = np.random.default_rng(24)
+    spec, phi, psi, Z, Xj, V, Y, wg, tg = _fit_instance(rng)
+    samp = SampledMeasurement(Xj, V)
+    lam = 1e6 * _lambda_max_sweep(spec, phi, psi, Z, Xj, V, Y, wg, tg)
+    obj, C, gap = hyper_grid_oracle(Z, Y, samp, phi, psi, spec, lam, wg, tg)
+    assert C.shape == (len(wg) * len(tg), spec.dim)
+    assert np.all(C == 0.0)
+    assert obj == pytest.approx(0.5 * float(np.sum(Y * Y)) / len(Z), rel=1e-12)
+    # zero in exact arithmetic; primal and dual value round apart by ulps
+    assert abs(gap) <= 4 * np.finfo(float).eps
+
+
 def test_hyper_fit_constant_features_soft_threshold():
     # with phi = psi = 1 and a single sampling functional the problem is
     # min_c 0.5 (c - y)^2 + lam |c|

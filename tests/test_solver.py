@@ -37,9 +37,9 @@ from vvrkbs.dual_pair import row_norms
 from vvrkbs.operator_learning import SampledMeasurement, _product_family
 from vvrkbs import solver
 from vvrkbs.solver import (
+    _AtomFamily,
     _ascend,
     _fista,
-    _fista_refit,
     _flat_family,
     _group_refit,
     _newton_refit,
@@ -529,14 +529,13 @@ def test_fit_stops_when_the_refit_prunes_the_atom_it_inserted(monkeypatch):
     # with the same objective; the run ends there as stalled.
     calls = []
 
-    def prune_newest(fam, B, C0, max_iter, tol):
+    def prune_newest(fam, D, C0, max_iter, tol):
         calls.append(1)
         if len(calls) > 1000:
             raise RuntimeError("the CG loop proposes the pruned atom forever")
         C = C0.copy()
         C[-1] = 0.0
-        data = loss_total(fam.loss, fam.predict(B, C), fam.Y) / fam.Y.shape[0]
-        return C, data + fam.lam * float(row_norms(C, fam.norm).sum())
+        return C, _design_objective(fam, D, C)
 
     p = _neural_problem(np.random.default_rng(40), n=4, grid_per_dim=5)
     p = dataclasses.replace(p, lam=0.1 * lambda_max(p))
@@ -655,8 +654,8 @@ def test_refit_step_is_inverse_top_eigenvalue_flat_identity(n):
     rng = np.random.default_rng(30)
     p = _neural_problem(rng, n=n, dim=3, grid_per_dim=4)
     fam = _flat_family(p, FitOptions())
-    Phi = fam.design(p.omega_grid)
-    step = _refit_step(fam, Phi, (Phi.shape[1], 3))[0]
+    Phi = phi_matrix(p.feature, p.X, p.omega_grid)
+    step = _refit_step(fam, fam.lift(p.omega_grid))[0]
     assert step == pytest.approx(p.n_data / np.linalg.norm(Phi, 2) ** 2, rel=1e-12)
 
 
@@ -664,32 +663,19 @@ def test_refit_step_zero_design_is_finite():
     rng = np.random.default_rng(31)
     p = _neural_problem(rng, n=5, dim=2)
     fam = _flat_family(p, FitOptions())
-    step = _refit_step(fam, np.zeros((5, 3)), (3, 2))[0]
+    # 3 rows of 2 payload entries on 5 rows of 2 observations
+    step = _refit_step(fam, np.zeros((10, 6)))[0]
     assert math.isfinite(step) and step > 0
 
 
 def _group_lasso(rng, n=30, m=5, dim=2, lam=0.05):
+    # the design Phi on m free rows of dim entries, lifted to kron(Phi, I)
     Phi = rng.standard_normal((n, m))
     Y = rng.standard_normal((n, dim))
-
-    def forward(C):
-        return Phi @ C
-
-    def value(P):
-        R = P - Y
-        return 0.5 * float(np.sum(R * R)) / n
-
-    def grad(P):
-        return Phi.T @ (P - Y) / n
-
-    def penalty(C):
-        return lam * float(np.sum(np.sqrt(np.sum(C * C, axis=1))))
-
-    def prox(Z, step):
-        return _prox_rows(Z, step * lam, "l2")
-
+    fam = _AtomFamily(Y=Y, loss=Loss(), lam=lam, norm="l2", dim=dim, width=1,
+                      lift=None, search=None)
     lip = np.linalg.norm(Phi, 2) ** 2 / n
-    return np.zeros((m, dim)), (forward, value, grad, penalty, prox), lip
+    return fam, np.kron(Phi, np.eye(dim)), np.zeros((m, dim)), lip
 
 
 def _prox_l2_masked(Z, tau):
@@ -723,16 +709,15 @@ def test_prox_rows_l2_is_bitwise_the_masked_formula_and_silent():
 
 
 def test_fista_long_step_stays_monotone_and_reaches_minimizer():
-    C0, terms, lip = _group_lasso(np.random.default_rng(32))
-    forward, value, _, penalty, _ = terms
-    start = value(forward(C0)) + penalty(C0)
+    fam, D, C0, lip = _group_lasso(np.random.default_rng(32))
+    start = _design_objective(fam, D, C0)
     # the first k iterations are a prefix of the run, so this is the sequence
-    objs = [_fista(C0, *terms, 10.0 / lip, k, 0.0)[1] for k in range(1, 40)]
+    objs = [_fista(fam, D, C0, 10.0 / lip, k, 0.0)[1] for k in range(1, 40)]
     assert max(objs) <= start
     # non-increasing up to the line search's rounding slack
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-    C_long, obj_long = _fista(C0, *terms, 10.0 / lip, 20000, 1e-15)
-    C_safe, obj_safe = _fista(C0, *terms, 1.0 / lip, 20000, 1e-15)
+    C_long, obj_long = _fista(fam, D, C0, 10.0 / lip, 20000, 1e-15)
+    C_safe, obj_safe = _fista(fam, D, C0, 1.0 / lip, 20000, 1e-15)
     assert abs(obj_long - obj_safe) <= 1e-12 * obj_safe
     # a stop on objective change pins the minimizer down to about the square
     # root of the objective's rounding, ~1e-8 here
@@ -758,18 +743,90 @@ def test_ascend_grows_its_step_to_an_interior_maximizer():
     assert len(calls) <= 50
 
 
+# ----------------------------------------------------------- lifted design
+
+def _design_objective(fam, D, C):
+    # the refit objective of payload rows C on the lifted design D
+    P = (D @ C.ravel()).reshape(fam.Y.shape)
+    data = loss_total(fam.loss, P, fam.Y) / fam.Y.shape[0]
+    return data + fam.lam * float(row_norms(C, fam.norm).sum())
+
+
+def _unit_probe(predict, k, dim):
+    # column (m, i): the predictions of the unit payload e_i at atom m
+    units = np.eye(k * dim).reshape(-1, k, dim)
+    return np.stack([predict(E).ravel() for E in units], axis=1)
+
+
+def _probe_flat(measurement):
+    rng = np.random.default_rng(60)
+    p = _neural_problem(rng, n=7, dim=3, measurement=measurement)
+    W = rng.uniform(-1.0, 1.0, (4, p.feature.dw))
+    Phi = phi_matrix(p.feature, p.X, W)
+    return _flat_family(p, FitOptions()), W, _unit_probe(
+        lambda C: measurement_apply(p.measurement, Phi @ C), 4, 3)
+
+
+def _probe_pinned(measurement):
+    # signed unit directions, as the l1 witness gives
+    rng = np.random.default_rng(61)
+    p = _neural_problem(rng, n=7, dim=3, norm="l1", measurement=measurement)
+    W = rng.uniform(-1.0, 1.0, (5, p.feature.dw))
+    U = np.eye(3)[rng.integers(0, 3, 5)] * rng.choice([-1.0, 1.0], (5, 1))
+    Phi, MU = phi_matrix(p.feature, p.X, W), measurement_apply(p.measurement, U)
+    return (_pinned(_flat_family(p, FitOptions())), np.hstack([W, U]),
+            _unit_probe(lambda a: (Phi * a[:, 0]) @ MU, 5, 1))
+
+
+def _probe_product():
+    rng = np.random.default_rng(62)
+    phi = psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    Z = rng.uniform(-1.0, 1.0, (6, 1))
+    V = rng.standard_normal((4, 2))
+    sampling = SampledMeasurement(np.linspace(-1.0, 1.0, 4)[:, None], V)
+    fam = _product_family(Z, rng.standard_normal((6, 4)), sampling, phi, psi,
+                          DualPairSpec(2, "l2"), 1.0)
+    L = rng.uniform(-1.0, 1.0, (5, phi.dw + psi.dw))
+    Phi, Psi = phi_matrix(phi, Z, L[:, :2]), phi_matrix(psi, sampling.points, L[:, 2:])
+    return fam, L, _unit_probe(lambda C: Phi @ (Psi.T * (C @ V.T)), 5, 2)
+
+
+PROBE_CASES = {
+    "flat-identity": lambda: _probe_flat(None),
+    "flat-functionals": lambda: _probe_flat(
+        functionals_measurement(np.random.default_rng(63).standard_normal((2, 3)))),
+    "pinned-identity": lambda: _probe_pinned(None),
+    "pinned-functionals": lambda: _probe_pinned(
+        functionals_measurement(np.random.default_rng(64).standard_normal((2, 3)))),
+    "product": _probe_product,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_lift_is_the_unit_payload_probe(case):
+    # every entry of D is one product of the factors the probe multiplies
+    # for its single nonzero term, so the two agree byte for byte once the
+    # sign of zero is dropped (adding 0.0 maps -0.0 to 0.0): a zero of the
+    # lift is a product, which keeps the sign of phi, a zero of the probe a sum
+    fam, L, probe = PROBE_CASES[case]()
+    D = fam.lift(L)
+    assert D.shape == probe.shape == (fam.Y.size, len(L) * fam.dim)
+    assert (D + 0.0).tobytes() == (probe + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_lift_of_no_atoms_has_no_columns(case):
+    fam = PROBE_CASES[case]()[0]
+    assert fam.lift(np.zeros((0, fam.width))).shape == (fam.Y.size, 0)
+
+
 # ------------------------------------------------------------ newton refit
 
-def _at_fraction(fam, B, frac):
+def _at_fraction(fam, D, frac):
     # lam at ``frac`` of the smallest lam for which zero payloads are optimal
     dual = {"l1": "linf", "l2": "l2"}[fam.norm]
-    top = float(np.max(row_norms(fam.pull_back(B, fam.Y) / fam.Y.shape[0], dual)))
-    return dataclasses.replace(fam, lam=frac * top)
-
-
-def _refit_objective(fam, B, C):
-    data = loss_total(fam.loss, fam.predict(B, C), fam.Y) / fam.Y.shape[0]
-    return data + fam.lam * float(row_norms(C, fam.norm).sum())
+    pulled = (D.T @ fam.Y.ravel()).reshape(-1, fam.dim) / fam.Y.shape[0]
+    return dataclasses.replace(fam, lam=frac * float(np.max(row_norms(pulled, dual))))
 
 
 def _flat_case(seed, n, dim, norm, k, measurement=None, duplicate=False):
@@ -779,7 +836,7 @@ def _flat_case(seed, n, dim, norm, k, measurement=None, duplicate=False):
     W = rng.uniform(-1.0, 1.0, (k - duplicate, p.feature.dw))
     if duplicate:
         W = np.vstack([W, W[1]])
-    return fam, fam.design(W), k
+    return fam, fam.lift(W), k
 
 
 def _pinned_case(seed):
@@ -788,7 +845,7 @@ def _pinned_case(seed):
     fam = _pinned(_flat_family(p, FitOptions()))
     W = rng.uniform(-1.0, 1.0, (5, p.feature.dw))
     U = np.eye(3)[rng.integers(0, 3, 5)] * rng.choice([-1.0, 1.0], (5, 1))
-    return fam, fam.design(np.hstack([W, U])), 5
+    return fam, fam.lift(np.hstack([W, U])), 5
 
 
 def _product_case(seed):
@@ -800,7 +857,7 @@ def _product_case(seed):
     fam = _product_family(Z, rng.standard_normal((6, 4)), sampling, phi, psi,
                           DualPairSpec(2, "l2"), 1.0)
     L = rng.uniform(-1.0, 1.0, (6, phi.dw + psi.dw))
-    return fam, fam.design(L), 6
+    return fam, fam.lift(L), 6
 
 
 NEWTON_CASES = {
@@ -821,26 +878,26 @@ NEWTON_CASES = {
 @pytest.mark.parametrize("frac", [0.005, 0.02, 0.3])
 def test_newton_refit_matches_fista(case, frac):
     for seed in range(5):
-        fam, B, k = NEWTON_CASES[case](seed)
-        fam = _at_fraction(fam, B, frac)
+        fam, D, k = NEWTON_CASES[case](seed)
+        fam = _at_fraction(fam, D, frac)
         C0 = np.zeros((k, fam.dim))
         assert C0.size <= fam.Y.size
-        C_n, obj_n = _newton_refit(fam, B, C0, 5000, 1e-14)
-        C_f, obj_f = _fista_refit(fam, B, C0, 20000, 1e-14)
-        assert obj_n == pytest.approx(_refit_objective(fam, B, C_n), rel=1e-12)
+        C_n, obj_n = _newton_refit(fam, D, C0, 5000, 1e-14)
+        C_f, obj_f = _fista(fam, D, C0, _refit_step(fam, D)[0], 20000, 1e-14)
+        assert obj_n == pytest.approx(_design_objective(fam, D, C_n), rel=1e-12)
         assert abs(obj_n - obj_f) <= 1e-9 * max(1.0, obj_f)
-        assert obj_n <= _refit_objective(fam, B, C0)
+        assert obj_n <= _design_objective(fam, D, C0)
 
 
 @pytest.mark.parametrize("case", sorted(NEWTON_CASES))
 def test_newton_refit_never_raises_the_starting_objective(case):
     for seed in range(3):
-        fam, B, k = NEWTON_CASES[case](seed)
-        fam = _at_fraction(fam, B, 0.1)
+        fam, D, k = NEWTON_CASES[case](seed)
+        fam = _at_fraction(fam, D, 0.1)
         C0 = np.random.default_rng(seed + 50).standard_normal((k, fam.dim))
-        start = _refit_objective(fam, B, C0)
+        start = _design_objective(fam, D, C0)
         for max_iter in (1, 2, 5000):
-            assert _newton_refit(fam, B, C0, max_iter, 1e-14)[1] <= start
+            assert _newton_refit(fam, D, C0, max_iter, 1e-14)[1] <= start
 
 
 def test_group_refit_routes_huber_and_wide_designs_to_fista(monkeypatch):
@@ -852,15 +909,15 @@ def test_group_refit_routes_huber_and_wide_designs_to_fista(monkeypatch):
         return fista(*args)
 
     monkeypatch.setattr(solver, "_fista", counted)
-    fam, B, k = _flat_case(0, 8, 3, "l2", 5)
+    fam, D, k = _flat_case(0, 8, 3, "l2", 5)
     C0 = np.zeros((k, 3))
-    _group_refit(fam, B, C0, 100, 1e-10)
+    _group_refit(fam, D, C0, 100, 1e-10)
     assert calls == []
-    _group_refit(dataclasses.replace(fam, loss=Loss("huber", 0.5)), B, C0, 100, 1e-10)
+    _group_refit(dataclasses.replace(fam, loss=Loss("huber", 0.5)), D, C0, 100, 1e-10)
     assert calls == [1]
     # 9 rows of 3 payload entries on 8 rows of 3 observations
-    wide, B_wide, _ = _flat_case(0, 8, 3, "l2", 9)
-    _group_refit(wide, B_wide, np.zeros((9, 3)), 100, 1e-10)
+    wide, D_wide, _ = _flat_case(0, 8, 3, "l2", 9)
+    _group_refit(wide, D_wide, np.zeros((9, 3)), 100, 1e-10)
     assert calls == [1, 1]
 
 
