@@ -349,7 +349,9 @@ def cmd_oracle(args) -> int:
             X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega
         )
         state = fit(problem, opts)
-        oracle_obj, _, _ = grid_oracle(problem, grid_per_dim)
+        # the fit and the oracle are one engine on one grid: continue the fit
+        oracle_obj, _, _ = grid_oracle(
+            problem, grid_per_dim, start=(state.measure.W, state.measure.C))
     except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
         raise DataError(f"oracle run failed: {exc}") from exc
     fit_obj = state.objective_history[-1]

@@ -20,11 +20,15 @@ The truncation beta is one of
 The kernel of the induced integral space is scalar times identity:
 K(x, w)(u_dual, u) = phi(x, w) * <u_dual, u>.
 
-Each kind computes phi before beta in one place, ``_core``, which also
-keeps what the w-derivative reads (the neural pre-activation, the
-tabulated cells).  ``phi_matrix`` is that core times beta; the w-gradient
-(``feature_column``, ``grad_phi_w_batch``) is the one product rule
-dcore * beta + core * dbeta on a column's kept core.
+Each kind computes phi in two parts.  ``bind_locations`` holds what
+reads the weights alone: beta(W) and, for the tabulated kind, the w-axis
+cells.  ``_core`` computes phi before beta from the inputs and that bound,
+and keeps what the w-derivative reads (the neural pre-activation, the
+tabulated cells).  ``phi_bound`` is that core times beta, and
+``phi_matrix`` is ``phi_bound`` on the locations bound afresh, so a caller
+that evaluates one location set at many inputs binds it once.  The
+w-gradient (``feature_column``, ``grad_phi_w_batch``) is the one product
+rule dcore * beta + core * dbeta on a column's kept core.
 
 ``simple_approx_pairing`` is the verification route for the pairing: it
 replaces phi by the piecewise-constant function taking phi's value at
@@ -175,9 +179,12 @@ def beta_grad(f: FeatureMap, w: np.ndarray) -> np.ndarray:
     return -4.0 * t * w / (f.radius * f.radius)
 
 
-def _check_points(f: FeatureMap, X: np.ndarray, W: np.ndarray):
+def _check_inputs(f: FeatureMap, X: np.ndarray):
     if X.ndim != 2 or X.shape[1] != f.dx:
         raise ValueError(f"inputs must have shape (n, {f.dx}), got {X.shape}")
+
+
+def _check_weights(f: FeatureMap, W: np.ndarray):
     if W.ndim != 2 or W.shape[1] != f.dw:
         raise ValueError(f"weights must have shape (m, {f.dw}), got {W.shape}")
 
@@ -191,13 +198,37 @@ def _tab_axis(grid: np.ndarray, t: np.ndarray):
     return idx, frac, inside
 
 
-def _core(f: FeatureMap, X: np.ndarray, W: np.ndarray):
-    """phi before beta on all pairs, (n, m), and what its w-derivative reads.
+def _bind(f: FeatureMap, W: np.ndarray) -> tuple:
+    """(W, beta(W), w-axis cells of the tabulated kind or None), unchecked."""
+    cells = _tab_axis(f.w_grid, W[:, 0]) if f.kind == "tabulated" else None
+    return W, beta_values(f, W), cells
+
+
+def bind_locations(f: FeatureMap, W) -> tuple:
+    """What phi reads of the weights W alone, for ``phi_bound``.
+
+    Returns (W, beta(W), cells): W as a float array, beta(W) read-only, and
+    for the tabulated kind the read-only bilinear cell indices, fractions
+    and inside masks along w (None for the other kinds).  Raises
+    ValueError when W is not of shape (m, dw).
+    """
+    W = np.asarray(W, dtype=float)
+    _check_weights(f, W)
+    bound = _bind(f, W)
+    for part in (bound[1], *(bound[2] or ())):
+        part.setflags(write=False)
+    return bound
+
+
+def _core(f: FeatureMap, X: np.ndarray, bound: tuple):
+    """phi before beta on all pairs of X and the bound locations, (n, m),
+    and what its w-derivative reads.
 
     The kept part is the pre-activation <omega, x> + b (neural), None
     (gaussian), or the bilinear cell indices, fractions and inside masks
     of both axes (tabulated).
     """
+    W = bound[0]
     if f.kind == "neural":
         pre = X @ W[:, : f.dx].T + W[:, f.dx][None, :]
         return _act(f.activation, pre), pre
@@ -209,7 +240,7 @@ def _core(f: FeatureMap, X: np.ndarray, W: np.ndarray):
         )
         return np.exp(-np.maximum(d2, 0.0) / (2.0 * f.bandwidth**2)), None
     # tabulated, bilinear with zero extension outside the table
-    cells = _tab_axis(f.x_grid, X[:, 0]) + _tab_axis(f.w_grid, W[:, 0])
+    cells = _tab_axis(f.x_grid, X[:, 0]) + bound[2]
     ix, fx, okx, iw, fw, okw = cells
     V = f.values
     v00 = V[np.ix_(ix, iw)]
@@ -232,10 +263,20 @@ def phi_matrix(f: FeatureMap, X, W) -> np.ndarray:
     """phi evaluated on all pairs: result[i, j] = phi(X[i], W[j])."""
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
-    _check_points(f, X, W)
+    _check_inputs(f, X)
+    _check_weights(f, W)
+    return phi_bound(f, X, _bind(f, W))
+
+
+def phi_bound(f: FeatureMap, X, bound: tuple) -> np.ndarray:
+    """phi_matrix(f, X, W) for bound = bind_locations(f, W), bitwise; it
+    computes only what reads X, after phi_matrix's check of X."""
+    X = np.asarray(X, dtype=float)
+    _check_inputs(f, X)
+    W, beta, _ = bound
     if X.size == 0 or W.size == 0:
         return np.zeros((len(X), len(W)))
-    return _core(f, X, W)[0] * beta_values(f, W)[None, :]
+    return _core(f, X, bound)[0] * beta[None, :]
 
 
 def eval_phi(f: FeatureMap, x, w) -> float:
@@ -253,7 +294,8 @@ def grad_phi_w_batch(f: FeatureMap, X, w) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
-    _check_points(f, X, w[None, :])
+    _check_inputs(f, X)
+    _check_weights(f, w[None, :])
     value, gradient = feature_column(f, X)
     return gradient(w, value(w)[1])
 
@@ -266,12 +308,13 @@ def feature_column(f: FeatureMap, X):
     grad_phi_w_batch(f, X, w), the product rule dcore * beta + core * dbeta.
     """
     X = np.asarray(X, dtype=float)
-    _check_points(f, X, np.zeros((0, f.dw)))
+    _check_inputs(f, X)
     aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # neural d pre / dw
 
     def value(w):
-        core, kept = _core(f, X, w[None, :])
-        bv = beta_values(f, w[None, :])[0]
+        bound = _bind(f, w[None, :])
+        core, kept = _core(f, X, bound)
+        bv = bound[1][0]
         return core[:, 0] * bv, (core[:, 0], kept, bv)
 
     def gradient(w, parts):

@@ -10,7 +10,10 @@ upper bound dominated by the weight-form total variation.  The groups of
 atoms that share a w are computed once, when the model is built, and
 every evaluation and norm reads them.  A query evaluates phi(z, W) and
 psi(x, Theta) once each; both collapse orders read those two rows, the
-function form as one segment sum over the groups.  An atom is an
+function form as one segment sum over the groups.  What the features
+read of the atoms alone, the truncations beta(W) and beta(Theta) and the
+tabulated w-cells, is bound when the model is built, so a query computes
+only what depends on z and x.  An atom is an
 atom of the flat solver over the product feature
 phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit and the
 product-grid oracle run on the solver's engine.
@@ -26,9 +29,11 @@ import numpy as np
 from .dual_pair import DualPairSpec, norm_witness, primal_witness, row_norms, vector_norm
 from .feature import (
     FeatureMap,
+    bind_locations,
     feature_column,
     feature_from_json_dict,
     feature_to_json_dict,
+    phi_bound,
     phi_matrix,
 )
 from .measure import _check_ball, _check_grid, _coalesce_rows, _frozen, _group_by_location
@@ -54,7 +59,10 @@ class HyperModel:
     distinct w, in order of first occurrence, computed at construction.
     ``layout`` is the same grouping flat, for segment sums: the atom
     order (the groups concatenated), each group's offset in it, and the
-    rows a[m] V[m] in that order, all read-only.
+    rows a[m] V[m] in that order, all read-only.  ``w_bound`` and
+    ``theta_bound`` are ``bind_locations`` of phi over W and of psi over
+    Theta: the truncations and tabulated w-cells a query reads, read-only
+    arrays, so the model pickles.
     """
 
     a: np.ndarray
@@ -66,6 +74,8 @@ class HyperModel:
     spec: DualPairSpec
     groups: tuple = dataclasses.field(init=False, repr=False, compare=False)
     layout: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    w_bound: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    theta_bound: tuple = dataclasses.field(init=False, repr=False, compare=False)
     _tv_upper: dict = dataclasses.field(
         init=False, repr=False, compare=False, default_factory=dict)
 
@@ -97,6 +107,8 @@ class HyperModel:
         layout = (_frozen(order, int), _frozen(starts, int),
                   _frozen(a[order, None] * self.V[order]))
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "w_bound", bind_locations(self.phi, self.W))
+        object.__setattr__(self, "theta_bound", bind_locations(self.psi, self.Theta))
 
     @functools.cached_property
     def inner(self) -> tuple:
@@ -111,12 +123,16 @@ class HyperModel:
 # ------------------------------------------------------------- evaluation
 
 def _query_rows(m: HyperModel, z, x):
-    """phi(z, W) and psi(x, Theta) over all atoms: a query's two feature calls."""
+    """phi(z, W) and psi(x, Theta) over all atoms, bitwise as phi_matrix: a
+    query's two feature rows, each computing only what reads z or x on the
+    model's bound locations.  Raises ValueError on a non-finite z or x, and
+    phi_matrix's ValueError on a z or x of the wrong width."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not (np.isfinite(z).all() and np.isfinite(x).all()):
         raise ValueError("query points z and x must be finite")
-    return phi_matrix(m.phi, z[None, :], m.W)[0], phi_matrix(m.psi, x[None, :], m.Theta)[0]
+    return (phi_bound(m.phi, z[None, :], m.w_bound)[0],
+            phi_bound(m.psi, x[None, :], m.theta_bound)[0])
 
 
 def _weight_form(m: HyperModel, hw, base) -> np.ndarray:

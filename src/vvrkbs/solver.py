@@ -665,13 +665,16 @@ class SolverState:
     converged: bool
 
 
-def _cg_fit(fam: _AtomFamily, opts: FitOptions):
+def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
     """Conditional-gradient loop: insert, refit, prune, until certified.
 
-    Every atom is a location row and a free payload row.  Each round builds
-    the lifted design D of its locations once; ``_group_refit`` refits the
-    payload rows on D and the predictions are D times them.  Round k seeds
-    the atom search with opts.seed + 7919 k.  There are three exits:
+    Every atom is a location row and a free payload row.  The loop starts
+    from the zero measure, or from ``start`` = (locations, payload rows)
+    when given; the objective history opens with the start's objective.
+    Each round builds the lifted design D of its locations once;
+    ``_group_refit`` refits the payload rows on D and the predictions are D
+    times them.  Round k seeds the atom search with opts.seed + 7919 k.
+    There are three exits:
     certified, when the oracle score drops to lam*(1+tol); atom budget, when
     a new atom would exceed opts.max_atoms; and stalled, when a round ends
     on the support it started from (the proposal merged, or its new slot was
@@ -682,16 +685,18 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
     iterations, converged).
     """
     n = fam.Y.shape[0]
-    L = np.zeros((0, fam.width))  # locations
-    C = np.zeros((0, fam.dim))    # payload rows
+    if start is None:
+        start = np.zeros((0, fam.width)), np.zeros((0, fam.dim))
+    L, C = (np.array(a, dtype=float) for a in start)  # locations, payload rows
+    # predictions of the current model
+    P = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) if len(L) else np.zeros_like(fam.Y)
 
-    history = [loss_total(fam.loss, np.zeros_like(fam.Y), fam.Y) / n]
+    history = [loss_total(fam.loss, P, fam.Y) / n + fam.lam * float(row_norms(C, fam.norm).sum())]
     certificate = math.inf
     threshold = fam.lam * (1.0 + opts.tol)
     converged = False
     iterations = 0
 
-    P = np.zeros_like(fam.Y)     # predictions of the current model
     while True:
         G = loss_grad(fam.loss, P, fam.Y)
         if not np.all(np.isfinite(G)):
@@ -850,13 +855,26 @@ def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
     return primal, (primal - dual) / primal if primal > 0.0 else primal - dual
 
 
-def _grid_solve(fam: _AtomFamily, grids):
+def _grid_solve(fam: _AtomFamily, grids, start=None):
     """The CG engine at fixed tolerances on a grid family over the product
-    of ``grids``, each holding the next columns of a location.  Returns
-    (objective, payload rows for every grid point in C order, relative gap)."""
+    of ``grids``, each holding the next columns of a location, from the
+    zero measure or from ``start`` = (locations, payload rows).  A start
+    location whose columns are not a row of their grid raises ValueError.
+    Returns (objective, payload rows for every grid point in C order,
+    relative gap)."""
     sizes = [len(g) for g in grids]
-    L, C = _cg_fit(fam, FitOptions(max_atoms=math.prod(sizes), tol=1e-9, refit_tol=1e-13))[:2]
     ends = np.cumsum([g.shape[1] for g in grids])
+    if start is not None:
+        L0, C0 = (np.asarray(a, dtype=float) for a in start)
+        if L0.ndim != 2 or L0.shape[1] != fam.width or C0.shape != (len(L0), fam.dim):
+            raise ValueError(
+                f"start must be locations (k, {fam.width}) and payload rows (k, {fam.dim})")
+        for g, e in zip(grids, ends):
+            on = (L0[:, None, e - g.shape[1]:e] == g).all(axis=2).any(axis=1)
+            if not on.all():
+                raise ValueError(f"start location {L0[np.argmin(on)]} is not a grid point")
+    L, C = _cg_fit(fam, FitOptions(max_atoms=math.prod(sizes), tol=1e-9, refit_tol=1e-13),
+                   start)[:2]
     at = [np.argmin(np.abs(L[:, None, e - g.shape[1]:e] - g).max(axis=2), axis=1)
           for g, e in zip(grids, ends)]
     rows = np.zeros((math.prod(sizes), fam.dim))
@@ -865,14 +883,16 @@ def _grid_solve(fam: _AtomFamily, grids):
     return obj, rows, gap
 
 
-def grid_oracle(p: Problem, grid_per_dim: int):
+def grid_oracle(p: Problem, grid_per_dim: int, start=None):
     """Solve the weight-grid discretization of the problem, certified.
 
     The CG engine runs on the grid (the problem's ``omega_grid`` when
     present, so grid-restricted fits and this oracle share their candidate
-    set) until the score is within 1e-9 relative of lam > 0.  Returns
-    (objective, coefficient matrix with a row per grid point, relative
-    duality gap).
+    set) until the score is within 1e-9 relative of lam > 0.  It starts from
+    the zero measure, or continues from ``start`` = (W, C), atoms at grid
+    points such as a grid-restricted fit's measure; a location off the grid
+    raises ValueError.  Returns (objective, coefficient matrix with a row per
+    grid point, relative duality gap).
     """
     if not p.lam > 0:
         raise ValueError("grid oracle requires lam > 0")
@@ -881,7 +901,7 @@ def grid_oracle(p: Problem, grid_per_dim: int):
     if p.omega_grid is None:
         p = dataclasses.replace(
             p, omega_grid=product_grid(p.feature.radius, p.feature.dw, grid_per_dim))
-    return _grid_solve(_flat_family(p, FitOptions()), (p.omega_grid,))
+    return _grid_solve(_flat_family(p, FitOptions()), (p.omega_grid,), start)
 
 
 # ------------------------------------------------------------------ export

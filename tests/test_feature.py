@@ -12,6 +12,7 @@ from vvrkbs.feature import (
     activation_values,
     beta_grad,
     beta_values,
+    bind_locations,
     eval_phi,
     feature_column,
     feature_from_json_dict,
@@ -19,6 +20,7 @@ from vvrkbs.feature import (
     grad_phi_w,
     grad_phi_w_batch,
     grid_sup_abs,
+    phi_bound,
     phi_matrix,
     simple_approx_pairing,
 )
@@ -297,6 +299,38 @@ def test_feature_column_reuse_is_bitwise_the_feature_calls(case, dx, n, seed):
                    for e in np.eye(f.dw)], axis=1)
     g = grad_phi_w_batch(f, X, w)
     assert np.max(np.abs(g - fd), initial=0.0) <= 1e-8 * (1.0 + np.max(np.abs(g), initial=0.0))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(FEATURE_CASES), dx=st.integers(1, 3),
+       n=st.integers(0, 6), m=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_bound_locations_evaluate_bitwise_as_phi_matrix(case, dx, n, m, seed):
+    # A location set bound once serves every input: phi_bound on the bound
+    # W is phi_matrix on W, bit for bit, for every (kind, activation, beta),
+    # with X or W empty, and with W reaching past the ball and the table.
+    rng = np.random.default_rng(seed)
+    f = _feature_case(*case, dx, rng)
+    W = rng.uniform(-1.0, 1.0, (m, f.dw)) * rng.uniform(0.0, 2.0, (m, 1))
+    bound = bind_locations(f, W)
+    for _ in range(2):
+        X = rng.uniform(-1.5, 1.5, (n, f.dx))
+        got = phi_bound(f, X, bound)
+        assert got.shape == (n, m)
+        assert got.tobytes() == phi_matrix(f, X, W).tobytes()
+    assert bound[0].tobytes() == W.tobytes()
+    assert bound[1].tobytes() == beta_values(f, W).tobytes()
+    assert (bound[2] is None) == (f.kind != "tabulated")
+    assert not any(a.flags.writeable for a in (bound[1], *(bound[2] or ())))
+
+
+def test_bound_locations_check_both_widths():
+    f = FeatureMap("neural", dx=2, radius=1.0, activation="tanh")
+    with pytest.raises(ValueError, match="weights must have shape"):
+        bind_locations(f, np.zeros((4, 2)))
+    bound = bind_locations(f, np.zeros((4, 3)))
+    for X in (np.zeros((1, 1)), np.zeros((1, 3)), np.zeros(2)):
+        with pytest.raises(ValueError, match="inputs must have shape"):
+            phi_bound(f, X, bound)
 
 
 def test_feature_column_checks_inputs_once():

@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -280,6 +281,58 @@ def test_non_finite_query_point_is_rejected(evaluate_model, where, bad):
     (z if where == "z" else x)[0] = bad
     with pytest.raises(ValueError, match="finite"):
         evaluate_model(m, z, x)
+
+
+def _one_d_feature(kind, rng):
+    # a 1-d feature of each kind, on the radius-1 weight ball
+    if kind == "tabulated":
+        return FeatureMap("tabulated", dx=1, radius=1.0, x_grid=np.linspace(-1.0, 1.0, 4),
+                          w_grid=np.linspace(-1.0, 1.0, 5), values=rng.standard_normal((4, 5)))
+    if kind == "gaussian":
+        return FeatureMap("gaussian", dx=1, radius=1.0, bandwidth=0.9)
+    return _neural(1, 1.0, "tanh", beta="smooth_bump")
+
+
+def _one_d_model(kind, rng, n=6):
+    phi, psi = _one_d_feature(kind, rng), _one_d_feature(kind, rng)
+    return HyperModel(rng.standard_normal(n), rng.uniform(-0.7, 0.7, (n, phi.dw)),
+                      rng.uniform(-0.7, 0.7, (n, psi.dw)), rng.standard_normal((n, 2)),
+                      phi, psi, DualPairSpec(2, "l2"))
+
+
+@pytest.mark.parametrize("width", [0, 2])
+@pytest.mark.parametrize("kind", ["neural", "gaussian", "tabulated"])
+@pytest.mark.parametrize("where", ["z", "x"])
+@pytest.mark.parametrize("evaluate_model",
+                         [evaluate_weight_form, evaluate_function_form, hyper_evaluate])
+def test_wrong_width_query_point_is_rejected(evaluate_model, where, kind, width):
+    # the query rows keep phi_matrix's input check: a tabulated feature
+    # would otherwise read the first entry of a 2-wide point
+    m = _one_d_model(kind, np.random.default_rng(3))
+    z, x = np.array([0.3]), np.array([-0.4])
+    bad = np.full(width, 0.1)
+    with pytest.raises(ValueError, match="inputs must have shape"):
+        evaluate_model(m, bad if where == "z" else z, bad if where == "x" else x)
+
+
+@pytest.mark.parametrize("kind", ["neural", "gaussian", "tabulated", "random"])
+def test_query_rows_are_phi_matrix_bitwise_and_survive_pickling(kind):
+    # the model binds its locations once; a query's rows are the bits of
+    # phi_matrix on the model's arrays, and a pickled copy evaluates the same
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        m = _random_model(rng) if kind == "random" else _one_d_model(kind, rng)
+        copy = pickle.loads(pickle.dumps(m))
+        for _ in range(4):
+            z = rng.uniform(-1.2, 1.2, m.phi.dx)
+            x = rng.uniform(-1.2, 1.2, m.psi.dx)
+            hw, base = operator_learning._query_rows(m, z, x)
+            assert hw.tobytes() == phi_matrix(m.phi, z[None, :], m.W)[0].tobytes()
+            assert base.tobytes() == phi_matrix(m.psi, x[None, :], m.Theta)[0].tobytes()
+            for evaluate_model in (evaluate_weight_form, evaluate_function_form,
+                                   hyper_evaluate):
+                want = evaluate_model(m, z, x).tobytes()
+                assert evaluate_model(copy, z, x).tobytes() == want
 
 
 def test_agreement_guard_treats_nan_as_disagreement(monkeypatch):

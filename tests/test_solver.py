@@ -587,6 +587,38 @@ def test_grid_oracle_refits_its_working_set_by_newton_steps(monkeypatch):
     assert gap <= 1e-7
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_oracle_continues_a_grid_fit_to_the_same_optimum(seed):
+    # the grid-restricted fit and the oracle are one engine on one grid, so
+    # the oracle may start from the fit's measure and still certify
+    p = _grid_teacher(seed, 30)
+    mu = fit(p, FitOptions(max_atoms=40, tol=0.05, seed=seed)).measure
+    obj0, C0, gap0 = grid_oracle(p, 5)
+    obj, C, gap = grid_oracle(p, 5, start=(mu.W, mu.C))
+    assert C.shape == C0.shape == (81, 3)
+    assert gap <= 1e-7 and gap0 <= 1e-7
+    assert obj == pytest.approx(obj0, rel=1e-8)
+    grid_mu = measure_from_arrays(p.omega_grid, C, p.spec, p.feature.radius)
+    assert objective(p, grid_mu) == pytest.approx(obj, rel=1e-10)
+    # a start at the optimum stays there
+    at = row_norms(C, "l2") > 0.0
+    again = grid_oracle(p, 5, start=(p.omega_grid[at], C[at]))
+    assert again[0] == pytest.approx(obj, rel=1e-12)
+
+
+def test_grid_oracle_rejects_a_start_off_the_grid():
+    p = _grid_teacher(0, 12)
+    W = p.omega_grid[[3, 40]].copy()
+    C = np.ones((2, 3))
+    grid_oracle(p, 5, start=(W, C))
+    W[1, 0] += 1e-9  # no snapping to the nearest grid point
+    with pytest.raises(ValueError, match="not a grid point"):
+        grid_oracle(p, 5, start=(W, C))
+    for bad in [(W[:, :2], C), (W, C[:1])]:
+        with pytest.raises(ValueError, match="start"):
+            grid_oracle(p, 5, start=bad)
+
+
 def test_grid_oracle_huber_loss_has_a_finite_gap():
     p = _grid_teacher(1, 12, Loss("huber", 0.05))
     obj, C, gap = grid_oracle(p, 5)

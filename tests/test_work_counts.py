@@ -10,6 +10,7 @@ anything.  The reference counts are those of the code they replaced.
 import dataclasses
 
 import numpy as np
+import pytest
 
 from vvrkbs import feature, measure, operator_learning, solver
 from vvrkbs.dual_pair import DualPairSpec
@@ -203,6 +204,26 @@ def test_oracle_run_builds_its_grid_features_once(monkeypatch):
     assert builds == [1, 1, 1]
 
 
+def test_oracle_run_continues_the_fit(monkeypatch):
+    # An oracle run solved its grid problem from the zero measure after the
+    # grid-restricted fit had solved most of it on the same engine; it now
+    # starts from the fit's measure, which takes fewer grid atom searches
+    # for the same certified optimum.
+    problems = [_teacher_problem(seed) for seed in range(3)]
+    searches = []
+    _counted(monkeypatch, "lmo", searches)
+    for p in problems:
+        mu = fit(p, FitOptions(max_atoms=20, seed=3)).measure
+        counts = []
+        for start in (None, (mu.W, mu.C)):
+            before = len(searches)
+            obj = grid_oracle(p, 5, start=start)[0]
+            counts.append((len(searches) - before, obj))
+        (cold, cold_obj), (warm, warm_obj) = counts
+        assert warm < cold
+        assert warm_obj == pytest.approx(cold_obj, rel=1e-9)
+
+
 def _counted(monkeypatch, name, log):
     original = getattr(solver, name)
 
@@ -312,29 +333,29 @@ def test_two_level_query_is_two_feature_calls_and_no_regroup(monkeypatch):
     # (two for the weight form, two per distinct w for the function form),
     # and every query and norm called _group_by_location once.  With stored
     # groups each form made two calls; both forms now share one phi(z, W)
-    # row and one psi(x, Theta) row.
+    # row and one psi(x, Theta) row.  The model also keeps beta(W) and
+    # beta(Theta), so a query evaluates the two rows' cores and no
+    # truncation (it took two beta_values calls while it went through
+    # phi_matrix).
     rng = np.random.default_rng(4)
     m = _two_level_model(rng)
-    feature_calls, regroups = [], []
-    phi_matrix_, group_by_location = (operator_learning.phi_matrix,
-                                      operator_learning._group_by_location)
+    calls = {"core": 0, "beta": 0, "regroup": 0}
 
-    def counted_phi_matrix(*args):
-        feature_calls.append(1)
-        return phi_matrix_(*args)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_group_by_location(*args):
-        regroups.append(1)
-        return group_by_location(*args)
-
-    monkeypatch.setattr(operator_learning, "phi_matrix", counted_phi_matrix)
+    monkeypatch.setattr(feature, "_core", counted("core", feature._core))
+    monkeypatch.setattr(feature, "beta_values", counted("beta", feature.beta_values))
     monkeypatch.setattr(operator_learning, "_group_by_location",
-                        counted_group_by_location)
+                        counted("regroup", operator_learning._group_by_location))
     per_query = []
     for z, x in rng.uniform(-1.0, 1.0, (10, 2, 1)):
-        before = len(feature_calls)
+        before = dict(calls)
         hyper_evaluate(m, z, x)
-        per_query.append(len(feature_calls) - before)
+        per_query.append((calls["core"] - before["core"], calls["beta"] - before["beta"]))
     assert 0.0 < function_form_tv_upper(m) <= weight_form_tv(m)
-    assert per_query == [2] * 10
-    assert regroups == []
+    assert per_query == [(2, 0)] * 10
+    assert calls["regroup"] == 0
