@@ -5,17 +5,11 @@ order); diagnostics go to stderr.  Exit codes: 0 success, 1 usage, 2 bad
 data or config, 3 fit finished without certificate convergence (the
 model file is still written), 4 verification failure.
 
-Config JSON for ``fit`` / ``oracle`` / ``predict``::
-
-    {"feature": {...}, "space": {"d": 2, "norm": "l2"},
-     "solver": {"lambda": 0.1, "mode": "group", "max_atoms": 50,
-                "restarts": 32, "tol": 1e-3, "seed": 0,
-                "refit": {"max_iter": 5000, "tol": 1e-8}},
-     "oracle": {"grid_per_dim": 5}}
-
-``hyper-fit`` replaces "feature" with "phi" and "psi" and adds a
-"sampling" section ({"points": [[...]], "functionals": [[...]]}) plus an
-optional "grids" section ({"w": [[...]], "theta": [[...]]}).
+Config JSON for ``fit`` / ``oracle`` / ``predict`` has the sections
+"feature", "space", "solver" and "oracle"; a solver option it omits takes
+its ``FitOptions`` default.  ``hyper-fit`` replaces "feature" with "phi"
+and "psi" and adds "sampling" and an optional "grids" section.  README.md
+documents every key.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import time
 
 import numpy as np
 
-from .dual_pair import DualPairSpec
+from .dual_pair import DualPairSpec, _integer
 from .feature import (
     FeatureMap,
     feature_from_json_dict,
@@ -98,18 +92,21 @@ def _read_config(path: str):
     return raw, cfg
 
 
-def _config_digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()[:16]
-
-
 def _feature_space(cfg: dict):
     try:
         feat = feature_from_json_dict(cfg["feature"])
-        space = cfg["space"]
-        spec = DualPairSpec(int(space["d"]), str(space["norm"]))
+        spec = DualPairSpec(cfg["space"]["d"], str(cfg["space"]["norm"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad feature/space config: {exc}") from exc
     return feat, spec
+
+
+# FitOptions field, path under "solver" and type of each solver option; an
+# option the config does not set keeps its FitOptions default
+_SOLVER_OPTIONS = (("max_atoms", "max_atoms", int), ("mode", "mode", str),
+                   ("restarts", "restarts", int), ("tol", "tol", float),
+                   ("refit_max_iter", "refit.max_iter", int),
+                   ("refit_tol", "refit.tol", float), ("seed", "seed", int))
 
 
 def _solver_section(cfg: dict):
@@ -123,17 +120,17 @@ def _solver_section(cfg: dict):
         raise DataError("config solver.refit must be an object")
     try:
         lam = float(s["lambda"])
-        opts = FitOptions(
-            max_atoms=int(s.get("max_atoms", 50)),
-            mode=str(s.get("mode", "group")),
-            restarts=int(s.get("restarts", 32)),
-            tol=float(s.get("tol", 1e-3)),
-            refit_max_iter=int(refit.get("max_iter", 5000)),
-            refit_tol=float(refit.get("tol", 1e-8)),
-            seed=int(s.get("seed", 0)),
-        )
+        given = {}
+        for field, path, kind in _SOLVER_OPTIONS:
+            section, _, key = path.rpartition(".")
+            held = refit if section else s
+            if key in held:
+                value = held[key]
+                given[field] = _integer(value, "solver." + path) if kind is int else kind(value)
+        opts = FitOptions(**given)
         grid_per_dim = s.get("grid_per_dim")
-        grid_per_dim = None if grid_per_dim is None else int(grid_per_dim)
+        if grid_per_dim is not None:
+            grid_per_dim = _integer(grid_per_dim, "solver.grid_per_dim")
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad solver config: {exc}") from exc
     return lam, opts, grid_per_dim
@@ -201,29 +198,18 @@ def _write_json_file(path: str, obj: dict):
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _run_report(objective, atom_count, certificate, wall_ms, seed, digest):
-    return {
-        "objective": float(objective),
-        "atom_count": int(atom_count),
-        "certificate": float(certificate),
-        "wall_time_ms": int(wall_ms),
-        "seed": int(seed),
-        "config_digest": digest,
-    }
-
-
-def _finish_fit(args, raw: bytes, seed: int, state, model: dict, atom_count: int,
-                wall_ms) -> int:
-    """Write the model and its run report, emit the report, pick the exit code."""
+def _finish_fit(args, raw: bytes, state, model: dict, atom_count: int, wall_ms) -> int:
+    """Write the model and its run report, emit the report, pick the exit code.
+    The report's digest is the first 16 hex digits of the config's sha256."""
     _write_json_file(args.out, model)
-    report = _run_report(
-        state.objective_history[-1],
-        atom_count,
-        state.certificate,
-        wall_ms,
-        seed,
-        _config_digest(raw),
-    )
+    report = {
+        "objective": float(state.objective_history[-1]),
+        "atom_count": int(atom_count),
+        "certificate": float(state.certificate),
+        "wall_time_ms": int(wall_ms),
+        "seed": int(state.seed),
+        "config_digest": hashlib.sha256(raw).hexdigest()[:16],
+    }
     _write_json_file(args.out + ".report.json", report)
     _emit(report)
     if not state.converged:
@@ -261,7 +247,7 @@ def cmd_fit(args) -> int:
         raise DataError(f"fit failed: {exc}") from exc
     wall_ms = round((time.monotonic() - start) * 1000)
     model = _model_json_dict(state, spec, feat)
-    return _finish_fit(args, raw, opts.seed, state, model, len(state.measure), wall_ms)
+    return _finish_fit(args, raw, state, model, len(state.measure), wall_ms)
 
 
 def _feature_mismatch(fitted: dict, configured: dict) -> str:
@@ -339,7 +325,7 @@ def cmd_oracle(args) -> int:
     feat, spec = _feature_space(cfg)
     lam, opts, _ = _solver_section(cfg)
     try:
-        grid_per_dim = int(cfg["oracle"]["grid_per_dim"])
+        grid_per_dim = _integer(cfg["oracle"]["grid_per_dim"], "oracle.grid_per_dim")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"oracle runs need oracle.grid_per_dim: {exc}") from exc
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
@@ -374,8 +360,7 @@ def cmd_hyper_fit(args) -> int:
     try:
         phi = feature_from_json_dict(cfg["phi"])
         psi = feature_from_json_dict(cfg["psi"])
-        space = cfg["space"]
-        spec = DualPairSpec(int(space["d"]), str(space["norm"]))
+        spec = DualPairSpec(cfg["space"]["d"], str(cfg["space"]["norm"]))
         sampling = SampledMeasurement(
             np.array(cfg["sampling"]["points"], dtype=float),
             np.array(cfg["sampling"]["functionals"], dtype=float),
@@ -399,7 +384,7 @@ def cmd_hyper_fit(args) -> int:
         raise DataError(f"hyper-fit failed: {exc}") from exc
     wall_ms = round((time.monotonic() - start) * 1000)
     model = hyper_model_to_json_dict(state.model)
-    return _finish_fit(args, raw, opts.seed, state, model, len(state.model.a), wall_ms)
+    return _finish_fit(args, raw, state, model, len(state.model.a), wall_ms)
 
 
 def cmd_deeponet(args) -> int:

@@ -36,6 +36,17 @@ _NORMS = (L1, L2, LINF)
 _CONJUGATE = {L1: LINF, L2: L2, LINF: L1}
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is an int or an integral float; anything
+    else raises ValueError, TypeError or OverflowError, so nothing truncates."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def conjugate_norm(norm: str) -> str:
     """Conjugate exponent norm: l1 <-> linf, l2 <-> l2."""
     if norm not in _CONJUGATE:
@@ -56,12 +67,14 @@ class DualPairSpec:
     primal_norm: str = L2
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
+        dim = _integer(self.dim, "dim")
+        if dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         if self.primal_norm not in _NORMS:
             raise ValueError(
                 f"unknown norm {self.primal_norm!r}; expected one of {_NORMS}"
             )
+        object.__setattr__(self, "dim", dim)
 
     @property
     def dual_norm(self) -> str:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual_pair import _integer
 
 KINDS = ("neural", "gaussian", "tabulated")
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "gaussian_rbf")
@@ -385,16 +386,15 @@ def simple_approx_pairing(f: FeatureMap, rho, mu, grid_per_dim: int) -> float:
     return math.fsum((vals * gram).ravel().tolist())
 
 
-def grid_sup_abs(
-    f: FeatureMap, x, radius: float, per_dim: int = 9, extra_ws=None
-) -> float:
-    """max |phi(x, .)| over a product grid of the weight ball.
+def grid_sup_abs(f: FeatureMap, x, radius: float, extra_ws=None) -> float:
+    """max |phi(x, .)| over the product grid of 9 points per dimension
+    on [-radius, radius]^dw, kept inside the weight ball.
 
     ``extra_ws`` lets callers include specific weight sites (e.g. the
     atoms of a measure) so bounds built from this estimate stay ordered.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    axes = [np.linspace(-radius, radius, per_dim)] * f.dw
+    axes = [np.linspace(-radius, radius, 9)] * f.dw
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dw)
     keep = np.sqrt(np.sum(grid * grid, axis=1)) <= radius + 1e-12
     grid = grid[keep]
@@ -425,20 +425,15 @@ def feature_to_json_dict(f: FeatureMap) -> dict:
 
 
 def feature_from_json_dict(d: dict) -> FeatureMap:
+    """The feature of a record; a key the record does not hold takes
+    FeatureMap's default."""
     try:
         kind = d["kind"]
-        dx = int(d["dx"])
+        dx = _integer(d["dx"], "dx")
         radius = float(d["radius"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed feature record: {exc}") from exc
-    return FeatureMap(
-        kind=kind,
-        dx=dx,
-        radius=radius,
-        beta=d.get("beta", "smooth_bump"),
-        activation=d.get("activation"),
-        bandwidth=float(d.get("bandwidth", 1.0)),
-        x_grid=d.get("x_grid"),
-        w_grid=d.get("w_grid"),
-        values=d.get("values"),
-    )
+    given = {k: d[k] for k in ("beta", "activation", "x_grid", "w_grid", "values") if k in d}
+    if "bandwidth" in d:
+        given["bandwidth"] = float(d["bandwidth"])
+    return FeatureMap(kind=kind, dx=dx, radius=radius, **given)

@@ -163,14 +163,10 @@ def coalesce(
     return AtomicVectorMeasure(W, C, mu.space, mu.radius)
 
 
-def total_variation(
-    mu: AtomicVectorMeasure,
-    tol: float = MERGE_TOL,
-    prune_tol: float = PRUNE_TOL,
-) -> float:
+def total_variation(mu: AtomicVectorMeasure) -> float:
     """|mu|(Omega) = sum of payload norms over coalesced atoms."""
-    merged = coalesce(mu, tol, prune_tol)
-    return float(sum(row_norms(merged.C, mu.space.primal_norm).tolist()))
+    norm = mu.space.primal_norm
+    return float(sum(row_norms(_coalesce_rows(mu.W, mu.C, norm)[1], norm).tolist()))
 
 
 def integrate(phi, mu: AtomicVectorMeasure, x) -> np.ndarray:
@@ -218,7 +214,7 @@ def measure_from_json_dict(d: dict) -> AtomicVectorMeasure:
         norm = d["norm"]
         radius = float(d["radius"])
         W, C = (np.array([a[k] for a in d["atoms"]], float) for k in ("w", "c"))
-        dim = int(d.get("dim", C.shape[1] if C.ndim == 2 else 1))
+        dim = d.get("dim", C.shape[1] if C.ndim == 2 else 1)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measure record: {exc}") from exc
     return AtomicVectorMeasure(W, C, DualPairSpec(dim, norm), radius)

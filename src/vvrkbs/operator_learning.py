@@ -48,6 +48,10 @@ from .solver import (
     loss_total,
 )
 
+PROBES = 32         # probe points of the function-form bound
+PROBE_RADIUS = 1.0  # the probes are uniform in [-PROBE_RADIUS, PROBE_RADIUS]^dx
+PROBE_SEED = 0      # seed of the probe draw
+
 
 @dataclasses.dataclass(frozen=True)
 class HyperModel:
@@ -76,8 +80,6 @@ class HyperModel:
     layout: tuple = dataclasses.field(init=False, repr=False, compare=False)
     w_bound: tuple = dataclasses.field(init=False, repr=False, compare=False)
     theta_bound: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    _tv_upper: dict = dataclasses.field(
-        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         a = _frozen(self.a)
@@ -118,6 +120,21 @@ class HyperModel:
             tuple(_frozen(r) for r in _coalesce_rows(
                 self.Theta[idx], self.a[idx, None] * self.V[idx], self.spec.primal_norm))
             for idx in self.groups)
+
+    @functools.cached_property
+    def _tv_upper(self) -> float:
+        """``function_form_tv_upper``, computed at its first call and kept."""
+        probes = np.random.default_rng(PROBE_SEED).uniform(
+            -PROBE_RADIUS, PROBE_RADIUS, (PROBES, self.psi.dx))
+        norm = self.spec.primal_norm
+        total = 0.0
+        for Theta, C in self.inner:
+            if not len(C):
+                continue
+            cols = phi_matrix(self.psi, probes, Theta)
+            _, sums = _coalesce_rows(cols.T, C, norm, tol=1e-12, prune_tol=0.0)
+            total += float(sum(row_norms(sums, norm).tolist()))
+        return total
 
 
 # ------------------------------------------------------------- evaluation
@@ -186,36 +203,19 @@ def weight_form_tv(m: HyperModel) -> float:
     ))
 
 
-def function_form_tv_upper(
-    m: HyperModel, n_probes: int = 32, probe_radius: float = 1.0, seed: int = 0
-) -> float:
+def function_form_tv_upper(m: HyperModel) -> float:
     """Upper bound on the function-form norm.
 
     Within each distinct-w group, inner atoms whose base functions
-    psi(., theta) coincide on a probe set are merged before summing
+    psi(., theta) coincide on the probe set are merged before summing
     payload norms; by the triangle inequality the result never exceeds
-    weight_form_tv.  The true function-space infimum is not computable,
-    so this representative bound is what the domination statement is
-    about.  The bound is kept per (n_probes, probe_radius, seed).
+    weight_form_tv.  The probes are PROBES points drawn uniformly from
+    [-PROBE_RADIUS, PROBE_RADIUS]^dx by ``default_rng(PROBE_SEED)``.  The
+    true function-space infimum is not computable, so this representative
+    bound is what the domination statement is about.  The bound is kept
+    with the model.
     """
-    key = (n_probes, probe_radius, seed)
-    if key not in m._tv_upper:
-        m._tv_upper[key] = _probe_merged_tv(m, n_probes, probe_radius, seed)
-    return m._tv_upper[key]
-
-
-def _probe_merged_tv(m: HyperModel, n_probes, probe_radius, seed) -> float:
-    rng = np.random.default_rng(seed)
-    probes = rng.uniform(-probe_radius, probe_radius, (n_probes, m.psi.dx))
-    norm = m.spec.primal_norm
-    total = 0.0
-    for Theta, C in m.inner:
-        if not len(C):
-            continue
-        cols = phi_matrix(m.psi, probes, Theta)
-        _, sums = _coalesce_rows(cols.T, C, norm, tol=1e-12, prune_tol=0.0)
-        total += float(sum(row_norms(sums, norm).tolist()))
-    return total
+    return m._tv_upper
 
 
 # --------------------------------------------------------------------- fit
@@ -265,18 +265,15 @@ def _product_design(Phi, Psi, V):
     return (Phi[:, None, :, None] * (Psi[:, :, None] * V[:, None, :])).reshape(shape)
 
 
-def hyper_objective(
-    Z, Y, sampling: SampledMeasurement, model: HyperModel, lam: float,
-    loss: Loss = Loss(),
-) -> float:
-    """Mean loss of the sampled predictions plus lam * weight_form_tv."""
+def hyper_objective(Z, Y, sampling: SampledMeasurement, model: HyperModel, lam: float) -> float:
+    """Mean squared-half loss of the sampled predictions plus lam * weight_form_tv."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     D = _product_design(phi_matrix(model.phi, Z, model.W),
                         phi_matrix(model.psi, sampling.points, model.Theta),
                         sampling.functionals)
     P = (D @ (model.a[:, None] * model.V).ravel()).reshape(len(Z), sampling.n_samples)
-    data = loss_total(loss, P, Y) / len(Z)
+    data = loss_total(Loss(), P, Y) / len(Z)
     return data + lam * weight_form_tv(model)
 
 

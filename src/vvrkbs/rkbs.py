@@ -77,7 +77,7 @@ def b_norm_upper(f: RkbsFunction) -> float:
     return total_variation(f.measure)
 
 
-def b_norm_lower(f: RkbsFunction, probe_xs, sup_grid_per_dim: int = 9) -> float:
+def b_norm_lower(f: RkbsFunction, probe_xs) -> float:
     """Best dual-certificate value: a certified lower bound for the norm.
 
     For each probe x the certificate g = phi(x, .) u_dual with the dual
@@ -96,13 +96,16 @@ def b_norm_lower(f: RkbsFunction, probe_xs, sup_grid_per_dim: int = 9) -> float:
     best = 0.0
     for x in probe_xs:
         val = primal_norm_value(f.spec, evaluate(f, x))
-        sup = grid_sup_abs(f.feature, x, mu.radius, sup_grid_per_dim, extra_ws=mu.W)
+        sup = grid_sup_abs(f.feature, x, mu.radius, extra_ws=mu.W)
         if sup > 1e-300:
             best = max(best, val / sup)
     return best
 
 
 # --------------------------------------------------------- reproducing check
+
+REPRODUCING_TOL = 1e-10  # relative error a reproducing check passes at
+
 
 @dataclass(frozen=True)
 class ReproducingReport:
@@ -115,10 +118,8 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def verify_reproducing(
-    f: RkbsFunction, trials: int, seed: int, tol: float = 1e-10,
-    corruption: float = 0.0,
-) -> ReproducingReport:
+def verify_reproducing(f: RkbsFunction, trials: int, seed: int,
+                       corruption: float = 0.0) -> ReproducingReport:
     """Check the reproducing identity of f's side plus the three-way pairing.
 
     Per trial, for a primal-side f with measure mu and a freshly drawn
@@ -130,8 +131,9 @@ def verify_reproducing(
       reductions: through f at the rho atoms and through g at the mu
       atoms.
 
-    ``corruption`` is a test hook: it is added to the evaluation side of
-    the first identity so negative controls can watch the check fail.
+    It passes at a worst relative error of REPRODUCING_TOL.  ``corruption``
+    is a test hook: it is added to the evaluation side of the first
+    identity so negative controls can watch the check fail.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -180,7 +182,7 @@ def verify_reproducing(
         via_f = sum(pair(spec, c, evaluate(fn, w)) for w, c in zip(rho.W, rho.C))
         via_g = sum(pair(spec, evaluate(g, w), c) for w, c in zip(mu.W, mu.C))
         worst = max(worst, _rel(double, via_f), _rel(double, via_g))
-    return ReproducingReport(worst, trials, worst <= tol)
+    return ReproducingReport(worst, trials, worst <= REPRODUCING_TOL)
 
 
 # ------------------------------------------------------------ vv-RKHS ridge

@@ -275,7 +275,7 @@ def _project_balls(L: np.ndarray, features) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _ascend(value, direction, features, L0, max_steps: int = 200):
+def _ascend(value, direction, features, L0):
     """Spectral projected gradient ascent on an oracle score from one start.
 
     ``value(L)`` returns (score, payload state) at a location vector L,
@@ -286,14 +286,14 @@ def _ascend(value, direction, features, L0, max_steps: int = 200):
     last changes of L and of the direction, when s.y < 0, and otherwise the
     step carried from the last acceptance, doubled only when that passed on
     its first trial.  Each trial halves until the Armijo test on the
-    projected step passes (Birgin, Martinez & Raydan 2000).
-    Returns (L, state, score).
+    projected step passes (Birgin, Martinez & Raydan 2000).  At most 200
+    steps are taken.  Returns (L, state, score).
     """
     L = np.asarray(L0, dtype=float).copy()
     score, state = value(L)
     step = 1.0
     prev = None  # (L, direction) where the last accepted step started
-    for _ in range(max_steps):
+    for _ in range(200):
         g = direction(L, state)
         gg = float(np.dot(g, g))  # finite unless g holds a non-finite entry or overflows
         if not math.isfinite(gg) and not np.isfinite(g).all():
@@ -635,6 +635,8 @@ class FitOptions:
     def __post_init__(self):
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
+        if self.seed < 0:  # numpy seeds no generator from a negative int
+            raise ValueError("seed must be >= 0")
         if self.refit_max_iter < 1:
             # a refit that takes no step prunes each new atom: the run stalls at once
             raise ValueError("refit_max_iter must be >= 1")
@@ -821,20 +823,22 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
     )
 
 
-def lambda_max(p: Problem, grid_per_dim: int = 17, restarts: int = 8, seed: int = 0) -> float:
+def lambda_max(p: Problem) -> float:
     """Smallest lam for which the zero measure is optimal.
 
     Equals the oracle score at mu = 0.  Exact for grid-restricted
-    problems; otherwise a dense-grid sweep polished by ascent.
+    problems; otherwise the best of a sweep over the 17-per-dimension
+    product grid, one ascent polishing the sweep's best point, and 8
+    ascents from random starts seeded with 0.
     """
     eta = residual_duals(p, empty_measure(p.spec, p.feature.radius))
     if p.omega_grid is not None:
-        return lmo(p, eta, seed=seed)[2]
-    grid = product_grid(p.feature.radius, p.feature.dw, grid_per_dim)
+        return lmo(p, eta)[2]
+    grid = product_grid(p.feature.radius, p.feature.dw, 17)
     w, _, score = lmo(dataclasses.replace(p, omega_grid=grid), eta)
     value, direction = _oracle_score(p, eta)
     best = _ascend(value, direction, (p.feature,), w)[2]
-    rand = lmo(p, eta, restarts=restarts, seed=seed)[2]
+    rand = lmo(p, eta, restarts=8)[2]
     return max(score, best, rand)
 
 
@@ -860,25 +864,29 @@ def _grid_solve(fam: _AtomFamily, grids, start=None):
     of ``grids``, each holding the next columns of a location, from the
     zero measure or from ``start`` = (locations, payload rows).  A start
     location whose columns are not a row of their grid raises ValueError.
+    The family proposes grid rows only, so every fitted location is one.
     Returns (objective, payload rows for every grid point in C order,
     relative gap)."""
     sizes = [len(g) for g in grids]
     ends = np.cumsum([g.shape[1] for g in grids])
+
+    def grid_rows(L):  # per grid, the first row that each location's columns equal
+        match = [(L[:, None, e - g.shape[1]:e] == g).all(axis=2) for g, e in zip(grids, ends)]
+        on = np.all([m.any(axis=1) for m in match], axis=0)
+        if not on.all():
+            raise ValueError(f"start location {L[np.argmin(on)]} is not a grid point")
+        return [m.argmax(axis=1) for m in match]
+
     if start is not None:
         L0, C0 = (np.asarray(a, dtype=float) for a in start)
         if L0.ndim != 2 or L0.shape[1] != fam.width or C0.shape != (len(L0), fam.dim):
             raise ValueError(
                 f"start must be locations (k, {fam.width}) and payload rows (k, {fam.dim})")
-        for g, e in zip(grids, ends):
-            on = (L0[:, None, e - g.shape[1]:e] == g).all(axis=2).any(axis=1)
-            if not on.all():
-                raise ValueError(f"start location {L0[np.argmin(on)]} is not a grid point")
+        grid_rows(L0)
     L, C = _cg_fit(fam, FitOptions(max_atoms=math.prod(sizes), tol=1e-9, refit_tol=1e-13),
                    start)[:2]
-    at = [np.argmin(np.abs(L[:, None, e - g.shape[1]:e] - g).max(axis=2), axis=1)
-          for g, e in zip(grids, ends)]
     rows = np.zeros((math.prod(sizes), fam.dim))
-    rows[np.ravel_multi_index(at, sizes)] = C
+    rows[np.ravel_multi_index(grid_rows(L), sizes)] = C
     obj, gap = _duality_gap(fam, L, C)
     return obj, rows, gap
 

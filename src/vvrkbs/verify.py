@@ -35,7 +35,7 @@ from .operator_learning import (
     function_form_tv_upper,
     weight_form_tv,
 )
-from .rkbs import RkbsFunction, verify_reproducing
+from .rkbs import REPRODUCING_TOL, RkbsFunction, verify_reproducing
 from .solver import (
     FitOptions,
     Loss,
@@ -248,12 +248,12 @@ def run_invariant_checks(trials: int, seed: int, corruption: float = 0.0) -> lis
     record(
         "reproducing_primal",
         _check_reproducing(next(rngs), trials, corruption, adjoint=False),
-        1e-10,
+        REPRODUCING_TOL,
     )
     record(
         "reproducing_adjoint",
         _check_reproducing(next(rngs), trials, corruption, adjoint=True),
-        1e-10,
+        REPRODUCING_TOL,
     )
     record("twin_norm_agreement", _check_twin_norm(next(rngs), trials), 1e-10)
     record("feature_gradient", _check_feature_gradient(next(rngs), trials), 1e-4)

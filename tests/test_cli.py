@@ -15,6 +15,7 @@ from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
 from vvrkbs.operator_learning import hyper_evaluate, hyper_model_from_json_dict
 from vvrkbs.solver import (
+    FitOptions,
     Loss,
     Problem,
     identity_measurement,
@@ -234,6 +235,12 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["fit", "--config", cfg, "--data", data,
                  "--out", str(tmp_path / "m.json")]) == 2
     capsys.readouterr()
+
+
+def test_a_solver_section_of_lambda_alone_takes_the_fit_options_defaults():
+    # the reader passes on only the keys a config holds, so the defaults
+    # live in FitOptions alone
+    assert cli._solver_section({"solver": {"lambda": 0.1}}) == (0.1, FitOptions(), None)
 
 
 def test_verify_passes_and_reports_checks(capsys):
@@ -504,6 +511,12 @@ def _model_dim_infinite():
     return "predict", model
 
 
+def _model_dim_fractional():
+    model = _flat_model()
+    model["dim"] = 2.5
+    return "predict", model
+
+
 def _model_location_too_short():
     model = _flat_model()
     model["atoms"][0]["w"] = [0.3]
@@ -521,6 +534,12 @@ def _model_radius_infinite():
 def _deeponet_psi_dx_infinite():
     payload = _deeponet_payload()
     payload["psi"]["dx"] = math.inf
+    return "deeponet", payload
+
+
+def _deeponet_psi_dx_fractional():
+    payload = _deeponet_payload()
+    payload["psi"]["dx"] = 1.5
     return "deeponet", payload
 
 
@@ -574,10 +593,11 @@ def _model_feature_bandwidth_list():
 
 @pytest.mark.parametrize(
     "case",
-    [_model_atom_not_object, _model_dim_infinite, _model_location_too_short,
-     _model_radius_infinite, _model_feature_not_object, _model_feature_radius_nan,
-     _model_feature_bandwidth_overflows, _model_feature_bandwidth_list,
-     _deeponet_psi_dx_infinite, _deeponet_basis_dim_infinite,
+    [_model_atom_not_object, _model_dim_infinite, _model_dim_fractional,
+     _model_location_too_short, _model_radius_infinite, _model_feature_not_object,
+     _model_feature_radius_nan, _model_feature_bandwidth_overflows,
+     _model_feature_bandwidth_list,
+     _deeponet_psi_dx_infinite, _deeponet_psi_dx_fractional, _deeponet_basis_dim_infinite,
      _deeponet_basis_radius_nan, _deeponet_coefficient_overflows,
      _deeponet_coefficient_location_overflows],
 )
@@ -766,19 +786,68 @@ def _inf_hyper_functional():
     return "hyper-fit", cfg, "sampling functionals must be finite"
 
 
+def _set(config, path, value):
+    *sections, key = path.split(".")
+    for section in sections:
+        config = config[section]
+    config[key] = value
+
+
+def _integer_field(command, path, value):
+    # int() used to truncate these (dx 1.9 ran a fit with dx 1, exit 0)
+    def case():
+        config = _hyper_config() if command == "hyper-fit" else _base_config()
+        _set(config, path, value)
+        return command, config, "must be an integer"
+    case.id = f"{command}-{path}-{value}"
+    return case
+
+
+def _negative_seed(command, grid):
+    # a grid fit used to run and report it; a free search failed in numpy
+    def case():
+        config = _hyper_config() if command == "hyper-fit" else _base_config()
+        config["solver"]["seed"] = -5
+        if not grid:
+            config.pop("grids", None)
+            config["solver"].pop("grid_per_dim", None)
+        return command, config, "bad solver config: seed must be >= 0"
+    case.id = f"{command}-{'grid' if grid else 'free'}-seed-negative"
+    return case
+
+
+_SOLVER_INTEGERS = [("solver.max_atoms", 3.9), ("solver.restarts", 2.5),
+                    ("solver.refit.max_iter", 10.5), ("solver.seed", 0.5)]
+_FLAT_INTEGERS = [("feature.dx", 1.9), ("space.d", 1.7), ("solver.grid_per_dim", 4.5),
+                  ("feature.dx", True), ("solver.max_atoms", True), *_SOLVER_INTEGERS]
+INTEGER_FIELD_CASES = [
+    *(_integer_field(c, path, v) for c in ("fit", "oracle") for path, v in _FLAT_INTEGERS),
+    _integer_field("oracle", "oracle.grid_per_dim", 4.5),
+    *(_integer_field("hyper-fit", path, v) for path, v in
+      [("phi.dx", 1.9), ("psi.dx", 1.5), ("space.d", 1.7), ("space.d", False),
+       *_SOLVER_INTEGERS]),
+    *(_negative_seed(c, grid) for c in ("fit", "oracle", "hyper-fit") for grid in (True, False)
+      if grid or c != "oracle"),
+]
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_fit_config, _nan_fit_lambda, _bad_hyper_refit, _nan_hyper_refit_tol,
      _nan_hyper_tol, _inf_hyper_tol, _bad_hyper_ragged_grid, _bad_hyper_grid_width,
      _nan_hyper_grid, _bad_hyper_grids_list, _nan_hyper_sampling_point,
-     _nan_hyper_sampling_point_free_search, _inf_hyper_functional],
+     _nan_hyper_sampling_point_free_search, _inf_hyper_functional, *INTEGER_FIELD_CASES],
+    ids=lambda case: getattr(case, "id", None),
 )
 def test_malformed_solver_and_grids_sections_exit_2(tmp_path, capsys, case):
     command, config, fault = case()
     cfg = _write(tmp_path, "bad.json", json.dumps(config))
     data = _write(tmp_path, "data.csv", "\n".join(DATA_ROWS) + "\n")
     out = str(tmp_path / "model.json")
-    assert main([command, "--config", cfg, "--data", data, "--out", out]) == 2
+    args = [command, "--config", cfg, "--data", data]
+    if command != "oracle":
+        args += ["--out", out]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert fault in err

@@ -404,7 +404,7 @@ def test_simple_approx_zero_measure():
 def test_grid_sup_abs_dominates_atom_sites():
     f, _, mu = _pairing_instance()
     x = np.array([0.4])
-    s = grid_sup_abs(f, x, mu.radius, per_dim=5, extra_ws=mu.W)
+    s = grid_sup_abs(f, x, mu.radius, extra_ws=mu.W)
     vals = phi_matrix(f, x[None, :], mu.W)[0]
     assert s >= np.max(np.abs(vals)) - 1e-15
 
@@ -432,6 +432,13 @@ def test_feature_json_round_trip():
         FeatureMap("neural", dx=2, radius=3.0, activation="relu")
     )
     assert list(d.keys()) == ["kind", "activation", "dx", "radius", "beta"]
+
+
+def test_feature_record_of_the_required_keys_takes_the_feature_map_defaults():
+    # the reader passes on only the keys a record holds, so the defaults
+    # (beta, bandwidth, the tables) live in FeatureMap alone
+    record = {"kind": "neural", "dx": 2, "radius": 1.5, "activation": "tanh"}
+    assert feature_from_json_dict(record) == FeatureMap("neural", 2, 1.5, activation="tanh")
 
 
 def test_feature_json_rejects_garbage():
