@@ -6,18 +6,20 @@ data or config, 3 fit finished without certificate convergence (the
 model file is still written), 4 verification failure.
 
 Config JSON for ``fit`` / ``oracle`` / ``predict`` has the sections
-"feature", "space", "solver" and "oracle"; a solver option it omits takes
-its ``FitOptions`` default.  ``hyper-fit`` replaces "feature" with "phi"
-and "psi" and adds "sampling" and an optional "grids" section.  README.md
-documents every key.
+"feature", "space", "solver" and "oracle".  ``hyper-fit`` replaces
+"feature" with "phi" and "psi" and adds "sampling" and an optional "grids"
+section.  Each section is read through its table in ``_SECTIONS``, and a
+key it omits takes its builder's default.  README.md documents every key.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -26,33 +28,15 @@ import time
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, _integer
-from .feature import (
-    FeatureMap,
-    feature_from_json_dict,
-    feature_to_json_dict,
-    phi_matrix,
-)
+from .dual_pair import DualPairSpec
+from .feature import FeatureMap, feature_from_json_dict, feature_to_json_dict, phi_matrix
 from .measure import measure_from_json_dict, measure_to_json_dict
-from .operator_learning import (
-    SampledMeasurement,
-    deeponet_embed,
-    hyper_fit,
-    hyper_model_to_json_dict,
-)
+from .operator_learning import (SampledMeasurement, _check_hyper_grids, deeponet_embed, hyper_fit,
+                                hyper_model_to_json_dict)
 from .rkbs import RkbsFunction
-from .solver import (
-    FitOptions,
-    Loss,
-    Problem,
-    SolverError,
-    export_network,
-    fit,
-    grid_oracle,
-    identity_measurement,
-    network_to_json_dict,
-    product_grid,
-)
+from .solver import (FitOptions, Loss, Problem, SolverError, _grid_size, _positive_lam,
+                     export_network, fit, grid_oracle, identity_measurement, network_to_json_dict,
+                     product_grid)
 from .verify import run_invariant_checks
 
 EXIT_OK = 0
@@ -92,48 +76,54 @@ def _read_config(path: str):
     return raw, cfg
 
 
-def _feature_space(cfg: dict):
+def _solver(lam, grid_per_dim=None, **options):
+    """The solver section: lam, its FitOptions, and its grid size or None
+    for free search."""
+    grid_per_dim = None if grid_per_dim is None else _grid_size(grid_per_dim)
+    return _positive_lam(lam), FitOptions(**options), grid_per_dim
+
+
+# Each config section: what builds its object, and the argument each key
+# sets (a dotted key reads a nested object).  The builders hold every type
+# and range rule; a key a section omits keeps its builder's default.
+_FEATURE = (FeatureMap, {f.name: f.name for f in dataclasses.fields(FeatureMap)})
+_SECTIONS = {
+    "feature": _FEATURE, "phi": _FEATURE, "psi": _FEATURE,
+    "space": (DualPairSpec, {"d": "dim", "norm": "primal_norm"}),
+    "solver": (_solver, {"lambda": "lam", "mode": "mode", "max_atoms": "max_atoms",
+                         "restarts": "restarts", "tol": "tol", "seed": "seed",
+                         "refit.max_iter": "refit_max_iter", "refit.tol": "refit_tol",
+                         "grid_per_dim": "grid_per_dim"}),
+    "oracle": (_grid_size, {"grid_per_dim": "value"}),
+    "sampling": (SampledMeasurement, {"points": "points", "functionals": "functionals"}),
+    "grids": (_check_hyper_grids, {"w": "w_grid", "theta": "theta_grid"}),
+}
+
+
+def _section(cfg: dict, name: str, prefix: str, **context):
+    """The object of config section ``name``, built by its table with
+    ``context`` (the features a grids section is checked against); a
+    missing required key, or a fault the builder raises, exits 2 as
+    ``prefix``."""
+    build, table = _SECTIONS[name]
+    params = inspect.signature(build).parameters
+    given = dict(context)
+    for path, arg in table.items():
+        *outer, key = path.split(".")
+        held, where = cfg.get(name, {}), f"{name} section"
+        for part in outer:
+            if isinstance(held, dict):
+                held, where = held.get(part, {}), f"{name}.{part}"
+        if not isinstance(held, dict):
+            raise DataError(f"config {where} must be an object")
+        if key in held:
+            given[arg] = held[key]
+        elif arg in params and params[arg].default is inspect.Parameter.empty:
+            raise DataError(f"{prefix}: missing {name}.{path}")
     try:
-        feat = feature_from_json_dict(cfg["feature"])
-        spec = DualPairSpec(cfg["space"]["d"], str(cfg["space"]["norm"]))
+        return build(**given)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"bad feature/space config: {exc}") from exc
-    return feat, spec
-
-
-# FitOptions field, path under "solver" and type of each solver option; an
-# option the config does not set keeps its FitOptions default
-_SOLVER_OPTIONS = (("max_atoms", "max_atoms", int), ("mode", "mode", str),
-                   ("restarts", "restarts", int), ("tol", "tol", float),
-                   ("refit_max_iter", "refit.max_iter", int),
-                   ("refit_tol", "refit.tol", float), ("seed", "seed", int))
-
-
-def _solver_section(cfg: dict):
-    s = cfg.get("solver", {})
-    if not isinstance(s, dict):
-        raise DataError("config solver section must be an object")
-    if "lambda" not in s:
-        raise DataError("config is missing solver.lambda")
-    refit = s.get("refit", {})
-    if not isinstance(refit, dict):
-        raise DataError("config solver.refit must be an object")
-    try:
-        lam = float(s["lambda"])
-        given = {}
-        for field, path, kind in _SOLVER_OPTIONS:
-            section, _, key = path.rpartition(".")
-            held = refit if section else s
-            if key in held:
-                value = held[key]
-                given[field] = _integer(value, "solver." + path) if kind is int else kind(value)
-        opts = FitOptions(**given)
-        grid_per_dim = s.get("grid_per_dim")
-        if grid_per_dim is not None:
-            grid_per_dim = _integer(grid_per_dim, "solver.grid_per_dim")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"bad solver config: {exc}") from exc
-    return lam, opts, grid_per_dim
+        raise DataError(f"{prefix}: {exc}") from exc
 
 
 def _columns(dx: int, d_meas: int):
@@ -231,16 +221,12 @@ def _model_json_dict(state, spec: DualPairSpec, feat: FeatureMap) -> dict:
 
 def cmd_fit(args) -> int:
     raw, cfg = _read_config(args.config)
-    feat, spec = _feature_space(cfg)
-    lam, opts, grid_per_dim = _solver_section(cfg)
+    feat, spec = (_section(cfg, name, "bad feature/space config") for name in ("feature", "space"))
+    lam, opts, grid_per_dim = _section(cfg, "solver", "bad solver config")
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
     try:
-        omega = None
-        if grid_per_dim is not None:
-            omega = product_grid(feat.radius, feat.dw, grid_per_dim)
-        problem = Problem(
-            X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega
-        )
+        omega = None if grid_per_dim is None else product_grid(feat.radius, feat.dw, grid_per_dim)
+        problem = Problem(X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega)
         start = time.monotonic()
         state = fit(problem, opts)
     except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
@@ -266,7 +252,7 @@ def _feature_mismatch(fitted: dict, configured: dict) -> str:
 
 def cmd_predict(args) -> int:
     _, cfg = _read_config(args.config)
-    feat, spec = _feature_space(cfg)
+    feat, spec = (_section(cfg, name, "bad feature/space config") for name in ("feature", "space"))
     try:
         with open(args.model, "rb") as fh:
             model = json.loads(fh.read().decode("utf-8"))
@@ -322,18 +308,13 @@ def _read_dataset_inputs_only(path: str, dx: int):
 
 def cmd_oracle(args) -> int:
     _, cfg = _read_config(args.config)
-    feat, spec = _feature_space(cfg)
-    lam, opts, _ = _solver_section(cfg)
-    try:
-        grid_per_dim = _integer(cfg["oracle"]["grid_per_dim"], "oracle.grid_per_dim")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"oracle runs need oracle.grid_per_dim: {exc}") from exc
+    feat, spec = (_section(cfg, name, "bad feature/space config") for name in ("feature", "space"))
+    lam, opts, _ = _section(cfg, "solver", "bad solver config")
+    grid_per_dim = _section(cfg, "oracle", "oracle runs need oracle.grid_per_dim")
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
     try:
         omega = product_grid(feat.radius, feat.dw, grid_per_dim)
-        problem = Problem(
-            X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega
-        )
+        problem = Problem(X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega)
         state = fit(problem, opts)
         # the fit and the oracle are one engine on one grid: continue the fit
         oracle_obj, _, _ = grid_oracle(
@@ -342,13 +323,8 @@ def cmd_oracle(args) -> int:
         raise DataError(f"oracle run failed: {exc}") from exc
     fit_obj = state.objective_history[-1]
     gap = 0.0 if fit_obj == oracle_obj else abs(fit_obj - oracle_obj) / abs(oracle_obj)
-    _emit(
-        {
-            "fit_objective": float(fit_obj),
-            "oracle_objective": float(oracle_obj),
-            "relative_gap": float(gap),
-        }
-    )
+    _emit({"fit_objective": float(fit_obj), "oracle_objective": float(oracle_obj),
+           "relative_gap": float(gap)})
     if not state.converged:
         print("fit stopped before certificate convergence", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -357,22 +333,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_hyper_fit(args) -> int:
     raw, cfg = _read_config(args.config)
-    try:
-        phi = feature_from_json_dict(cfg["phi"])
-        psi = feature_from_json_dict(cfg["psi"])
-        spec = DualPairSpec(cfg["space"]["d"], str(cfg["space"]["norm"]))
-        sampling = SampledMeasurement(
-            np.array(cfg["sampling"]["points"], dtype=float),
-            np.array(cfg["sampling"]["functionals"], dtype=float),
-        )
-        grids = cfg.get("grids", {})
-        if not isinstance(grids, dict):
-            raise DataError("config grids section must be an object")
-        w_grid = np.array(grids["w"], dtype=float) if "w" in grids else None
-        theta_grid = np.array(grids["theta"], dtype=float) if "theta" in grids else None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"bad hyper-fit config: {exc}") from exc
-    lam, opts, _ = _solver_section(cfg)
+    phi, psi, spec, sampling = (_section(cfg, name, "bad hyper-fit config")
+                                for name in ("phi", "psi", "space", "sampling"))
+    w_grid, theta_grid = _section(cfg, "grids", "bad hyper-fit config", phi=phi, psi=psi)
+    lam, opts, _ = _section(cfg, "solver", "bad solver config")
     Z, Y = _read_dataset(args.data, phi.dx, sampling.n_samples)
     try:
         start = time.monotonic()
@@ -389,10 +353,7 @@ def cmd_hyper_fit(args) -> int:
 
 def cmd_deeponet(args) -> int:
     _, cfg = _read_config(args.config)
-    try:
-        phi = feature_from_json_dict(cfg["phi"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"bad deeponet config: {exc}") from exc
+    phi = _section(cfg, "phi", "bad deeponet config")
     try:
         with open(args.data, "rb") as fh:
             payload = json.loads(fh.read().decode("utf-8"))
@@ -401,16 +362,13 @@ def cmd_deeponet(args) -> int:
         for entry in payload["basis"]:
             mu = measure_from_json_dict(entry)
             basis.append(RkbsFunction(mu, psi, mu.space))
-        coeffs = [
-            [(float(a), np.array(w, dtype=float)) for a, w in pairs]
-            for pairs in payload["coeffs"]
-        ]
+        coeffs = payload["coeffs"]
     except (OSError, KeyError, TypeError, ValueError, OverflowError,
             json.JSONDecodeError) as exc:
         raise DataError(f"cannot load deeponet data {args.data}: {exc}") from exc
     try:
         model = deeponet_embed(basis, coeffs, phi)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"deeponet embedding failed: {exc}") from exc
     _write_json_file(args.out, hyper_model_to_json_dict(model))
     _emit({"atom_count": len(model.a)})

@@ -24,6 +24,7 @@ forms: spectral norm for l2, max column / row absolute sum for l1 / linf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,48 @@ LINF = "linf"
 
 _NORMS = (L1, L2, LINF)
 _CONJUGATE = {L1: LINF, L2: L2, LINF: L1}
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int if it is an int or an integral float; anything
-    else raises ValueError, TypeError or OverflowError, so nothing truncates."""
+def _integer(value, what: str, low: int) -> int:
+    """``value`` as an int >= ``low`` if it is an int or an integral float;
+    anything else raises ValueError, TypeError or OverflowError, so nothing
+    truncates."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     n = int(value)
     if n != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if n < low:
+        raise ValueError(f"{what} must be >= {low}, got {n}")
     return n
+
+
+def _real(value, what: str, positive: bool = False) -> float:
+    """``value`` as a float, finite and positive if ``positive``; a string,
+    a boolean or None raises TypeError, so nothing is parsed or read as 0
+    or 1."""
+    if isinstance(value, _NOT_NUMBERS):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    x = float(value)
+    if positive and not 0 < x < math.inf:
+        raise ValueError(f"{what} must be finite and positive, got {x}")
+    return x
+
+
+def _reals(value, what: str) -> np.ndarray:
+    """``value`` as a float array; a string, a boolean or None at any depth
+    raises TypeError.  A float ndarray passes on its dtype alone."""
+    def bad(v):
+        if isinstance(v, np.ndarray) and v.dtype != float:
+            v = v.tolist()
+        if isinstance(v, (list, tuple)):
+            return any(map(bad, v))
+        return isinstance(v, _NOT_NUMBERS)
+
+    if bad(value):
+        raise TypeError(f"{what} must hold numbers only")
+    return np.asarray(value, dtype=float)
 
 
 def conjugate_norm(norm: str) -> str:
@@ -67,9 +99,7 @@ class DualPairSpec:
     primal_norm: str = L2
 
     def __post_init__(self):
-        dim = _integer(self.dim, "dim")
-        if dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        dim = _integer(self.dim, "dim", 1)
         if self.primal_norm not in _NORMS:
             raise ValueError(
                 f"unknown norm {self.primal_norm!r}; expected one of {_NORMS}"

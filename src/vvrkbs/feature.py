@@ -41,11 +41,11 @@ the approximation times the product of total variations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dual_pair import _integer
+from .dual_pair import _integer, _real, _reals
 
 KINDS = ("neural", "gaussian", "tabulated")
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "gaussian_rbf")
@@ -91,7 +91,10 @@ class FeatureMap:
     ``dx`` is the input dimension, ``dw`` the weight dimension (derived:
     dx+1 for neural, dx for gaussian, 1 for tabulated), ``radius`` the
     Euclidean weight ball.  ``bandwidth`` applies to the gaussian kind;
-    ``x_grid``/``w_grid``/``values`` to the tabulated kind.
+    ``x_grid``/``w_grid``/``values`` to the tabulated kind.  Numeric fields
+    are stored converted: ``dx`` by ``_integer``, ``radius`` and
+    ``bandwidth`` (both finite and positive, whatever the kind) by ``_real``
+    and the tables, when given, as read-only float arrays by ``_reals``.
     """
 
     kind: str
@@ -105,14 +108,18 @@ class FeatureMap:
     values: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dx", _integer(self.dx, "dx", 1))
+        for name in ("radius", "bandwidth"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, positive=True))
+        for name in ("x_grid", "w_grid", "values"):
+            if getattr(self, name) is not None or self.kind == "tabulated":
+                arr = np.array(_reals(getattr(self, name), name))
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         if self.kind not in KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.beta not in BETAS:
             raise ValueError(f"unknown beta kind {self.beta!r}")
-        if self.dx < 1:
-            raise ValueError("dx must be positive")
-        if not 0 < self.radius < math.inf:
-            raise ValueError("radius must be finite and positive")
         if self.kind == "neural":
             if self.activation not in ACTIVATIONS:
                 raise ValueError(
@@ -123,15 +130,10 @@ class FeatureMap:
                     "beta='one' requires a bounded activation "
                     f"({', '.join(_BOUNDED_ACTIVATIONS)})"
                 )
-        elif self.kind == "gaussian":
-            if not 0 < self.bandwidth < math.inf:
-                raise ValueError("gaussian bandwidth must be finite and positive")
-        else:  # tabulated
+        elif self.kind == "tabulated":
             if self.dx != 1:
                 raise ValueError("tabulated features are 1-d in x and w")
-            xg = np.asarray(self.x_grid, dtype=float)
-            wg = np.asarray(self.w_grid, dtype=float)
-            vv = np.asarray(self.values, dtype=float)
+            xg, wg, vv = self.x_grid, self.w_grid, self.values
             if xg.ndim != 1 or wg.ndim != 1 or len(xg) < 2 or len(wg) < 2:
                 raise ValueError("tabulated grids must be 1-d with >= 2 nodes")
             if np.any(np.diff(xg) <= 0) or np.any(np.diff(wg) <= 0):
@@ -144,9 +146,6 @@ class FeatureMap:
             for name, arr in (("x_grid", xg), ("w_grid", wg), ("values", vv)):
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(f"tabulated {name} must be finite")
-                arr = arr.copy()
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
 
     @property
     def dw(self) -> int:
@@ -374,8 +373,7 @@ def simple_approx_pairing(f: FeatureMap, rho, mu, grid_per_dim: int) -> float:
     cell masses.  Exact when all atoms sit at cell centers; converges to
     the atomic product pairing with error <= sup|phi_eps - phi| * |rho| * |mu|.
     """
-    if grid_per_dim < 1:
-        raise ValueError("grid_per_dim must be >= 1")
+    grid_per_dim = _integer(grid_per_dim, "grid_per_dim", 1)
     if not len(rho) or not len(mu):
         return 0.0
     cx, px = _cell_masses(rho, grid_per_dim)
@@ -412,28 +410,20 @@ def feature_to_json_dict(f: FeatureMap) -> dict:
     d = {"kind": f.kind}
     if f.kind == "neural":
         d["activation"] = f.activation
-    d["dx"] = int(f.dx)
-    d["radius"] = float(f.radius)
+    d["dx"] = f.dx
+    d["radius"] = f.radius
     d["beta"] = f.beta
     if f.kind == "gaussian":
-        d["bandwidth"] = float(f.bandwidth)
+        d["bandwidth"] = f.bandwidth
     if f.kind == "tabulated":
-        d["x_grid"] = [float(v) for v in f.x_grid]
-        d["w_grid"] = [float(v) for v in f.w_grid]
-        d["values"] = [[float(v) for v in row] for row in f.values]
+        d.update(x_grid=f.x_grid.tolist(), w_grid=f.w_grid.tolist(), values=f.values.tolist())
     return d
 
 
 def feature_from_json_dict(d: dict) -> FeatureMap:
-    """The feature of a record; a key the record does not hold takes
-    FeatureMap's default."""
+    """The feature of a record, whose keys are FeatureMap's fields; a key
+    the record does not hold takes FeatureMap's default."""
     try:
-        kind = d["kind"]
-        dx = _integer(d["dx"], "dx")
-        radius = float(d["radius"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return FeatureMap(**{f.name: d[f.name] for f in fields(FeatureMap) if f.name in d})
+    except TypeError as exc:  # a record that is not an object, or lacks a key
         raise ValueError(f"malformed feature record: {exc}") from exc
-    given = {k: d[k] for k in ("beta", "activation", "x_grid", "w_grid", "values") if k in d}
-    if "bandwidth" in d:
-        given["bandwidth"] = float(d["bandwidth"])
-    return FeatureMap(kind=kind, dx=dx, radius=radius, **given)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, row_norms
+from .dual_pair import DualPairSpec, _real, _reals, row_norms
 from .feature import phi_matrix
 
 MERGE_TOL = 1e-9   # linf distance on w below which atoms are merged
@@ -50,7 +50,7 @@ def _check_ball(points: np.ndarray, radius: float, what: str):
 def _check_grid(points, width: int, radius: float, what: str) -> np.ndarray:
     """``points`` as a non-empty (n, width) float array of finite rows inside
     the radius ball; the ValueError names the first fault found."""
-    G = np.atleast_2d(np.asarray(points, dtype=float))
+    G = np.atleast_2d(_reals(points, what))
     if G.ndim != 2 or G.shape[1] != width or not len(G):
         raise ValueError(f"{what} must be a non-empty (n, {width}) array, got shape {G.shape}")
     if not np.isfinite(G).all():
@@ -67,7 +67,8 @@ class AtomicVectorMeasure:
     C-ordered, with shapes (n, dw) and (n, space.dim); an empty measure
     may come as empty lists.  ``radius`` declares the Euclidean ball
     containing all locations; construction rejects a location outside it
-    (tiny slack for roundoff).
+    (tiny slack for roundoff), and a string, boolean or None anywhere in the
+    radius or the arrays (``_real``, ``_reals``).
     """
 
     W: np.ndarray
@@ -76,12 +77,10 @@ class AtomicVectorMeasure:
     radius: float
 
     def __post_init__(self):
-        radius = float(self.radius)
-        if not 0 < radius < np.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        radius = _real(self.radius, "radius", positive=True)
         # a fixed layout, so matrix products do not round by the caller's
-        W = np.array(self.W, dtype=float, order="C")
-        C = np.array(self.C, dtype=float, order="C")
+        W = np.array(_reals(self.W, "atom locations"), order="C")
+        C = np.array(_reals(self.C, "payloads"), order="C")
         if W.shape == (0,):  # an empty measure may come as empty lists
             W = W.reshape(0, 0)
         if C.shape == (0,):
@@ -212,9 +211,10 @@ def measure_to_json_dict(mu: AtomicVectorMeasure) -> dict:
 def measure_from_json_dict(d: dict) -> AtomicVectorMeasure:
     try:
         norm = d["norm"]
-        radius = float(d["radius"])
-        W, C = (np.array([a[k] for a in d["atoms"]], float) for k in ("w", "c"))
-        dim = d.get("dim", C.shape[1] if C.ndim == 2 else 1)
+        radius = d["radius"]
+        W, C = ([a[k] for a in d["atoms"]] for k in ("w", "c"))
+        shape = np.shape(C)
+        dim = d.get("dim", shape[1] if len(shape) == 2 else 1)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measure record: {exc}") from exc
     return AtomicVectorMeasure(W, C, DualPairSpec(dim, norm), radius)

@@ -26,7 +26,7 @@ import functools
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, norm_witness, primal_witness, row_norms, vector_norm
+from .dual_pair import DualPairSpec, _reals, norm_witness, primal_witness, row_norms, vector_norm
 from .feature import (
     FeatureMap,
     bind_locations,
@@ -45,6 +45,7 @@ from .solver import (
     _cg_fit,
     _grid_solve,
     _multistart,
+    _positive_lam,
     loss_total,
 )
 
@@ -58,8 +59,8 @@ class HyperModel:
     """Atomic two-level model with hyper feature phi and base feature psi.
 
     Atom m is a[m] * phi(., W[m]) psi(., Theta[m]) V[m]; the arrays are
-    read-only and C-ordered, with shapes (n,), (n, phi.dw), (n, psi.dw)
-    and (n, spec.dim).  ``groups`` holds one read-only index array per
+    read-only, C-ordered floats (``_reals``) of shapes (n,), (n, phi.dw),
+    (n, psi.dw) and (n, spec.dim).  ``groups`` holds one read-only index array per
     distinct w, in order of first occurrence, computed at construction.
     ``layout`` is the same grouping flat, for segment sums: the atom
     order (the groups concatenated), each group's offset in it, and the
@@ -82,13 +83,13 @@ class HyperModel:
     theta_bound: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _frozen(self.a)
+        a = _frozen(_reals(self.a, "a"))
         if a.ndim != 1:
             raise ValueError("atom weights a must be a vector")
         widths = {"W": self.phi.dw, "Theta": self.psi.dw, "V": self.spec.dim}
         for name, width in widths.items():
             # a fixed layout, so matrix products do not round by the caller's
-            arr = np.array(getattr(self, name), dtype=float, order="C")
+            arr = np.array(_reals(getattr(self, name), name), order="C")
             if arr.size == 0:  # an empty model may come as empty lists
                 arr = arr.reshape(0, width)
             if arr.shape != (len(a), width):
@@ -222,14 +223,15 @@ def function_form_tv_upper(m: HyperModel) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SampledMeasurement:
-    """Base-space sampling functionals: M_j f = <v_j, f(x_j)>."""
+    """Base-space sampling functionals: M_j f = <v_j, f(x_j)>, the points
+    and functionals stored as read-only 2-d float arrays (``_reals``)."""
 
     points: np.ndarray
     functionals: np.ndarray
 
     def __post_init__(self):
-        P = _frozen(np.atleast_2d(self.points))
-        V = _frozen(np.atleast_2d(self.functionals))
+        P = _frozen(np.atleast_2d(_reals(self.points, "sampling points")))
+        V = _frozen(np.atleast_2d(_reals(self.functionals, "sampling functionals")))
         if P.shape[0] != V.shape[0]:
             raise ValueError("points and functionals differ in length")
         if P.shape[0] < 1:
@@ -359,14 +361,25 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
     )
 
 
+def _check_hyper_grids(phi, psi, w_grid=None, theta_grid=None):
+    """(w_grid, theta_grid) as checked float arrays: both None, or each a
+    non-empty list of finite rows of its feature's weight width inside its
+    ball; the ValueError names the first fault."""
+    if (w_grid is None) != (theta_grid is None):
+        raise ValueError("grid search needs both w_grid and theta_grid, or neither")
+    if w_grid is None:
+        return None, None
+    return (_check_grid(w_grid, phi.dw, phi.radius, "w_grid"),
+            _check_grid(theta_grid, psi.dw, psi.radius, "theta_grid"))
+
+
 def _check_hyper_inputs(Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid):
-    """Z, Y and the grids as checked float arrays, for hyper_fit and
-    hyper_grid_oracle; the ValueError names the first fault.  lam must be
-    finite and positive; the grids are optional, but both or neither."""
+    """lam, Z, Y and the grids checked, for hyper_fit and hyper_grid_oracle;
+    the ValueError names the first fault.  lam must be finite and positive
+    (``_positive_lam``); the grids go through ``_check_hyper_grids``."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    lam = _positive_lam(lam)
     if Z.shape[0] != Y.shape[0]:
         raise ValueError("Z and Y differ in length")
     if Z.shape[0] < 1:
@@ -383,12 +396,7 @@ def _check_hyper_inputs(Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid)
         raise ValueError("Z must be finite")
     if not np.isfinite(Y).all():
         raise ValueError("Y must be finite")
-    if (w_grid is None) != (theta_grid is None):
-        raise ValueError("grid search needs both w_grid and theta_grid, or neither")
-    if w_grid is not None:
-        w_grid = _check_grid(w_grid, phi.dw, phi.radius, "w_grid")
-        theta_grid = _check_grid(theta_grid, psi.dw, psi.radius, "theta_grid")
-    return Z, Y, w_grid, theta_grid
+    return (lam, Z, Y, *_check_hyper_grids(phi, psi, w_grid, theta_grid))
 
 
 def hyper_fit(
@@ -415,7 +423,7 @@ def hyper_fit(
     """
     if opts.mode != "group":
         raise ValueError("hyper_fit refits free payloads (group mode only)")
-    Z, Y, w_grid, theta_grid = _check_hyper_inputs(
+    lam, Z, Y, w_grid, theta_grid = _check_hyper_inputs(
         Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid
     )
     fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, opts, w_grid, theta_grid)
@@ -439,7 +447,7 @@ def hyper_grid_oracle(Z, Y, sampling: SampledMeasurement, phi: FeatureMap, psi: 
     (w_grid[gw], theta_grid[gt]), relative duality gap)."""
     if w_grid is None or theta_grid is None:
         raise ValueError("the grid oracle needs both w_grid and theta_grid")
-    Z, Y, w_grid, theta_grid = _check_hyper_inputs(
+    lam, Z, Y, w_grid, theta_grid = _check_hyper_inputs(
         Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid
     )
     fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, w_grid=w_grid,
@@ -473,7 +481,7 @@ def deeponet_embed(basis, coeffs, phi: FeatureMap) -> HyperModel:
         if not same_feature or zeta.spec != spec:
             raise ValueError("basis functions must share one feature and space")
     rows = [
-        (float(a_nk), w_nk, w, c)
+        (a_nk, w_nk, w, c)
         for zeta, pairs in zip(basis, coeffs)
         for a_nk, w_nk in pairs
         for w, c in zip(zeta.measure.W, zeta.measure.C)

@@ -29,6 +29,8 @@ from .dual_pair import (
     L1,
     L2,
     DualPairSpec,
+    _integer,
+    _real,
     norm_witness,
     primal_witness,
     row_norms,
@@ -193,8 +195,10 @@ class Problem:
             raise ValueError("Y width does not match the measurement output")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise ValueError("data must be finite")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        lam = _real(self.lam, "lam")
+        if not 0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         if self.omega_grid is not None:
@@ -211,13 +215,25 @@ class Problem:
         return _frozen(phi_matrix(self.feature, self.X, self.omega_grid))
 
 
+def _positive_lam(lam) -> float:
+    """lam as a float, if finite and positive: the one check of fit,
+    grid_oracle, hyper_fit and hyper_grid_oracle.  A Problem also takes
+    lam = 0, where lambda_max probes."""
+    lam = _real(lam, "lam")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}: a solve requires lam > 0")
+    return lam
+
+
+_grid_size = functools.partial(_integer, what="grid_per_dim", low=1)  # a product grid's per_dim
+
+
 def product_grid(radius: float, dim: int, per_dim: int) -> np.ndarray:
     """Cell centers of a regular product grid on [-R, R]^dim, kept inside
     the radius-R ball.  The same construction backs the discretized
     oracle, so grid-restricted problems and the oracle see identical
     candidate sets."""
-    if per_dim < 1:
-        raise ValueError("per_dim must be >= 1")
+    per_dim = _grid_size(per_dim)
     width = 2.0 * radius / per_dim
     axis = -radius + (np.arange(per_dim) + 0.5) * width
     pts = np.stack(
@@ -621,7 +637,8 @@ class FitOptions:
     penalizes their primal norms; ``l1`` pins each atom to the
     extreme-point direction found by the oracle and penalizes its scalar
     weight (see ``_pinned``), and ``fit`` takes it only for the l1 primal
-    norm or d = 1.
+    norm or d = 1.  The counts are stored as ints by ``_integer`` and the
+    tolerances as floats by ``_real``.
     """
 
     max_atoms: int = 50
@@ -633,13 +650,12 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_atoms < 1:
-            raise ValueError("max_atoms must be >= 1")
-        if self.seed < 0:  # numpy seeds no generator from a negative int
-            raise ValueError("seed must be >= 0")
-        if self.refit_max_iter < 1:
-            # a refit that takes no step prunes each new atom: the run stalls at once
-            raise ValueError("refit_max_iter must be >= 1")
+        # numpy seeds no generator from a negative int, and a refit that takes
+        # no step prunes each new atom, so the run would stall at once
+        for name, low in (("max_atoms", 1), ("restarts", 1), ("refit_max_iter", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        for name in ("tol", "refit_tol"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.mode not in ("l1", "group"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (0 <= self.tol < math.inf and 0 <= self.refit_tol < math.inf):
@@ -799,8 +815,7 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
     every case the certificate (last oracle score) is recorded, and only
     the first sets ``converged``.  Deterministic for a fixed seed.
     """
-    if not p.lam > 0:
-        raise ValueError("fit requires lam > 0")
+    _positive_lam(p.lam)
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("fit supports l1 and l2 primal norms")
     if opts.mode == "l1" and p.spec.primal_norm == L2 and p.spec.dim > 1:
@@ -902,8 +917,7 @@ def grid_oracle(p: Problem, grid_per_dim: int, start=None):
     raises ValueError.  Returns (objective, coefficient matrix with a row per
     grid point, relative duality gap).
     """
-    if not p.lam > 0:
-        raise ValueError("grid oracle requires lam > 0")
+    _positive_lam(p.lam)
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("grid oracle supports l1 and l2 primal norms")
     if p.omega_grid is None:

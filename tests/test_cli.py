@@ -240,7 +240,8 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 def test_a_solver_section_of_lambda_alone_takes_the_fit_options_defaults():
     # the reader passes on only the keys a config holds, so the defaults
     # live in FitOptions alone
-    assert cli._solver_section({"solver": {"lambda": 0.1}}) == (0.1, FitOptions(), None)
+    assert cli._section({"solver": {"lambda": 0.1}}, "solver", "bad solver config") == (
+        0.1, FitOptions(), None)
 
 
 def test_verify_passes_and_reports_checks(capsys):

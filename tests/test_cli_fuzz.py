@@ -1,13 +1,15 @@
 """Property tests: no config, model, DeepONet or CSV data file reaches a traceback.
 
 Every file the CLI reads must end in a documented exit code (0-4), with
-diagnostics on stderr.  The draws cover the documented keys with values of
-every JSON kind, including NaN and infinities, which Python's json module
-reads and writes.  In `fit`/`oracle` configs the keys that size the work
-(grid_per_dim, max_atoms, restarts, refit.max_iter) are capped and never
-dropped one by one, so one example runs in milliseconds and the test stays
-bounded.  The `predict` model and the `deeponet` data hold no such key: any
-entry may take any value or be dropped.  The `hyper-fit` sections that
+diagnostics on stderr.  The `fit`, `oracle` and `hyper-fit` config draws
+take their keys from the CLI's section tables (``cli._SECTIONS``), down to
+every array element, with values of every JSON kind: strings, booleans,
+fractions, NaN and infinities, which Python's json module reads and writes.
+The keys that size the work (grid_per_dim, max_atoms, restarts,
+refit.max_iter) are capped and never dropped one by one, so one example
+runs in milliseconds and the test stays bounded.  The `predict` model and
+the `deeponet` data hold no such key: any entry may take any value or be
+dropped.  The `hyper-fit` sections that
 describe the problem (phi, psi, space, sampling, grids) and the CSV data of
 `fit` and `predict` also draw integers no float holds and ragged or too
 deep lists, or ragged rows and non-numeric cells.
@@ -23,6 +25,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from vvrkbs import cli
 from vvrkbs.cli import main
 
 # a fixed 12-row dataset, x0 in [-1, 1], two smooth targets
@@ -31,15 +34,12 @@ DATA = "x0,y0,y1\n" + "".join(
     for x in (-1.0 + 2.0 * i / 11 for i in range(12))
 )
 
-# Each example changes up to three entries of a working config.  An entry of
-# CAPS sizes the work and keeps its numbers at or below the cap; it is never
-# dropped, since its default (50 atoms, 32 restarts, 5000 refit iterations,
-# free search) is far more work.
+# Each example changes up to three entries of a working document.  In a
+# config an entry of CAPS sizes the work and keeps its numbers at or below
+# the cap; it is never dropped, since its default (50 atoms, 32 restarts,
+# 5000 refit iterations, free search) is far more work.
 CAPS = {"solver.grid_per_dim": 4, "solver.max_atoms": 5, "solver.restarts": 2,
         "solver.refit.max_iter": 200, "oracle.grid_per_dim": 4}
-DROPPABLE = ["solver.lambda", "solver.mode", "solver.tol", "solver.seed",
-             "solver.refit.tol"]
-WHOLE = ["solver.refit", "oracle"]
 
 STRINGS = st.sampled_from(["", "x", "group", "l1", "2", "-1", "nan", "inf", "1e3"])
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -64,35 +64,27 @@ def _values(cap=None):
     )
 
 
-@st.composite
-def _config(draw):
-    config = {
-        "feature": {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "one",
-                    "activation": "tanh"},
-        "space": {"d": 2, "norm": "l2"},
-        "solver": {"lambda": 0.05, "mode": "group", "max_atoms": 3, "restarts": 1,
-                   "tol": 1e-3, "seed": 0, "grid_per_dim": 3,
-                   "refit": {"max_iter": 100, "tol": 1e-8}},
-        "oracle": {"grid_per_dim": 3},
-    }
-    keys = draw(st.lists(st.sampled_from(list(CAPS) + DROPPABLE + WHOLE),
-                         min_size=1, max_size=3, unique=True))
-    for key in keys:
-        *path, last = key.split(".")
-        section = config
-        for name in path:
-            section = section.get(name) if isinstance(section, dict) else None
-        if not isinstance(section, dict):
-            continue  # an earlier change replaced the enclosing section
-        if key in DROPPABLE:
-            value = draw(st.one_of(st.just(DROP), _values()))
-        else:
-            value = draw(_values(CAPS.get(key)))
-        if value is DROP:
-            del section[last]
-        else:
-            section[last] = value
-    return config
+def _table_paths(doc, sections):
+    """Dotted paths into ``sections`` of config ``doc``: each section, each
+    object a table path nests in, each table path, and every element of an
+    array that ``doc`` holds at one."""
+    def walk(path, value):
+        yield path
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from walk(f"{path}.{i}", item)
+
+    paths = []
+    for name in sections:
+        paths.append(name)
+        for key in cli._SECTIONS[name][1]:
+            *outer, _ = key.split(".")
+            paths += [f"{name}.{part}" for part in outer]
+            value = doc[name]
+            for part in key.split("."):
+                value = value.get(part) if isinstance(value, dict) else None
+            paths += walk(f"{name}.{key}", value)
+    return list(dict.fromkeys(paths))
 
 
 def _run(command, files, out=None, data_text=DATA):
@@ -119,15 +111,6 @@ def _run(command, files, out=None, data_text=DATA):
     return rc, err.getvalue()
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(command=st.sampled_from(["fit", "oracle"]), config=_config())
-def test_solver_and_oracle_configs_never_raise(command, config):
-    rc, err = _run(command, {"config": config},
-                   out="model.json" if command == "fit" else None)
-    assert rc in (0, 1, 2, 3, 4)
-    assert "Traceback" not in err
-
-
 def _slot(section, name):
     """The key or list index that ``name`` names in ``section``, or None."""
     if isinstance(section, dict) and name in section:
@@ -142,7 +125,8 @@ def _edited(draw, doc, keys, values=None):
     """``doc`` with up to three of ``keys`` (dotted paths, a number indexes a
     list) set to any JSON value (or one of ``values``) or dropped; NaN and
     infinities are drawn often, since one in a count or a size must still
-    exit 2."""
+    exit 2.  A key an object lacks is added; a key of CAPS takes a number at
+    or below its cap and is never dropped."""
     doc = json.loads(json.dumps(doc))
     for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
                              unique=True)):
@@ -151,15 +135,44 @@ def _edited(draw, doc, keys, values=None):
         for name in path:
             slot = _slot(section, name)
             section = None if slot is None else section[slot]
-        slot = _slot(section, last)
+        slot = last if isinstance(section, dict) else _slot(section, last)
         if slot is None:
             continue  # an earlier change replaced or dropped the entry
-        value = draw(st.one_of(st.just(DROP), SPECIAL, _values() if values is None else values))
-        if value is DROP:
-            del section[slot]
+        if key in CAPS:
+            value = draw(_values(CAPS[key]))
         else:
+            value = draw(st.one_of(st.just(DROP), SPECIAL,
+                                   _values() if values is None else values))
+        if value is not DROP:
             section[slot] = value
+        elif isinstance(section, list) or slot in section:
+            del section[slot]
     return doc
+
+
+FIT_SECTIONS = ("feature", "space", "solver", "oracle")
+FIT_BASES = [
+    {"feature": {"kind": kind, "dx": 1, "radius": 1.5, "beta": "one", **extra},
+     "space": {"d": 2, "norm": "l2"},
+     "solver": {"lambda": 0.05, "mode": "group", "max_atoms": 3, "restarts": 1,
+                "tol": 1e-3, "seed": 0, "grid_per_dim": 3,
+                "refit": {"max_iter": 100, "tol": 1e-8}},
+     "oracle": {"grid_per_dim": 3}}
+    for kind, extra in [("neural", {"activation": "tanh"}),
+                        ("tabulated", {"x_grid": [-1.0, 0.0, 1.0], "w_grid": [-1.5, 1.5],
+                                       "values": [[0.0, 1.0], [1.0, 0.5], [0.2, 0.3]]})]
+]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["fit", "oracle"]),
+       config=st.sampled_from(FIT_BASES).flatmap(
+           lambda base: _edited(base, _table_paths(base, FIT_SECTIONS))))
+def test_solver_and_oracle_configs_never_raise(command, config):
+    rc, err = _run(command, {"config": config},
+                   out="model.json" if command == "fit" else None)
+    assert rc in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
 
 
 FEATURE = {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "one",
@@ -213,7 +226,7 @@ def test_deeponet_data_files_never_raise(payload):
 HUGE = st.sampled_from([10**400, -10**400, 2**64])
 SHAPES = st.sampled_from([[[0.1, 0.2], [0.3]], [[[0.1, 0.2]]], [[]], []])
 
-# The solver section is fixed and small: a dropped grid means free search.
+# CAPS keeps the solver small, so a dropped grid means a bounded free search.
 HYPER_CONFIG = {
     "phi": FEATURE,
     "psi": {"kind": "neural", "dx": 1, "radius": 1.2, "beta": "one",
@@ -224,14 +237,7 @@ HYPER_CONFIG = {
                "seed": 0, "refit": {"max_iter": 100, "tol": 1e-8}},
     "grids": {"w": [[0.5, 0.1], [-0.4, 0.3]], "theta": [[0.2, -0.1], [-0.3, 0.4]]},
 }
-HYPER_KEYS = [
-    "phi", "phi.kind", "phi.dx", "phi.radius", "phi.activation", "psi", "psi.kind",
-    "psi.dx", "psi.radius", "psi.beta", "space", "space.d", "space.norm",
-    "sampling", "sampling.points", "sampling.points.0", "sampling.points.1.0",
-    "sampling.functionals", "sampling.functionals.0", "sampling.functionals.1.1",
-    "grids", "grids.w", "grids.w.0", "grids.w.1.1", "grids.theta",
-    "grids.theta.0", "grids.theta.1.0",
-]
+HYPER_KEYS = _table_paths(HYPER_CONFIG, ("phi", "psi", "space", "sampling", "grids", "solver"))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
