@@ -34,9 +34,8 @@ from .measure import measure_from_json_dict, measure_to_json_dict
 from .operator_learning import (SampledMeasurement, _check_hyper_grids, deeponet_embed, hyper_fit,
                                 hyper_model_to_json_dict)
 from .rkbs import RkbsFunction
-from .solver import (FitOptions, Loss, Problem, SolverError, _grid_size, _positive_lam,
-                     export_network, fit, grid_oracle, identity_measurement, network_to_json_dict,
-                     product_grid)
+from .solver import (FitOptions, Problem, SolverError, _grid_size, _positive_lam, export_network,
+                     fit, grid_oracle, identity_measurement, network_to_json_dict, product_grid)
 from .verify import run_invariant_checks
 
 EXIT_OK = 0
@@ -94,7 +93,7 @@ _SECTIONS = {
                          "restarts": "restarts", "tol": "tol", "seed": "seed",
                          "refit.max_iter": "refit_max_iter", "refit.tol": "refit_tol",
                          "grid_per_dim": "grid_per_dim"}),
-    "oracle": (_grid_size, {"grid_per_dim": "value"}),
+    "oracle": (lambda grid_per_dim: _grid_size(grid_per_dim), {"grid_per_dim": "grid_per_dim"}),
     "sampling": (SampledMeasurement, {"points": "points", "functionals": "functionals"}),
     "grids": (_check_hyper_grids, {"w": "w_grid", "theta": "theta_grid"}),
 }
@@ -104,7 +103,8 @@ def _section(cfg: dict, name: str, prefix: str, **context):
     """The object of config section ``name``, built by its table with
     ``context`` (the features a grids section is checked against); a
     missing required key, or a fault the builder raises, exits 2 as
-    ``prefix``."""
+    ``prefix``, and a fault message that opens with an argument's name
+    names its JSON path instead."""
     build, table = _SECTIONS[name]
     params = inspect.signature(build).parameters
     given = dict(context)
@@ -123,7 +123,11 @@ def _section(cfg: dict, name: str, prefix: str, **context):
     try:
         return build(**given)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{prefix}: {exc}") from exc
+        msg = str(exc)
+        path = next((p for p, arg in table.items() if msg.startswith(arg + " ")), None)
+        if path is not None:
+            msg = f"{name}.{path}{msg[len(table[path]):]}"
+        raise DataError(f"{prefix}: {msg}") from exc
 
 
 def _columns(dx: int, d_meas: int):
@@ -226,7 +230,7 @@ def cmd_fit(args) -> int:
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
     try:
         omega = None if grid_per_dim is None else product_grid(feat.radius, feat.dw, grid_per_dim)
-        problem = Problem(X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega)
+        problem = Problem(X, Y, identity_measurement(), lam, feat, spec, omega_grid=omega)
         start = time.monotonic()
         state = fit(problem, opts)
     except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
@@ -259,13 +263,12 @@ def cmd_predict(args) -> int:
         mu = measure_from_json_dict(model)
         fitted = model.get("feature")
         if fitted is not None:
-            fitted = feature_to_json_dict(feature_from_json_dict(fitted))
+            fitted = feature_from_json_dict(fitted)
     except (OSError, ValueError, KeyError, TypeError, OverflowError,
             json.JSONDecodeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
-    configured = feature_to_json_dict(feat)
-    if fitted not in (None, configured):
-        raise DataError(_feature_mismatch(fitted, configured))
+    if fitted not in (None, feat):
+        raise DataError(_feature_mismatch(feature_to_json_dict(fitted), feature_to_json_dict(feat)))
     if mu.space.primal_norm != spec.primal_norm or (
         len(mu) and mu.space.dim != spec.dim
     ):
@@ -314,7 +317,7 @@ def cmd_oracle(args) -> int:
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
     try:
         omega = product_grid(feat.radius, feat.dw, grid_per_dim)
-        problem = Problem(X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=omega)
+        problem = Problem(X, Y, identity_measurement(), lam, feat, spec, omega_grid=omega)
         state = fit(problem, opts)
         # the fit and the oracle are one engine on one grid: continue the fit
         oracle_obj, _, _ = grid_oracle(

@@ -40,11 +40,14 @@ _NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
 def _integer(value, what: str, low: int) -> int:
     """``value`` as an int >= ``low`` if it is an int or an integral float;
-    anything else raises ValueError, TypeError or OverflowError, so nothing
-    truncates."""
+    anything else raises ValueError, TypeError or OverflowError naming
+    ``what``, so nothing truncates."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{what} must be an integer, got {value!r}")
-    n = int(value)
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # None, a string, NaN, infinity
+        raise type(exc)(f"{what} must be an integer, got {value!r}") from None
     if n != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if n < low:

@@ -84,7 +84,7 @@ def _act_deriv(name: str, t: np.ndarray, core: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Evaluable scalar feature with its truncation and weight ball.
 
@@ -95,6 +95,8 @@ class FeatureMap:
     are stored converted: ``dx`` by ``_integer``, ``radius`` and
     ``bandwidth`` (both finite and positive, whatever the kind) by ``_real``
     and the tables, when given, as read-only float arrays by ``_reals``.
+    Two features are equal when their records (``feature_to_json_dict``)
+    are: the fields phi reads, the tables compared by value.
     """
 
     kind: str
@@ -146,6 +148,14 @@ class FeatureMap:
             for name, arr in (("x_grid", xg), ("w_grid", wg), ("values", vv)):
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(f"tabulated {name} must be finite")
+
+    def __eq__(self, other):
+        if not isinstance(other, FeatureMap):
+            return NotImplemented
+        return self is other or feature_to_json_dict(self) == feature_to_json_dict(other)
+
+    def __hash__(self):  # equal records hold equal kinds, dx and radii
+        return hash((self.kind, self.dx, self.radius))
 
     @property
     def dw(self) -> int:

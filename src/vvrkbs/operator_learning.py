@@ -40,13 +40,12 @@ from .measure import _check_ball, _check_grid, _coalesce_rows, _frozen, _group_b
 from .rkbs import RkbsFunction
 from .solver import (
     FitOptions,
-    Loss,
     _AtomFamily,
     _cg_fit,
+    _data_fit,
     _grid_solve,
     _multistart,
     _positive_lam,
-    loss_total,
 )
 
 PROBES = 32         # probe points of the function-form bound
@@ -275,8 +274,7 @@ def hyper_objective(Z, Y, sampling: SampledMeasurement, model: HyperModel, lam: 
                         phi_matrix(model.psi, sampling.points, model.Theta),
                         sampling.functionals)
     P = (D @ (model.a[:, None] * model.V).ravel()).reshape(len(Z), sampling.n_samples)
-    data = loss_total(Loss(), P, Y) / len(Z)
-    return data + lam * weight_form_tv(model)
+    return _data_fit(P - Y, len(Z)) + lam * weight_form_tv(model)
 
 
 _GRID_BLOCK = 1 << 20  # entries of a batch temporary in the grid search
@@ -351,7 +349,6 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
 
     return _AtomFamily(
         Y=Y,
-        loss=Loss(),
         lam=lam,
         norm=spec.primal_norm,
         dim=spec.dim,
@@ -475,10 +472,7 @@ def deeponet_embed(basis, coeffs, phi: FeatureMap) -> HyperModel:
     psi = basis[0].feature
     spec = basis[0].spec
     for zeta in basis[1:]:
-        same_feature = zeta.feature is psi or feature_to_json_dict(
-            zeta.feature
-        ) == feature_to_json_dict(psi)
-        if not same_feature or zeta.spec != spec:
+        if zeta.feature != psi or zeta.spec != spec:
             raise ValueError("basis functions must share one feature and space")
     rows = [
         (a_nk, w_nk, w, c)

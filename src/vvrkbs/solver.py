@@ -2,7 +2,7 @@
 
 The learning problem is
 
-    min over mu   (1/N) sum_n L(M f_mu(x_n), y_n) + lam * |mu|_TV
+    min over mu   (1/2N) sum_n |M f_mu(x_n) - y_n|^2 + lam * |mu|_TV
 
 where f_mu integrates the feature map against an atomic vector measure.
 Atoms delta_w u are inserted by a linear maximization oracle over the
@@ -10,7 +10,7 @@ extreme points of the primal unit ball.  On fixed atoms the problem is a
 group lasso on one matrix, the lifted design D, whose column (m, i) holds
 the predictions of the unit payload e_i at atom m.  Each round builds D
 once; the payloads are refit on it by proximal and Newton steps on the
-support (accelerated proximal descent for the Huber loss and wide designs),
+support (accelerated proximal descent for designs wider than the data),
 and the predictions are D times the payloads.  The same loop on a fixed
 weight grid, whose atom search is exhaustive, certifies the optimum by a
 duality gap.
@@ -57,50 +57,6 @@ from .measure import (
 
 class SolverError(RuntimeError):
     """Raised when descent or the atom search cannot proceed."""
-
-
-# ------------------------------------------------------------------ losses
-
-SQUARED_HALF = "squared_half"
-HUBER = "huber"
-
-
-@dataclasses.dataclass(frozen=True)
-class Loss:
-    """Data-fit term applied row-wise to (prediction, target) pairs.
-
-    ``squared_half`` is 0.5 * ||p - y||_2^2.  ``huber`` applies the
-    scalar Huber function componentwise with transition at ``delta``,
-    so its gradient is the clipped residual.
-    """
-
-    kind: str = SQUARED_HALF
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in (SQUARED_HALF, HUBER):
-            raise ValueError(f"unknown loss {self.kind!r}")
-        if self.kind == HUBER and not self.delta > 0:
-            raise ValueError("huber delta must be positive")
-
-
-def loss_total(loss: Loss, P, Y) -> float:
-    """Sum of the row-wise loss over all rows of the (N, d_meas) float
-    arrays P (predictions) and Y (targets), in one reduction."""
-    R = P - Y
-    if loss.kind == SQUARED_HALF:
-        return 0.5 * float(np.vdot(R, R))
-    d = loss.delta
-    A = np.abs(R)
-    return float(np.where(A <= d, 0.5 * R * R, d * A - 0.5 * d * d).sum())
-
-
-def loss_grad(loss: Loss, P, Y) -> np.ndarray:
-    """Gradient of the row-wise loss in the prediction, shape (N, d_meas)."""
-    R = P - Y
-    if loss.kind == SQUARED_HALF:
-        return R
-    return np.clip(R, -loss.delta, loss.delta)
 
 
 # ------------------------------------------------------------- measurement
@@ -175,7 +131,6 @@ class Problem:
 
     X: np.ndarray
     Y: np.ndarray
-    loss: Loss
     measurement: MeasurementOp
     lam: float
     feature: FeatureMap
@@ -251,22 +206,24 @@ def _predictions(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
     return measurement_apply(p.measurement, Phi @ mu.C)
 
 
+def _data_fit(R, n: int) -> float:
+    """The data term 0.5 |R|^2 / n of the residuals R = P - Y of n rows."""
+    return 0.5 * float(np.vdot(R, R)) / n
+
+
 def objective(p: Problem, mu: AtomicVectorMeasure) -> float:
-    """(1/N) sum_n L(M f_mu(x_n), y_n) + lam * |mu|_TV."""
+    """0.5 (1/N) sum_n |M f_mu(x_n) - y_n|^2 + lam * |mu|_TV."""
     if mu.space.dim != p.spec.dim or mu.space.primal_norm != p.spec.primal_norm:
         raise ValueError("measure space does not match the problem space")
-    P = _predictions(p, mu)
-    data = loss_total(p.loss, P, p.Y) / p.n_data
-    return data + p.lam * total_variation(mu)
+    return _data_fit(_predictions(p, mu) - p.Y, p.n_data) + p.lam * total_variation(mu)
 
 
 def residual_duals(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
-    """Loss gradients mapped through the measurement adjoint, rows eta_n.
+    """Residuals P - Y mapped through the measurement adjoint, rows eta_n.
 
     Includes the 1/N data weight, so the oracle score compares directly
     against lam."""
-    G = loss_grad(p.loss, _predictions(p, mu), p.Y)
-    return measurement_adjoint(p.measurement, G) / p.n_data
+    return measurement_adjoint(p.measurement, _predictions(p, mu) - p.Y) / p.n_data
 
 
 # --------------------------------------------------------------------- lmo
@@ -417,10 +374,10 @@ def _prox_rows(Z: np.ndarray, tau: float, norm: str) -> np.ndarray:
 
 def _fista(fam: _AtomFamily, D, C0: np.ndarray, step: float, max_iter: int, tol: float):
     """Accelerated proximal descent on payload rows acting through the lifted
-    design D, with backtracking from the step ``step``; any loss (Huber
-    curvature is at most 1) and any number of rows.
+    design D, with backtracking from the step ``step``; any number of rows,
+    so also a design wider than the data, whose Gram can be singular.
 
-    A line-search trial costs one product with D and one loss value; the
+    A line-search trial costs one product with D and one data term; the
     gradient is taken only where a descent step starts, and the extrapolated
     point's predictions follow from linearity.  Momentum restarts whenever
     the composite objective would increase, so the returned objective never
@@ -428,34 +385,27 @@ def _fista(fam: _AtomFamily, D, C0: np.ndarray, step: float, max_iter: int, tol:
     Returns (C, objective).
     """
     n, y = fam.Y.shape[0], fam.Y.ravel()
-
-    def data(P):
-        return loss_total(fam.loss, P, y) / n
-
-    def total(C, f):
-        return f + fam.lam * float(row_norms(C, fam.norm).sum())
-
     x = np.array(C0, dtype=float)
     Px = D @ x.ravel()
-    fx = data(Px)
-    obj = total(x, fx)
+    fx = _data_fit(Px - y, n)
+    obj = _objective(fam, Px - y, x)
     z, Pz, fz = x, Px, fx
     t_mom = 1.0
 
     def descend(point, P, fp):
         nonlocal step
-        g = (D.T @ loss_grad(fam.loss, P, y)).reshape(point.shape) / n
+        g = (D.T @ (P - y)).reshape(point.shape) / n
         if not np.isfinite(g).all():
             raise SolverError("non-finite refit gradient")
         while True:
             cand = _prox_rows(point - step * g, step * fam.lam, fam.norm)
             diff = cand - point
             Pc = D @ cand.ravel()
-            fc = data(Pc)
+            fc = _data_fit(Pc - y, n)
             bound = fp + float(np.vdot(g, diff))
             bound += float(np.vdot(diff, diff)) / (2.0 * step)
             if fc <= bound + 1e-12 * (1.0 + abs(fp)):
-                return cand, Pc, fc, total(cand, fc)
+                return cand, Pc, fc, _objective(fam, Pc - y, cand)
             step *= 0.5
             if step < 1e-18:
                 raise SolverError("refit line search failed")
@@ -473,7 +423,7 @@ def _fista(fam: _AtomFamily, D, C0: np.ndarray, step: float, max_iter: int, tol:
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         beta = (t_mom - 1.0) / t_next
         z, Pz = x + beta * (x - x_prev), Px + beta * (Px - P_prev)
-        fz = data(Pz)
+        fz = _data_fit(Pz - y, n)
         t_mom = t_next
     return x, obj
 
@@ -489,12 +439,11 @@ class _AtomFamily:
     the unit payload e_i at atom m, so payload rows C predict
     (D @ C.ravel()).reshape(Y.shape); an empty L gives shape (Y.size, 0).
     ``search(G, seed)`` is the atom oracle, seeded for its random starts, at
-    the loss gradients G of the current model; it returns (location, unit
+    the residuals G = P - Y of the current model; it returns (location, unit
     payload, score), the score on the scale of lam.
     """
 
     Y: np.ndarray
-    loss: Loss
     lam: float
     norm: str
     dim: int
@@ -503,15 +452,20 @@ class _AtomFamily:
     search: Callable
 
 
+def _objective(fam: _AtomFamily, R, C) -> float:
+    """The composite objective 0.5 |R|^2 / N + lam * sum_m |c_m| of the
+    payload rows C, whose residuals are R = P - Y."""
+    return _data_fit(R, fam.Y.shape[0]) + fam.lam * float(row_norms(C, fam.norm).sum())
+
+
 def _group_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
     """Refit payload rows on the lifted design D of their locations.
 
-    The squared loss with at most N*d_meas coefficients goes to
-    ``_newton_refit``; the Huber loss, and designs with more coefficients
-    than observations (whose support Hessians can be singular), to
-    ``_fista``.  Returns (payload rows, objective).
+    A design with at most N*d_meas coefficients goes to ``_newton_refit``;
+    a wider one, whose support Hessians can be singular, to ``_fista``.
+    Returns (payload rows, objective).
     """
-    if fam.loss.kind == SQUARED_HALF and C0.size <= fam.Y.size:
+    if C0.size <= fam.Y.size:
         return _newton_refit(fam, D, C0, max_iter, tol)
     return _fista(fam, D, C0, _refit_step(fam, D)[0], max_iter, tol)
 
@@ -558,8 +512,7 @@ def _newton_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
     g = dim if fam.norm == L2 else 1   # an l1 entry is an l2 group of one
 
     def objective(c):
-        r = D @ c - y
-        return 0.5 * float(r @ r) / n + lam * float(row_norms(c.reshape(k, dim), fam.norm).sum())
+        return _objective(fam, D @ c - y, c.reshape(k, dim))
 
     def move(c, on, d, t, zero):
         # c + t d on the groups ``on``, with the groups on[zero] set to zero
@@ -655,11 +608,12 @@ class FitOptions:
         for name, low in (("max_atoms", 1), ("restarts", 1), ("refit_max_iter", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         for name in ("tol", "refit_tol"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            value = _real(getattr(self, name), name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            object.__setattr__(self, name, value)
         if self.mode not in ("l1", "group"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (0 <= self.tol < math.inf and 0 <= self.refit_tol < math.inf):
-            raise ValueError("tolerances must be finite and nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -702,21 +656,20 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
     (locations, coalesced payload rows, objective history, certificate,
     iterations, converged).
     """
-    n = fam.Y.shape[0]
     if start is None:
         start = np.zeros((0, fam.width)), np.zeros((0, fam.dim))
     L, C = (np.array(a, dtype=float) for a in start)  # locations, payload rows
     # predictions of the current model
     P = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) if len(L) else np.zeros_like(fam.Y)
 
-    history = [loss_total(fam.loss, P, fam.Y) / n + fam.lam * float(row_norms(C, fam.norm).sum())]
+    history = [_objective(fam, P - fam.Y, C)]
     certificate = math.inf
     threshold = fam.lam * (1.0 + opts.tol)
     converged = False
     iterations = 0
 
     while True:
-        G = loss_grad(fam.loss, P, fam.Y)
+        G = P - fam.Y
         if not np.all(np.isfinite(G)):
             raise SolverError("non-finite residuals")
         loc, _, score = fam.search(G, opts.seed + 7919 * iterations)
@@ -776,7 +729,6 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
 
     return _AtomFamily(
         Y=p.Y,
-        loss=p.loss,
         lam=p.lam,
         norm=p.spec.primal_norm,
         dim=p.spec.dim,
@@ -860,14 +812,13 @@ def lambda_max(p: Problem) -> float:
 def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
     """Objective and relative duality gap of payload rows C at locations L.
 
-    With G the loss gradient and s = ``fam.search(G, 0)``, the dual point
-    theta = -G/N min(1, lam/s) is feasible (for the Huber loss too, inside
-    its box |theta| <= delta/N), with the dual value <theta, Y> - N|theta|^2/2.
-    A certificate when the search is exhaustive, as on a grid."""
+    With G = P - Y the residuals and s = ``fam.search(G, 0)``, the dual point
+    theta = -G/N min(1, lam/s) is feasible, with the dual value
+    <theta, Y> - N|theta|^2/2.  A certificate when the search is exhaustive,
+    as on a grid."""
     n = fam.Y.shape[0]
-    P = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape)
-    primal = loss_total(fam.loss, P, fam.Y) / n + fam.lam * float(row_norms(C, fam.norm).sum())
-    G = loss_grad(fam.loss, P, fam.Y)
+    G = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) - fam.Y
+    primal = _objective(fam, G, C)
     s = fam.search(G, 0)[2]
     theta = -G / n * (1.0 if s <= fam.lam else fam.lam / s)
     dual = float(np.vdot(theta, fam.Y)) - 0.5 * n * float(np.vdot(theta, theta))

@@ -36,13 +36,7 @@ from .operator_learning import (
     weight_form_tv,
 )
 from .rkbs import REPRODUCING_TOL, RkbsFunction, verify_reproducing
-from .solver import (
-    FitOptions,
-    Loss,
-    Problem,
-    fit,
-    identity_measurement,
-)
+from .solver import FitOptions, Problem, fit, identity_measurement
 
 
 def _random_instance(rng):
@@ -185,7 +179,7 @@ def _check_solver_threshold():
     Y = np.array([[1.2]])
     w = np.array([[0.4, 0.1]])
     lam = 0.2
-    p = Problem(X, Y, Loss(), identity_measurement(), lam, feat, spec, omega_grid=w)
+    p = Problem(X, Y, identity_measurement(), lam, feat, spec, omega_grid=w)
     state = fit(p, FitOptions(max_atoms=2, tol=1e-6, refit_tol=1e-14))
     phi = eval_phi(feat, X[0], w[0])
     expected = (phi * Y[0, 0] - lam) / (phi * phi)

@@ -56,7 +56,6 @@ from vvrkbs.rkbs import (
 )
 from vvrkbs.solver import (
     FitOptions,
-    Loss,
     Problem,
     SolverState,
     export_network,
@@ -217,7 +216,7 @@ def _suite():
         assert len(grid) <= 81
         X = rng.uniform(-1.0, 1.0, (n, 1))
         Y = rng.standard_normal((n, d))
-        probe = Problem(X, Y, Loss(), identity_measurement(), 1.0, feat, spec,
+        probe = Problem(X, Y, identity_measurement(), 1.0, feat, spec,
                         omega_grid=grid)
         lam_max = lambda_max(probe)
         p = dataclasses.replace(probe, lam=0.4 * lam_max)

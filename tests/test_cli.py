@@ -16,7 +16,6 @@ from vvrkbs.feature import FeatureMap, phi_matrix
 from vvrkbs.operator_learning import hyper_evaluate, hyper_model_from_json_dict
 from vvrkbs.solver import (
     FitOptions,
-    Loss,
     Problem,
     identity_measurement,
     lambda_max,
@@ -157,7 +156,7 @@ def test_fit_above_lambda_max_writes_empty_atoms(tmp_path, capsys):
     spec = DualPairSpec(2, "l2")
     data = np.array([[float(v) for v in row.split(",")] for row in DATA_ROWS[1:]])
     grid = product_grid(feat.radius, feat.dw, 5)
-    p = Problem(data[:, :1], data[:, 1:], Loss(), identity_measurement(),
+    p = Problem(data[:, :1], data[:, 1:], identity_measurement(),
                 1.0, feat, spec, omega_grid=grid)
     lam_max = lambda_max(p)
     cfg, csv_path = _write_fixture(tmp_path, _base_config(**{"lambda": 1.05 * lam_max}))
@@ -716,7 +715,7 @@ def _bad_fit_config():
 
 
 def _nan_fit_lambda():
-    return "fit", _base_config(**{"lambda": math.nan}), "lam must be finite"
+    return "fit", _base_config(**{"lambda": math.nan}), "solver.lambda must be finite"
 
 
 def _bad_hyper_refit():
@@ -728,19 +727,19 @@ def _bad_hyper_refit():
 def _nan_hyper_refit_tol():
     cfg = _hyper_config()
     cfg["solver"]["refit"]["tol"] = math.nan
-    return "hyper-fit", cfg, "tolerances must be finite"
+    return "hyper-fit", cfg, "solver.refit.tol must be finite"
 
 
 def _nan_hyper_tol():
     cfg = _hyper_config()
     cfg["solver"]["tol"] = math.nan
-    return "hyper-fit", cfg, "tolerances must be finite"
+    return "hyper-fit", cfg, "solver.tol must be finite"
 
 
 def _inf_hyper_tol():
     cfg = _hyper_config()
     cfg["solver"]["tol"] = math.inf
-    return "hyper-fit", cfg, "tolerances must be finite"
+    return "hyper-fit", cfg, "solver.tol must be finite"
 
 
 def _bad_hyper_ragged_grid():
@@ -752,13 +751,13 @@ def _bad_hyper_ragged_grid():
 def _bad_hyper_grid_width():
     cfg = _hyper_config()
     cfg["grids"]["w"] = [[0.5, 0.1, 0.0]]
-    return "hyper-fit", cfg, "w_grid must be a non-empty (n, 2) array"
+    return "hyper-fit", cfg, "grids.w must be a non-empty (n, 2) array"
 
 
 def _nan_hyper_grid():
     cfg = _hyper_config()
     cfg["grids"]["theta"][1] = [math.nan, 0.4]
-    return "hyper-fit", cfg, "theta_grid must be finite"
+    return "hyper-fit", cfg, "grids.theta must be finite"
 
 
 def _bad_hyper_grids_list():
@@ -812,7 +811,7 @@ def _negative_seed(command, grid):
         if not grid:
             config.pop("grids", None)
             config["solver"].pop("grid_per_dim", None)
-        return command, config, "bad solver config: seed must be >= 0"
+        return command, config, "bad solver config: solver.seed must be >= 0"
     case.id = f"{command}-{'grid' if grid else 'free'}-seed-negative"
     return case
 

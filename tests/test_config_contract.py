@@ -19,7 +19,7 @@ from vvrkbs import cli
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap
 from vvrkbs.operator_learning import SampledMeasurement, hyper_fit
-from vvrkbs.solver import FitOptions, Loss, Problem, fit, identity_measurement, product_grid
+from vvrkbs.solver import FitOptions, Problem, fit, identity_measurement, product_grid
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 DATA = "x0,y0,y1\n0.1,0.9,-0.3\n-0.4,0.2,0.8\n0.7,-0.5,0.1\n"
@@ -40,8 +40,8 @@ HYPER = {"phi": FEATURE, "psi": PSI, "space": {"d": 2, "norm": "l2"},
 
 
 def _run(command, config):
-    """Exit code of ``command`` on ``config`` and the fixed data, files in a
-    fresh directory."""
+    """Exit code and stderr of ``command`` on ``config`` and the fixed data,
+    files in a fresh directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp)
         (path / "cfg.json").write_text(json.dumps(config))
@@ -49,9 +49,9 @@ def _run(command, config):
         argv = [command, "--config", str(path / "cfg.json"), "--data", str(path / "data.csv")]
         if command != "oracle":
             argv += ["--out", str(path / "out.json")]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            return cli.main(argv)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return cli.main(argv), err.getvalue()
 
 
 def _set(doc, path, value):
@@ -73,7 +73,7 @@ def _api_solver(s):
                refit_tol=s["refit"]["tol"])
     if s.get("grid_per_dim") is not None:
         product_grid(1.5, 2, s["grid_per_dim"])
-    problem = Problem(X, Y, Loss(), identity_measurement(), s["lambda"],
+    problem = Problem(X, Y, identity_measurement(), s["lambda"],
                       FeatureMap(**FEATURE), DualPairSpec(2))
     fit(problem, FitOptions(max_atoms=1, restarts=1))
 
@@ -98,6 +98,8 @@ SECTIONS = {
 ELEMENTS = ["sampling.points.1.0", "sampling.functionals.0.1", "grids.w.0.1", "grids.theta.1.0"]
 BAD = ["2.0", True, False, None, 1.5, 2.5, 0, -1, math.nan, math.inf, -math.inf]
 FIELDS = [f"{name}.{path}" for name, (_, table) in cli._SECTIONS.items() for path in table]
+NOT_SCALARS = {"kind", "beta", "activation", "x_grid", "w_grid", "values", "norm", "mode",
+               "points", "functionals", "w", "theta"}
 
 
 def test_the_tables_cover_every_section_the_commands_read():
@@ -115,9 +117,12 @@ def test_the_api_raises_exactly_where_the_cli_exits_2(field, value):
         raised = False
     except (TypeError, ValueError, OverflowError):
         raised = True
-    assert (_run(command, config) == 2) == raised
+    code, err = _run(command, config)
+    assert (code == 2) == raised
     if isinstance(value, (str, bool)):  # never a number, whatever the field
         assert raised
+    if raised and field in FIELDS and field.split(".")[-1] not in NOT_SCALARS:
+        assert f": {field} " in err  # a numeric scalar's message names its JSON path
 
 
 # The configs that ran and exited 0 before the dataclasses held the rules,
@@ -134,7 +139,7 @@ REFUSED = [
 @pytest.mark.parametrize("command, field, value", REFUSED)
 def test_strings_booleans_and_zero_restarts_exit_2(command, field, value):
     base = _set(HYPER if command == "hyper-fit" else FIT, "solver.grid_per_dim", 3)
-    assert _run(command, _set(base, field, value)) == 2
+    assert _run(command, _set(base, field, value))[0] == 2
 
 
 HEADER = ["type", "range", "default", "read by"]

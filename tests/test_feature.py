@@ -135,6 +135,22 @@ def test_phi_matrix_matches_pointwise():
             assert M[i, j] == pytest.approx(eval_phi(f, X[i], W[j]), rel=1e-14)
 
 
+def _table(values=((0.0, 2.0), (4.0, 6.0))):
+    # built afresh each call, from lists, so no two calls share an array
+    return FeatureMap("tabulated", dx=1, radius=2.0, beta="one", x_grid=[0.0, 1.0],
+                      w_grid=[0.0, 2.0], values=[list(row) for row in values])
+
+
+def test_tabulated_features_compare_and_hash_by_value():
+    f, g = _table(), _table()
+    assert f is not g and f.values is not g.values
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    changed = _table(((0.0, 2.0), (4.0, 6.5)))
+    assert f != changed and changed not in {f}
+    assert f != FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    assert not f.values.flags.writeable and not g.x_grid.flags.writeable
+
+
 def test_tabulated_bilinear():
     f = FeatureMap(
         "tabulated",

@@ -17,7 +17,6 @@ from vvrkbs.measure import MERGE_TOL, _coalesce_rows, _group_by_location, measur
 from vvrkbs.rkbs import RkbsFunction, evaluate
 from vvrkbs.solver import (
     FitOptions,
-    Loss,
     Problem,
     fit,
     identity_measurement,
@@ -741,7 +740,7 @@ def test_two_level_fit_with_unit_base_feature_is_the_flat_fit(seed):
     grid = product_grid(phi.radius, phi.dw, 7)
 
     def problem(lam):
-        return Problem(Z, Y, Loss(), identity_measurement(), lam, phi, spec,
+        return Problem(Z, Y, identity_measurement(), lam, phi, spec,
                        omega_grid=grid)
 
     lam = 0.2 * lambda_max(problem(1.0))
@@ -932,6 +931,20 @@ def test_deeponet_embed_rejects_bad_basis():
     other = RkbsFunction(zeta.measure, _neural(1, 1.0, "sigmoid"), spec)
     with pytest.raises(ValueError):
         deeponet_embed([zeta, other], [[(1.0, [0.0, 0.0])], [(1.0, [0.0, 0.0])]], phi)
+
+
+def test_deeponet_embed_accepts_equal_tabulated_features_built_apart():
+    spec = DualPairSpec(1, "l2")
+
+    def psi():  # a fresh feature, with fresh tables, per call
+        return FeatureMap("tabulated", dx=1, radius=1.0, beta="one", x_grid=[-1.0, 1.0],
+                          w_grid=[-1.0, 1.0], values=[[1.0, 2.0], [3.0, -4.0]])
+
+    basis = [RkbsFunction(measure_from_arrays([[w]], [[1.0]], spec, 1.0), psi(), spec)
+             for w in (0.2, -0.5)]
+    assert basis[0].feature is not basis[1].feature
+    m = deeponet_embed(basis, [[(1.0, [0.0, 0.0])], [(2.0, [0.1, 0.0])]], _neural(1, 1.0, "tanh"))
+    assert m.psi == basis[1].feature and len(m.a) == 2
 
 
 # --------------------------------------------------------------------- json

@@ -11,7 +11,6 @@ from vvrkbs.feature import ACTIVATIONS, FeatureMap, eval_phi, grad_phi_w_batch, 
 from vvrkbs.measure import empty_measure, measure_from_arrays, total_variation
 from vvrkbs.solver import (
     FitOptions,
-    Loss,
     MeasurementOp,
     Problem,
     SolverError,
@@ -23,8 +22,6 @@ from vvrkbs.solver import (
     identity_measurement,
     lambda_max,
     lmo,
-    loss_grad,
-    loss_total,
     measurement_adjoint,
     measurement_apply,
     network_apply,
@@ -71,7 +68,6 @@ def _neural_problem(
     lam=0.1,
     grid_per_dim=None,
     measurement=None,
-    loss=None,
 ):
     feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
     spec = DualPairSpec(dim, norm)
@@ -83,7 +79,7 @@ def _neural_problem(
     if grid_per_dim is not None:
         grid = product_grid(feat.radius, feat.dw, grid_per_dim)
     return Problem(
-        X, Y, loss or Loss(), meas, lam, feat, spec, omega_grid=grid
+        X, Y, meas, lam, feat, spec, omega_grid=grid
     )
 
 
@@ -92,43 +88,34 @@ def _neural_problem(
 def test_squared_loss_values_and_grad():
     P = np.array([[1.0, 2.0], [0.0, -1.0]])
     Y = np.array([[0.0, 2.0], [1.0, 1.0]])
-    # per-row values 0.5 and 2.5
-    assert loss_total(Loss(), P, Y) == pytest.approx(0.5 + 2.5)
-    assert np.allclose(loss_grad(Loss(), P, Y), P - Y)
+    fam = _AtomFamily(Y=Y, lam=0.5, norm="l1", dim=2, width=1, lift=None, search=None)
+    # per-row values 0.5 and 2.5 over 2 rows, plus lam times the l1 row norms 3 and 1
+    assert solver._objective(fam, P - Y, np.array([[1.0, -2.0], [0.0, 1.0]])) == 1.5 + 2.0
+    # the oracle reads the residuals P - Y, here at the zero measure
+    spec = DualPairSpec(2, "l2")
+    feat = FeatureMap("neural", dx=1, radius=1.0, activation="tanh")
+    p = Problem([[0.1], [0.2]], Y, identity_measurement(), 0.5, feat, spec)
+    assert np.array_equal(residual_duals(p, empty_measure(spec, 1.0)), -Y / 2)
 
 
-def test_huber_matches_piecewise_formula():
-    loss = Loss("huber", delta=0.5)
-    P = np.array([[0.2, 2.0, -3.0]])
-    Y = np.zeros((1, 3))
-    # componentwise: quadratic inside |t| <= delta, linear outside
-    expected = 0.5 * 0.2**2 + (0.5 * 2.0 - 0.125) + (0.5 * 3.0 - 0.125)
-    assert loss_total(loss, P, Y) == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(loss_grad(loss, P, Y), [[0.2, 0.5, -0.5]])
+EXACT_NORMS = {
+    "l1": lambda row: math.fsum(abs(c) for c in row),
+    "l2": lambda row: math.sqrt(math.fsum(c * c for c in row)),
+    "linf": lambda row: max(abs(c) for c in row),
+}
 
 
-@pytest.mark.parametrize("loss", [Loss(), Loss("huber", delta=0.7)])
-def test_loss_total_matches_exact_sum_of_element_losses(loss):
+@pytest.mark.parametrize("norm", sorted(EXACT_NORMS))
+def test_objective_matches_exact_sum_of_element_losses(norm):
+    # the penalty sums each payload row's primal norm, whichever norm it is
     rng = np.random.default_rng(40)
     P = 2.0 * rng.standard_normal((37, 3))
     Y = rng.standard_normal((37, 3))
-    R = (P - Y).ravel()
-    if loss.kind == "huber":
-        # residuals on both sides of delta
-        assert np.any(np.abs(R) <= loss.delta) and np.any(np.abs(R) > loss.delta)
-        terms = [0.5 * r * r if abs(r) <= loss.delta
-                 else loss.delta * abs(r) - 0.5 * loss.delta**2 for r in R]
-    else:
-        terms = [0.5 * r * r for r in R]
-    exact = math.fsum(terms)
-    assert abs(loss_total(loss, P, Y) - exact) <= 1e-14 * exact
-
-
-def test_loss_validation():
-    with pytest.raises(ValueError):
-        Loss("absolute")
-    with pytest.raises(ValueError):
-        Loss("huber", delta=0.0)
+    C = rng.standard_normal((5, 3))
+    fam = _AtomFamily(Y=Y, lam=0.3, norm=norm, dim=3, width=1, lift=None, search=None)
+    exact = (math.fsum(0.5 * r * r for r in (P - Y).ravel()) / 37
+             + 0.3 * math.fsum(EXACT_NORMS[norm](row) for row in C))
+    assert abs(solver._objective(fam, P - Y, C) - exact) <= 1e-14 * exact
 
 
 def test_fit_options_need_a_refit_step():
@@ -144,7 +131,7 @@ def test_fit_options_need_a_refit_step():
 def test_fit_options_reject_negative_and_non_finite_tolerances(field, value):
     # a NaN tol can never certify, an infinite one certifies an empty model,
     # and a NaN refit tol runs every refit to its iteration cap
-    with pytest.raises(ValueError, match="tolerances must be finite and nonnegative"):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative"):
         FitOptions(**{field: value})
 
 
@@ -163,7 +150,7 @@ def test_fit_options_reject_negative_and_non_finite_tolerances(field, value):
 def test_problem_rejects_each_malformed_input(field, value, fault):
     # each case breaks one input of an otherwise valid grid-restricted problem
     feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
-    args = {"X": [[0.1]], "Y": [[1.0, 0.0]], "loss": Loss(),
+    args = {"X": [[0.1]], "Y": [[1.0, 0.0]],
             "measurement": identity_measurement(), "lam": 0.1, "feature": feat,
             "spec": DualPairSpec(2, "l2"), "omega_grid": [[0.1, 0.2]]}
     Problem(**args)
@@ -209,7 +196,7 @@ def test_objective_perfect_fit_no_penalty_is_zero():
     c = np.array([1.0, -2.0])
     X = np.array([[0.1], [0.7], [-0.4]])
     Y = phi_matrix(feat, X, w[None, :]) * c[None, :]
-    p = Problem(X, Y, Loss(), identity_measurement(), 0.0, feat, spec)
+    p = Problem(X, Y, identity_measurement(), 0.0, feat, spec)
     mu = measure_from_arrays([w], [c], spec, feat.radius)
     assert objective(p, mu) == pytest.approx(0.0, abs=1e-15)
 
@@ -220,7 +207,7 @@ def test_objective_tiny_instance_by_hand():
     X = np.array([[-1.0], [0.5]])
     Y = np.array([[1.0], [-0.5]])
     w, c, lam = 0.25, 0.8, 0.7
-    p = Problem(X, Y, Loss(), identity_measurement(), lam, feat, spec)
+    p = Problem(X, Y, identity_measurement(), lam, feat, spec)
     mu = measure_from_arrays([[w]], [[c]], spec, feat.radius)
 
     def table_phi(x, wv):
@@ -252,7 +239,7 @@ def test_lmo_single_point_l1_ball_picks_basis_vector():
     feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
     spec = DualPairSpec(2, "l1")
     p = Problem(
-        [[0.3]], [[1.0, 0.0]], Loss(), identity_measurement(), 0.1, feat, spec,
+        [[0.3]], [[1.0, 0.0]], identity_measurement(), 0.1, feat, spec,
         omega_grid=product_grid(1.5, 2, 3),
     )
     eta = np.array([[1.0, 0.0]])
@@ -276,7 +263,7 @@ def test_lmo_matches_exhaustive_enumeration():
     grid = product_grid(1.5, 2, 3)
     X = np.array([[-0.8], [0.1], [0.9]])
     p = Problem(
-        X, np.zeros((3, 2)), Loss(), identity_measurement(), 0.1, feat, spec,
+        X, np.zeros((3, 2)), identity_measurement(), 0.1, feat, spec,
         omega_grid=grid,
     )
     eta = np.array([[0.4, -1.1], [-0.3, 0.2], [0.9, 0.5]])
@@ -338,7 +325,7 @@ def test_oracle_score_matches_the_feature_calls_bitwise(feat, norm, seed):
     rng = np.random.default_rng(seed)
     n, dim = int(rng.integers(1, 30)), int(rng.integers(1, 4))
     X = rng.uniform(-1.0, 1.0, (n, feat.dx))
-    p = Problem(X, np.zeros((n, dim)), Loss(), identity_measurement(), 0.1, feat,
+    p = Problem(X, np.zeros((n, dim)), identity_measurement(), 0.1, feat,
                 DualPairSpec(dim, norm))
     eta = rng.standard_normal((n, dim))
     value, direction = _oracle_score(p, eta)
@@ -391,7 +378,7 @@ def test_fit_single_point_soft_threshold_closed_form():
     phi = math.tanh(0.6 * x + 0.3)
     c_star = (phi * y - lam) / phi**2  # positive branch of the optimality
     p = Problem(
-        [[x]], [[y]], Loss(), identity_measurement(), lam, feat, spec,
+        [[x]], [[y]], identity_measurement(), lam, feat, spec,
         omega_grid=w[None, :],
     )
     for mode in ("group", "l1"):
@@ -472,7 +459,7 @@ def test_fit_l1_mode_splits_one_location_into_one_atom_per_axis():
     rng = np.random.default_rng(21)
     X = rng.uniform(-1.0, 1.0, (8, 1))
     Y = np.tanh(0.6 * X + 0.3) * [2.0, -1.5] + 0.05 * rng.standard_normal((8, 2))
-    p = Problem(X, Y, Loss(), identity_measurement(), 0.02, feat, DualPairSpec(2, "l1"),
+    p = Problem(X, Y, identity_measurement(), 0.02, feat, DualPairSpec(2, "l1"),
                 omega_grid=[[0.6, 0.3]])
     states = {mode: fit(p, FitOptions(max_atoms=5, mode=mode, tol=1e-8, refit_tol=1e-15))
               for mode in ("l1", "group")}
@@ -498,6 +485,26 @@ def test_fit_deterministic_given_seed():
     assert np.array_equal(s1.measure.C, s2.measure.C)
 
 
+def test_fit_refits_a_support_wider_than_the_data_by_fista(monkeypatch):
+    # 3 rows of 2 observations: from the fourth atom on, a round refits more
+    # payload entries than there are observations, which _group_refit sends
+    # to _fista
+    calls = []
+    fista = solver._fista
+
+    def counted(fam, D, C0, *args):
+        calls.append(C0.size > fam.Y.size)
+        return fista(fam, D, C0, *args)
+
+    monkeypatch.setattr(solver, "_fista", counted)
+    p = _neural_problem(np.random.default_rng(1), n=3, dim=2, lam=0.01)
+    state = fit(p, FitOptions(max_atoms=8, restarts=4, seed=1))
+    assert calls and all(calls)
+    history = state.objective_history
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert objective(p, state.measure) <= history[-1] * (1.0 + 1e-12)
+
+
 def test_fit_invariant_under_functional_permutation():
     rng = np.random.default_rng(12)
     V = rng.standard_normal((3, 2))
@@ -507,9 +514,9 @@ def test_fit_invariant_under_functional_permutation():
     X = rng.uniform(-1, 1, (4, 1))
     grid = product_grid(1.5, 2, 5)
     perm = [2, 0, 1]
-    p1 = Problem(X, Y, Loss(), functionals_measurement(V), 0.05, feat, spec,
+    p1 = Problem(X, Y, functionals_measurement(V), 0.05, feat, spec,
                  omega_grid=grid)
-    p2 = Problem(X, Y[:, perm], Loss(), functionals_measurement(V[perm]), 0.05,
+    p2 = Problem(X, Y[:, perm], functionals_measurement(V[perm]), 0.05,
                  feat, spec, omega_grid=grid)
     o1 = objective(p1, fit(p1, FitOptions(max_atoms=15)).measure)
     o2 = objective(p2, fit(p2, FitOptions(max_atoms=15)).measure)
@@ -548,7 +555,7 @@ def test_fit_stops_when_the_refit_prunes_the_atom_it_inserted(monkeypatch):
 
 # ------------------------------------------------------------- grid oracle
 
-def _grid_teacher(seed, n, loss=None):
+def _grid_teacher(seed, n):
     # four-atom teacher plus noise on the 81-point grid of a 3-d weight ball
     rng = np.random.default_rng(seed)
     feat = FeatureMap("neural", dx=2, radius=2.0, activation="tanh")
@@ -556,7 +563,7 @@ def _grid_teacher(seed, n, loss=None):
     W = rng.uniform(-0.8, 0.8, (4, 3))
     Y = phi_matrix(feat, X, W) @ rng.standard_normal((4, 3))
     Y = Y + 0.05 * rng.standard_normal((n, 3))
-    p = Problem(X, Y, loss or Loss(), identity_measurement(), 1.0, feat,
+    p = Problem(X, Y, identity_measurement(), 1.0, feat,
                 DualPairSpec(3, "l2"), omega_grid=product_grid(2.0, 3, 5))
     return dataclasses.replace(p, lam=0.05 * lambda_max(p))
 
@@ -619,14 +626,6 @@ def test_grid_oracle_rejects_a_start_off_the_grid():
             grid_oracle(p, 5, start=bad)
 
 
-def test_grid_oracle_huber_loss_has_a_finite_gap():
-    p = _grid_teacher(1, 12, Loss("huber", 0.05))
-    obj, C, gap = grid_oracle(p, 5)
-    assert math.isfinite(gap) and gap >= -1e-12
-    mu = measure_from_arrays(p.omega_grid, C, p.spec, p.feature.radius)
-    assert objective(p, mu) == pytest.approx(obj, rel=1e-10)
-
-
 def test_grid_oracle_requires_positive_lam():
     p = _neural_problem(np.random.default_rng(41), lam=0.0)
     with pytest.raises(ValueError, match="requires lam > 0"):
@@ -651,7 +650,7 @@ def test_grid_oracle_single_cell_soft_threshold():
     x, y, lam = 0.4, 2.0, 0.1
     phi = math.tanh(0.6 * x + 0.3)
     c_star = (phi * y - lam) / phi**2
-    p = Problem([[x]], [[y]], Loss(), identity_measurement(), lam, feat, spec,
+    p = Problem([[x]], [[y]], identity_measurement(), lam, feat, spec,
                 omega_grid=w)
     obj, C, _ = grid_oracle(p, 1)
     assert C[0, 0] == pytest.approx(c_star, rel=1e-6)
@@ -704,7 +703,7 @@ def _group_lasso(rng, n=30, m=5, dim=2, lam=0.05):
     # the design Phi on m free rows of dim entries, lifted to kron(Phi, I)
     Phi = rng.standard_normal((n, m))
     Y = rng.standard_normal((n, dim))
-    fam = _AtomFamily(Y=Y, loss=Loss(), lam=lam, norm="l2", dim=dim, width=1,
+    fam = _AtomFamily(Y=Y, lam=lam, norm="l2", dim=dim, width=1,
                       lift=None, search=None)
     lip = np.linalg.norm(Phi, 2) ** 2 / n
     return fam, np.kron(Phi, np.eye(dim)), np.zeros((m, dim)), lip
@@ -779,9 +778,7 @@ def test_ascend_grows_its_step_to_an_interior_maximizer():
 
 def _design_objective(fam, D, C):
     # the refit objective of payload rows C on the lifted design D
-    P = (D @ C.ravel()).reshape(fam.Y.shape)
-    data = loss_total(fam.loss, P, fam.Y) / fam.Y.shape[0]
-    return data + fam.lam * float(row_norms(C, fam.norm).sum())
+    return solver._objective(fam, (D @ C.ravel()).reshape(fam.Y.shape) - fam.Y, C)
 
 
 def _unit_probe(predict, k, dim):
@@ -932,7 +929,7 @@ def test_newton_refit_never_raises_the_starting_objective(case):
             assert _newton_refit(fam, D, C0, max_iter, 1e-14)[1] <= start
 
 
-def test_group_refit_routes_huber_and_wide_designs_to_fista(monkeypatch):
+def test_group_refit_routes_wide_designs_to_fista(monkeypatch):
     calls = []
     fista = solver._fista
 
@@ -944,13 +941,10 @@ def test_group_refit_routes_huber_and_wide_designs_to_fista(monkeypatch):
     fam, D, k = _flat_case(0, 8, 3, "l2", 5)
     C0 = np.zeros((k, 3))
     _group_refit(fam, D, C0, 100, 1e-10)
-    assert calls == []
-    _group_refit(dataclasses.replace(fam, loss=Loss("huber", 0.5)), D, C0, 100, 1e-10)
-    assert calls == [1]
-    # 9 rows of 3 payload entries on 8 rows of 3 observations
+    assert calls == []  # 5 rows of 3 payload entries on 8 rows of 3 observations
     wide, D_wide, _ = _flat_case(0, 8, 3, "l2", 9)
     _group_refit(wide, D_wide, np.zeros((9, 3)), 100, 1e-10)
-    assert calls == [1, 1]
+    assert calls == [1]  # 9 rows
 
 
 # ------------------------------------------------------------------ export
