@@ -97,6 +97,10 @@ _SECTIONS = {
     "sampling": (SampledMeasurement, {"points": "points", "functionals": "functionals"}),
     "grids": (_check_hyper_grids, {"w": "w_grid", "theta": "theta_grid"}),
 }
+# the arguments each section's builder takes without a default
+_REQUIRED = {name: {arg for arg, p in inspect.signature(build).parameters.items()
+                    if p.default is inspect.Parameter.empty}
+             for name, (build, _) in _SECTIONS.items()}
 
 
 def _section(cfg: dict, name: str, prefix: str, **context):
@@ -106,7 +110,6 @@ def _section(cfg: dict, name: str, prefix: str, **context):
     ``prefix``, and a fault message that opens with an argument's name
     names its JSON path instead."""
     build, table = _SECTIONS[name]
-    params = inspect.signature(build).parameters
     given = dict(context)
     for path, arg in table.items():
         *outer, key = path.split(".")
@@ -118,7 +121,7 @@ def _section(cfg: dict, name: str, prefix: str, **context):
             raise DataError(f"config {where} must be an object")
         if key in held:
             given[arg] = held[key]
-        elif arg in params and params[arg].default is inspect.Parameter.empty:
+        elif arg in _REQUIRED[name]:
             raise DataError(f"{prefix}: missing {name}.{path}")
     try:
         return build(**given)
@@ -167,17 +170,23 @@ def _read_dataset(path: str, dx: int, d_meas: int):
         raise DataError(
             f"dataset {path} header must be exactly {','.join(expected)}"
         )
+    data = _numeric_rows(path, body, len(expected))
+    return data[:, :dx], data[:, dx:]
+
+
+def _numeric_rows(path: str, body: list, width: int):
+    """Rows of ``width`` cells as one finite float array, parsed as float() does."""
     if not body:
         raise DataError(f"dataset {path} has a header but no rows")
+    if any(len(r) != width for r in body):
+        raise DataError(f"dataset {path} has ragged rows")
     try:
-        data = np.array([[float(v) for v in r] for r in body])
+        data = np.array(body, dtype=float)
     except ValueError as exc:
         raise DataError(f"non-numeric value in {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(expected):
-        raise DataError(f"dataset {path} has ragged rows")
     if not np.all(np.isfinite(data)):
         raise DataError(f"dataset {path} contains non-finite values")
-    return data[:, :dx], data[:, dx:]
+    return data
 
 
 def _emit(obj: dict):
@@ -298,15 +307,9 @@ def cmd_predict(args) -> int:
 def _read_dataset_inputs_only(path: str, dx: int):
     header, body, expected = _read_csv(path, dx)
     cols = [header.index(c) for c in expected]
-    if not body:
-        raise DataError(f"dataset {path} has a header but no rows")
-    try:
-        data = np.array([[float(r[c]) for c in cols] for r in body])
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"bad row in {path}: {exc}") from exc
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"dataset {path} contains non-finite values")
-    return data, None
+    if body and any(len(r) <= max(cols) for r in body):
+        raise DataError(f"dataset {path} has ragged rows")
+    return _numeric_rows(path, [[r[c] for c in cols] for r in body], dx), None
 
 
 def cmd_oracle(args) -> int:

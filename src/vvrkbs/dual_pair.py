@@ -186,6 +186,16 @@ def norm_witness(u, norm: str) -> np.ndarray:
     raise ValueError(f"unknown norm {norm!r}")
 
 
+def _norm_and_witness(u: np.ndarray, norm: str):
+    """(vector_norm(u, norm), norm_witness(u, norm)) of a float vector u,
+    bitwise; a nonzero l2 pair takes one dot product."""
+    if norm == L2:
+        n = np.sqrt(np.dot(u, u))
+        if n != 0.0:
+            return float(n), u / n
+    return vector_norm(u, norm), norm_witness(u, norm)
+
+
 def pair(spec: DualPairSpec, u_dual, u) -> float:
     """The canonical pairing <u_dual, u> (dot product)."""
     u_dual = _as_vector(spec, u_dual)

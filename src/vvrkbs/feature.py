@@ -20,15 +20,15 @@ The truncation beta is one of
 The kernel of the induced integral space is scalar times identity:
 K(x, w)(u_dual, u) = phi(x, w) * <u_dual, u>.
 
-Each kind computes phi in two parts.  ``bind_locations`` holds what
-reads the weights alone: beta(W) and, for the tabulated kind, the w-axis
-cells.  ``_core`` computes phi before beta from the inputs and that bound,
-and keeps what the w-derivative reads (the neural pre-activation, the
-tabulated cells).  ``phi_bound`` is that core times beta, and
-``phi_matrix`` is ``phi_bound`` on the locations bound afresh, so a caller
-that evaluates one location set at many inputs binds it once.  The
-w-gradient (``feature_column``, ``grad_phi_w_batch``) is the one product
-rule dcore * beta + core * dbeta on a column's kept core.
+Each kind's core, phi before beta, is written once, on operands of the
+inputs and of the weights.  ``bind_locations`` holds what reads the weights
+alone: beta(W) and the weight operands (the neural omega^T and bias row, the
+gaussian W^T and squared norms, the tabulated w-cells).  ``phi_bound`` is the
+core on them times beta, and ``phi_matrix`` binds afresh, so a caller that
+evaluates one location set at many inputs binds it once.  ``feature_column``
+binds inputs X once and evaluates the column phi(X, w) and its w-gradient,
+the product rule dcore * beta + core * dbeta, at one w at a time, bitwise as
+``phi_matrix`` and ``grad_phi_w_batch``.
 
 ``simple_approx_pairing`` is the verification route for the pairing: it
 replaces phi by the piecewise-constant function taking phi's value at
@@ -47,8 +47,16 @@ import numpy as np
 
 from .dual_pair import _integer, _real, _reals
 
+# each activation, and its derivative at t from core = activation(t); relu's
+# at the kink (t == 0) is pinned to 0 for determinism
+_ACTIVATIONS = {
+    "relu": (lambda t: np.maximum(t, 0.0), lambda t, core: (t > 0.0).astype(float)),
+    "tanh": (np.tanh, lambda t, core: 1.0 - core * core),
+    "sigmoid": (lambda t: 1.0 / (1.0 + np.exp(-t)), lambda t, core: core * (1.0 - core)),
+    "gaussian_rbf": (lambda t: np.exp(-t * t), lambda t, core: -2.0 * t * core),
+}
 KINDS = ("neural", "gaussian", "tabulated")
-ACTIVATIONS = ("relu", "tanh", "sigmoid", "gaussian_rbf")
+ACTIVATIONS = tuple(_ACTIVATIONS)
 BETAS = ("smooth_bump", "hard", "one")
 _BOUNDED_ACTIVATIONS = ("tanh", "sigmoid", "gaussian_rbf")
 
@@ -59,29 +67,9 @@ def activation_values(name: str, t) -> np.ndarray:
 
 
 def _act(name: str, t: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(t, 0.0)
-    if name == "tanh":
-        return np.tanh(t)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-t))
-    if name == "gaussian_rbf":
-        return np.exp(-t * t)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_deriv(name: str, t: np.ndarray, core: np.ndarray) -> np.ndarray:
-    # the derivative at t from core = _act(name, t); relu's at the kink
-    # (t == 0) is pinned to 0 for determinism
-    if name == "relu":
-        return (t > 0.0).astype(float)
-    if name == "tanh":
-        return 1.0 - core * core
-    if name == "sigmoid":
-        return core * (1.0 - core)
-    if name == "gaussian_rbf":
-        return -2.0 * t * core
-    raise ValueError(f"unknown activation {name!r}")
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return _ACTIVATIONS[name][0](t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +157,13 @@ class FeatureMap:
 def beta_values(f: FeatureMap, W: np.ndarray) -> np.ndarray:
     """beta(w) for rows of W, shape (m,)."""
     W = np.asarray(W, dtype=float)
+    return _truncation(f, (W * W).sum(axis=1) / (f.radius * f.radius))
+
+
+def _truncation(f: FeatureMap, r2):
+    """beta from r2 = |w|^2 / R^2, elementwise on an array or a scalar."""
     if f.beta == "one":
-        return np.ones(len(W))
-    r2 = (W * W).sum(axis=1) / (f.radius * f.radius)
+        return np.ones_like(r2)
     if f.beta == "hard":
         return (r2 <= 1.0).astype(float)
     t = np.maximum(0.0, 1.0 - r2)
@@ -208,65 +200,63 @@ def _tab_axis(grid: np.ndarray, t: np.ndarray):
     return idx, frac, inside
 
 
+# Each kind's core, phi before beta, on input and weight operands that broadcast:
+# inputs as columns and weights as a row give (n, m), one weight gives a column.
+def _neural(f: FeatureMap, X, omega_t, bias):
+    """(sigma(<omega, x> + b), the pre-activation) for X and omega^T, b."""
+    pre = X @ omega_t + bias
+    return _act(f.activation, pre), pre
+
+
+def _gaussian(f: FeatureMap, X, xx, w_t, ww):
+    """exp(-|x - w|^2 / (2 s^2)) from X, W^T and their squared row norms."""
+    return np.exp(-np.maximum(xx + ww - 2.0 * (X @ w_t), 0.0) / (2.0 * f.bandwidth**2))
+
+
+def _tabulated(f: FeatureMap, ix, fx, okx, iw, fw, okw):
+    """Bilinear interpolation on the cells of both axes, zero outside the table."""
+    V = f.values
+    out = ((1 - fx) * (1 - fw) * V[ix, iw] + fx * (1 - fw) * V[ix + 1, iw]
+           + (1 - fx) * fw * V[ix, iw + 1] + fx * fw * V[ix + 1, iw + 1])
+    out *= okx * okw
+    return out
+
+
 def _bind(f: FeatureMap, W: np.ndarray) -> tuple:
-    """(W, beta(W), w-axis cells of the tabulated kind or None), unchecked."""
-    cells = _tab_axis(f.w_grid, W[:, 0]) if f.kind == "tabulated" else None
-    return W, beta_values(f, W), cells
+    """``bind_locations`` unchecked and writable; omega^T is the transpose
+    of a C-ordered copy, a layout that pickling keeps."""
+    if f.kind == "neural":
+        ops = (np.ascontiguousarray(W[:, : f.dx]).T, W[:, f.dx].copy())
+    elif f.kind == "gaussian":
+        ops = (W.T, np.sum(W * W, axis=1))
+    else:
+        ops = _tab_axis(f.w_grid, W[:, 0])
+    return W, beta_values(f, W), ops
 
 
 def bind_locations(f: FeatureMap, W) -> tuple:
     """What phi reads of the weights W alone, for ``phi_bound``.
 
-    Returns (W, beta(W), cells): W as a float array, beta(W) read-only, and
-    for the tabulated kind the read-only bilinear cell indices, fractions
-    and inside masks along w (None for the other kinds).  Raises
-    ValueError when W is not of shape (m, dw).
+    Returns (W, beta(W), operands): W as a float array, and read-only beta(W)
+    and weight operands of the kind's core: omega^T and the bias row
+    (neural), W^T and the squared row norms (gaussian), or the cells along w
+    (tabulated).  Raises ValueError when W is not of shape (m, dw).
     """
     W = np.asarray(W, dtype=float)
     _check_weights(f, W)
     bound = _bind(f, W)
-    for part in (bound[1], *(bound[2] or ())):
+    for part in (bound[1], *bound[2]):
         part.setflags(write=False)
     return bound
 
 
-def _core(f: FeatureMap, X: np.ndarray, bound: tuple):
-    """phi before beta on all pairs of X and the bound locations, (n, m),
-    and what its w-derivative reads.
-
-    The kept part is the pre-activation <omega, x> + b (neural), None
-    (gaussian), or the bilinear cell indices, fractions and inside masks
-    of both axes (tabulated).
-    """
-    W = bound[0]
+def _core(f: FeatureMap, X: np.ndarray, bound: tuple) -> np.ndarray:
+    """phi before beta on all pairs of X and the bound locations, (n, m)."""
     if f.kind == "neural":
-        pre = X @ W[:, : f.dx].T + W[:, f.dx][None, :]
-        return _act(f.activation, pre), pre
+        return _neural(f, X, *bound[2])[0]
     if f.kind == "gaussian":
-        d2 = (
-            np.sum(X * X, axis=1)[:, None]
-            + np.sum(W * W, axis=1)[None, :]
-            - 2.0 * (X @ W.T)
-        )
-        return np.exp(-np.maximum(d2, 0.0) / (2.0 * f.bandwidth**2)), None
-    # tabulated, bilinear with zero extension outside the table
-    cells = _tab_axis(f.x_grid, X[:, 0]) + bound[2]
-    ix, fx, okx, iw, fw, okw = cells
-    V = f.values
-    v00 = V[np.ix_(ix, iw)]
-    v10 = V[np.ix_(ix + 1, iw)]
-    v01 = V[np.ix_(ix, iw + 1)]
-    v11 = V[np.ix_(ix + 1, iw + 1)]
-    gx = fx[:, None]
-    gw = fw[None, :]
-    out = (
-        (1 - gx) * (1 - gw) * v00
-        + gx * (1 - gw) * v10
-        + (1 - gx) * gw * v01
-        + gx * gw * v11
-    )
-    out *= okx[:, None] * okw[None, :]
-    return out, cells
+        return _gaussian(f, X, np.sum(X * X, axis=1)[:, None], *bound[2])
+    return _tabulated(f, *(a[:, None] for a in _tab_axis(f.x_grid, X[:, 0])), *bound[2])
 
 
 def phi_matrix(f: FeatureMap, X, W) -> np.ndarray:
@@ -283,10 +273,12 @@ def phi_bound(f: FeatureMap, X, bound: tuple) -> np.ndarray:
     computes only what reads X, after phi_matrix's check of X."""
     X = np.asarray(X, dtype=float)
     _check_inputs(f, X)
-    W, beta, _ = bound
-    if X.size == 0 or W.size == 0:
-        return np.zeros((len(X), len(W)))
-    return _core(f, X, bound)[0] * beta[None, :]
+    return _core(f, X, bound) * bound[1][None, :]
+
+
+def _phi_row(f: FeatureMap, X: np.ndarray, bound: tuple) -> np.ndarray:
+    """phi_bound(f, X, bound)[0], bitwise, for a checked float row X, (1, dx)."""
+    return _core(f, X, bound)[0] * bound[1]
 
 
 def eval_phi(f: FeatureMap, x, w) -> float:
@@ -311,37 +303,49 @@ def grad_phi_w_batch(f: FeatureMap, X, w) -> np.ndarray:
 
 
 def feature_column(f: FeatureMap, X):
-    """(value, gradient) of phi(X, w) at one w at a time, X checked once.
+    """(value, gradient) of phi(X, w) at one float vector w at a time.
 
-    ``value(w)`` returns (phi_matrix(f, X, w[None, :])[:, 0], parts), with
-    parts the column's core, kept part and beta; ``gradient(w, parts)`` is
-    grad_phi_w_batch(f, X, w), the product rule dcore * beta + core * dbeta.
+    X is checked, and what reads X alone computed, once, and the kind's core
+    and derivative are chosen once.  ``value(w)`` returns (phi_matrix(f, X,
+    w[None, :])[:, 0], parts), bitwise, with parts the column's core, kept
+    part and beta; ``gradient(w, parts)`` is grad_phi_w_batch(f, X, w).
     """
     X = np.asarray(X, dtype=float)
     _check_inputs(f, X)
-    aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # neural d pre / dw
+    r2 = f.radius * f.radius
+    if f.kind == "neural":
+        aug = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # d pre / dw
+        deriv = _ACTIVATIONS[f.activation][1]
+        def core(w):
+            return _neural(f, X, w[: f.dx], w[f.dx])
+        def dcore(w, col, pre):
+            return deriv(pre, col)[:, None] * aug
+    elif f.kind == "gaussian":
+        xx = np.sum(X * X, axis=1)
+        def core(w):
+            return _gaussian(f, X, xx, w, np.sum(w * w)), None
+        def dcore(w, col, _):
+            return col[:, None] * (X - w[None, :]) / f.bandwidth**2
+    else:  # tabulated: linear in w inside a cell, zero outside the table
+        ix, fx, okx = cx = _tab_axis(f.x_grid, X[:, 0])
+        V, wg = f.values, f.w_grid
+        def core(w):
+            cw = _tab_axis(wg, w[:1])
+            return _tabulated(f, *cx, *cw), cw
+        def dcore(w, col, cw):
+            i, okw = cw[0][0], cw[2][0]
+            slope = ((1 - fx) * (V[ix, i + 1] - V[ix, i])
+                     + fx * (V[ix + 1, i + 1] - V[ix + 1, i])) / (wg[i + 1] - wg[i])
+            return (slope * okx * okw)[:, None]
 
     def value(w):
-        bound = _bind(f, w[None, :])
-        core, kept = _core(f, X, bound)
-        bv = bound[1][0]
-        return core[:, 0] * bv, (core[:, 0], kept, bv)
+        col, kept = core(w)
+        bv = _truncation(f, (w * w).sum() / r2)
+        return col * bv, (col, kept, bv)
 
     def gradient(w, parts):
-        core, kept, bv = parts
-        if f.kind == "neural":
-            dcore = _act_deriv(f.activation, kept[:, 0], core)[:, None] * aug
-        elif f.kind == "gaussian":
-            dcore = core[:, None] * (X - w[None, :]) / f.bandwidth**2
-        else:  # tabulated: linear in w inside a cell, zero outside the table
-            ix, fx, okx, iw, _, okw = kept
-            V, i = f.values, iw[0]
-            slope = (
-                (1 - fx) * (V[ix, i + 1] - V[ix, i])
-                + fx * (V[ix + 1, i + 1] - V[ix + 1, i])
-            ) / (f.w_grid[i + 1] - f.w_grid[i])
-            dcore = (slope * okx * okw[0])[:, None]
-        return dcore * bv + core[:, None] * beta_grad(f, w)[None, :]
+        col, kept, bv = parts
+        return dcore(w, col, kept) * bv + col[:, None] * beta_grad(f, w)[None, :]
 
     return value, gradient
 

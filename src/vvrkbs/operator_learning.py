@@ -7,33 +7,35 @@ measure over (w, theta) with vector payloads (weight form) and a measure
 over w whose payloads are base functions of x (function form).  Both
 views evaluate identically; their norms differ, with the function-form
 upper bound dominated by the weight-form total variation.  The groups of
-atoms that share a w are computed once, when the model is built, and
-every evaluation and norm reads them.  A query evaluates phi(z, W) and
-psi(x, Theta) once each; both collapse orders read those two rows, the
-function form as one segment sum over the groups.  What the features
-read of the atoms alone, the truncations beta(W) and beta(Theta) and the
-tabulated w-cells, is bound when the model is built, so a query computes
-only what depends on z and x.  An atom is an
-atom of the flat solver over the product feature
-phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit and the
-product-grid oracle run on the solver's engine.
+atoms that share a w, and each group's first atom, are computed once, when
+the model is built, and every evaluation and norm reads them.  So is what
+the features read of the atoms alone (``bind_locations``: the truncations
+and the weight operands, such as the neural omega^T and bias row).  A query
+checks z and x once and evaluates phi(z, W) and psi(x, Theta) once each on
+those operands; both collapse orders read the two rows, the function form
+as one segment sum over the groups, and their agreement is tested on the d
+entries as Python floats.  An atom is an atom of the flat solver over the
+product feature phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit and
+the product-grid oracle run on the solver's engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, _reals, norm_witness, primal_witness, row_norms, vector_norm
+from .dual_pair import DualPairSpec, _norm_and_witness, _reals, primal_witness, row_norms
 from .feature import (
     FeatureMap,
+    _check_inputs,
+    _phi_row,
     bind_locations,
     feature_column,
     feature_from_json_dict,
     feature_to_json_dict,
-    phi_bound,
     phi_matrix,
 )
 from .measure import _check_ball, _check_grid, _coalesce_rows, _frozen, _group_by_location
@@ -62,11 +64,11 @@ class HyperModel:
     (n, psi.dw) and (n, spec.dim).  ``groups`` holds one read-only index array per
     distinct w, in order of first occurrence, computed at construction.
     ``layout`` is the same grouping flat, for segment sums: the atom
-    order (the groups concatenated), each group's offset in it, and the
-    rows a[m] V[m] in that order, all read-only.  ``w_bound`` and
-    ``theta_bound`` are ``bind_locations`` of phi over W and of psi over
-    Theta: the truncations and tabulated w-cells a query reads, read-only
-    arrays, so the model pickles.
+    order (the groups concatenated), each group's offset in it, the rows
+    a[m] V[m] in that order and each group's first atom, all read-only.
+    ``w_bound`` and ``theta_bound`` are ``bind_locations`` of phi over W
+    and of psi over Theta: the truncations and weight operands a query
+    reads, read-only arrays, so the model pickles.
     """
 
     a: np.ndarray
@@ -107,7 +109,7 @@ class HyperModel:
         order = np.concatenate([np.zeros(0, dtype=int), *groups])
         starts = np.cumsum([0] + [len(g) for g in groups])[:-1]
         layout = (_frozen(order, int), _frozen(starts, int),
-                  _frozen(a[order, None] * self.V[order]))
+                  _frozen(a[order, None] * self.V[order]), _frozen(order[starts], int))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "w_bound", bind_locations(self.phi, self.W))
         object.__setattr__(self, "theta_bound", bind_locations(self.psi, self.Theta))
@@ -140,16 +142,16 @@ class HyperModel:
 # ------------------------------------------------------------- evaluation
 
 def _query_rows(m: HyperModel, z, x):
-    """phi(z, W) and psi(x, Theta) over all atoms, bitwise as phi_matrix: a
-    query's two feature rows, each computing only what reads z or x on the
-    model's bound locations.  Raises ValueError on a non-finite z or x, and
-    phi_matrix's ValueError on a z or x of the wrong width."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not (np.isfinite(z).all() and np.isfinite(x).all()):
+    """A query's two feature rows phi(z, W) and psi(x, Theta), bitwise as
+    phi_matrix, on the model's bound locations.  Raises phi_matrix's
+    ValueError on a z or x of the wrong width, ValueError on a non-finite one."""
+    Z = np.atleast_1d(np.asarray(z, dtype=float))[None, :]
+    X = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    _check_inputs(m.phi, Z)
+    _check_inputs(m.psi, X)
+    if not all(map(math.isfinite, Z[0].tolist() + X[0].tolist())):
         raise ValueError("query points z and x must be finite")
-    return (phi_bound(m.phi, z[None, :], m.w_bound)[0],
-            phi_bound(m.psi, x[None, :], m.theta_bound)[0])
+    return _phi_row(m.phi, Z, m.w_bound), _phi_row(m.psi, X, m.theta_bound)
 
 
 def _weight_form(m: HyperModel, hw, base) -> np.ndarray:
@@ -157,11 +159,11 @@ def _weight_form(m: HyperModel, hw, base) -> np.ndarray:
 
 
 def _function_form(m: HyperModel, hw, base) -> np.ndarray:
-    order, starts, payloads = m.layout
+    order, starts, payloads, leads = m.layout
     if not len(starts):  # reduceat takes no empty offsets
         return np.zeros(m.spec.dim)
-    sums = np.add.reduceat(base[order, None] * payloads, starts, axis=0)
-    return hw[order[starts]] @ sums
+    sums = np.add.reduceat(base[order][:, None] * payloads, starts, axis=0)
+    return hw[leads] @ sums
 
 
 def evaluate_weight_form(m: HyperModel, z, x) -> np.ndarray:
@@ -177,18 +179,16 @@ def evaluate_function_form(m: HyperModel, z, x) -> np.ndarray:
 def hyper_evaluate(m: HyperModel, z, x) -> np.ndarray:
     """Evaluate f(z)(x), checking that both collapse orders agree.
 
-    Raises ValueError on a non-finite z or x, and ArithmeticError when
-    the two orders differ by more than 1e-12 relative.
+    Raises ValueError on a non-finite z or x, or one of the wrong width, and
+    ArithmeticError when an entry of the two orders, as Python floats, is NaN
+    or differs by more than 1e-12 relative to max(1, |entries|).
     """
     hw, base = _query_rows(m, z, x)
     wf = _weight_form(m, hw, base)
-    ff = _function_form(m, hw, base)
-    scale = np.maximum(1.0, np.maximum(np.abs(wf), np.abs(ff)))
-    err = np.max(np.abs(wf - ff) / scale)
-    if not err <= 1e-12:
-        raise ArithmeticError(
-            f"weight-form and function-form evaluations disagree ({err:.3e})"
-        )
+    for a, b in zip(wf.tolist(), _function_form(m, hw, base).tolist()):
+        err = abs(a - b) / max(1.0, abs(a), abs(b))
+        if not err <= 1e-12:
+            raise ArithmeticError(f"weight-form and function-form evaluations disagree ({err:.3e})")
     return wf
 
 
@@ -306,8 +306,8 @@ def _hyper_oracle_score(phi_f, psi_f, Z, Xj, GN, V, spec):
     def value(L):
         pc, phi_parts = phi_column(L[:dw])
         qc, psi_parts = psi_column(L[dw:])
-        q = ((pc @ GN) * qc) @ V
-        return vector_norm(q, kind), (norm_witness(q, kind), pc, qc, phi_parts, psi_parts)
+        score, u = _norm_and_witness(((pc @ GN) * qc) @ V, kind)
+        return score, (u, pc, qc, phi_parts, psi_parts)
 
     def direction(L, state):
         u, pc, qc, phi_parts, psi_parts = state

@@ -30,11 +30,10 @@ from .dual_pair import (
     L2,
     DualPairSpec,
     _integer,
+    _norm_and_witness,
     _real,
-    norm_witness,
     primal_witness,
     row_norms,
-    vector_norm,
 )
 from .feature import (
     FeatureMap,
@@ -321,8 +320,8 @@ def _oracle_score(p: Problem, eta: np.ndarray):
 
     def value(w):
         col, parts = column(w)
-        v = col @ eta
-        return vector_norm(v, kind), (norm_witness(v, kind), parts)
+        score, u = _norm_and_witness(col @ eta, kind)
+        return score, (u, parts)
 
     def direction(w, state):
         u, parts = state
@@ -645,14 +644,18 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
     when given; the objective history opens with the start's objective.
     Each round builds the lifted design D of its locations once;
     ``_group_refit`` refits the payload rows on D and the predictions are D
-    times them.  Round k seeds the atom search with opts.seed + 7919 k.
+    times them; a wide refit whose nonzero rows form a narrow design is
+    finished by ``_newton_refit`` on them.  Round k seeds the atom search
+    with opts.seed + 7919 k.
     There are three exits:
     certified, when the oracle score drops to lam*(1+tol); atom budget, when
     a new atom would exceed opts.max_atoms; and stalled, when a round ends
     on the support it started from (the proposal merged, or its new slot was
     pruned) with the objective down by at most refit_tol relative, so that
     the next round would repeat it.  In every case the certificate (last
-    oracle score) is recorded.  Returns
+    oracle score) is recorded.  A support over the N*d_meas bound is then
+    reduced to it (``_reduce_support``), and the last history entry is the
+    reduced state's objective.  Returns
     (locations, coalesced payload rows, objective history, certificate,
     iterations, converged).
     """
@@ -687,6 +690,11 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
 
         D = fam.lift(L)
         C, obj = _group_refit(fam, D, C, opts.refit_max_iter, opts.refit_tol)
+        on = row_norms(C, fam.norm) > 0.0
+        if on.any() and C.size > fam.Y.size >= C[on].size:
+            # a wide refit left a narrow support, where Newton steps converge
+            C[on], obj = _newton_refit(fam, fam.lift(L[on]), C[on], opts.refit_max_iter,
+                                       opts.refit_tol)
         P = (D @ C.ravel()).reshape(fam.Y.shape)
 
         # drop slots the threshold zeroed out exactly, which leaves P as the
@@ -703,10 +711,26 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
             break  # back on the support the round started from
 
     L, C = _coalesce_rows(L, C, fam.norm)
-    if converged and len(L) > fam.Y.size:
-        raise SolverError(
-            f"converged model has {len(L)} atoms, over the N*d_meas bound {fam.Y.size}")
+    if len(L) > fam.Y.size:
+        L, C = _reduce_support(fam, L, C)
+        history[-1] = _objective(fam, (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) - fam.Y, C)
     return L, C, tuple(history), certificate, iterations, converged
+
+
+def _reduce_support(fam: _AtomFamily, L, C):
+    """Coalesced (L, C) of at most Y.size atoms, the representer bound, with
+    the same predictions and no larger penalty: while there are more, scale
+    c_m by 1 + s t_m, t a null vector of the atoms' prediction columns with
+    sum_m t_m |c_m| <= 0, up to the first zero, and drop that atom."""
+    while len(L) > fam.Y.size:
+        A = (fam.lift(L).reshape(fam.Y.size, len(L), fam.dim) * C).sum(axis=2)
+        t = np.linalg.svd(A)[2][-1]
+        if t @ row_norms(C, fam.norm) > 0.0 or t.min() >= 0.0:
+            t = -t
+        s = np.divide(-1.0, t, out=np.full(len(t), np.inf), where=t < 0.0)
+        drop = int(np.argmin(s))
+        L, C = np.delete(L, drop, 0), np.delete(C * (1.0 + s[drop] * t)[:, None], drop, 0)
+    return _coalesce_rows(L, C, fam.norm)
 
 
 def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:

@@ -8,6 +8,9 @@ control can watch the suite fail.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
 from .dual_pair import (
@@ -16,6 +19,7 @@ from .dual_pair import (
     conjugate,
     operator_norm_dual,
     operator_norm_primal,
+    row_norms,
     twin_norm,
     vector_norm,
 )
@@ -36,7 +40,8 @@ from .operator_learning import (
     weight_form_tv,
 )
 from .rkbs import REPRODUCING_TOL, RkbsFunction, verify_reproducing
-from .solver import FitOptions, Problem, fit, identity_measurement
+from .solver import (FitOptions, Problem, fit, grid_oracle, identity_measurement, lambda_max,
+                     product_grid)
 
 
 def _random_instance(rng):
@@ -217,6 +222,24 @@ def _check_hyper(rng, trials):
     return two_path, domination
 
 
+def _check_representer(rng, trials):
+    """Worst relative gap of certified grid solves (5 per dimension, 1 to 5
+    rows, d = 1, lam in [0.05, 0.5] lambda_max), inf when one holds more
+    than N*d_meas atoms, the representer theorem's bound."""
+    worst = 0.0
+    for _ in range(max(2, trials // 5)):
+        feat = _random_feature(rng)
+        n = int(rng.integers(1, 6))
+        p = Problem(rng.uniform(-1.0, 1.0, (n, feat.dx)), rng.standard_normal((n, 1)),
+                    identity_measurement(), 0.0, feat, DualPairSpec(1, "l2"),
+                    omega_grid=product_grid(feat.radius, feat.dw, 5))
+        lam = float(rng.uniform(0.05, 0.5)) * lambda_max(p)
+        _, rows, gap = grid_oracle(dataclasses.replace(p, lam=lam), 5)
+        atoms = int(np.count_nonzero(row_norms(rows, "l2")))
+        worst = max(worst, gap if atoms <= p.Y.size else math.inf)
+    return worst
+
+
 def run_invariant_checks(trials: int, seed: int, corruption: float = 0.0) -> list:
     """Run every module's property suite; one record per invariant.
 
@@ -226,7 +249,7 @@ def run_invariant_checks(trials: int, seed: int, corruption: float = 0.0) -> lis
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rngs = iter([np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(7)])
+    rngs = iter([np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(8)])
     checks = []
 
     def record(name, max_error, tol):
@@ -257,4 +280,5 @@ def run_invariant_checks(trials: int, seed: int, corruption: float = 0.0) -> lis
     two_path, domination = _check_hyper(next(rngs), trials)
     record("hyper_two_path", two_path, 1e-12)
     record("hyper_tv_domination", domination, 1e-12)
+    record("representer_bound", _check_representer(next(rngs), trials), 1e-9)
     return checks

@@ -64,6 +64,31 @@ def _write_fixture(tmp_path, config=None):
     return cfg, data
 
 
+def test_fit_reduces_a_support_over_the_representer_bound(tmp_path, capsys):
+    # this free fit used to exit 2 with 7 atoms over the N*d_meas bound 6
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1, 1, (3, 1)), rng.standard_normal((3, 2))
+    rows = ["x0,y0,y1"] + [",".join(map(repr, [*a, *b])) for a, b in zip(x.tolist(), y.tolist())]
+    config = _base_config(**{"lambda": 0.01, "max_atoms": 8, "restarts": 4, "seed": 5})
+    del config["solver"]["grid_per_dim"], config["solver"]["refit"], config["solver"]["tol"]
+    cfg = _write(tmp_path, "config.json", json.dumps(config))
+    data = _write(tmp_path, "data.csv", "\n".join(rows) + "\n")
+    out = str(tmp_path / "model.json")
+    assert main(["fit", "--config", cfg, "--data", data, "--out", out]) == 0
+    assert 1 <= json.loads(capsys.readouterr().out)["atom_count"] <= 6
+
+
+def test_ragged_csv_rows_are_reported_as_ragged(tmp_path, capsys):
+    # a 2-cell row under a 3-column header used to be reported as a
+    # non-numeric value (numpy's "inhomogeneous shape")
+    cfg, _ = _write_fixture(tmp_path)
+    data = _write(tmp_path, "ragged.csv", "\n".join(DATA_ROWS[:2] + ["0.4,0.5"]) + "\n")
+    assert main(["fit", "--config", cfg, "--data", data, "--out", str(tmp_path / "m.json")]) == 2
+    assert "has ragged rows" in capsys.readouterr().err
+    with pytest.raises(cli.DataError, match="has ragged rows"):
+        cli._read_dataset_inputs_only(_write(tmp_path, "short.csv", "y0,x0\n0.1,0.2\n0.3\n"), 1)
+
+
 def test_fit_writes_model_and_report(tmp_path, capsys):
     cfg, data = _write_fixture(tmp_path)
     out = str(tmp_path / "model.json")
@@ -249,7 +274,7 @@ def test_verify_passes_and_reports_checks(capsys):
     assert report["passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert "reproducing_primal" in names
-    assert "hyper_two_path" in names
+    assert "hyper_two_path" in names and "representer_bound" in names
     assert all(c["passed"] for c in report["checks"])
 
 

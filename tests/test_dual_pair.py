@@ -3,12 +3,14 @@ import pytest
 
 from vvrkbs.dual_pair import (
     DualPairSpec,
+    _norm_and_witness,
     TwinOperator,
     conjugate,
     conjugate_norm,
     dual_norm_value,
     dual_witness,
     induced_matrix_norm,
+    norm_witness,
     operator_norm_dual,
     operator_norm_primal,
     pair,
@@ -254,3 +256,15 @@ def test_row_norms_match_vector_norm_bitwise(norm):
             expected = np.array([vector_norm(row, norm) for row in A])
             assert np.array_equal(row_norms(A, norm), expected)
     assert row_norms(np.zeros((0, 3)), norm).shape == (0,)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_norm_and_witness_is_vector_norm_and_norm_witness_bitwise(norm):
+    # the oracle scores take both from one helper; zero vectors included
+    rng = np.random.default_rng(3)
+    vectors = [np.zeros(1), np.zeros(3), np.array([0.0, -0.0, 5e-324]),
+               *rng.standard_normal((20, 4)), *(1e-200 * rng.standard_normal((5, 2)))]
+    for u in vectors:
+        score, witness = _norm_and_witness(u, norm)
+        assert np.float64(score).tobytes() == np.float64(vector_norm(u, norm)).tobytes()
+        assert witness.tobytes() == norm_witness(u, norm).tobytes()

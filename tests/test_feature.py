@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vvrkbs.feature import (
     grad_phi_w,
     grad_phi_w_batch,
     grid_sup_abs,
+    _phi_row,
     phi_bound,
     phi_matrix,
     simple_approx_pairing,
@@ -335,8 +337,35 @@ def test_bound_locations_evaluate_bitwise_as_phi_matrix(case, dx, n, m, seed):
         assert got.tobytes() == phi_matrix(f, X, W).tobytes()
     assert bound[0].tobytes() == W.tobytes()
     assert bound[1].tobytes() == beta_values(f, W).tobytes()
-    assert (bound[2] is None) == (f.kind != "tabulated")
-    assert not any(a.flags.writeable for a in (bound[1], *(bound[2] or ())))
+    ops = bound[2]  # the weight operands of the kind's core
+    if f.kind == "neural":
+        assert np.array_equal(ops[0], W[:, : f.dx].T) and np.array_equal(ops[1], W[:, f.dx])
+    assert not any(a.flags.writeable for a in (bound[1], *ops))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(FEATURE_CASES), dx=st.integers(1, 3),
+       m=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_bound_row_and_column_paths_are_phi_matrix_bitwise(case, dx, m, seed):
+    # The query's one-row path on bound locations (also after pickling the
+    # bound) and the ascent's column path are the bits of phi_matrix, for
+    # every (kind, activation, beta): relu meets its kink at x = 0, b = 0,
+    # and tabulated inputs fall outside the table on [-1, 1].
+    rng = np.random.default_rng(seed)
+    f = _feature_case(*case, dx, rng)
+    W = rng.uniform(-1.0, 1.0, (m, f.dw)) * rng.uniform(0.0, 2.0, (m, 1))
+    W[rng.random(m) < 0.3, -1] = 0.0
+    bound = bind_locations(f, W)
+    copy = pickle.loads(pickle.dumps(bound))
+    X = np.vstack([np.zeros((1, f.dx)), np.full((1, f.dx), 1.25),
+                   rng.uniform(-1.5, 1.5, (3, f.dx))])
+    for x in X:
+        want = phi_matrix(f, x[None, :], W)[0].tobytes()
+        assert _phi_row(f, x[None, :], bound).tobytes() == want
+        assert _phi_row(f, x[None, :], copy).tobytes() == want
+    value, _ = feature_column(f, X)
+    for w in W[:4]:
+        assert value(w)[0].tobytes() == phi_matrix(f, X, w[None, :])[:, 0].tobytes()
 
 
 def test_bound_locations_check_both_widths():

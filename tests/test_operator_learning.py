@@ -334,6 +334,19 @@ def test_query_rows_are_phi_matrix_bitwise_and_survive_pickling(kind):
                 assert evaluate_model(copy, z, x).tobytes() == want
 
 
+@pytest.mark.parametrize("corrupt", [lambda p: 2.0 * p, lambda p: np.full_like(p, np.nan)])
+def test_corrupted_layout_payloads_raise_arithmetic_error(corrupt):
+    # the function form reads the stored layout, the weight form the atoms:
+    # corrupted payload rows make the two disagree, a NaN one included
+    m = _one_d_model("neural", np.random.default_rng(6))
+    z, x = np.array([0.3]), np.array([-0.4])
+    assert np.max(np.abs(hyper_evaluate(m, z, x))) > 1e-3
+    order, starts, payloads, leads = m.layout
+    object.__setattr__(m, "layout", (order, starts, corrupt(payloads), leads))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        hyper_evaluate(m, z, x)
+
+
 def test_agreement_guard_treats_nan_as_disagreement(monkeypatch):
     spec = DualPairSpec(2, "l2")
     m = HyperModel([1.0], [[0.2, 0.1]], [[0.3, -0.2]], [[1.0, -0.5]],
