@@ -41,12 +41,14 @@ from .feature import (
 from .measure import _check_ball, _check_grid, _coalesce_rows, _frozen, _group_by_location
 from .rkbs import RkbsFunction
 from .solver import (
+    SEARCH_POINTS,
     FitOptions,
     _AtomFamily,
+    _ascend,
+    _ball_points,
     _cg_fit,
     _data_fit,
     _grid_solve,
-    _multistart,
     _positive_lam,
 )
 
@@ -325,26 +327,31 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
 
     The location is (w, theta), the payload v, and the measurement is the
     lifted sampling: atom columns phi(z_n, w) psi(x_j, theta) <v_j, v>.
-    The oracle searches the product grid when the grids are given and
-    runs multistart ascent over both balls otherwise.
+    The oracle scores every (w, theta) pair of two candidate sets, whose
+    feature matrices are built here once for every round: the grids when
+    given, exact over their product; otherwise isqrt(SEARCH_POINTS) points
+    uniform in each ball, drawn by default_rng(opts.seed) w points first,
+    and one ascent over both balls polishes the best pair.
     """
     n, dw = Z.shape[0], phi.dw
     Xj, V = sampling.points, sampling.functionals
-    if w_grid is not None:
-        grid_features = phi_matrix(phi, Z, w_grid), phi_matrix(psi, Xj, theta_grid)
+    free = w_grid is None
+    if free:
+        rng, k = np.random.default_rng(opts.seed), math.isqrt(SEARCH_POINTS)
+        w_grid = _ball_points(rng, k, phi.dw, phi.radius)
+        theta_grid = _ball_points(rng, k, psi.dw, psi.radius)
+    grid_features = phi_matrix(phi, Z, w_grid), phi_matrix(psi, Xj, theta_grid)
 
     def lift(L):
         return _product_design(phi_matrix(phi, Z, L[:, :dw]), phi_matrix(psi, Xj, L[:, dw:]), V)
 
-    def search(G, seed):
+    def search(G):
         GN = G / n
-        if w_grid is not None:
-            w, th, u, score = _hyper_score_grid(
-                *grid_features, GN, V, spec, w_grid, theta_grid
-            )
-            return np.concatenate([w, th]), u, score
-        value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
-        L, (u, *_), score = _multistart(value, direction, (phi, psi), opts.restarts, seed)
+        w, th, u, score = _hyper_score_grid(*grid_features, GN, V, spec, w_grid, theta_grid)
+        L = np.concatenate([w, th])
+        if free:
+            value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
+            L, (u, *_), score = _ascend(value, direction, (phi, psi), L)
         return L, u, score
 
     return _AtomFamily(
@@ -415,8 +422,9 @@ def hyper_fit(
     searched jointly.  The weight-form total variation is the penalty,
     which for free payload rows is the usual sum of primal norms.  The
     loop is the flat solver's, run on the product feature.  ``w_grid`` and
-    ``theta_grid`` restrict the search to their product; give both or
-    neither.
+    ``theta_grid`` restrict the search to their product, exactly; give both
+    or neither.  Without them the candidates are drawn by opts.seed and the
+    certificate is heuristic (see ``_product_family``).
     """
     if opts.mode != "group":
         raise ValueError("hyper_fit refits free payloads (group mode only)")

@@ -6,14 +6,15 @@ The learning problem is
 
 where f_mu integrates the feature map against an atomic vector measure.
 Atoms delta_w u are inserted by a linear maximization oracle over the
-extreme points of the primal unit ball.  On fixed atoms the problem is a
-group lasso on one matrix, the lifted design D, whose column (m, i) holds
-the predictions of the unit payload e_i at atom m.  Each round builds D
-once; the payloads are refit on it by proximal and Newton steps on the
-support (accelerated proximal descent for designs wider than the data),
+extreme points of the primal unit ball; over w it scores a candidate set
+and, on a free problem, ascends from the best (ADCG).  On fixed atoms the
+problem is a group lasso on one matrix, the lifted design D, whose column
+(m, i) holds the predictions of the unit payload e_i at atom m.  Each round
+builds D once; the payloads are refit on it by proximal and Newton steps on
+the support (accelerated proximal descent for designs wider than the data),
 and the predictions are D times the payloads.  The same loop on a fixed
 weight grid, whose atom search is exhaustive, certifies the optimum by a
-duality gap.
+duality gap; a free search's certificate is heuristic.
 """
 
 from __future__ import annotations
@@ -227,12 +228,14 @@ def residual_duals(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
 
 # --------------------------------------------------------------------- lmo
 
-def _random_ball(rng, dim: int, radius: float) -> np.ndarray:
-    """Random point of the radius ball: a normal direction, then a radius."""
-    d = rng.standard_normal(dim)
-    n = float(np.sqrt(np.dot(d, d)))
-    r = radius * float(rng.uniform()) ** (1.0 / dim)
-    return d * (r / n) if n > 0 else np.zeros(dim)
+SEARCH_POINTS = 1024  # candidate locations of a free atom search, drawn once per fit
+
+
+def _ball_points(rng, n: int, dim: int, radius: float) -> np.ndarray:
+    """n points uniform in the radius ball: normal directions, radii R U^(1/dim)."""
+    d = rng.standard_normal((n, dim))
+    r = radius * rng.uniform(size=n) ** (1.0 / dim)
+    return d * (r / np.sqrt((d * d).sum(axis=1)))[:, None]
 
 
 def _project_balls(L: np.ndarray, features) -> np.ndarray:
@@ -298,20 +301,6 @@ def _ascend(value, direction, features, L0):
     return L, state, score
 
 
-def _multistart(value, direction, features, restarts: int, seed: int):
-    """Best of ``restarts`` ascents started at random points of the balls."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        L0 = np.concatenate([_random_ball(rng, f.dw, f.radius) for f in features])
-        cand = _ascend(value, direction, features, L0)
-        if best is None or cand[2] > best[2]:
-            best = cand
-    return best
-
-
 def _oracle_score(p: Problem, eta: np.ndarray):
     """(value, direction) of the oracle score |sum_n phi(x_n, w) eta_n| at w;
     ``direction`` reuses the feature parts ``value`` kept with the witness."""
@@ -330,26 +319,40 @@ def _oracle_score(p: Problem, eta: np.ndarray):
     return value, direction
 
 
-def lmo(p: Problem, eta, restarts: int = 32, seed: int = 0):
+def _search_set(p: Problem, seed: int = 0):
+    """Candidate locations of the atom search and their feature matrix on the
+    data: a grid problem's grid, or SEARCH_POINTS points drawn uniformly
+    from the weight ball by default_rng(seed)."""
+    if p.omega_grid is not None:
+        return p.omega_grid, p.grid_phi
+    W = _ball_points(np.random.default_rng(seed), SEARCH_POINTS, p.feature.dw, p.feature.radius)
+    return W, phi_matrix(p.feature, p.X, W)
+
+
+def lmo(p: Problem, eta, candidates=None):
     """Search for the atom delta_w u maximizing |sum_n phi(x_n, w) <eta_n, u>|.
 
     Over u the inner maximum is closed-form (primal-ball witness of the
-    aggregated dual vector).  Over w the search is exhaustive when the
-    problem carries an ``omega_grid`` (ties toward the lowest index) and
-    multistart projected ascent otherwise.  Returns (w, u, score).
+    aggregated dual vector).  Over w one product scores the candidates, a
+    ``_search_set`` (that of seed 0 when none is given), ties toward the
+    lowest index.  On a grid problem the best candidate is the answer,
+    exact over the grid.  Otherwise one projected ascent polishes it, so the
+    score is never below the candidates' best; it is a heuristic maximum.
+    Returns (w, u, score).
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (p.n_data, p.spec.dim):
         raise ValueError("residual rows do not match the problem")
     if not np.all(np.isfinite(eta)):
         raise SolverError("non-finite residual duals")
+    W, Phi = _search_set(p) if candidates is None else candidates
+    V = Phi.T @ eta
+    scores = row_norms(V, p.spec.dual_norm)
+    g = int(np.argmax(scores))
     if p.omega_grid is not None:
-        V = p.grid_phi.T @ eta
-        scores = row_norms(V, p.spec.dual_norm)
-        g = int(np.argmax(scores))
-        return p.omega_grid[g].copy(), primal_witness(p.spec, V[g]), float(scores[g])
+        return W[g].copy(), primal_witness(p.spec, V[g]), float(scores[g])
     value, direction = _oracle_score(p, eta)
-    w, (u, _), score = _multistart(value, direction, (p.feature,), restarts, seed)
+    w, (u, _), score = _ascend(value, direction, (p.feature,), W[g])
     return w, u, score
 
 
@@ -437,9 +440,9 @@ class _AtomFamily:
     (Y.size, len(L) * dim), whose column (m, i) holds the predictions of
     the unit payload e_i at atom m, so payload rows C predict
     (D @ C.ravel()).reshape(Y.shape); an empty L gives shape (Y.size, 0).
-    ``search(G, seed)`` is the atom oracle, seeded for its random starts, at
-    the residuals G = P - Y of the current model; it returns (location, unit
-    payload, score), the score on the scale of lam.
+    ``search(G)`` is the atom oracle at the residuals G = P - Y of the
+    current model; it returns (location, unit payload, score), the score on
+    the scale of lam.
     """
 
     Y: np.ndarray
@@ -589,13 +592,13 @@ class FitOptions:
     penalizes their primal norms; ``l1`` pins each atom to the
     extreme-point direction found by the oracle and penalizes its scalar
     weight (see ``_pinned``), and ``fit`` takes it only for the l1 primal
-    norm or d = 1.  The counts are stored as ints by ``_integer`` and the
-    tolerances as floats by ``_real``.
+    norm or d = 1.  ``seed`` draws the candidate set of a free atom search.
+    The counts are stored as ints by ``_integer`` and the tolerances as
+    floats by ``_real``.
     """
 
     max_atoms: int = 50
     mode: str = "group"
-    restarts: int = 32
     tol: float = 1e-3
     refit_max_iter: int = 5000
     refit_tol: float = 1e-8
@@ -604,7 +607,7 @@ class FitOptions:
     def __post_init__(self):
         # numpy seeds no generator from a negative int, and a refit that takes
         # no step prunes each new atom, so the run would stall at once
-        for name, low in (("max_atoms", 1), ("restarts", 1), ("refit_max_iter", 1), ("seed", 0)):
+        for name, low in (("max_atoms", 1), ("refit_max_iter", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         for name in ("tol", "refit_tol"):
             value = _real(getattr(self, name), name)
@@ -645,9 +648,7 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
     Each round builds the lifted design D of its locations once;
     ``_group_refit`` refits the payload rows on D and the predictions are D
     times them; a wide refit whose nonzero rows form a narrow design is
-    finished by ``_newton_refit`` on them.  Round k seeds the atom search
-    with opts.seed + 7919 k.
-    There are three exits:
+    finished by ``_newton_refit`` on them.  There are three exits:
     certified, when the oracle score drops to lam*(1+tol); atom budget, when
     a new atom would exceed opts.max_atoms; and stalled, when a round ends
     on the support it started from (the proposal merged, or its new slot was
@@ -675,7 +676,7 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
         G = P - fam.Y
         if not np.all(np.isfinite(G)):
             raise SolverError("non-finite residuals")
-        loc, _, score = fam.search(G, opts.seed + 7919 * iterations)
+        loc, _, score = fam.search(G)
         certificate = score
         if score <= threshold:
             converged = True
@@ -734,7 +735,8 @@ def _reduce_support(fam: _AtomFamily, L, C):
 
 
 def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
-    """Atoms delta_w c of the flat problem; the oracle is ``lmo``.
+    """Atoms delta_w c of the flat problem; the oracle is ``lmo`` on the
+    ``_search_set`` of opts.seed, built here once for every round.
 
     The lifted design is kron(Phi, M), M the measurement matrix (the
     identity for the identity measurement): entry ((n, j), (m, i)) is
@@ -747,9 +749,10 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
         Phi = phi_matrix(p.feature, p.X, W)
         return (Phi[:, None, :, None] * M[:, None, :]).reshape(p.Y.size, len(W) * p.spec.dim)
 
-    def search(G, seed):
-        eta = measurement_adjoint(m, G) / p.n_data
-        return lmo(p, eta, opts.restarts, seed)
+    candidates = _search_set(p, opts.seed)
+
+    def search(G):
+        return lmo(p, measurement_adjoint(m, G) / p.n_data, candidates)
 
     return _AtomFamily(
         Y=p.Y,
@@ -774,8 +777,8 @@ def _pinned(fam: _AtomFamily) -> _AtomFamily:
         D = fam.lift(L[:, :fam.width]).reshape(fam.Y.size, len(L), fam.dim)
         return (D * L[:, fam.width:]).sum(axis=2)
 
-    def search(G, seed):
-        w, u, score = fam.search(G, seed)
+    def search(G):
+        w, u, score = fam.search(G)
         return np.concatenate([w, u]), np.ones(1), score
 
     return dataclasses.replace(
@@ -815,35 +818,23 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
 
 
 def lambda_max(p: Problem) -> float:
-    """Smallest lam for which the zero measure is optimal.
-
-    Equals the oracle score at mu = 0.  Exact for grid-restricted
-    problems; otherwise the best of a sweep over the 17-per-dimension
-    product grid, one ascent polishing the sweep's best point, and 8
-    ascents from random starts seeded with 0.
-    """
-    eta = residual_duals(p, empty_measure(p.spec, p.feature.radius))
-    if p.omega_grid is not None:
-        return lmo(p, eta)[2]
-    grid = product_grid(p.feature.radius, p.feature.dw, 17)
-    w, _, score = lmo(dataclasses.replace(p, omega_grid=grid), eta)
-    value, direction = _oracle_score(p, eta)
-    best = _ascend(value, direction, (p.feature,), w)[2]
-    rand = lmo(p, eta, restarts=8)[2]
-    return max(score, best, rand)
+    """Smallest lam for which the zero measure is optimal: the ``lmo`` score
+    at mu = 0, on the candidates of seed 0.  Exact for grid-restricted
+    problems and heuristic otherwise, as the free search is."""
+    return lmo(p, residual_duals(p, empty_measure(p.spec, p.feature.radius)))[2]
 
 
 def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
     """Objective and relative duality gap of payload rows C at locations L.
 
-    With G = P - Y the residuals and s = ``fam.search(G, 0)``, the dual point
+    With G = P - Y the residuals and s = ``fam.search(G)``, the dual point
     theta = -G/N min(1, lam/s) is feasible, with the dual value
     <theta, Y> - N|theta|^2/2.  A certificate when the search is exhaustive,
     as on a grid."""
     n = fam.Y.shape[0]
     G = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) - fam.Y
     primal = _objective(fam, G, C)
-    s = fam.search(G, 0)[2]
+    s = fam.search(G)[2]
     theta = -G / n * (1.0 if s <= fam.lam else fam.lam / s)
     dual = float(np.vdot(theta, fam.Y)) - 0.5 * n * float(np.vdot(theta, theta))
     return primal, (primal - dual) / primal if primal > 0.0 else primal - dual

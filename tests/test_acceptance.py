@@ -469,7 +469,7 @@ def test_acceptance_12_cli_determinism(tmp_path, capsys):
                     "activation": "tanh"},
         "space": {"d": 2, "norm": "l2"},
         "solver": {"lambda": 0.05, "mode": "group", "max_atoms": 10,
-                   "restarts": 8, "tol": 1e-4, "seed": 11,
+                   "tol": 1e-4, "seed": 11,
                    "refit": {"max_iter": 5000, "tol": 1e-13},
                    "grid_per_dim": 5},
     }

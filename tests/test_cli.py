@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,17 +10,20 @@ import numpy as np
 import pytest
 
 import vvrkbs
-from vvrkbs import cli
+from vvrkbs import cli, solver
 from vvrkbs.cli import main
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
+from vvrkbs.measure import measure_from_json_dict
 from vvrkbs.operator_learning import hyper_evaluate, hyper_model_from_json_dict
 from vvrkbs.solver import (
     FitOptions,
     Problem,
     identity_measurement,
     lambda_max,
+    lmo,
     product_grid,
+    residual_duals,
 )
 
 
@@ -28,7 +32,6 @@ def _base_config(**solver_overrides):
         "lambda": 0.08,
         "mode": "group",
         "max_atoms": 10,
-        "restarts": 8,
         "tol": 1e-4,
         "seed": 3,
         "refit": {"max_iter": 5000, "tol": 1e-13},
@@ -64,17 +67,27 @@ def _write_fixture(tmp_path, config=None):
     return cfg, data
 
 
-def test_fit_reduces_a_support_over_the_representer_bound(tmp_path, capsys):
-    # this free fit used to exit 2 with 7 atoms over the N*d_meas bound 6
-    rng = np.random.default_rng(5)
+def test_fit_reduces_a_support_over_the_representer_bound(tmp_path, capsys, monkeypatch):
+    # this free fit certifies 8 atoms, over the N*d_meas bound 6, which
+    # exited 2 before the support was reduced to the bound
+    reduced = []
+    reduce_support = solver._reduce_support
+
+    def counted(fam, L, C):
+        reduced.append(len(L))
+        return reduce_support(fam, L, C)
+
+    monkeypatch.setattr(solver, "_reduce_support", counted)
+    rng = np.random.default_rng(15)
     x, y = rng.uniform(-1, 1, (3, 1)), rng.standard_normal((3, 2))
     rows = ["x0,y0,y1"] + [",".join(map(repr, [*a, *b])) for a, b in zip(x.tolist(), y.tolist())]
-    config = _base_config(**{"lambda": 0.01, "max_atoms": 8, "restarts": 4, "seed": 5})
+    config = _base_config(**{"lambda": 0.01, "max_atoms": 8, "seed": 15})
     del config["solver"]["grid_per_dim"], config["solver"]["refit"], config["solver"]["tol"]
     cfg = _write(tmp_path, "config.json", json.dumps(config))
     data = _write(tmp_path, "data.csv", "\n".join(rows) + "\n")
     out = str(tmp_path / "model.json")
     assert main(["fit", "--config", cfg, "--data", data, "--out", out]) == 0
+    assert reduced and reduced[0] > 6
     assert 1 <= json.loads(capsys.readouterr().out)["atom_count"] <= 6
 
 
@@ -87,6 +100,53 @@ def test_ragged_csv_rows_are_reported_as_ragged(tmp_path, capsys):
     assert "has ragged rows" in capsys.readouterr().err
     with pytest.raises(cli.DataError, match="has ragged rows"):
         cli._read_dataset_inputs_only(_write(tmp_path, "short.csv", "y0,x0\n0.1,0.2\n0.3\n"), 1)
+
+
+def _sweep_score(p, mu):
+    # the best oracle score found at mu by an exact search of the
+    # 21-per-dimension grid, one ascent from its best point and 16 ascents
+    # from seeded random points of the ball
+    eta = residual_duals(p, mu)
+    grid = product_grid(p.feature.radius, p.feature.dw, 21)
+    w, _, best = lmo(dataclasses.replace(p, omega_grid=grid), eta)
+    value, direction = solver._oracle_score(p, eta)
+    draw = np.random.default_rng(0)
+    d = draw.standard_normal((16, p.feature.dw))
+    r = p.feature.radius * draw.uniform(size=16) ** (1.0 / p.feature.dw)
+    starts = [w, *(d * (r / np.linalg.norm(d, axis=1))[:, None])]
+    return max(best, *(solver._ascend(value, direction, (p.feature,), s)[2] for s in starts))
+
+
+def test_a_free_fit_certifies_only_what_a_sweep_confirms(tmp_path, capsys):
+    # Read with "restarts": 1, this fit ascended from one random start per
+    # round and exited 0 while the sweep found an atom scoring 1.29 lam,
+    # above lam (1 + tol).  The key is no longer read: the fit scores a
+    # candidate set and polishes its best, and exits 0 only when the sweep
+    # finds nothing above lam (1 + tol) either; otherwise it must exit 3.
+    rng = np.random.default_rng(19)
+    feat = FeatureMap("neural", dx=2, radius=2.0, activation="tanh")
+    X = rng.uniform(-1.0, 1.0, (20, 2))
+    Y = phi_matrix(feat, X, rng.uniform(-0.8, 0.8, (4, 3))) @ rng.standard_normal((4, 3))
+    Y = Y + 0.05 * rng.standard_normal((20, 3))
+    p = Problem(X, Y, identity_measurement(), 1.0, feat, DualPairSpec(3, "l2"),
+                omega_grid=product_grid(2.0, 3, 9))
+    p = dataclasses.replace(p, lam=0.05 * lambda_max(p), omega_grid=None)
+    rows = ["x0,x1,y0,y1,y2"] + [",".join(map(repr, r)) for r in np.hstack([X, Y]).tolist()]
+    data = _write(tmp_path, "data.csv", "\n".join(rows) + "\n")
+    solver_section = {"lambda": p.lam, "restarts": 1, "tol": 0.05, "seed": 19}
+    models, codes = [], []
+    for name in ("with_restarts", "without"):
+        config = {"feature": {"kind": "neural", "activation": "tanh", "dx": 2, "radius": 2.0},
+                  "space": {"d": 3, "norm": "l2"}, "solver": solver_section}
+        cfg = _write(tmp_path, f"{name}.json", json.dumps(config))
+        out = tmp_path / f"{name}.model.json"
+        codes.append(main(["fit", "--config", cfg, "--data", data, "--out", str(out)]))
+        models.append(out.read_bytes())
+        solver_section = {k: v for k, v in solver_section.items() if k != "restarts"}
+    capsys.readouterr()
+    score = _sweep_score(p, measure_from_json_dict(json.loads(models[0])))
+    assert codes[0] == 3 or (codes[0] == 0 and score <= p.lam * 1.05)
+    assert codes[0] == codes[1] and models[0] == models[1]
 
 
 def test_fit_writes_model_and_report(tmp_path, capsys):
@@ -841,8 +901,8 @@ def _negative_seed(command, grid):
     return case
 
 
-_SOLVER_INTEGERS = [("solver.max_atoms", 3.9), ("solver.restarts", 2.5),
-                    ("solver.refit.max_iter", 10.5), ("solver.seed", 0.5)]
+_SOLVER_INTEGERS = [("solver.max_atoms", 3.9), ("solver.refit.max_iter", 10.5),
+                    ("solver.seed", 0.5)]
 _FLAT_INTEGERS = [("feature.dx", 1.9), ("space.d", 1.7), ("solver.grid_per_dim", 4.5),
                   ("feature.dx", True), ("solver.max_atoms", True), *_SOLVER_INTEGERS]
 INTEGER_FIELD_CASES = [

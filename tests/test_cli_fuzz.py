@@ -5,7 +5,7 @@ diagnostics on stderr.  The `fit`, `oracle` and `hyper-fit` config draws
 take their keys from the CLI's section tables (``cli._SECTIONS``), down to
 every array element, with values of every JSON kind: strings, booleans,
 fractions, NaN and infinities, which Python's json module reads and writes.
-The keys that size the work (grid_per_dim, max_atoms, restarts,
+The keys that size the work (grid_per_dim, max_atoms,
 refit.max_iter) are capped and never dropped one by one, so one example
 runs in milliseconds and the test stays bounded.  The `predict` model and
 the `deeponet` data hold no such key: any entry may take any value or be
@@ -36,10 +36,10 @@ DATA = "x0,y0,y1\n" + "".join(
 
 # Each example changes up to three entries of a working document.  In a
 # config an entry of CAPS sizes the work and keeps its numbers at or below
-# the cap; it is never dropped, since its default (50 atoms, 32 restarts,
+# the cap; it is never dropped, since its default (50 atoms,
 # 5000 refit iterations, free search) is far more work.
-CAPS = {"solver.grid_per_dim": 4, "solver.max_atoms": 5, "solver.restarts": 2,
-        "solver.refit.max_iter": 200, "oracle.grid_per_dim": 4}
+CAPS = {"solver.grid_per_dim": 4, "solver.max_atoms": 5, "solver.refit.max_iter": 200,
+        "oracle.grid_per_dim": 4}
 
 STRINGS = st.sampled_from(["", "x", "group", "l1", "2", "-1", "nan", "inf", "1e3"])
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -154,9 +154,8 @@ FIT_SECTIONS = ("feature", "space", "solver", "oracle")
 FIT_BASES = [
     {"feature": {"kind": kind, "dx": 1, "radius": 1.5, "beta": "one", **extra},
      "space": {"d": 2, "norm": "l2"},
-     "solver": {"lambda": 0.05, "mode": "group", "max_atoms": 3, "restarts": 1,
-                "tol": 1e-3, "seed": 0, "grid_per_dim": 3,
-                "refit": {"max_iter": 100, "tol": 1e-8}},
+     "solver": {"lambda": 0.05, "mode": "group", "max_atoms": 3, "tol": 1e-3,
+                "seed": 0, "grid_per_dim": 3, "refit": {"max_iter": 100, "tol": 1e-8}},
      "oracle": {"grid_per_dim": 3}}
     for kind, extra in [("neural", {"activation": "tanh"}),
                         ("tabulated", {"x_grid": [-1.0, 0.0, 1.0], "w_grid": [-1.5, 1.5],
@@ -233,7 +232,7 @@ HYPER_CONFIG = {
             "activation": "sigmoid"},
     "space": {"d": 2, "norm": "l2"},
     "sampling": {"points": [[0.2], [-0.5]], "functionals": [[1.0, 0.0], [0.5, -1.0]]},
-    "solver": {"lambda": 0.05, "max_atoms": 3, "restarts": 1, "tol": 1e-3,
+    "solver": {"lambda": 0.05, "max_atoms": 3, "tol": 1e-3,
                "seed": 0, "refit": {"max_iter": 100, "tol": 1e-8}},
     "grids": {"w": [[0.5, 0.1], [-0.4, 0.3]], "theta": [[0.2, -0.1], [-0.3, 0.4]]},
 }
@@ -250,7 +249,7 @@ def test_hyper_fit_configs_never_raise(config):
 
 FIT_CONFIG = {
     "feature": FEATURE, "space": {"d": 2, "norm": "l2"},
-    "solver": {"lambda": 0.05, "max_atoms": 3, "restarts": 1, "grid_per_dim": 3,
+    "solver": {"lambda": 0.05, "max_atoms": 3, "grid_per_dim": 3,
                "refit": {"max_iter": 100}},
 }
 CELLS = st.one_of(

@@ -28,8 +28,8 @@ Y = np.array([[0.9, -0.3], [0.2, 0.8], [-0.5, 0.1]])
 
 FEATURE = {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "one", "activation": "tanh"}
 PSI = {"kind": "neural", "dx": 1, "radius": 1.2, "beta": "one", "activation": "sigmoid"}
-# free search, so a solver option no grid run reads (restarts) is read here
-SOLVER = {"lambda": 0.05, "mode": "group", "max_atoms": 3, "restarts": 1, "tol": 1e-3,
+# free search, where the seed draws the atom search's candidates
+SOLVER = {"lambda": 0.05, "mode": "group", "max_atoms": 3, "tol": 1e-3,
           "seed": 0, "refit": {"max_iter": 100, "tol": 1e-8}}
 FIT = {"feature": FEATURE, "space": {"d": 2, "norm": "l2"}, "solver": SOLVER,
        "oracle": {"grid_per_dim": 3}}
@@ -68,20 +68,19 @@ def _set(doc, path, value):
 
 def _api_solver(s):
     # the options FitOptions holds, lam through the Problem and fit's check
-    FitOptions(max_atoms=s["max_atoms"], mode=s["mode"], restarts=s["restarts"], tol=s["tol"],
-               seed=s["seed"], refit_max_iter=s["refit"]["max_iter"],
-               refit_tol=s["refit"]["tol"])
+    FitOptions(max_atoms=s["max_atoms"], mode=s["mode"], tol=s["tol"], seed=s["seed"],
+               refit_max_iter=s["refit"]["max_iter"], refit_tol=s["refit"]["tol"])
     if s.get("grid_per_dim") is not None:
         product_grid(1.5, 2, s["grid_per_dim"])
     problem = Problem(X, Y, identity_measurement(), s["lambda"],
                       FeatureMap(**FEATURE), DualPairSpec(2))
-    fit(problem, FitOptions(max_atoms=1, restarts=1))
+    fit(problem, FitOptions(max_atoms=1))
 
 
 def _api_grids(s):
     sampling = SampledMeasurement([[0.2], [-0.5]], [[1.0, 0.0], [0.5, -1.0]])
     hyper_fit(X, Y, sampling, FeatureMap(**FEATURE), FeatureMap(**PSI), DualPairSpec(2), 0.05,
-              FitOptions(max_atoms=3, restarts=1), s.get("w"), s.get("theta"))
+              FitOptions(max_atoms=3), s.get("w"), s.get("theta"))
 
 
 # (command that reads the section, base config, the API call on the section)
@@ -129,7 +128,6 @@ def test_the_api_raises_exactly_where_the_cli_exits_2(field, value):
 # in every command that reads the field.
 REFUSED = [
     *((c, "solver.lambda", v) for c in ("fit", "oracle", "hyper-fit") for v in ("0.05", True)),
-    *((c, "solver.restarts", 0) for c in ("fit", "oracle", "hyper-fit")),
     *((c, "feature.radius", "2.0") for c in ("fit", "oracle")),
     ("hyper-fit", "phi.radius", "2.0"), ("hyper-fit", "psi.radius", "2.0"),
     ("hyper-fit", "grids.w.0.0", "0.5"), ("hyper-fit", "sampling.points.0.0", True),
@@ -137,7 +135,7 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("command, field, value", REFUSED)
-def test_strings_booleans_and_zero_restarts_exit_2(command, field, value):
+def test_strings_and_booleans_exit_2(command, field, value):
     base = _set(HYPER if command == "hyper-fit" else FIT, "solver.grid_per_dim", 3)
     assert _run(command, _set(base, field, value))[0] == 2
 
@@ -165,15 +163,43 @@ def test_readme_tables_list_exactly_the_fields_of_the_cli_tables():
     assert _readme_tables() == fields
 
 
-def test_every_readme_config_example_passes_the_config_reader():
+def _readme_config_examples():
+    """The JSON blocks of README.md that hold a config section; a report or
+    an elided shape, such as {...}, is not JSON."""
     examples = []
     for block in re.findall(r"```json\n(.*?)```", README.read_text(), re.S):
         try:
             doc = json.loads(block)
         except json.JSONDecodeError:
-            continue  # a report or an elided shape, such as {...}
-        if isinstance(doc, dict) and set(doc) <= set(cli._SECTIONS):
+            continue
+        if isinstance(doc, dict) and set(doc) & set(cli._SECTIONS):
             examples.append(doc)
+    return examples
+
+
+def _unread(doc, table, prefix=""):
+    """The dotted paths of ``doc`` that ``table`` does not read."""
+    for key, value in doc.items():
+        path = prefix + key
+        if path not in table and isinstance(value, dict):
+            yield from _unread(value, table, path + ".")
+        elif path not in table:
+            yield path
+
+
+def test_every_key_of_a_readme_config_example_is_read():
+    # a key no table reads is ignored by the CLI, so an example that holds
+    # one documents a setting that does nothing
+    examples = _readme_config_examples()
+    assert len(examples) >= 2
+    for doc in examples:
+        assert [name for name in doc if name not in cli._SECTIONS] == []
+        assert [f"{name}.{path}" for name, section in doc.items()
+                for path in _unread(section, cli._SECTIONS[name][1])] == []
+
+
+def test_every_readme_config_example_passes_the_config_reader():
+    examples = _readme_config_examples()
     assert len(examples) >= 2
     for doc in examples:
         built = {}

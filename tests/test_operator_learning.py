@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import tracemalloc
 
@@ -38,7 +39,7 @@ from vvrkbs.operator_learning import (
     hyper_objective,
     weight_form_tv,
 )
-from vvrkbs import operator_learning
+from vvrkbs import operator_learning, solver
 from vvrkbs.operator_learning import _hyper_oracle_score, _hyper_score_grid
 
 
@@ -630,11 +631,40 @@ def test_hyper_fit_free_search_smoke():
     samp = SampledMeasurement(np.array([[0.3]]), np.array([[1.0]]))
     state = hyper_fit(
         Z, Y, samp, phi, psi, spec, 0.05,
-        opts=FitOptions(max_atoms=8, restarts=8, tol=1e-4, refit_tol=1e-10),
+        opts=FitOptions(max_atoms=8, tol=1e-4, refit_tol=1e-10),
     )
     assert state.converged
     assert state.certificate <= 0.05 * (1 + 1e-4)
     assert state.objective_history[-1] <= state.objective_history[0]
+
+
+def test_a_certified_free_hyper_fit_leaves_no_candidate_above_the_threshold():
+    # the free product search scores isqrt(SEARCH_POINTS) w candidates times
+    # as many theta candidates, drawn by default_rng(seed) w first, and
+    # polishes the best pair; at a certified model no pair scores above
+    # lam (1 + tol), here scored by one contraction over tasks, samples and
+    # functionals (up to the rounding of the model's predictions)
+    rng = np.random.default_rng(3)
+    spec = DualPairSpec(2, "l2")
+    phi, psi = _neural(1, 1.5, "tanh"), _neural(1, 1.2, "sigmoid")
+    Z, Xj = rng.uniform(-1.0, 1.0, (8, 1)), np.linspace(-1.0, 1.0, 4)[:, None]
+    Vf, Y = rng.standard_normal((4, 2)), rng.standard_normal((8, 4))
+    draw, k = np.random.default_rng(4), math.isqrt(solver.SEARCH_POINTS)
+    Wc = solver._ball_points(draw, k, phi.dw, phi.radius)
+    Tc = solver._ball_points(draw, k, psi.dw, psi.radius)
+
+    def best_pair(G):
+        Q = np.einsum("nw,nj,jt,jd->wtd", phi_matrix(phi, Z, Wc), G / len(Z),
+                      phi_matrix(psi, Xj, Tc), Vf)
+        return float(np.sqrt((Q * Q).sum(axis=2)).max())
+
+    lam = 0.2 * best_pair(-Y)
+    opts = FitOptions(max_atoms=20, seed=4)
+    state = hyper_fit(Z, Y, SampledMeasurement(Xj, Vf), phi, psi, spec, lam, opts)
+    assert state.converged and len(state.model.a) >= 2
+    m = state.model
+    P = (phi_matrix(phi, Z, m.W) * m.a) @ (phi_matrix(psi, Xj, m.Theta) * (m.V @ Vf.T).T).T
+    assert best_pair(P - Y) <= lam * (1.0 + opts.tol) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -294,8 +294,54 @@ def test_lmo_ascent_reaches_grid_optimum():
     grid = product_grid(p.feature.radius, 2, 9)
     V = phi_matrix(p.feature, p.X, grid).T @ eta
     grid_best = max(float(np.linalg.norm(v)) for v in V)
-    _, _, score = lmo(p, eta, restarts=16, seed=7)
+    _, _, score = lmo(p, eta)
     assert score >= grid_best - 1e-6
+
+
+def test_free_lmo_polishes_the_best_candidate():
+    # the free search scores its candidate set with one product and ascends
+    # from the best candidate, so it never returns less than the set's best;
+    # the score is that of the returned atom
+    rng = np.random.default_rng(21)
+    for seed in range(5):
+        p = _neural_problem(rng, n=6, dim=2)
+        eta = rng.standard_normal((6, 2))
+        W, Phi = solver._search_set(p, seed)
+        assert W.shape == (solver.SEARCH_POINTS, p.feature.dw)
+        assert np.all(np.sqrt((W * W).sum(axis=1)) <= p.feature.radius)
+        best = float(row_norms(Phi.T @ eta, "l2").max())
+        w, u, score = lmo(p, eta, (W, Phi))
+        assert score >= best * (1.0 - 1e-12)
+        atom = phi_matrix(p.feature, p.X, w[None, :])[:, 0] @ eta @ u
+        assert score == pytest.approx(abs(atom), rel=1e-12)
+
+
+@pytest.mark.parametrize("grid_per_dim", [None, 5])
+def test_lambda_max_is_the_lmo_score_at_the_zero_measure(grid_per_dim):
+    # free problems search the candidate set of seed 0, grid problems the grid
+    p = _neural_problem(np.random.default_rng(7), n=5, grid_per_dim=grid_per_dim)
+    eta = residual_duals(p, empty_measure(p.spec, p.feature.radius))
+    assert lambda_max(p) == lmo(p, eta)[2] == lmo(p, eta, solver._search_set(p, 0))[2]
+    if grid_per_dim is not None:
+        V = phi_matrix(p.feature, p.X, p.omega_grid).T @ eta
+        assert lambda_max(p) == float(row_norms(V, "l2").max())
+
+
+@pytest.mark.parametrize("mode, norm", [("group", "l2"), ("l1", "l1")])
+def test_a_certified_free_fit_leaves_no_candidate_above_the_threshold(mode, norm):
+    # the certificate is the polished score, never below the candidates'
+    # best, so a certified fit's candidate set holds no atom above
+    # lam (1 + tol) at the returned measure (up to the rounding by which its
+    # predictions differ from the engine's)
+    for seed in range(4):
+        p = _neural_problem(np.random.default_rng(seed), n=5, dim=2, norm=norm)
+        p = dataclasses.replace(p, lam=0.2 * lambda_max(p))
+        opts = FitOptions(max_atoms=20, mode=mode, seed=seed)
+        state = fit(p, opts)
+        assert state.converged
+        _, Phi = solver._search_set(p, seed)
+        V = Phi.T @ residual_duals(p, state.measure)
+        assert row_norms(V, p.spec.dual_norm).max() <= p.lam * (1.0 + opts.tol) * (1.0 + 1e-9)
 
 
 def test_lmo_rejects_nonfinite_residuals():
@@ -476,7 +522,7 @@ def test_fit_l1_mode_splits_one_location_into_one_atom_per_axis():
 def test_fit_deterministic_given_seed():
     rng = np.random.default_rng(11)
     p = _neural_problem(rng, n=3, dim=2, lam=0.05)
-    opts = FitOptions(max_atoms=4, restarts=6, seed=123)
+    opts = FitOptions(max_atoms=4, seed=123)
     s1 = fit(p, opts)
     s2 = fit(p, opts)
     assert s1.objective_history == s2.objective_history
@@ -498,19 +544,28 @@ def test_fit_refits_a_support_wider_than_the_data_by_fista(monkeypatch):
 
     monkeypatch.setattr(solver, "_fista", counted)
     p = _neural_problem(np.random.default_rng(1), n=3, dim=2, lam=0.01)
-    state = fit(p, FitOptions(max_atoms=8, restarts=4, seed=1))
+    state = fit(p, FitOptions(max_atoms=8, seed=1))
     assert calls and all(calls)
     history = state.objective_history
     assert all(b <= a for a, b in zip(history, history[1:]))
     assert objective(p, state.measure) <= history[-1] * (1.0 + 1e-12)
 
 
-def test_fit_reduces_a_support_over_the_representer_bound():
-    # 3 rows of 2 observations: these wide refits used to certify 7 atoms
-    # and fail the N*d_meas = 6 bound; the support is reduced to the bound,
-    # and the last history entry is the objective of the returned measure
-    p = _neural_problem(np.random.default_rng(5), n=3, dim=2, lam=0.01)
-    state = fit(p, FitOptions(max_atoms=8, restarts=4, seed=5))
+def test_fit_reduces_a_support_over_the_representer_bound(monkeypatch):
+    # 3 rows of 2 observations: these wide refits certify 8 atoms, over the
+    # N*d_meas = 6 bound; the support is reduced to the bound, and the last
+    # history entry is the objective of the returned measure
+    reduced = []
+    reduce_support = solver._reduce_support
+
+    def counted(fam, L, C):
+        reduced.append(len(L))
+        return reduce_support(fam, L, C)
+
+    monkeypatch.setattr(solver, "_reduce_support", counted)
+    p = _neural_problem(np.random.default_rng(15), n=3, dim=2, lam=0.01)
+    state = fit(p, FitOptions(max_atoms=8, seed=15))
+    assert reduced and reduced[0] > p.Y.size
     assert state.converged and len(state.measure) <= p.Y.size
     assert abs(objective(p, state.measure) - state.objective_history[-1]) <= 1e-12
 

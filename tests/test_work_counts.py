@@ -30,7 +30,6 @@ from vvrkbs.solver import (
     grid_oracle,
     identity_measurement,
     lambda_max,
-    lmo,
     product_grid,
     residual_duals,
 )
@@ -50,11 +49,24 @@ def _teacher_problem(seed, n=30, grid_per_dim=5):
     return dataclasses.replace(p, lam=0.05 * lambda_max(p))
 
 
+def _random_ascents(q, eta, starts=4, seed=5):
+    # the ascents these counts were taken on: ``starts`` ascents on the
+    # free problem q, each from a point uniform in the weight ball (a normal
+    # direction, then a radius) drawn by default_rng(seed)
+    rng = np.random.default_rng(seed)
+    value, direction = solver._oracle_score(q, eta)
+    dim, radius = q.feature.dw, q.feature.radius
+    for _ in range(starts):
+        d = rng.standard_normal(dim)
+        r = radius * float(rng.uniform()) ** (1.0 / dim)
+        solver._ascend(value, direction, (q.feature,), d * (r / float(np.sqrt(np.dot(d, d)))))
+
+
 def test_step_rules_cut_refit_and_ascent_work(monkeypatch):
     # Per-problem counts swing both ways (one ascent count of the ten went
     # from 804 to 1514), so the guard sums ten seeded problems.  Totals with
     # the earlier rules: 2954 proximal maps in the grid-restricted fits and
-    # grid oracles, 7949 score evaluations in the free-search searches on the
+    # grid oracles, 7949 score evaluations in the random-start ascents on the
     # fitted residuals.  With the step rules: 1866 and 5375.
     prox_calls, evals = [], []
     prox_rows, oracle_score = solver._prox_rows, solver._oracle_score
@@ -79,7 +91,7 @@ def test_step_rules_cut_refit_and_ascent_work(monkeypatch):
         state = fit(p, FitOptions(max_atoms=20, seed=3))
         grid_oracle(p, 5)
         q = dataclasses.replace(p, omega_grid=None)
-        lmo(q, residual_duals(q, state.measure), restarts=4, seed=5)
+        _random_ascents(q, residual_duals(q, state.measure))
 
     assert len(prox_calls) <= 0.75 * 2954
     assert len(evals) <= 0.75 * 7949
@@ -88,7 +100,7 @@ def test_step_rules_cut_refit_and_ascent_work(monkeypatch):
 def test_newton_refit_and_spectral_ascent_cut_inner_iterations(monkeypatch):
     # Sums over the ten seeded problems.  With FISTA refits and ascent steps
     # that start from the carried step, the grid-restricted CG fits took 786
-    # proximal maps and the free-search searches on their fitted residuals
+    # proximal maps and the random-start ascents on their fitted residuals
     # 3800 score evaluations.  Newton steps on the support and spectral steps:
     # 101 and 959.
     prox_calls, evals = [], []
@@ -109,7 +121,7 @@ def test_newton_refit_and_spectral_ascent_cut_inner_iterations(monkeypatch):
         p = _teacher_problem(seed)
         state = fit(p, FitOptions(max_atoms=20, seed=3))
         q = dataclasses.replace(p, omega_grid=None)
-        lmo(q, residual_duals(q, state.measure), restarts=4, seed=5)
+        _random_ascents(q, residual_duals(q, state.measure))
 
     assert len(prox_calls) <= 0.25 * 786
     assert len(evals) <= 0.5 * 3800
@@ -118,7 +130,7 @@ def test_newton_refit_and_spectral_ascent_cut_inner_iterations(monkeypatch):
 def test_free_search_evaluates_the_feature_once_per_score(monkeypatch):
     # An ascent direction reuses the pre-activation, activation and beta the
     # score evaluation at the same point kept.  When each direction called
-    # grad_phi_w_batch, these three searches made 508 activation passes for
+    # grad_phi_w_batch, these three sets of ascents made 508 activation passes for
     # 314 score evaluations (and 508 phi_matrix/grad_phi_w_batch calls).
     # Spectral (Barzilai-Borwein) steps cut the evaluations to 219.
     problems = [_teacher_problem(seed) for seed in range(3)]
@@ -142,10 +154,72 @@ def test_free_search_evaluates_the_feature_once_per_score(monkeypatch):
     monkeypatch.setattr(feature, "_act", counted_act)
     for p in problems:
         q = dataclasses.replace(p, omega_grid=None)
-        lmo(q, residual_duals(q, measure.empty_measure(q.spec, q.feature.radius)),
-            restarts=4, seed=5)
+        _random_ascents(q, residual_duals(q, measure.empty_measure(q.spec, q.feature.radius)))
     assert len(evals) == 219
     assert len(activations) == len(evals)
+
+
+def test_free_fit_builds_its_candidate_features_once(monkeypatch):
+    # a free search scores SEARCH_POINTS candidates with one product per
+    # round; their feature matrix, N x SEARCH_POINTS entries, is built once
+    # per fit, as a grid's is
+    shapes = []
+    original = solver.phi_matrix
+
+    def counted(f, X, W):
+        out = original(f, X, W)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(solver, "phi_matrix", counted)
+    rounds = 0
+    for seed in range(3):
+        p = dataclasses.replace(_teacher_problem(seed), omega_grid=None)
+        rounds += fit(p, FitOptions(max_atoms=20, seed=3)).iterations
+    assert rounds >= 3 * 3
+    assert shapes.count((30, solver.SEARCH_POINTS)) == 3
+
+
+def test_each_free_search_runs_one_ascent_and_a_grid_search_none(monkeypatch):
+    # the candidates' best is polished by one ascent in a free search, flat
+    # or two-level; a grid search is exhaustive and ascends nowhere
+    ascents, flat, product = [], [], []
+    ascend = solver._ascend
+
+    def counted(*args):
+        ascents.append(1)
+        return ascend(*args)
+
+    monkeypatch.setattr(solver, "_ascend", counted)
+    monkeypatch.setattr(operator_learning, "_ascend", counted)
+    _counted(monkeypatch, "lmo", flat)
+    score_grid = operator_learning._hyper_score_grid
+
+    def counted_grid(*args):
+        product.append(1)
+        return score_grid(*args)
+
+    monkeypatch.setattr(operator_learning, "_hyper_score_grid", counted_grid)
+    p = _teacher_problem(0)
+    state = fit(p, FitOptions(max_atoms=20, seed=3))
+    assert len(flat) >= state.iterations >= 2 and ascents == []
+    searches = len(flat)
+    state = fit(dataclasses.replace(p, omega_grid=None), FitOptions(max_atoms=20, seed=3))
+    assert len(ascents) == len(flat) - searches >= state.iterations >= 2
+
+    rng = np.random.default_rng(8)
+    phi = psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
+    Z, Xj = rng.uniform(-1.0, 1.0, (20, 1)), np.linspace(-1.0, 1.0, 6)[:, None]
+    W, T = rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, (3, 2))
+    Y = phi_matrix(phi, Z, W) @ (phi_matrix(psi, Xj, T) * rng.standard_normal(3)).T
+    args = (Z, Y, SampledMeasurement(Xj, np.ones((6, 1))), phi, psi, DualPairSpec(1, "l2"), 0.01,
+            FitOptions(max_atoms=20))
+    before = len(ascents)
+    state = hyper_fit(*args, w_grid=product_grid(2.0, 2, 7), theta_grid=product_grid(2.0, 2, 5))
+    assert len(ascents) == before and len(product) >= state.iterations >= 2
+    searches = len(product)
+    state = hyper_fit(*args)
+    assert len(ascents) - before == len(product) - searches >= state.iterations >= 2
 
 
 def _grid_builds(monkeypatch, module, grids):
@@ -263,7 +337,7 @@ def test_refit_takes_one_gradient_per_descent_step(monkeypatch):
 
 
 def test_ascent_does_not_regrow_a_halved_step(monkeypatch):
-    # Score evaluations of the free-search searches on the fitted residuals
+    # Score evaluations of the random-start ascents on the fitted residuals
     # of the ten problems: 5375 when every accepted step was doubled for the
     # next trial, 3800 when only a step accepted on its first trial is.
     evals = []
@@ -283,7 +357,7 @@ def test_ascent_does_not_regrow_a_halved_step(monkeypatch):
         p = _teacher_problem(seed)
         state = fit(p, FitOptions(max_atoms=20, seed=3))
         q = dataclasses.replace(p, omega_grid=None)
-        lmo(q, residual_duals(q, state.measure), restarts=4, seed=5)
+        _random_ascents(q, residual_duals(q, state.measure))
 
     assert len(evals) <= 0.8 * 5375
 
