@@ -140,6 +140,40 @@ def test_strings_and_booleans_exit_2(command, field, value):
     assert _run(command, _set(base, field, value))[0] == 2
 
 
+def _outputs(command, config):
+    """Exit code, stdout report without its clock and config digest, and the
+    written model's bytes of ``command`` on ``config`` and the fixed data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp)
+        (path / "cfg.json").write_text(json.dumps(config))
+        (path / "data.csv").write_text(DATA)
+        argv = [command, "--config", str(path / "cfg.json"), "--data", str(path / "data.csv")]
+        if command != "oracle":
+            argv += ["--out", str(path / "out.json")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        report = json.loads(out.getvalue())
+        for key in ("wall_time_ms", "config_digest"):
+            report.pop(key, None)
+        model = (path / "out.json").read_bytes() if command != "oracle" else None
+        return code, report, model
+
+
+@pytest.mark.parametrize("command", ["fit", "oracle", "hyper-fit"])
+def test_a_restarts_key_is_read_by_no_command(command):
+    # solver.restarts counted the random-start ascents of a free atom search,
+    # and 0 exited 2; the search now scores a candidate set drawn by the
+    # seed, so the key is ignored like any key no table reads, on a free
+    # search too
+    base = _set(HYPER if command == "hyper-fit" else FIT, "solver.max_atoms", 10)
+    base.pop("grids", None)
+    without = _outputs(command, base)
+    assert without[0] == 0
+    for value in (0, 32, "8"):
+        assert _outputs(command, _set(base, "solver.restarts", value)) == without
+
+
 HEADER = ["type", "range", "default", "read by"]
 
 

@@ -298,6 +298,23 @@ def test_lmo_ascent_reaches_grid_optimum():
     assert score >= grid_best - 1e-6
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+def test_ball_points_are_uniform_in_the_ball_and_follow_the_seed(dim):
+    # the free search's candidates: a normal direction, then radius
+    # R U^(1/dim), so half the points lie within R 2^(-1/dim), every
+    # coordinate's mean is 0 and its variance R^2/(dim + 2)
+    n, radius = 4096, 1.5
+    W = solver._ball_points(np.random.default_rng(11), n, dim, radius)
+    assert W.shape == (n, dim)
+    r = np.sqrt((W * W).sum(axis=1))
+    assert np.all(r <= radius)
+    assert np.mean(r <= radius * 0.5 ** (1.0 / dim)) == pytest.approx(0.5, abs=0.04)
+    assert np.abs(W.mean(axis=0)).max() <= 6.0 * radius / math.sqrt((dim + 2) * n)
+    assert W.var(axis=0) == pytest.approx(np.full(dim, radius**2 / (dim + 2)), rel=0.1)
+    assert np.array_equal(W, solver._ball_points(np.random.default_rng(11), n, dim, radius))
+    assert not np.array_equal(W, solver._ball_points(np.random.default_rng(12), n, dim, radius))
+
+
 def test_free_lmo_polishes_the_best_candidate():
     # the free search scores its candidate set with one product and ascends
     # from the best candidate, so it never returns less than the set's best;
