@@ -44,11 +44,11 @@ from .solver import (
     SEARCH_POINTS,
     FitOptions,
     _AtomFamily,
-    _ascend,
     _ball_points,
     _cg_fit,
     _data_fit,
     _grid_solve,
+    _polish,
     _positive_lam,
 )
 
@@ -331,7 +331,8 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
     feature matrices are built here once for every round: the grids when
     given, exact over their product; otherwise isqrt(SEARCH_POINTS) points
     uniform in each ball, drawn by default_rng(opts.seed) w points first,
-    and one ascent over both balls polishes the best pair.
+    and ascents over both balls polish the best pairs as ``lmo`` polishes
+    its candidates (``_polish``, up to the certification threshold).
     """
     n, dw = Z.shape[0], phi.dw
     Xj, V = sampling.points, sampling.functionals
@@ -340,18 +341,24 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
         rng, k = np.random.default_rng(opts.seed), math.isqrt(SEARCH_POINTS)
         w_grid = _ball_points(rng, k, phi.dw, phi.radius)
         theta_grid = _ball_points(rng, k, psi.dw, psi.radius)
+        # pair i = t * k + g is (w_grid[g], theta_grid[t]), the order of the scores
+        starts = np.hstack([np.tile(w_grid, (k, 1)), np.repeat(theta_grid, k, axis=0)])
     grid_features = phi_matrix(phi, Z, w_grid), phi_matrix(psi, Xj, theta_grid)
+    threshold = lam * (1.0 + opts.tol)
 
     def lift(L):
         return _product_design(phi_matrix(phi, Z, L[:, :dw]), phi_matrix(psi, Xj, L[:, dw:]), V)
 
     def search(G):
         GN = G / n
-        w, th, u, score = _hyper_score_grid(*grid_features, GN, V, spec, w_grid, theta_grid)
-        L = np.concatenate([w, th])
-        if free:
-            value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
-            L, (u, *_), score = _ascend(value, direction, (phi, psi), L)
+        if not free:
+            w, th, u, score = _hyper_score_grid(*grid_features, GN, V, spec, w_grid, theta_grid)
+            return np.concatenate([w, th]), u, score
+        PhiG, PsiG = grid_features  # 32 x 32 pairs: one batch, as the grid's first
+        Q = ((PhiG.T @ GN)[None, :, :] * PsiG.T[:, None, :]) @ V
+        scores = row_norms(Q.reshape(-1, Q.shape[2]), spec.dual_norm)
+        value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
+        L, (u, *_), score = _polish(scores, starts, value, direction, (phi, psi), threshold)
         return L, u, score
 
     return _AtomFamily(

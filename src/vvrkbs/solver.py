@@ -7,14 +7,15 @@ The learning problem is
 where f_mu integrates the feature map against an atomic vector measure.
 Atoms delta_w u are inserted by a linear maximization oracle over the
 extreme points of the primal unit ball; over w it scores a candidate set
-and, on a free problem, ascends from the best (ADCG).  On fixed atoms the
-problem is a group lasso on one matrix, the lifted design D, whose column
-(m, i) holds the predictions of the unit payload e_i at atom m.  Each round
-builds D once; the payloads are refit on it by proximal and Newton steps on
-the support (accelerated proximal descent for designs wider than the data),
-and the predictions are D times the payloads.  The same loop on a fixed
-weight grid, whose atom search is exhaustive, certifies the optimum by a
-duality gap; a free search's certificate is heuristic.
+and, on a free problem, ascends from the best (ADCG), and on a sparse set
+from further ones while none beats the certification threshold.  On fixed
+atoms the problem is a group lasso on one matrix, the lifted design D, whose
+column (m, i) holds the predictions of the unit payload e_i at atom m.  Each
+round builds D once; the payloads are refit on it by proximal and Newton
+steps on the support (accelerated proximal descent for designs wider than
+the data), and the predictions are D times the payloads.  The same loop on
+a fixed weight grid, whose atom search is exhaustive, certifies the optimum
+by a duality gap; a free search's certificate is heuristic.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def residual_duals(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
 # --------------------------------------------------------------------- lmo
 
 SEARCH_POINTS = 1024  # candidate locations of a free atom search, drawn once per fit
+POLISHES = 32  # most candidates a search of a sparse set polishes before it reports none
+DENSE = 8  # points per dimension from which a candidate set counts as dense
+_SET_BLOCK = 1 << 20  # entries of a candidate feature matrix held at once
 
 
 def _ball_points(rng, n: int, dim: int, radius: float) -> np.ndarray:
@@ -319,26 +323,56 @@ def _oracle_score(p: Problem, eta: np.ndarray):
     return value, direction
 
 
+def _polish(scores, starts, value, direction, features, bar):
+    """The best (L, state, score) of ascents from the best-scoring rows of
+    ``starts`` in turn, ties to the lowest index: one on a set of at least
+    DENSE points per dimension; on a sparser one, whose best candidate may
+    stand on a support atom's hill below a higher hill, up to POLISHES until
+    one exceeds bar, each passing over the candidates nearer an earlier
+    ascent's end L than its start s was, as likely to climb to L again."""
+    polishes = POLISHES if len(starts) < DENSE ** starts.shape[1] else 1
+    g, best, open_ = int(np.argmax(scores)), None, np.ones(len(scores), dtype=bool)
+    for k in range(polishes):
+        found = _ascend(value, direction, features, starts[g])
+        if best is None or found[2] > best[2]:
+            best = found
+        if best[2] > bar or k + 1 == polishes:
+            break
+        d = starts - found[0]
+        open_ &= np.einsum("ij,ij->i", d, d) >= d[g] @ d[g]
+        open_[g] = False
+        if not open_.any():
+            break
+        g = int(np.argmax(np.where(open_, scores, -np.inf)))
+    return best
+
+
 def _search_set(p: Problem, seed: int = 0):
     """Candidate locations of the atom search and their feature matrix on the
     data: a grid problem's grid, or SEARCH_POINTS points drawn uniformly
-    from the weight ball by default_rng(seed)."""
+    from the weight ball by default_rng(seed).  A free set's matrix is None
+    when it would hold more than _SET_BLOCK entries; ``lmo`` then builds it
+    a block of candidates at a time."""
     if p.omega_grid is not None:
         return p.omega_grid, p.grid_phi
     W = _ball_points(np.random.default_rng(seed), SEARCH_POINTS, p.feature.dw, p.feature.radius)
-    return W, phi_matrix(p.feature, p.X, W)
+    return W, phi_matrix(p.feature, p.X, W) if p.n_data * len(W) <= _SET_BLOCK else None
 
 
-def lmo(p: Problem, eta, candidates=None):
+def lmo(p: Problem, eta, candidates=None, bar=math.inf):
     """Search for the atom delta_w u maximizing |sum_n phi(x_n, w) <eta_n, u>|.
 
     Over u the inner maximum is closed-form (primal-ball witness of the
     aggregated dual vector).  Over w one product scores the candidates, a
     ``_search_set`` (that of seed 0 when none is given), ties toward the
     lowest index.  On a grid problem the best candidate is the answer,
-    exact over the grid.  Otherwise one projected ascent polishes it, so the
-    score is never below the candidates' best; it is a heuristic maximum.
-    Returns (w, u, score).
+    exact over the grid.  Otherwise projected ascents polish the best
+    candidates in turn (``_polish``): the best one, and on a sparse set the
+    next ones while no polished score exceeds ``bar``, which a fit sets to
+    its certification threshold.  A free set whose matrix is not held is
+    scored a block of _SET_BLOCK entries at a time.  The score is never
+    below the candidates' best; it is a heuristic maximum.  Returns
+    (w, u, score).
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (p.n_data, p.spec.dim):
@@ -346,13 +380,18 @@ def lmo(p: Problem, eta, candidates=None):
     if not np.all(np.isfinite(eta)):
         raise SolverError("non-finite residual duals")
     W, Phi = _search_set(p) if candidates is None else candidates
-    V = Phi.T @ eta
+    if Phi is None:
+        step = max(1, _SET_BLOCK // p.n_data)
+        V = np.concatenate([phi_matrix(p.feature, p.X, W[i:i + step]).T @ eta
+                            for i in range(0, len(W), step)])
+    else:
+        V = Phi.T @ eta
     scores = row_norms(V, p.spec.dual_norm)
-    g = int(np.argmax(scores))
     if p.omega_grid is not None:
+        g = int(np.argmax(scores))
         return W[g].copy(), primal_witness(p.spec, V[g]), float(scores[g])
     value, direction = _oracle_score(p, eta)
-    w, (u, _), score = _ascend(value, direction, (p.feature,), W[g])
+    w, (u, _), score = _polish(scores, W, value, direction, (p.feature,), bar)
     return w, u, score
 
 
@@ -736,7 +775,8 @@ def _reduce_support(fam: _AtomFamily, L, C):
 
 def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
     """Atoms delta_w c of the flat problem; the oracle is ``lmo`` on the
-    ``_search_set`` of opts.seed, built here once for every round.
+    ``_search_set`` of opts.seed, built here once for every round, up to
+    the certification threshold lam (1 + opts.tol).
 
     The lifted design is kron(Phi, M), M the measurement matrix (the
     identity for the identity measurement): entry ((n, j), (m, i)) is
@@ -750,9 +790,10 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
         return (Phi[:, None, :, None] * M[:, None, :]).reshape(p.Y.size, len(W) * p.spec.dim)
 
     candidates = _search_set(p, opts.seed)
+    threshold = p.lam * (1.0 + opts.tol)
 
     def search(G):
-        return lmo(p, measurement_adjoint(m, G) / p.n_data, candidates)
+        return lmo(p, measurement_adjoint(m, G) / p.n_data, candidates, threshold)
 
     return _AtomFamily(
         Y=p.Y,
@@ -819,8 +860,9 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
 
 def lambda_max(p: Problem) -> float:
     """Smallest lam for which the zero measure is optimal: the ``lmo`` score
-    at mu = 0, on the candidates of seed 0.  Exact for grid-restricted
-    problems and heuristic otherwise, as the free search is."""
+    at mu = 0, on the candidates of seed 0 with no threshold to beat, so a
+    sparse set runs all its polishes.  Exact for grid-restricted problems
+    and heuristic otherwise, as the free search is."""
     return lmo(p, residual_duals(p, empty_measure(p.spec, p.feature.radius)))[2]
 
 

@@ -110,10 +110,7 @@ def _sweep_score(p, mu):
     grid = product_grid(p.feature.radius, p.feature.dw, 21)
     w, _, best = lmo(dataclasses.replace(p, omega_grid=grid), eta)
     value, direction = solver._oracle_score(p, eta)
-    draw = np.random.default_rng(0)
-    d = draw.standard_normal((16, p.feature.dw))
-    r = p.feature.radius * draw.uniform(size=16) ** (1.0 / p.feature.dw)
-    starts = [w, *(d * (r / np.linalg.norm(d, axis=1))[:, None])]
+    starts = [w, *solver._ball_points(np.random.default_rng(0), 16, p.feature.dw, p.feature.radius)]
     return max(best, *(solver._ascend(value, direction, (p.feature,), s)[2] for s in starts))
 
 

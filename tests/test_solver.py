@@ -361,6 +361,95 @@ def test_a_certified_free_fit_leaves_no_candidate_above_the_threshold(mode, norm
         assert row_norms(V, p.spec.dual_norm).max() <= p.lam * (1.0 + opts.tol) * (1.0 + 1e-9)
 
 
+def test_a_sparse_set_backs_its_certificate_with_more_polishes(monkeypatch):
+    # dw = 5: the 1,024 candidates hold 4 points per dimension.  Polishing
+    # the best one alone climbs a support atom's hill and certifies while an
+    # ascent from a random point of the ball reaches 1.18 lam; the sparse
+    # set's further polishes find that hill, and the fit certifies truthfully
+    rng = np.random.default_rng(11)
+    feat = FeatureMap("neural", dx=4, radius=2.0, activation="tanh")
+    X = rng.uniform(-1.0, 1.0, (20, 4))
+    Y = phi_matrix(feat, X, solver._ball_points(rng, 6, 5, 1.4)) @ rng.standard_normal((6, 2))
+    p = Problem(X, Y, identity_measurement(), 1.0, feat, DualPairSpec(2, "l2"))
+    p = dataclasses.replace(p, lam=0.05 * lambda_max(p))
+    opts = FitOptions(tol=0.05, seed=11)
+    threshold = p.lam * (1.0 + opts.tol)
+
+    def best_ascent(state):
+        value, direction = solver._oracle_score(p, residual_duals(p, state.measure))
+        starts = solver._ball_points(np.random.default_rng(123), 32, 5, 2.0)
+        return max(solver._ascend(value, direction, (feat,), s)[2] for s in starts)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "POLISHES", 1)
+        one = fit(p, opts)
+    assert one.converged and best_ascent(one) > 1.15 * p.lam
+    state = fit(p, opts)
+    assert state.converged and state.certificate <= threshold
+    assert best_ascent(state) <= threshold
+
+
+def test_polish_passes_over_the_candidates_an_earlier_ascent_explains(monkeypatch):
+    # hill A (top 1 at (0.6, 0), narrow across) holds the best candidates,
+    # hill B (top 2 at (-1, 0)) a lower one.  The ascent from c0 climbs A,
+    # 0.5 away, below the bar; c1, 0.2 from A's top, is passed over, and the
+    # ascent from c2 climbs B and beats the bar
+    A, B = np.array([0.6, 0.0]), np.array([-1.0, 0.0])
+
+    def value(L):
+        a = math.exp(-2.0 * (L[0] - A[0]) ** 2 - 16.0 * L[1] ** 2)
+        b = 2.0 * math.exp(-4.0 * float(np.dot(L - B, L - B)))
+        return a + b, (a, b)
+
+    def direction(L, state):
+        a, b = state
+        return a * np.array([-4.0 * (L[0] - A[0]), -32.0 * L[1]]) - 8.0 * b * (L - B)
+
+    starts = np.array([[0.1, 0.0], [0.6, 0.2], [-0.3, 0.0]])
+    scores = np.array([value(s)[0] for s in starts])
+    assert np.all(np.diff(scores) < 0)  # c0, c1, c2 in score order
+    begun = []
+    ascend = solver._ascend
+
+    def logged(value, direction, features, L0):
+        begun.append(np.array(L0))
+        return ascend(value, direction, features, L0)
+
+    monkeypatch.setattr(solver, "_ascend", logged)
+    feat = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")  # dw = 2: a sparse set
+    L, _, score = solver._polish(scores, starts, value, direction, (feat,), 1.5)
+    assert np.array_equal(np.array(begun), starts[[0, 2]])
+    assert np.allclose(L, B, atol=0.01) and score > 1.5
+    begun.clear()
+    assert solver._polish(scores, starts, value, direction, (feat,), math.inf)[2] == score
+    assert np.array_equal(np.array(begun), starts[[0, 2]])  # nothing left once c2 climbed B
+
+
+def test_lmo_builds_a_large_candidate_matrix_a_block_at_a_time(monkeypatch):
+    # past _SET_BLOCK entries the free set's feature matrix is not held: lmo
+    # scores the candidates a block at a time, to the same atom
+    rng = np.random.default_rng(5)
+    p = _neural_problem(rng, n=6, dim=2)
+    eta = rng.standard_normal((6, 2))
+    W, Phi = solver._search_set(p, 3)
+    blocks = []
+    original = solver.phi_matrix
+
+    def counted(f, X, A):
+        blocks.append(len(A))
+        return original(f, X, A)
+
+    monkeypatch.setattr(solver, "phi_matrix", counted)
+    monkeypatch.setattr(solver, "_SET_BLOCK", 6 * 100)
+    W2, none = solver._search_set(p, 3)
+    assert none is None and np.array_equal(W, W2) and blocks == []
+    w, u, score = lmo(p, eta, (W2, None))
+    assert blocks == [100] * 10 + [24]
+    w_full, u_full, score_full = lmo(p, eta, (W, Phi))
+    assert np.array_equal(w, w_full) and np.array_equal(u, u_full)
+    assert score == score_full
+
+
 def test_lmo_rejects_nonfinite_residuals():
     rng = np.random.default_rng(4)
     p = _neural_problem(rng, grid_per_dim=3)

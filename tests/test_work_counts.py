@@ -180,46 +180,67 @@ def test_free_fit_builds_its_candidate_features_once(monkeypatch):
     assert shapes.count((30, solver.SEARCH_POINTS)) == 3
 
 
-def test_each_free_search_runs_one_ascent_and_a_grid_search_none(monkeypatch):
-    # the candidates' best is polished by one ascent in a free search, flat
-    # or two-level; a grid search is exhaustive and ascends nowhere
-    ascents, flat, product = [], [], []
-    ascend = solver._ascend
+def test_a_free_search_polishes_once_unless_a_sparse_set_would_certify(monkeypatch):
+    # a grid search is exhaustive and ascends nowhere; a free search polishes
+    # its best candidate, and only a sparse set (fewer than DENSE points per
+    # dimension) polishes more, up to POLISHES, and only while no polish
+    # beats the certification threshold; flat and two-level alike
+    ascents, searches = [], []
+    ascend, polish = solver._ascend, solver._polish
 
     def counted(*args):
-        ascents.append(1)
-        return ascend(*args)
+        out = ascend(*args)
+        ascents.append(out[2])
+        return out
+
+    def logged(scores, starts, value, direction, features, bar):
+        before = len(ascents)
+        out = polish(scores, starts, value, direction, features, bar)
+        dense = len(starts) >= solver.DENSE ** starts.shape[1]
+        assert all(score <= bar for score in ascents[before:-1])  # none beat it before the last
+        searches.append((dense, len(ascents) - before, out[2] > bar))
+        return out
 
     monkeypatch.setattr(solver, "_ascend", counted)
-    monkeypatch.setattr(operator_learning, "_ascend", counted)
-    _counted(monkeypatch, "lmo", flat)
-    score_grid = operator_learning._hyper_score_grid
+    monkeypatch.setattr(solver, "_polish", logged)
+    monkeypatch.setattr(operator_learning, "_polish", logged)
 
-    def counted_grid(*args):
-        product.append(1)
-        return score_grid(*args)
+    def check(state, dense):
+        assert state.converged and len(searches) >= state.iterations + 1 >= 3
+        assert {d for d, _, _ in searches} == {dense}
+        *rounds, (_, last, _) = searches
+        if dense:
+            assert [n for _, n, _ in searches] == [1] * len(searches)
+        else:  # sparse: one ascent whenever the first beat the threshold
+            assert all(n == 1 or above for _, n, above in rounds)
+            assert 1 < last <= solver.POLISHES
+        assert sum(n for _, n, _ in searches) == len(ascents)
+        searches.clear()
+        ascents.clear()
 
-    monkeypatch.setattr(operator_learning, "_hyper_score_grid", counted_grid)
-    p = _teacher_problem(0)
-    state = fit(p, FitOptions(max_atoms=20, seed=3))
-    assert len(flat) >= state.iterations >= 2 and ascents == []
-    searches = len(flat)
-    state = fit(dataclasses.replace(p, omega_grid=None), FitOptions(max_atoms=20, seed=3))
-    assert len(ascents) == len(flat) - searches >= state.iterations >= 2
+    p = _teacher_problem(0)  # dw = 3: SEARCH_POINTS >= DENSE ** 3
+    fit(p, FitOptions(max_atoms=20, seed=3))
+    assert ascents == [] and searches == []
+    check(fit(dataclasses.replace(p, omega_grid=None), FitOptions(max_atoms=20, seed=3)), True)
 
     rng = np.random.default_rng(8)
+    feat = FeatureMap("neural", dx=3, radius=2.0, activation="tanh")  # dw = 4: sparse
+    X = rng.uniform(-1.0, 1.0, (30, 3))
+    Y = phi_matrix(feat, X, rng.uniform(-0.8, 0.8, (4, 4))) @ rng.standard_normal((4, 2))
+    q = Problem(X, Y, identity_measurement(), 1.0, feat, DualPairSpec(2, "l2"),
+                omega_grid=product_grid(2.0, 4, 5))
+    q = dataclasses.replace(q, lam=0.05 * lambda_max(q), omega_grid=None)
+    check(fit(q, FitOptions(max_atoms=20, seed=3)), False)
+
     phi = psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
     Z, Xj = rng.uniform(-1.0, 1.0, (20, 1)), np.linspace(-1.0, 1.0, 6)[:, None]
     W, T = rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, (3, 2))
     Y = phi_matrix(phi, Z, W) @ (phi_matrix(psi, Xj, T) * rng.standard_normal(3)).T
     args = (Z, Y, SampledMeasurement(Xj, np.ones((6, 1))), phi, psi, DualPairSpec(1, "l2"), 0.01,
             FitOptions(max_atoms=20))
-    before = len(ascents)
-    state = hyper_fit(*args, w_grid=product_grid(2.0, 2, 7), theta_grid=product_grid(2.0, 2, 5))
-    assert len(ascents) == before and len(product) >= state.iterations >= 2
-    searches = len(product)
-    state = hyper_fit(*args)
-    assert len(ascents) - before == len(product) - searches >= state.iterations >= 2
+    hyper_fit(*args, w_grid=product_grid(2.0, 2, 7), theta_grid=product_grid(2.0, 2, 5))
+    assert ascents == [] and searches == []
+    check(hyper_fit(*args), False)  # 32 x 32 pairs in four dimensions: sparse
 
 
 def _grid_builds(monkeypatch, module, grids):
