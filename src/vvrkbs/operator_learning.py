@@ -282,18 +282,25 @@ def hyper_objective(Z, Y, sampling: SampledMeasurement, model: HyperModel, lam: 
 _GRID_BLOCK = 1 << 20  # entries of a batch temporary in the grid search
 
 
-def _hyper_score_grid(PhiG, PsiG, GN, V, spec, w_grid, theta_grid):
-    """Exhaustive oracle over the product grid given its feature matrices, one batch
-    per block of theta of at most _GRID_BLOCK entries; ties to the lowest (theta, w)."""
+def _hyper_score_blocks(PhiG, PsiG, GN, V, spec):
+    """The oracle over the product of two candidate sets given their feature
+    matrices, one batch per block of theta of at most _GRID_BLOCK entries:
+    yields (first theta, products Q of shape (block, Gw, d), their dual norms)."""
     R = PhiG.T @ GN                               # (Gw, J)
-    Gw, best = R.shape[0], None
-    step = max(1, _GRID_BLOCK // (Gw * max(R.shape[1], V.shape[1])))
+    step = max(1, _GRID_BLOCK // (R.shape[0] * max(R.shape[1], V.shape[1])))
     for t0 in range(0, PsiG.shape[1], step):
         Q = (R[None, :, :] * PsiG[:, t0:t0 + step].T[:, None, :]) @ V  # (block, Gw, d)
-        scores = row_norms(Q.reshape(-1, Q.shape[2]), spec.dual_norm)
+        yield t0, Q, row_norms(Q.reshape(-1, Q.shape[2]), spec.dual_norm)
+
+
+def _hyper_score_grid(PhiG, PsiG, GN, V, spec, w_grid, theta_grid):
+    """Exhaustive oracle over the product grid given its feature matrices;
+    ties to the lowest (theta, w)."""
+    best = None
+    for t0, Q, scores in _hyper_score_blocks(PhiG, PsiG, GN, V, spec):
         k = int(np.argmax(scores))
         if best is None or scores[k] > best[0]:
-            t, g = divmod(k, Gw)
+            t, g = divmod(k, Q.shape[1])
             best = (float(scores[k]), t0 + t, g, Q[t, g].copy())
     score, t, g, q = best
     return w_grid[g].copy(), theta_grid[t].copy(), primal_witness(spec, q), score
@@ -354,9 +361,7 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
         if not free:
             w, th, u, score = _hyper_score_grid(*grid_features, GN, V, spec, w_grid, theta_grid)
             return np.concatenate([w, th]), u, score
-        PhiG, PsiG = grid_features  # 32 x 32 pairs: one batch, as the grid's first
-        Q = ((PhiG.T @ GN)[None, :, :] * PsiG.T[:, None, :]) @ V
-        scores = row_norms(Q.reshape(-1, Q.shape[2]), spec.dual_norm)
+        scores = np.concatenate([s for _, _, s in _hyper_score_blocks(*grid_features, GN, V, spec)])
         value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
         L, (u, *_), score = _polish(scores, starts, value, direction, (phi, psi), threshold)
         return L, u, score

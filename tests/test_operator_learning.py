@@ -638,12 +638,13 @@ def test_hyper_fit_free_search_smoke():
     assert state.objective_history[-1] <= state.objective_history[0]
 
 
-def test_a_certified_free_hyper_fit_leaves_no_candidate_above_the_threshold():
+def test_a_certified_free_hyper_fit_leaves_no_candidate_above_the_threshold(monkeypatch):
     # the free product search scores isqrt(SEARCH_POINTS) w candidates times
     # as many theta candidates, drawn by default_rng(seed) w first, and
-    # polishes the best pair; at a certified model no pair scores above
+    # polishes the best pairs; at a certified model no pair scores above
     # lam (1 + tol), here scored by one contraction over tasks, samples and
-    # functionals (up to the rounding of the model's predictions)
+    # functionals (up to the rounding of the model's predictions); scored in
+    # blocks of one theta, the pairs give the same model bit for bit
     rng = np.random.default_rng(3)
     spec = DualPairSpec(2, "l2")
     phi, psi = _neural(1, 1.5, "tanh"), _neural(1, 1.2, "sigmoid")
@@ -665,6 +666,10 @@ def test_a_certified_free_hyper_fit_leaves_no_candidate_above_the_threshold():
     m = state.model
     P = (phi_matrix(phi, Z, m.W) * m.a) @ (phi_matrix(psi, Xj, m.Theta) * (m.V @ Vf.T).T).T
     assert best_pair(P - Y) <= lam * (1.0 + opts.tol) * (1.0 + 1e-9)
+    monkeypatch.setattr(operator_learning, "_GRID_BLOCK", 1)
+    blocked = hyper_fit(Z, Y, SampledMeasurement(Xj, Vf), phi, psi, spec, lam, opts).model
+    for a, b in zip((m.a, m.W, m.Theta, m.V), (blocked.a, blocked.W, blocked.Theta, blocked.V)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
