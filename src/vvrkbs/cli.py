@@ -89,9 +89,9 @@ _FEATURE = (FeatureMap, {f.name: f.name for f in dataclasses.fields(FeatureMap)}
 _SECTIONS = {
     "feature": _FEATURE, "phi": _FEATURE, "psi": _FEATURE,
     "space": (DualPairSpec, {"d": "dim", "norm": "primal_norm"}),
-    "solver": (_solver, {"lambda": "lam", "mode": "mode", "max_atoms": "max_atoms", "tol": "tol",
-                         "seed": "seed", "refit.max_iter": "refit_max_iter",
-                         "refit.tol": "refit_tol", "grid_per_dim": "grid_per_dim"}),
+    "solver": (_solver, {"lambda": "lam", "max_atoms": "max_atoms", "tol": "tol", "seed": "seed",
+                         "refit.max_iter": "refit_max_iter", "refit.tol": "refit_tol",
+                         "grid_per_dim": "grid_per_dim"}),
     "oracle": (lambda grid_per_dim: _grid_size(grid_per_dim), {"grid_per_dim": "grid_per_dim"}),
     "sampling": (SampledMeasurement, {"points": "points", "functionals": "functionals"}),
     "grids": (_check_hyper_grids, {"w": "w_grid", "theta": "theta_grid"}),

@@ -359,12 +359,12 @@ def _product_family(Z, Y, sampling, phi, psi, spec, lam, opts=FitOptions(),
     def search(G):
         GN = G / n
         if not free:
-            w, th, u, score = _hyper_score_grid(*grid_features, GN, V, spec, w_grid, theta_grid)
-            return np.concatenate([w, th]), u, score
+            w, th, _, score = _hyper_score_grid(*grid_features, GN, V, spec, w_grid, theta_grid)
+            return np.concatenate([w, th]), score
         scores = np.concatenate([s for _, _, s in _hyper_score_blocks(*grid_features, GN, V, spec)])
         value, direction = _hyper_oracle_score(phi, psi, Z, Xj, GN, V, spec)
-        L, (u, *_), score = _polish(scores, starts, value, direction, (phi, psi), threshold)
-        return L, u, score
+        L, _, score = _polish(scores, starts, value, direction, (phi, psi), threshold)
+        return L, score
 
     return _AtomFamily(
         Y=Y,
@@ -438,8 +438,6 @@ def hyper_fit(
     or neither.  Without them the candidates are drawn by opts.seed and the
     certificate is heuristic (see ``_product_family``).
     """
-    if opts.mode != "group":
-        raise ValueError("hyper_fit refits free payloads (group mode only)")
     lam, Z, Y, w_grid, theta_grid = _check_hyper_inputs(
         Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid
     )

@@ -480,8 +480,8 @@ class _AtomFamily:
     the unit payload e_i at atom m, so payload rows C predict
     (D @ C.ravel()).reshape(Y.shape); an empty L gives shape (Y.size, 0).
     ``search(G)`` is the atom oracle at the residuals G = P - Y of the
-    current model; it returns (location, unit payload, score), the score on
-    the scale of lam.
+    current model; it returns (location, score), the score on the scale of
+    lam.
     """
 
     Y: np.ndarray
@@ -627,17 +627,11 @@ def _newton_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
 class FitOptions:
     """Knobs for the conditional-gradient loop.
 
-    ``mode`` selects the atoms: ``group`` keeps payloads free and
-    penalizes their primal norms; ``l1`` pins each atom to the
-    extreme-point direction found by the oracle and penalizes its scalar
-    weight (see ``_pinned``), and ``fit`` takes it only for the l1 primal
-    norm or d = 1.  ``seed`` draws the candidate set of a free atom search.
-    The counts are stored as ints by ``_integer`` and the tolerances as
-    floats by ``_real``.
+    ``seed`` draws the candidate set of a free atom search.  The counts are
+    stored as ints by ``_integer`` and the tolerances as floats by ``_real``.
     """
 
     max_atoms: int = 50
-    mode: str = "group"
     tol: float = 1e-3
     refit_max_iter: int = 5000
     refit_tol: float = 1e-8
@@ -653,8 +647,6 @@ class FitOptions:
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
             object.__setattr__(self, name, value)
-        if self.mode not in ("l1", "group"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -715,7 +707,7 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
         G = P - fam.Y
         if not np.all(np.isfinite(G)):
             raise SolverError("non-finite residuals")
-        loc, _, score = fam.search(G)
+        loc, score = fam.search(G)
         certificate = score
         if score <= threshold:
             converged = True
@@ -793,7 +785,8 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
     threshold = p.lam * (1.0 + opts.tol)
 
     def search(G):
-        return lmo(p, measurement_adjoint(m, G) / p.n_data, candidates, threshold)
+        w, _, score = lmo(p, measurement_adjoint(m, G) / p.n_data, candidates, threshold)
+        return w, score
 
     return _AtomFamily(
         Y=p.Y,
@@ -804,26 +797,6 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
         lift=lift,
         search=search,
     )
-
-
-def _pinned(fam: _AtomFamily) -> _AtomFamily:
-    """The l1-mode form of ``fam``: atoms a delta_w u, u the oracle's direction.
-
-    The location is [w, u], the direction riding after the weights, and the
-    payload is the scalar a with penalty |a|, so a re-proposal merges only
-    when both w and u agree to MERGE_TOL; ``fit`` returns the row a u.  The
-    lifted design contracts each atom's block of the free design with u.
-    """
-    def lift(L):
-        D = fam.lift(L[:, :fam.width]).reshape(fam.Y.size, len(L), fam.dim)
-        return (D * L[:, fam.width:]).sum(axis=2)
-
-    def search(G):
-        w, u, score = fam.search(G)
-        return np.concatenate([w, u]), np.ones(1), score
-
-    return dataclasses.replace(
-        fam, norm=L1, dim=1, width=fam.width + fam.dim, lift=lift, search=search)
 
 
 def fit(p: Problem, opts: FitOptions) -> SolverState:
@@ -838,15 +811,7 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
     _positive_lam(p.lam)
     if p.spec.primal_norm not in (L1, L2):
         raise ValueError("fit supports l1 and l2 primal norms")
-    if opts.mode == "l1" and p.spec.primal_norm == L2 and p.spec.dim > 1:
-        # the l2 ball's extreme points are a continuum: CG rounds would add
-        # directions at one w instead of rotating one
-        raise ValueError("mode 'l1' needs the l1 primal norm when d > 1")
-    fam = _flat_family(p, opts)
-    W, rows, history, certificate, iterations, converged = _cg_fit(
-        _pinned(fam) if opts.mode == "l1" else fam, opts)
-    if opts.mode == "l1":  # locations [w, u], payloads a
-        W, rows = W[:, :p.feature.dw], rows * W[:, p.feature.dw:]
+    W, rows, history, certificate, iterations, converged = _cg_fit(_flat_family(p, opts), opts)
     return SolverState(
         measure=measure_from_arrays(W, rows, p.spec, p.feature.radius),
         objective_history=history,
@@ -876,7 +841,7 @@ def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
     n = fam.Y.shape[0]
     G = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) - fam.Y
     primal = _objective(fam, G, C)
-    s = fam.search(G)[2]
+    s = fam.search(G)[1]
     theta = -G / n * (1.0 if s <= fam.lam else fam.lam / s)
     dual = float(np.vdot(theta, fam.Y)) - 0.5 * n * float(np.vdot(theta, theta))
     return primal, (primal - dual) / primal if primal > 0.0 else primal - dual

@@ -14,7 +14,12 @@ from vvrkbs import cli, solver
 from vvrkbs.cli import main
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
-from vvrkbs.measure import measure_from_json_dict
+from vvrkbs.measure import (
+    AtomicVectorMeasure,
+    coalesce,
+    measure_from_json_dict,
+    measure_to_json_dict,
+)
 from vvrkbs.operator_learning import hyper_evaluate, hyper_model_from_json_dict
 from vvrkbs.solver import (
     FitOptions,
@@ -30,7 +35,6 @@ from vvrkbs.solver import (
 def _base_config(**solver_overrides):
     solver = {
         "lambda": 0.08,
-        "mode": "group",
         "max_atoms": 10,
         "tol": 1e-4,
         "seed": 3,
@@ -408,6 +412,35 @@ def test_predict_matches_library_evaluation(tmp_path, capsys):
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+def test_a_model_of_several_rows_at_one_location_predicts_as_its_coalesced_model(tmp_path):
+    # a model file may hold several payload rows at one location, one per
+    # axis, as the l1 mode of earlier versions wrote them; it loads and
+    # predicts what the model of one summed row per location does, up to
+    # the order of the sums
+    rng = np.random.default_rng(3)
+    config = _base_config()
+    config["space"]["norm"] = "l1"
+    cfg = _write(tmp_path, "config.json", json.dumps(config))
+    x = rng.uniform(-1.0, 1.0, 40).tolist()
+    data = _write(tmp_path, "inputs.csv", "x0\n" + "".join(f"{v!r}\n" for v in x))
+    W = np.repeat(rng.uniform(-1.0, 1.0, (8, 2)), 2, axis=0)
+    C = np.zeros((16, 2))
+    C[0::2, 0], C[1::2, 1] = rng.standard_normal(8), rng.standard_normal(8)
+    mu = AtomicVectorMeasure(W, C, DualPairSpec(2, "l1"), 1.5)
+    preds = {}
+    for name, m in (("split", mu), ("coalesced", coalesce(mu))):
+        model = dict(measure_to_json_dict(m), dim=2, feature=config["feature"])
+        path = _write(tmp_path, f"{name}.json", json.dumps(model))
+        out = tmp_path / f"{name}.csv"
+        assert main(["predict", "--config", cfg, "--model", path, "--data", data,
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()[1:]
+        preds[name] = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    assert len(coalesce(mu)) == 8
+    scale = np.abs(preds["coalesced"]).max()
+    assert np.abs(preds["split"] - preds["coalesced"]).max() <= 1e-14 * scale
+
+
 def _hyper_config():
     return {
         "phi": {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "one",
@@ -464,20 +497,6 @@ def test_nonpositive_grid_per_dim_exits_2(tmp_path, capsys, command, per_dim):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "Traceback" not in err
-    assert not (tmp_path / "model.json").exists()
-
-
-@pytest.mark.parametrize("command", ["fit", "oracle"])
-def test_l1_mode_with_an_l2_primal_norm_exits_2(tmp_path, capsys, command):
-    # the l2 ball's extreme points are a continuum (d = 2 here)
-    cfg, data = _write_fixture(tmp_path, _base_config(mode="l1"))
-    args = [command, "--config", cfg, "--data", data]
-    if command == "fit":
-        args += ["--out", str(tmp_path / "model.json")]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "mode 'l1' needs the l1 primal norm" in err
     assert "Traceback" not in err
     assert not (tmp_path / "model.json").exists()
 

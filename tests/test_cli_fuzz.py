@@ -154,7 +154,7 @@ FIT_SECTIONS = ("feature", "space", "solver", "oracle")
 FIT_BASES = [
     {"feature": {"kind": kind, "dx": 1, "radius": 1.5, "beta": "one", **extra},
      "space": {"d": 2, "norm": "l2"},
-     "solver": {"lambda": 0.05, "mode": "group", "max_atoms": 3, "tol": 1e-3,
+     "solver": {"lambda": 0.05, "max_atoms": 3, "tol": 1e-3,
                 "seed": 0, "grid_per_dim": 3, "refit": {"max_iter": 100, "tol": 1e-8}},
      "oracle": {"grid_per_dim": 3}}
     for kind, extra in [("neural", {"activation": "tanh"}),

@@ -29,7 +29,7 @@ Y = np.array([[0.9, -0.3], [0.2, 0.8], [-0.5, 0.1]])
 FEATURE = {"kind": "neural", "dx": 1, "radius": 1.5, "beta": "one", "activation": "tanh"}
 PSI = {"kind": "neural", "dx": 1, "radius": 1.2, "beta": "one", "activation": "sigmoid"}
 # free search, where the seed draws the atom search's candidates
-SOLVER = {"lambda": 0.05, "mode": "group", "max_atoms": 3, "tol": 1e-3,
+SOLVER = {"lambda": 0.05, "max_atoms": 3, "tol": 1e-3,
           "seed": 0, "refit": {"max_iter": 100, "tol": 1e-8}}
 FIT = {"feature": FEATURE, "space": {"d": 2, "norm": "l2"}, "solver": SOLVER,
        "oracle": {"grid_per_dim": 3}}
@@ -68,7 +68,7 @@ def _set(doc, path, value):
 
 def _api_solver(s):
     # the options FitOptions holds, lam through the Problem and fit's check
-    FitOptions(max_atoms=s["max_atoms"], mode=s["mode"], tol=s["tol"], seed=s["seed"],
+    FitOptions(max_atoms=s["max_atoms"], tol=s["tol"], seed=s["seed"],
                refit_max_iter=s["refit"]["max_iter"], refit_tol=s["refit"]["tol"])
     if s.get("grid_per_dim") is not None:
         product_grid(1.5, 2, s["grid_per_dim"])
@@ -97,7 +97,7 @@ SECTIONS = {
 ELEMENTS = ["sampling.points.1.0", "sampling.functionals.0.1", "grids.w.0.1", "grids.theta.1.0"]
 BAD = ["2.0", True, False, None, 1.5, 2.5, 0, -1, math.nan, math.inf, -math.inf]
 FIELDS = [f"{name}.{path}" for name, (_, table) in cli._SECTIONS.items() for path in table]
-NOT_SCALARS = {"kind", "beta", "activation", "x_grid", "w_grid", "values", "norm", "mode",
+NOT_SCALARS = {"kind", "beta", "activation", "x_grid", "w_grid", "values", "norm",
                "points", "functionals", "w", "theta"}
 
 
@@ -172,6 +172,20 @@ def test_a_restarts_key_is_read_by_no_command(command):
     assert without[0] == 0
     for value in (0, 32, "8"):
         assert _outputs(command, _set(base, "solver.restarts", value)) == without
+
+
+@pytest.mark.parametrize("command", ["fit", "oracle", "hyper-fit"])
+def test_a_mode_key_is_read_by_no_command(command):
+    # solver.mode "l1" pinned each atom to an extreme point of the l1 ball,
+    # and exited 2 with the l2 norm in d > 1, as here (d = 2); every fit now
+    # runs free payload rows, whose l1-norm rows are sums of such atoms, so
+    # the key is ignored like any key no table reads
+    base = _set(HYPER if command == "hyper-fit" else FIT, "solver.max_atoms", 10)
+    assert base["space"] == {"d": 2, "norm": "l2"}
+    without = _outputs(command, base)
+    assert without[0] == 0
+    for value in ("l1", "group", 7):
+        assert _outputs(command, _set(base, "solver.mode", value)) == without
 
 
 HEADER = ["type", "range", "default", "read by"]

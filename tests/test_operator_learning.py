@@ -817,8 +817,6 @@ def test_hyper_fit_validation():
     with pytest.raises(ValueError):
         hyper_fit(Z, Y, samp, ones, ones, spec, 0.0)
     with pytest.raises(ValueError):
-        hyper_fit(Z, Y, samp, ones, ones, spec, 0.1, opts=FitOptions(mode="l1"))
-    with pytest.raises(ValueError):
         hyper_fit(Z, np.array([[1.0, 2.0]]), samp, ones, ones, spec, 0.1)
     with pytest.raises(ValueError):
         SampledMeasurement(np.zeros((2, 1)), np.zeros((3, 1)))

@@ -41,7 +41,6 @@ from vvrkbs.solver import (
     _group_refit,
     _newton_refit,
     _oracle_score,
-    _pinned,
     _prox_rows,
     _refit_step,
 )
@@ -344,8 +343,8 @@ def test_lambda_max_is_the_lmo_score_at_the_zero_measure(grid_per_dim):
         assert lambda_max(p) == float(row_norms(V, "l2").max())
 
 
-@pytest.mark.parametrize("mode, norm", [("group", "l2"), ("l1", "l1")])
-def test_a_certified_free_fit_leaves_no_candidate_above_the_threshold(mode, norm):
+@pytest.mark.parametrize("norm", ["l2", "l1"])
+def test_a_certified_free_fit_leaves_no_candidate_above_the_threshold(norm):
     # the certificate is the polished score, never below the candidates'
     # best, so a certified fit's candidate set holds no atom above
     # lam (1 + tol) at the returned measure (up to the rounding by which its
@@ -353,7 +352,7 @@ def test_a_certified_free_fit_leaves_no_candidate_above_the_threshold(mode, norm
     for seed in range(4):
         p = _neural_problem(np.random.default_rng(seed), n=5, dim=2, norm=norm)
         p = dataclasses.replace(p, lam=0.2 * lambda_max(p))
-        opts = FitOptions(max_atoms=20, mode=mode, seed=seed)
+        opts = FitOptions(max_atoms=20, seed=seed)
         state = fit(p, opts)
         assert state.converged
         _, Phi = solver._search_set(p, seed)
@@ -533,10 +532,11 @@ def test_fit_single_point_soft_threshold_closed_form():
         [[x]], [[y]], identity_measurement(), lam, feat, spec,
         omega_grid=w[None, :],
     )
-    for mode in ("group", "l1"):
+    for norm in ("l2", "l1"):
         # the refit stops on objective change, so coefficients carry
         # roughly the square root of that tolerance
-        state = fit(p, FitOptions(max_atoms=3, mode=mode, tol=1e-6, refit_tol=1e-14))
+        q = dataclasses.replace(p, spec=DualPairSpec(1, norm))
+        state = fit(q, FitOptions(max_atoms=3, tol=1e-6, refit_tol=1e-14))
         assert state.converged
         assert len(state.measure) == 1
         got = state.measure.C[0, 0]
@@ -548,19 +548,19 @@ def test_fit_matches_grid_oracle_l2_group():
     p = _neural_problem(rng, n=4, dim=2, norm="l2", grid_per_dim=7, lam=1.0)
     lam = 0.3 * lambda_max(p)
     p = dataclasses.replace(p, lam=lam)
-    state = fit(p, FitOptions(max_atoms=40, mode="group", tol=1e-6, refit_tol=1e-12))
+    state = fit(p, FitOptions(max_atoms=40, tol=1e-6, refit_tol=1e-12))
     ref_obj, _, gap = grid_oracle(p, 7)
     got = objective(p, state.measure)
     assert abs(got - ref_obj) / ref_obj <= 1e-4
     assert gap <= 1e-7
 
 
-def test_fit_matches_grid_oracle_l1_mode():
+def test_fit_matches_grid_oracle_l1_norm():
     rng = np.random.default_rng(8)
     p = _neural_problem(rng, n=3, dim=2, norm="l1", grid_per_dim=5, lam=1.0)
     lam = 0.4 * lambda_max(p)
     p = dataclasses.replace(p, lam=lam)
-    state = fit(p, FitOptions(max_atoms=40, mode="l1", tol=1e-6, refit_tol=1e-12))
+    state = fit(p, FitOptions(max_atoms=40, tol=1e-6, refit_tol=1e-12))
     ref_obj, _, gap = grid_oracle(p, 5)
     got = objective(p, state.measure)
     assert abs(got - ref_obj) / ref_obj <= 1e-4
@@ -569,60 +569,44 @@ def test_fit_matches_grid_oracle_l1_mode():
 
 def test_fit_history_non_increasing_and_sparsity():
     rng = np.random.default_rng(9)
-    for norm, mode in (("l2", "group"), ("l1", "l1"), ("l1", "group")):
+    for norm in ("l2", "l1", "l1"):  # three problems, one rng
         p = _neural_problem(rng, n=3, dim=2, norm=norm, grid_per_dim=5, lam=1.0)
         p = dataclasses.replace(p, lam=0.35 * lambda_max(p))
-        state = fit(p, FitOptions(max_atoms=20, mode=mode))
+        state = fit(p, FitOptions(max_atoms=20))
         h = state.objective_history
         assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
         if state.converged:
             assert len(state.measure) <= p.n_data * 2
 
 
-def test_fit_rejects_l1_mode_with_an_l2_primal_norm():
-    # the l2 ball's extreme points are a continuum: l1 mode would stack
-    # directions at one w instead of rotating one.  In d = 1 both norms
-    # are |.| and l1 mode stays.
-    rng = np.random.default_rng(9)
-    for grid_per_dim in (5, None):
-        p = _neural_problem(rng, n=3, dim=2, norm="l2", grid_per_dim=grid_per_dim)
-        with pytest.raises(ValueError, match="mode 'l1' needs the l1 primal norm"):
-            fit(p, FitOptions(max_atoms=20, mode="l1"))
-    p = _neural_problem(rng, n=3, dim=1, norm="l2", grid_per_dim=5)
-    assert fit(p, FitOptions(max_atoms=20, mode="l1")).converged
-
-
-def test_fit_l1_mode_payloads_are_axis_aligned():
+def test_fit_l1_norm_rows_split_into_at_most_n_d_axis_atoms():
     rng = np.random.default_rng(10)
     p = _neural_problem(rng, n=3, dim=3, norm="l1", grid_per_dim=5, lam=1.0)
     p = dataclasses.replace(p, lam=0.3 * lambda_max(p))
-    state = fit(p, FitOptions(max_atoms=20, mode="l1"))
+    state = fit(p, FitOptions(max_atoms=20))
     assert len(state.measure)
-    for c in state.measure.C:
-        off_axis = np.sort(np.abs(c))[:-1]
-        assert np.all(off_axis <= 1e-10)
+    # under the l1 norm a row c is exactly the sum of the extreme-point atoms
+    # c_i e_i, one per nonzero entry, at the same penalty
+    assert np.count_nonzero(state.measure.C) <= p.n_data * p.spec.dim
 
 
-def test_fit_l1_mode_splits_one_location_into_one_atom_per_axis():
-    # one candidate location, the l1 norm and targets along both axes: l1
-    # mode keeps one atom per (w, direction), and it solves group mode's
-    # convex problem, whose penalty on the single row is the same l1 norm
+def test_fit_l1_norm_one_location_holds_one_row_of_two_axis_atoms():
+    # one candidate location, the l1 norm and targets along both axes: the
+    # fit keeps one row there, the sum of one axis atom per nonzero entry,
+    # and reaches the grid oracle's objective
     feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
     rng = np.random.default_rng(21)
     X = rng.uniform(-1.0, 1.0, (8, 1))
     Y = np.tanh(0.6 * X + 0.3) * [2.0, -1.5] + 0.05 * rng.standard_normal((8, 2))
     p = Problem(X, Y, identity_measurement(), 0.02, feat, DualPairSpec(2, "l1"),
                 omega_grid=[[0.6, 0.3]])
-    states = {mode: fit(p, FitOptions(max_atoms=5, mode=mode, tol=1e-8, refit_tol=1e-15))
-              for mode in ("l1", "group")}
-    assert all(s.converged for s in states.values())
-    mu = states["l1"].measure
-    assert mu.W.tolist() == [[0.6, 0.3], [0.6, 0.3]]
-    assert sorted(int(np.flatnonzero(c)[0]) for c in mu.C) == [0, 1]
+    state = fit(p, FitOptions(max_atoms=5, tol=1e-8, refit_tol=1e-15))
+    assert state.converged
+    mu = state.measure
+    assert mu.W.tolist() == [[0.6, 0.3]]
     assert np.count_nonzero(mu.C) == 2
-    assert len(states["group"].measure) == 1
-    obj = {mode: objective(p, s.measure) for mode, s in states.items()}
-    assert abs(obj["l1"] - obj["group"]) <= 1e-10 * obj["group"]
+    ref_obj = grid_oracle(p, 1)[0]
+    assert abs(objective(p, mu) - ref_obj) <= 1e-10 * ref_obj
 
 
 def test_fit_deterministic_given_seed():
@@ -989,17 +973,6 @@ def _probe_flat(measurement):
         lambda C: measurement_apply(p.measurement, Phi @ C), 4, 3)
 
 
-def _probe_pinned(measurement):
-    # signed unit directions, as the l1 witness gives
-    rng = np.random.default_rng(61)
-    p = _neural_problem(rng, n=7, dim=3, norm="l1", measurement=measurement)
-    W = rng.uniform(-1.0, 1.0, (5, p.feature.dw))
-    U = np.eye(3)[rng.integers(0, 3, 5)] * rng.choice([-1.0, 1.0], (5, 1))
-    Phi, MU = phi_matrix(p.feature, p.X, W), measurement_apply(p.measurement, U)
-    return (_pinned(_flat_family(p, FitOptions())), np.hstack([W, U]),
-            _unit_probe(lambda a: (Phi * a[:, 0]) @ MU, 5, 1))
-
-
 def _probe_product():
     rng = np.random.default_rng(62)
     phi = psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
@@ -1017,9 +990,6 @@ PROBE_CASES = {
     "flat-identity": lambda: _probe_flat(None),
     "flat-functionals": lambda: _probe_flat(
         functionals_measurement(np.random.default_rng(63).standard_normal((2, 3)))),
-    "pinned-identity": lambda: _probe_pinned(None),
-    "pinned-functionals": lambda: _probe_pinned(
-        functionals_measurement(np.random.default_rng(64).standard_normal((2, 3)))),
     "product": _probe_product,
 }
 
@@ -1061,15 +1031,6 @@ def _flat_case(seed, n, dim, norm, k, measurement=None, duplicate=False):
     return fam, fam.lift(W), k
 
 
-def _pinned_case(seed):
-    rng = np.random.default_rng(seed)
-    p = _neural_problem(rng, n=6, dim=3, norm="l1")
-    fam = _pinned(_flat_family(p, FitOptions()))
-    W = rng.uniform(-1.0, 1.0, (5, p.feature.dw))
-    U = np.eye(3)[rng.integers(0, 3, 5)] * rng.choice([-1.0, 1.0], (5, 1))
-    return fam, fam.lift(np.hstack([W, U])), 5
-
-
 def _product_case(seed):
     rng = np.random.default_rng(seed)
     phi = psi = FeatureMap("neural", dx=1, radius=2.0, activation="tanh")
@@ -1089,7 +1050,6 @@ NEWTON_CASES = {
     "l1-d1": lambda s: _flat_case(s, 10, 1, "l1", 6),
     "functionals": lambda s: _flat_case(
         s, 10, 3, "l2", 5, functionals_measurement(np.random.default_rng(s).standard_normal((2, 3)))),
-    "pinned": _pinned_case,
     "product": _product_case,
     "K-equals-N-dmeas": lambda s: _flat_case(s, 4, 3, "l2", 4),
     "duplicated-location": lambda s: _flat_case(s, 8, 2, "l2", 5, duplicate=True),
