@@ -188,6 +188,16 @@ def test_a_mode_key_is_read_by_no_command(command):
         assert _outputs(command, _set(base, "solver.mode", value)) == without
 
 
+@pytest.mark.parametrize("value", BAD, ids=repr)
+def test_a_mode_value_that_exited_2_is_ignored(value):
+    # each of these solver.mode values exited 2 while the solver table read
+    # the key; it is now read by no command, so fit runs as without it
+    base = _set(FIT, "solver.max_atoms", 10)
+    without = _outputs("fit", base)
+    assert without[0] == 0
+    assert _outputs("fit", _set(base, "solver.mode", value)) == without
+
+
 HEADER = ["type", "range", "default", "read by"]
 
 

@@ -964,13 +964,13 @@ def _unit_probe(predict, k, dim):
     return np.stack([predict(E).ravel() for E in units], axis=1)
 
 
-def _probe_flat(measurement):
-    rng = np.random.default_rng(60)
-    p = _neural_problem(rng, n=7, dim=3, measurement=measurement)
+def _probe_flat(measurement, dim=3, seed=60):
+    rng = np.random.default_rng(seed)
+    p = _neural_problem(rng, n=7, dim=dim, measurement=measurement)
     W = rng.uniform(-1.0, 1.0, (4, p.feature.dw))
     Phi = phi_matrix(p.feature, p.X, W)
     return _flat_family(p, FitOptions()), W, _unit_probe(
-        lambda C: measurement_apply(p.measurement, Phi @ C), 4, 3)
+        lambda C: measurement_apply(p.measurement, Phi @ C), 4, dim)
 
 
 def _probe_product():
@@ -990,6 +990,10 @@ PROBE_CASES = {
     "flat-identity": lambda: _probe_flat(None),
     "flat-functionals": lambda: _probe_flat(
         functionals_measurement(np.random.default_rng(63).standard_normal((2, 3)))),
+    # scalar payloads, one design column per atom
+    "flat-d1-identity": lambda: _probe_flat(None, dim=1, seed=61),
+    "flat-d1-functionals": lambda: _probe_flat(
+        functionals_measurement(np.random.default_rng(64).standard_normal((2, 1))), dim=1, seed=61),
     "product": _probe_product,
 }
 
@@ -1050,6 +1054,8 @@ NEWTON_CASES = {
     "l1-d1": lambda s: _flat_case(s, 10, 1, "l1", 6),
     "functionals": lambda s: _flat_case(
         s, 10, 3, "l2", 5, functionals_measurement(np.random.default_rng(s).standard_normal((2, 3)))),
+    "l1-functionals": lambda s: _flat_case(
+        s, 10, 3, "l1", 5, functionals_measurement(np.random.default_rng(s).standard_normal((3, 3)))),
     "product": _product_case,
     "K-equals-N-dmeas": lambda s: _flat_case(s, 4, 3, "l2", 4),
     "duplicated-location": lambda s: _flat_case(s, 8, 2, "l2", 5, duplicate=True),
