@@ -13,9 +13,10 @@ atoms the problem is a group lasso on one matrix, the lifted design D, whose
 column (m, i) holds the predictions of the unit payload e_i at atom m.  Each
 round builds D once; the payloads are refit on it by proximal and Newton
 steps on the support (accelerated proximal descent for designs wider than
-the data), and the predictions are D times the payloads.  The same loop on
-a fixed weight grid, whose atom search is exhaustive, certifies the optimum
-by a duality gap; a free search's certificate is heuristic.
+the data, and for singular ones of single-entry groups), and the
+predictions are D times the payloads.  The same loop on a fixed weight
+grid, whose atom search is exhaustive, certifies the optimum by a duality
+gap; a free search's certificate is heuristic.
 """
 
 from __future__ import annotations
@@ -502,25 +503,31 @@ def _objective(fam: _AtomFamily, R, C) -> float:
 def _group_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
     """Refit payload rows on the lifted design D of their locations.
 
-    A design with at most N*d_meas coefficients goes to ``_newton_refit``;
-    a wider one, whose support Hessians can be singular, to ``_fista``.
-    Returns (payload rows, objective).
+    A design with at most N*d_meas coefficients goes to ``_newton_refit``,
+    unless its Gram is singular and its groups are single entries (the l1
+    norm, or d = 1), which add no Newton curvature; those and wider designs,
+    whose support Hessians can be singular, go to ``_fista``.  Returns
+    (payload rows, objective).
     """
-    if C0.size <= fam.Y.size:
-        return _newton_refit(fam, D, C0, max_iter, tol)
-    return _fista(fam, D, C0, _refit_step(fam, D)[0], max_iter, tol)
+    step, gram, singular = _refit_step(fam, D)
+    if C0.size > fam.Y.size or (singular and (fam.norm == L1 or fam.dim == 1)):
+        return _fista(fam, D, C0, step, max_iter, tol)
+    return _newton_refit(fam, D, C0, max_iter, tol, (step, gram))
 
 
 def _refit_step(fam: _AtomFamily, D):
     """Step 1/lambda_max(D^T D / N) of a refit on the lifted design D, from
     ``eigvalsh`` on the smaller Gram: D^T D / N, or D D^T / N when D is wide;
-    1.0 when D vanishes.  Returns (step, Gram)."""
+    1.0 when D vanishes.  The Gram counts as singular when its smallest
+    eigenvalue is at most 1e-12 times its largest.  Returns (step, Gram,
+    singular)."""
     gram = (D @ D.T if D.shape[1] > D.shape[0] else D.T @ D) / fam.Y.shape[0]
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return (1.0 / top if top > 0.0 else 1.0), gram
+    eig = np.linalg.eigvalsh(gram)
+    top = float(eig[-1])
+    return (1.0 / top if top > 0.0 else 1.0), gram, bool(eig[0] <= 1e-12 * top)
 
 
-def _newton_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
+def _newton_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol, step_gram=None):
     """Squared-loss group-lasso refit: prox-gradient steps, each followed by
     Newton steps on the support (Pieper & Walter 2021).
 
@@ -542,12 +549,13 @@ def _newton_refit(fam: _AtomFamily, D, C0: np.ndarray, max_iter, tol):
     only if it does not raise the objective, so the returned objective never
     exceeds the starting one.  Stops when one iteration changes the
     objective by at most tol relative, or after max_iter iterations.
+    ``step_gram`` is the (step, Gram) of ``_refit_step`` when already taken.
     Returns (C, objective).
     """
     k, dim = C0.shape
     n = fam.Y.shape[0]
     y = fam.Y.ravel()
-    step, H = _refit_step(fam, D)   # K <= N*d_meas: the Gram is H
+    step, H = step_gram or _refit_step(fam, D)[:2]   # K <= N*d_meas: the Gram is H
     q = D.T @ y / n
     lam = fam.lam
     g = dim if fam.norm == L2 else 1   # an l1 entry is an l2 group of one
@@ -670,32 +678,28 @@ class SolverState:
     converged: bool
 
 
-def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
-    """Conditional-gradient loop: insert, refit, prune, until certified.
+def _cg_fit(fam: _AtomFamily, opts: FitOptions):
+    """Conditional-gradient loop from the zero measure: insert, refit,
+    prune, until certified.
 
-    Every atom is a location row and a free payload row.  The loop starts
-    from the zero measure, or from ``start`` = (locations, payload rows)
-    when given; the objective history opens with the start's objective.
-    Each round builds the lifted design D of its locations once;
-    ``_group_refit`` refits the payload rows on D and the predictions are D
-    times them; a wide refit whose nonzero rows form a narrow design is
-    finished by ``_newton_refit`` on them.  There are three exits:
-    certified, when the oracle score drops to lam*(1+tol); atom budget, when
-    a new atom would exceed opts.max_atoms; and stalled, when a round ends
-    on the support it started from (the proposal merged, or its new slot was
-    pruned) with the objective down by at most refit_tol relative, so that
-    the next round would repeat it.  In every case the certificate (last
-    oracle score) is recorded.  A support over the N*d_meas bound is then
-    reduced to it (``_reduce_support``), and the last history entry is the
-    reduced state's objective.  Returns
+    Every atom is a location row and a free payload row.  Each round builds
+    the lifted design D of its locations once; ``_group_refit`` refits the
+    payload rows on D and the predictions are D times them; a wide refit
+    whose nonzero rows form a narrow design is refit again on them, by
+    Newton steps unless ``_group_refit`` sends it back to ``_fista``.  There
+    are three exits: certified, when the oracle score drops to lam*(1+tol);
+    atom budget, when a new atom would exceed opts.max_atoms; and stalled,
+    when a round ends on the support it started from (the proposal merged,
+    or its new slot was pruned) with the objective down by at most
+    refit_tol relative, so that the next round would repeat it.  In every
+    case the certificate (last oracle score) is recorded.  A support over
+    the N*d_meas bound is then reduced to it (``_reduce_support``), and the
+    last history entry is the reduced state's objective.  Returns
     (locations, coalesced payload rows, objective history, certificate,
     iterations, converged).
     """
-    if start is None:
-        start = np.zeros((0, fam.width)), np.zeros((0, fam.dim))
-    L, C = (np.array(a, dtype=float) for a in start)  # locations, payload rows
-    # predictions of the current model
-    P = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) if len(L) else np.zeros_like(fam.Y)
+    L, C = np.zeros((0, fam.width)), np.zeros((0, fam.dim))  # locations, payload rows
+    P = np.zeros_like(fam.Y)  # predictions of the current model
 
     history = [_objective(fam, P - fam.Y, C)]
     certificate = math.inf
@@ -725,8 +729,8 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions, start=None):
         on = row_norms(C, fam.norm) > 0.0
         if on.any() and C.size > fam.Y.size >= C[on].size:
             # a wide refit left a narrow support, where Newton steps converge
-            C[on], obj = _newton_refit(fam, fam.lift(L[on]), C[on], opts.refit_max_iter,
-                                       opts.refit_tol)
+            C[on], obj = _group_refit(fam, fam.lift(L[on]), C[on], opts.refit_max_iter,
+                                      opts.refit_tol)
         P = (D @ C.ravel()).reshape(fam.Y.shape)
 
         # drop slots the threshold zeroed out exactly, which leaves P as the
@@ -832,63 +836,54 @@ def lambda_max(p: Problem) -> float:
 
 
 def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
-    """Objective and relative duality gap of payload rows C at locations L.
+    """Objective, dual value and relative duality gap of payload rows C at
+    locations L.
 
-    With G = P - Y the residuals and s = ``fam.search(G)``, the dual point
-    theta = -G/N min(1, lam/s) is feasible, with the dual value
-    <theta, Y> - N|theta|^2/2.  A certificate when the search is exhaustive,
-    as on a grid."""
+    With P the predictions, G = P - Y the residuals and s = ``fam.search(G)``,
+    the dual point theta = -a G/N, a = min(1, lam/s), is feasible, with the
+    dual value <theta, Y> - N|theta|^2/2.  The gap is formed directly, as
+    ((1-a)^2 |G|^2 + 2a <G, P>)/(2N) + lam sum_m |c_m|, so it is exactly 0 at
+    the zero measure when s <= lam; it is taken relative to the objective
+    when that is positive.  A certificate when the search is exhaustive, as
+    on a grid."""
     n = fam.Y.shape[0]
-    G = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape) - fam.Y
-    primal = _objective(fam, G, C)
+    P = (fam.lift(L) @ C.ravel()).reshape(fam.Y.shape)
+    G = P - fam.Y
     s = fam.search(G)[1]
-    theta = -G / n * (1.0 if s <= fam.lam else fam.lam / s)
-    dual = float(np.vdot(theta, fam.Y)) - 0.5 * n * float(np.vdot(theta, theta))
-    return primal, (primal - dual) / primal if primal > 0.0 else primal - dual
+    a = 1.0 if s <= fam.lam else fam.lam / s
+    penalty = fam.lam * float(row_norms(C, fam.norm).sum())
+    primal = _data_fit(G, n) + penalty
+    gap = ((1.0 - a) ** 2 * float(np.vdot(G, G)) + 2.0 * a * float(np.vdot(G, P))) / (2 * n)
+    gap += penalty
+    return primal, primal - gap, gap / primal if primal > 0.0 else gap
 
 
-def _grid_solve(fam: _AtomFamily, grids, start=None):
+def _grid_solve(fam: _AtomFamily, grids):
     """The CG engine at fixed tolerances on a grid family over the product
-    of ``grids``, each holding the next columns of a location, from the
-    zero measure or from ``start`` = (locations, payload rows).  A start
-    location whose columns are not a row of their grid raises ValueError.
-    The family proposes grid rows only, so every fitted location is one.
-    Returns (objective, payload rows for every grid point in C order,
-    relative gap)."""
+    of ``grids``, each holding the next columns of a location, from the zero
+    measure.  The family proposes grid rows only, so every fitted location
+    is one.  Returns (objective, payload rows for every grid point in C
+    order, relative duality gap)."""
     sizes = [len(g) for g in grids]
     ends = np.cumsum([g.shape[1] for g in grids])
-
-    def grid_rows(L):  # per grid, the first row that each location's columns equal
-        match = [(L[:, None, e - g.shape[1]:e] == g).all(axis=2) for g, e in zip(grids, ends)]
-        on = np.all([m.any(axis=1) for m in match], axis=0)
-        if not on.all():
-            raise ValueError(f"start location {L[np.argmin(on)]} is not a grid point")
-        return [m.argmax(axis=1) for m in match]
-
-    if start is not None:
-        L0, C0 = (np.asarray(a, dtype=float) for a in start)
-        if L0.ndim != 2 or L0.shape[1] != fam.width or C0.shape != (len(L0), fam.dim):
-            raise ValueError(
-                f"start must be locations (k, {fam.width}) and payload rows (k, {fam.dim})")
-        grid_rows(L0)
-    L, C = _cg_fit(fam, FitOptions(max_atoms=math.prod(sizes), tol=1e-9, refit_tol=1e-13),
-                   start)[:2]
+    L, C = _cg_fit(fam, FitOptions(max_atoms=math.prod(sizes), tol=1e-9, refit_tol=1e-13))[:2]
+    # per grid, the first row that each location's columns equal
+    at = [(L[:, None, e - g.shape[1]:e] == g).all(axis=2).argmax(axis=1)
+          for g, e in zip(grids, ends)]
     rows = np.zeros((math.prod(sizes), fam.dim))
-    rows[np.ravel_multi_index(grid_rows(L), sizes)] = C
-    obj, gap = _duality_gap(fam, L, C)
+    rows[np.ravel_multi_index(at, sizes)] = C
+    obj, _, gap = _duality_gap(fam, L, C)
     return obj, rows, gap
 
 
-def grid_oracle(p: Problem, grid_per_dim: int, start=None):
+def grid_oracle(p: Problem, grid_per_dim: int):
     """Solve the weight-grid discretization of the problem, certified.
 
-    The CG engine runs on the grid (the problem's ``omega_grid`` when
-    present, so grid-restricted fits and this oracle share their candidate
-    set) until the score is within 1e-9 relative of lam > 0.  It starts from
-    the zero measure, or continues from ``start`` = (W, C), atoms at grid
-    points such as a grid-restricted fit's measure; a location off the grid
-    raises ValueError.  Returns (objective, coefficient matrix with a row per
-    grid point, relative duality gap).
+    The CG engine runs from the zero measure on the grid (the problem's
+    ``omega_grid`` when present, so grid-restricted fits and this oracle
+    share their candidate set) until the score is within 1e-9 relative of
+    lam > 0.  Returns (objective, coefficient matrix with a row per grid
+    point, relative duality gap).
     """
     _positive_lam(p.lam)
     if p.spec.primal_norm not in (L1, L2):
@@ -896,7 +891,7 @@ def grid_oracle(p: Problem, grid_per_dim: int, start=None):
     if p.omega_grid is None:
         p = dataclasses.replace(
             p, omega_grid=product_grid(p.feature.radius, p.feature.dw, grid_per_dim))
-    return _grid_solve(_flat_family(p, FitOptions()), (p.omega_grid,), start)
+    return _grid_solve(_flat_family(p, FitOptions()), (p.omega_grid,))
 
 
 # ------------------------------------------------------------------ export

@@ -8,11 +8,11 @@ anything.  The reference counts are those of the code they replaced.
 """
 
 import dataclasses
+import json
 
 import numpy as np
-import pytest
 
-from vvrkbs import feature, measure, operator_learning, solver
+from vvrkbs import cli, feature, measure, operator_learning, solver
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap, phi_matrix
 from vvrkbs.operator_learning import (
@@ -287,9 +287,9 @@ def test_grid_searches_build_their_grid_features_once_per_fit(monkeypatch):
 
 
 def test_oracle_run_builds_its_grid_features_once(monkeypatch):
-    # An oracle run fits the grid-restricted problem, then solves its grid
-    # discretization on the same grid: 2 builds of the grid feature matrix
-    # per problem when the oracle built its design afresh, 1 now.
+    # A grid-restricted fit and the grid oracle of the same problem search
+    # one grid: 2 builds of the grid feature matrix per problem when the
+    # oracle built its design afresh, 1 now.
     problems = [_teacher_problem(seed) for seed in range(3)]
     builds = _grid_builds(monkeypatch, solver, [p.omega_grid for p in problems])
     for p in problems:
@@ -298,24 +298,27 @@ def test_oracle_run_builds_its_grid_features_once(monkeypatch):
     assert builds == [1, 1, 1]
 
 
-def test_oracle_run_continues_the_fit(monkeypatch):
-    # An oracle run solved its grid problem from the zero measure after the
-    # grid-restricted fit had solved most of it on the same engine; it now
-    # starts from the fit's measure, which takes fewer grid atom searches
-    # for the same certified optimum.
-    problems = [_teacher_problem(seed) for seed in range(3)]
-    searches = []
-    _counted(monkeypatch, "lmo", searches)
-    for p in problems:
-        mu = fit(p, FitOptions(max_atoms=20, seed=3)).measure
-        counts = []
-        for start in (None, (mu.W, mu.C)):
-            before = len(searches)
-            obj = grid_oracle(p, 5, start=start)[0]
-            counts.append((len(searches) - before, obj))
-        (cold, cold_obj), (warm, warm_obj) = counts
-        assert warm < cold
-        assert warm_obj == pytest.approx(cold_obj, rel=1e-9)
+def test_oracle_command_runs_one_cg_solve(monkeypatch, tmp_path, capsys):
+    # An oracle command fitted the grid-restricted problem and then continued
+    # that fit by grid_oracle, a second CG solve on the same grid.  It now runs
+    # the fit alone and reports the fit's duality gap.
+    solves, grid_solves = [], []
+    _counted(monkeypatch, "_cg_fit", solves)
+    _counted(monkeypatch, "_grid_solve", grid_solves)
+    p = _teacher_problem(0)
+    rows = ["x0,x1,y0,y1,y2"] + [",".join(map(repr, [*x, *y]))
+                                 for x, y in zip(p.X.tolist(), p.Y.tolist())]
+    config = {"feature": {"kind": "neural", "dx": 2, "radius": 2.0, "activation": "tanh"},
+              "space": {"d": 3, "norm": "l2"},
+              "solver": {"lambda": p.lam, "max_atoms": 20, "seed": 3},
+              "oracle": {"grid_per_dim": 5}}
+    cfg, data = tmp_path / "config.json", tmp_path / "data.csv"
+    cfg.write_text(json.dumps(config))
+    data.write_text("\n".join(rows) + "\n")
+    assert cli.main(["oracle", "--config", str(cfg), "--data", str(data)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["relative_gap"] <= 1e-4
+    assert len(solves) == 1 and grid_solves == []
 
 
 def _counted(monkeypatch, name, log):
