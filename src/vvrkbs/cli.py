@@ -6,7 +6,7 @@ data or config, 3 fit finished without certificate convergence (the
 model file is still written), 4 verification failure.
 
 Config JSON for ``fit`` / ``oracle`` / ``predict`` has the sections
-"feature", "space", "solver" and "oracle".  ``hyper-fit`` replaces
+"feature", "space" and "solver".  ``hyper-fit`` replaces
 "feature" with "phi" and "psi" and adds "sampling" and an optional "grids"
 section.  Each section is read through its table in ``_SECTIONS``, and a
 key it omits takes its builder's default.  README.md documents every key.
@@ -68,7 +68,7 @@ def _read_config(path: str):
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(raw.decode("utf-8"))
+        cfg = json.loads(raw.decode("utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -93,7 +93,6 @@ _SECTIONS = {
     "solver": (_solver, {"lambda": "lam", "max_atoms": "max_atoms", "tol": "tol", "seed": "seed",
                          "refit.max_iter": "refit_max_iter", "refit.tol": "refit_tol",
                          "grid_per_dim": "grid_per_dim"}),
-    "oracle": (lambda grid_per_dim: _grid_size(grid_per_dim), {"grid_per_dim": "grid_per_dim"}),
     "sampling": (SampledMeasurement, {"points": "points", "functionals": "functionals"}),
     "grids": (_check_hyper_grids, {"w": "w_grid", "theta": "theta_grid"}),
 }
@@ -146,7 +145,7 @@ def _read_csv(path: str, dx: int, d_meas: int = 0):
     header: every name is present once the list is built.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
@@ -232,10 +231,14 @@ def _model_json_dict(state, spec: DualPairSpec, feat: FeatureMap) -> dict:
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_fit(args) -> int:
+def _configured_fit(args):
+    """The set-up ``fit`` and ``oracle`` share: the config's raw bytes, and the
+    problem, options, state and wall ms of its fit; ``oracle`` needs a grid."""
     raw, cfg = _read_config(args.config)
     feat, spec = (_section(cfg, name, "bad feature/space config") for name in ("feature", "space"))
     lam, opts, grid_per_dim = _section(cfg, "solver", "bad solver config")
+    if grid_per_dim is None and args.command == "oracle":
+        raise DataError("oracle runs need solver.grid_per_dim")
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
     try:
         omega = None if grid_per_dim is None else product_grid(feat.radius, feat.dw, grid_per_dim)
@@ -243,9 +246,14 @@ def cmd_fit(args) -> int:
         start = time.monotonic()
         state = fit(problem, opts)
     except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
-        raise DataError(f"fit failed: {exc}") from exc
-    wall_ms = round((time.monotonic() - start) * 1000)
-    model = _model_json_dict(state, spec, feat)
+        failed = "fit failed" if args.command == "fit" else "oracle run failed"
+        raise DataError(f"{failed}: {exc}") from exc
+    return raw, problem, opts, state, round((time.monotonic() - start) * 1000)
+
+
+def cmd_fit(args) -> int:
+    raw, problem, _, state, wall_ms = _configured_fit(args)
+    model = _model_json_dict(state, problem.spec, problem.feature)
     return _finish_fit(args, raw, state, model, len(state.measure), wall_ms)
 
 
@@ -268,7 +276,7 @@ def cmd_predict(args) -> int:
     feat, spec = (_section(cfg, name, "bad feature/space config") for name in ("feature", "space"))
     try:
         with open(args.model, "rb") as fh:
-            model = json.loads(fh.read().decode("utf-8"))
+            model = json.loads(fh.read().decode("utf-8-sig"))
         mu = measure_from_json_dict(model)
         fitted = model.get("feature")
         if fitted is not None:
@@ -313,19 +321,10 @@ def _read_dataset_inputs_only(path: str, dx: int):
 
 
 def cmd_oracle(args) -> int:
-    _, cfg = _read_config(args.config)
-    feat, spec = (_section(cfg, name, "bad feature/space config") for name in ("feature", "space"))
-    lam, opts, _ = _section(cfg, "solver", "bad solver config")
-    grid_per_dim = _section(cfg, "oracle", "oracle runs need oracle.grid_per_dim")
-    X, Y = _read_dataset(args.data, feat.dx, spec.dim)
-    try:
-        omega = product_grid(feat.radius, feat.dw, grid_per_dim)
-        problem = Problem(X, Y, identity_measurement(), lam, feat, spec, omega_grid=omega)
-        state = fit(problem, opts)
-        # the fit's duality gap on its grid, whose exhaustive search certifies it
-        _, dual, gap = _duality_gap(_flat_family(problem, opts), state.measure.W, state.measure.C)
-    except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
-        raise DataError(f"oracle run failed: {exc}") from exc
+    _, problem, opts, state, _ = _configured_fit(args)
+    # the fit's duality gap on its grid, whose exhaustive search certifies it;
+    # it repeats the lift and search the fit ran, so it raises nothing the fit did not
+    _, dual, gap = _duality_gap(_flat_family(problem, opts), state.measure.W, state.measure.C)
     _emit({"fit_objective": float(state.objective_history[-1]), "oracle_objective": float(dual),
            "relative_gap": float(gap)})
     if not state.converged:
@@ -359,7 +358,7 @@ def cmd_deeponet(args) -> int:
     phi = _section(cfg, "phi", "bad deeponet config")
     try:
         with open(args.data, "rb") as fh:
-            payload = json.loads(fh.read().decode("utf-8"))
+            payload = json.loads(fh.read().decode("utf-8-sig"))
         psi = feature_from_json_dict(payload["psi"])
         basis = []
         for entry in payload["basis"]:
@@ -442,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("oracle", help="compare fit against the grid oracle")
+    sp = sub.add_parser("oracle", help="certify a grid fit by its duality gap")
     sp.add_argument("--config", required=True)
     sp.add_argument("--data", required=True)
 

@@ -400,7 +400,7 @@ def simple_approx_pairing(f: FeatureMap, rho, mu, grid_per_dim: int) -> float:
 
 def grid_sup_abs(f: FeatureMap, x, radius: float, extra_ws=None) -> float:
     """max |phi(x, .)| over the product grid of 9 points per dimension
-    on [-radius, radius]^dw, kept inside the weight ball.
+    on [-radius, radius]^dw, kept inside the weight ball, origin included.
 
     ``extra_ws`` lets callers include specific weight sites (e.g. the
     atoms of a measure) so bounds built from this estimate stay ordered.
@@ -412,8 +412,6 @@ def grid_sup_abs(f: FeatureMap, x, radius: float, extra_ws=None) -> float:
     grid = grid[keep]
     if extra_ws is not None and len(extra_ws):
         grid = np.concatenate([grid, np.asarray(extra_ws, dtype=float)], axis=0)
-    if len(grid) == 0:
-        return 0.0
     vals = phi_matrix(f, x[None, :], grid)[0]
     return float(np.max(np.abs(vals)))
 

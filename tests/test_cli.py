@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import readme_example
 import vvrkbs
 from vvrkbs import cli, solver
 from vvrkbs.cli import main
@@ -52,7 +54,6 @@ def _base_config(**solver_overrides):
         },
         "space": {"d": 2, "norm": "l2"},
         "solver": solver,
-        "oracle": {"grid_per_dim": 5},
     }
 
 
@@ -224,7 +225,6 @@ def test_grid_beyond_memory_exits_2(tmp_path, command):
     # needs about 60 GiB, which the 2 GiB cap refuses at once
     config = _base_config(grid_per_dim=2000)
     config["feature"]["dx"] = 2
-    config["oracle"]["grid_per_dim"] = 2000
     cfg = _write(tmp_path, "config.json", json.dumps(config))
     data = _write(tmp_path, "data.csv", "x0,x1,y0,y1\n0.1,0.2,0.9,-0.3\n-0.4,0.5,0.2,0.8\n")
     argv = [command, "--config", cfg, "--data", data]
@@ -487,9 +487,8 @@ def test_hyper_fit_with_one_grid_exits_2(tmp_path, capsys, given):
 @pytest.mark.parametrize("per_dim", [0, -1])
 @pytest.mark.parametrize("command", ["fit", "oracle"])
 def test_nonpositive_grid_per_dim_exits_2(tmp_path, capsys, command, per_dim):
-    # fit reads solver.grid_per_dim, oracle reads oracle.grid_per_dim
+    # fit and oracle read solver.grid_per_dim
     config = _base_config(grid_per_dim=per_dim)
-    config["oracle"]["grid_per_dim"] = per_dim
     cfg, data = _write_fixture(tmp_path, config)
     args = [command, "--config", cfg, "--data", data]
     if command == "fit":
@@ -529,6 +528,62 @@ def test_deeponet_embeds_and_round_trips(tmp_path, capsys):
     )
     val = hyper_evaluate(model, [0.1, -0.2], [0.3])
     assert np.all(np.isfinite(val))
+
+
+def test_readme_example_runs_fit_oracle_and_predict(tmp_path, capsys):
+    # README's example config on a small seeded dataset: each command exits 0
+    # and prints one JSON object on one line
+    config, data = readme_example.write(tmp_path)
+    model = str(tmp_path / "model.json")
+    for argv in (["fit", "--config", config, "--data", data, "--out", model],
+                 ["oracle", "--config", config, "--data", data],
+                 ["predict", "--config", config, "--model", model, "--data", data,
+                  "--out", str(tmp_path / "preds.csv")]):
+        assert main(argv) == 0, argv[0]
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+
+
+def _bom_inputs(command):
+    """The input files of a run of ``command`` that exits 0, by flag."""
+    data = "\n".join(DATA_ROWS) + "\n"
+    model = {"atoms": [{"w": [0.3, -0.2], "c": [1.0, 0.5]}], "norm": "l2", "radius": 1.5,
+             "dim": 2}
+    return {"fit": {"config": _base_config(), "data": data},
+            "oracle": {"config": _base_config(), "data": data},
+            "predict": {"config": _base_config(), "model": model, "data": data},
+            "hyper-fit": {"config": _hyper_config(), "data": data},
+            "deeponet": {"config": DEEPONET_CONFIG, "data": _deeponet_payload()}}[command]
+
+
+@pytest.mark.parametrize("command", ["fit", "oracle", "predict", "hyper-fit", "deeponet"])
+def test_byte_order_marked_inputs_read_as_without_the_mark(tmp_path, capsys, command):
+    # a UTF-8 byte-order mark opening a CSV read as part of its first column
+    # name ("missing column(s): x0"), and one opening a config, model or
+    # DeepONet data file as invalid JSON; both exited 2.  Each file is marked
+    # in turn; the config digest still hashes its raw bytes, mark included.
+    inputs = _bom_inputs(command)
+    runs = []
+    for marked in (None, *inputs):
+        where = tmp_path / f"{marked}-marked"
+        where.mkdir()
+        argv, files = [command], {}
+        for flag, content in inputs.items():
+            text = content if isinstance(content, str) else json.dumps(content)
+            files[flag] = (b"\xef\xbb\xbf" if flag == marked else b"") + text.encode()
+            (where / flag).write_bytes(files[flag])
+            argv += [f"--{flag}", str(where / flag)]
+        if command != "oracle":
+            argv += ["--out", str(where / "out")]
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        report.pop("wall_time_ms", None)
+        if "config_digest" in report:
+            assert report.pop("config_digest") == hashlib.sha256(files["config"]).hexdigest()[:16]
+        runs.append((code, report, (where / "out").read_bytes() if command != "oracle" else None))
+    assert runs[0][0] == 0
+    assert runs[1:] == [runs[0]] * len(inputs)
 
 
 def _gaussian_feature(**keys):
@@ -917,13 +972,21 @@ def _negative_seed(command, grid):
     return case
 
 
+def _oracle_without_a_grid():
+    # oracle read its grid from an oracle section, which is now ignored
+    config = _base_config()
+    del config["solver"]["grid_per_dim"]
+    config["oracle"] = {"grid_per_dim": 5}
+    return "oracle", config, "oracle runs need solver.grid_per_dim"
+
+
 _SOLVER_INTEGERS = [("solver.max_atoms", 3.9), ("solver.refit.max_iter", 10.5),
                     ("solver.seed", 0.5)]
 _FLAT_INTEGERS = [("feature.dx", 1.9), ("space.d", 1.7), ("solver.grid_per_dim", 4.5),
                   ("feature.dx", True), ("solver.max_atoms", True), *_SOLVER_INTEGERS]
 INTEGER_FIELD_CASES = [
     *(_integer_field(c, path, v) for c in ("fit", "oracle") for path, v in _FLAT_INTEGERS),
-    _integer_field("oracle", "oracle.grid_per_dim", 4.5),
+    _oracle_without_a_grid,
     *(_integer_field("hyper-fit", path, v) for path, v in
       [("phi.dx", 1.9), ("psi.dx", 1.5), ("space.d", 1.7), ("space.d", False),
        *_SOLVER_INTEGERS]),

@@ -38,8 +38,7 @@ DATA = "x0,y0,y1\n" + "".join(
 # config an entry of CAPS sizes the work and keeps its numbers at or below
 # the cap; it is never dropped, since its default (50 atoms,
 # 5000 refit iterations, free search) is far more work.
-CAPS = {"solver.grid_per_dim": 4, "solver.max_atoms": 5, "solver.refit.max_iter": 200,
-        "oracle.grid_per_dim": 4}
+CAPS = {"solver.grid_per_dim": 4, "solver.max_atoms": 5, "solver.refit.max_iter": 200}
 
 STRINGS = st.sampled_from(["", "x", "group", "l1", "2", "-1", "nan", "inf", "1e3"])
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -150,13 +149,12 @@ def _edited(draw, doc, keys, values=None):
     return doc
 
 
-FIT_SECTIONS = ("feature", "space", "solver", "oracle")
+FIT_SECTIONS = ("feature", "space", "solver")
 FIT_BASES = [
     {"feature": {"kind": kind, "dx": 1, "radius": 1.5, "beta": "one", **extra},
      "space": {"d": 2, "norm": "l2"},
      "solver": {"lambda": 0.05, "max_atoms": 3, "tol": 1e-3,
-                "seed": 0, "grid_per_dim": 3, "refit": {"max_iter": 100, "tol": 1e-8}},
-     "oracle": {"grid_per_dim": 3}}
+                "seed": 0, "grid_per_dim": 3, "refit": {"max_iter": 100, "tol": 1e-8}}}
     for kind, extra in [("neural", {"activation": "tanh"}),
                         ("tabulated", {"x_grid": [-1.0, 0.0, 1.0], "w_grid": [-1.5, 1.5],
                                        "values": [[0.0, 1.0], [1.0, 0.5], [0.2, 0.3]]})]

@@ -31,8 +31,9 @@ PSI = {"kind": "neural", "dx": 1, "radius": 1.2, "beta": "one", "activation": "s
 # free search, where the seed draws the atom search's candidates
 SOLVER = {"lambda": 0.05, "max_atoms": 3, "tol": 1e-3,
           "seed": 0, "refit": {"max_iter": 100, "tol": 1e-8}}
-FIT = {"feature": FEATURE, "space": {"d": 2, "norm": "l2"}, "solver": SOLVER,
-       "oracle": {"grid_per_dim": 3}}
+FIT = {"feature": FEATURE, "space": {"d": 2, "norm": "l2"}, "solver": SOLVER}
+# oracle fits on the solver's grid
+ORACLE = {**FIT, "solver": {**SOLVER, "grid_per_dim": 3}}
 HYPER = {"phi": FEATURE, "psi": PSI, "space": {"d": 2, "norm": "l2"},
          "sampling": {"points": [[0.2], [-0.5]], "functionals": [[1.0, 0.0], [0.5, -1.0]]},
          "solver": SOLVER,
@@ -88,7 +89,6 @@ SECTIONS = {
     "feature": ("fit", FIT, lambda s: FeatureMap(**s)),
     "space": ("fit", FIT, lambda s: DualPairSpec(s["d"], s["norm"])),
     "solver": ("fit", FIT, _api_solver),
-    "oracle": ("oracle", FIT, lambda s: product_grid(1.5, 2, s["grid_per_dim"])),
     "phi": ("hyper-fit", HYPER, lambda s: FeatureMap(**s)),
     "psi": ("hyper-fit", HYPER, lambda s: FeatureMap(**s)),
     "sampling": ("hyper-fit", HYPER, lambda s: SampledMeasurement(s["points"], s["functionals"])),
@@ -160,13 +160,16 @@ def _outputs(command, config):
         return code, report, model
 
 
+_BASES = {"fit": FIT, "oracle": ORACLE, "hyper-fit": HYPER}
+
+
 @pytest.mark.parametrize("command", ["fit", "oracle", "hyper-fit"])
 def test_a_restarts_key_is_read_by_no_command(command):
     # solver.restarts counted the random-start ascents of a free atom search,
     # and 0 exited 2; the search now scores a candidate set drawn by the
     # seed, so the key is ignored like any key no table reads, on a free
     # search too
-    base = _set(HYPER if command == "hyper-fit" else FIT, "solver.max_atoms", 10)
+    base = _set(_BASES[command], "solver.max_atoms", 10)
     base.pop("grids", None)
     without = _outputs(command, base)
     assert without[0] == 0
@@ -180,7 +183,7 @@ def test_a_mode_key_is_read_by_no_command(command):
     # and exited 2 with the l2 norm in d > 1, as here (d = 2); every fit now
     # runs free payload rows, whose l1-norm rows are sums of such atoms, so
     # the key is ignored like any key no table reads
-    base = _set(HYPER if command == "hyper-fit" else FIT, "solver.max_atoms", 10)
+    base = _set(_BASES[command], "solver.max_atoms", 10)
     assert base["space"] == {"d": 2, "norm": "l2"}
     without = _outputs(command, base)
     assert without[0] == 0
@@ -196,6 +199,16 @@ def test_a_mode_value_that_exited_2_is_ignored(value):
     without = _outputs("fit", base)
     assert without[0] == 0
     assert _outputs("fit", _set(base, "solver.mode", value)) == without
+
+
+@pytest.mark.parametrize("value", [*BAD, 5], ids=repr)
+def test_an_oracle_section_is_ignored(value):
+    # oracle read its grid from oracle.grid_per_dim, where each BAD value
+    # exited 2 and 5 fitted on a grid other than the solver's 3; the section
+    # is now read by no command, so oracle prints what it prints without it
+    without = _outputs("oracle", ORACLE)
+    assert without[0] == 0
+    assert _outputs("oracle", {**ORACLE, "oracle": {"grid_per_dim": value}}) == without
 
 
 HEADER = ["type", "range", "default", "read by"]

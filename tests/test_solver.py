@@ -939,6 +939,41 @@ def test_ascend_grows_its_step_to_an_interior_maximizer():
     assert len(calls) <= 50
 
 
+def test_ascend_returns_the_start_at_a_zero_direction():
+    # a stationary start: no trial step is taken, and the start's state and
+    # score come back with a copy of the start
+    feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
+    start, calls = np.array([0.3, -0.2]), []
+
+    def value(L):
+        calls.append(L.copy())
+        return 0.7, "start state"
+
+    L, state, score = _ascend(value, lambda L, state: np.zeros(2), (feat,), start)
+    assert np.array_equal(L, start) and L is not start
+    assert (state, score) == ("start state", 0.7)
+    assert len(calls) == 1
+
+
+def test_ascend_returns_the_start_when_no_step_passes_armijo():
+    # a direction along which the score falls: every trial, halving from the
+    # first step 1 down to 1e-12, fails the Armijo test, and the ascent ends
+    # at its start
+    feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
+    start, calls = np.array([0.5, -0.25]), []
+
+    def value(L):
+        calls.append(L.copy())
+        return -float(np.sum(L)), len(calls)
+
+    L, state, score = _ascend(value, lambda L, state: np.ones(2), (feat,), start)
+    assert np.array_equal(L, start)
+    assert (state, score) == (1, -0.25)
+    # the start, then the 40 trial steps 2^-k for k = 0 .. 39 (2^-40 < 1e-12)
+    assert len(calls) == 41
+    assert all(not np.array_equal(c, start) for c in calls[1:])
+
+
 # ----------------------------------------------------------- lifted design
 
 def _design_objective(fam, D, C):

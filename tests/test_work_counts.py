@@ -310,8 +310,7 @@ def test_oracle_command_runs_one_cg_solve(monkeypatch, tmp_path, capsys):
                                  for x, y in zip(p.X.tolist(), p.Y.tolist())]
     config = {"feature": {"kind": "neural", "dx": 2, "radius": 2.0, "activation": "tanh"},
               "space": {"d": 3, "norm": "l2"},
-              "solver": {"lambda": p.lam, "max_atoms": 20, "seed": 3},
-              "oracle": {"grid_per_dim": 5}}
+              "solver": {"lambda": p.lam, "max_atoms": 20, "seed": 3, "grid_per_dim": 5}}
     cfg, data = tmp_path / "config.json", tmp_path / "data.csv"
     cfg.write_text(json.dumps(config))
     data.write_text("\n".join(rows) + "\n")
