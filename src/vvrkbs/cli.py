@@ -34,9 +34,8 @@ from .measure import measure_from_json_dict, measure_to_json_dict
 from .operator_learning import (SampledMeasurement, _check_hyper_grids, deeponet_embed, hyper_fit,
                                 hyper_model_to_json_dict)
 from .rkbs import RkbsFunction
-from .solver import (FitOptions, Problem, SolverError, _duality_gap, _flat_family, _grid_size,
-                     _positive_lam, export_network, fit, identity_measurement,
-                     network_to_json_dict, product_grid)
+from .solver import (FitOptions, Problem, SolverError, _grid_size, _positive_lam, export_network,
+                     fit, grid_oracle, identity_measurement, network_to_json_dict, product_grid)
 from .verify import run_invariant_checks
 
 EXIT_OK = 0
@@ -231,9 +230,10 @@ def _model_json_dict(state, spec: DualPairSpec, feat: FeatureMap) -> dict:
 
 # ------------------------------------------------------------- subcommands
 
-def _configured_fit(args):
-    """The set-up ``fit`` and ``oracle`` share: the config's raw bytes, and the
-    problem, options, state and wall ms of its fit; ``oracle`` needs a grid."""
+def _configured_fit(args, solve):
+    """The set-up ``fit`` and ``oracle`` share: the config's raw bytes, the
+    problem, and what ``solve`` (``fit`` or, on a grid, ``grid_oracle``)
+    returns for it and its options, with its wall ms."""
     raw, cfg = _read_config(args.config)
     feat, spec = (_section(cfg, name, "bad feature/space config") for name in ("feature", "space"))
     lam, opts, grid_per_dim = _section(cfg, "solver", "bad solver config")
@@ -244,15 +244,15 @@ def _configured_fit(args):
         omega = None if grid_per_dim is None else product_grid(feat.radius, feat.dw, grid_per_dim)
         problem = Problem(X, Y, identity_measurement(), lam, feat, spec, omega_grid=omega)
         start = time.monotonic()
-        state = fit(problem, opts)
+        result = solve(problem, opts)
     except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold
         failed = "fit failed" if args.command == "fit" else "oracle run failed"
         raise DataError(f"{failed}: {exc}") from exc
-    return raw, problem, opts, state, round((time.monotonic() - start) * 1000)
+    return raw, problem, result, round((time.monotonic() - start) * 1000)
 
 
 def cmd_fit(args) -> int:
-    raw, problem, _, state, wall_ms = _configured_fit(args)
+    raw, problem, state, wall_ms = _configured_fit(args, fit)
     model = _model_json_dict(state, problem.spec, problem.feature)
     return _finish_fit(args, raw, state, model, len(state.measure), wall_ms)
 
@@ -321,10 +321,7 @@ def _read_dataset_inputs_only(path: str, dx: int):
 
 
 def cmd_oracle(args) -> int:
-    _, problem, opts, state, _ = _configured_fit(args)
-    # the fit's duality gap on its grid, whose exhaustive search certifies it;
-    # it repeats the lift and search the fit ran, so it raises nothing the fit did not
-    _, dual, gap = _duality_gap(_flat_family(problem, opts), state.measure.W, state.measure.C)
+    _, _, (state, dual, gap), _ = _configured_fit(args, grid_oracle)
     _emit({"fit_objective": float(state.objective_history[-1]), "oracle_objective": float(dual),
            "relative_gap": float(gap)})
     if not state.converged:
@@ -392,6 +389,8 @@ def _fault_injection() -> float:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     corruption = _fault_injection()
     checks = run_invariant_checks(args.trials, args.seed, corruption)
     passed = all(c["passed"] for c in checks)

@@ -15,8 +15,8 @@ checks z and x once and evaluates phi(z, W) and psi(x, Theta) once each on
 those operands; both collapse orders read the two rows, the function form
 as one segment sum over the groups, and their agreement is tested on the d
 entries as Python floats.  An atom is an atom of the flat solver over the
-product feature phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit and
-the product-grid oracle run on the solver's engine.
+product feature phi(z_n, w) psi(x_j, theta) <v_j, v>, so the joint fit
+runs on the solver's engine.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .solver import (
     _ball_points,
     _cg_fit,
     _data_fit,
-    _grid_solve,
     _polish,
     _positive_lam,
 )
@@ -390,9 +389,9 @@ def _check_hyper_grids(phi, psi, w_grid=None, theta_grid=None):
 
 
 def _check_hyper_inputs(Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid):
-    """lam, Z, Y and the grids checked, for hyper_fit and hyper_grid_oracle;
-    the ValueError names the first fault.  lam must be finite and positive
-    (``_positive_lam``); the grids go through ``_check_hyper_grids``."""
+    """lam, Z, Y and the grids checked, for hyper_fit; the ValueError names
+    the first fault.  lam must be finite and positive (``_positive_lam``);
+    the grids go through ``_check_hyper_grids``."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     lam = _positive_lam(lam)
@@ -452,22 +451,6 @@ def hyper_fit(
         seed=opts.seed,
         converged=converged,
     )
-
-
-def hyper_grid_oracle(Z, Y, sampling: SampledMeasurement, phi: FeatureMap, psi: FeatureMap,
-                      spec: DualPairSpec, lam: float, w_grid, theta_grid):
-    """Solve the product-grid discretization, certified: hyper_fit's engine on
-    both grids until the score is within 1e-9 relative of lam.  Returns
-    (objective, coefficient matrix with row gw * len(theta_grid) + gt for
-    (w_grid[gw], theta_grid[gt]), relative duality gap)."""
-    if w_grid is None or theta_grid is None:
-        raise ValueError("the grid oracle needs both w_grid and theta_grid")
-    lam, Z, Y, w_grid, theta_grid = _check_hyper_inputs(
-        Z, Y, sampling, phi, psi, spec, lam, w_grid, theta_grid
-    )
-    fam = _product_family(Z, Y, sampling, phi, psi, spec, lam, w_grid=w_grid,
-                          theta_grid=theta_grid)
-    return _grid_solve(fam, (w_grid, theta_grid))
 
 
 # ---------------------------------------------------------------- deeponet

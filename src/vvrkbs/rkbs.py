@@ -26,6 +26,7 @@ identities that make these spaces reproducing-kernel spaces at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,12 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _worst(*errors) -> float:
+    """The largest of ``errors``, a NaN taken as inf: ``max`` would keep or
+    drop a NaN by its place, so a check could pass on one."""
+    return max(math.inf if math.isnan(e) else e for e in errors)
+
+
 def verify_reproducing(f: RkbsFunction, trials: int, seed: int,
                        corruption: float = 0.0) -> ReproducingReport:
     """Check the reproducing identity of f's side plus the three-way pairing.
@@ -158,7 +165,7 @@ def verify_reproducing(f: RkbsFunction, trials: int, seed: int,
             u = rng.standard_normal(spec.dim)
             lhs = pair(spec, evaluate(f, w), u) + corruption
             delta_w = measure_from_arrays([w], [u], spec, radius=feat.radius)
-            worst = max(worst, _rel(lhs, product_pairing(rho, delta_w, feat)))
+            worst = _worst(worst, _rel(lhs, product_pairing(rho, delta_w, feat)))
             g = f
         else:
             # draw a dual-side partner measure
@@ -174,14 +181,14 @@ def verify_reproducing(f: RkbsFunction, trials: int, seed: int,
                 [x], [u_dual], conjugate(spec),
                 radius=max(1.0, float(np.linalg.norm(x))),
             )
-            worst = max(worst, _rel(lhs, product_pairing(delta_x, mu, feat)))
+            worst = _worst(worst, _rel(lhs, product_pairing(delta_x, mu, feat)))
             g = RkbsFunction(rho, feat, spec, adjoint=True)
 
         fn = f if not f.adjoint else RkbsFunction(mu, feat, spec)
         double = product_pairing(rho, mu, feat)
         via_f = sum(pair(spec, c, evaluate(fn, w)) for w, c in zip(rho.W, rho.C))
         via_g = sum(pair(spec, evaluate(g, w), c) for w, c in zip(mu.W, mu.C))
-        worst = max(worst, _rel(double, via_f), _rel(double, via_g))
+        worst = _worst(worst, _rel(double, via_f), _rel(double, via_g))
     return ReproducingReport(worst, trials, worst <= REPRODUCING_TOL)
 
 

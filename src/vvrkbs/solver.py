@@ -173,9 +173,9 @@ class Problem:
 
 
 def _positive_lam(lam) -> float:
-    """lam as a float, if finite and positive: the one check of fit,
-    grid_oracle, hyper_fit and hyper_grid_oracle.  A Problem also takes
-    lam = 0, where lambda_max probes."""
+    """lam as a float, if finite and positive: the one check of fit (so of
+    grid_oracle) and hyper_fit.  A Problem also takes lam = 0, where
+    lambda_max probes."""
     lam = _real(lam, "lam")
     if not 0 < lam < math.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}: a solve requires lam > 0")
@@ -187,9 +187,8 @@ _grid_size = functools.partial(_integer, what="grid_per_dim", low=1)  # a produc
 
 def product_grid(radius: float, dim: int, per_dim: int) -> np.ndarray:
     """Cell centers of a regular product grid on [-R, R]^dim, kept inside
-    the radius-R ball.  The same construction backs the discretized
-    oracle, so grid-restricted problems and the oracle see identical
-    candidate sets."""
+    the radius-R ball: the ``omega_grid`` of the CLI's grid problems, of
+    per_dim points a dimension."""
     per_dim = _grid_size(per_dim)
     width = 2.0 * radius / per_dim
     axis = -radius + (np.arange(per_dim) + 0.5) * width
@@ -858,40 +857,17 @@ def _duality_gap(fam: _AtomFamily, L: np.ndarray, C: np.ndarray):
     return primal, primal - gap, gap / primal if primal > 0.0 else gap
 
 
-def _grid_solve(fam: _AtomFamily, grids):
-    """The CG engine at fixed tolerances on a grid family over the product
-    of ``grids``, each holding the next columns of a location, from the zero
-    measure.  The family proposes grid rows only, so every fitted location
-    is one.  Returns (objective, payload rows for every grid point in C
-    order, relative duality gap)."""
-    sizes = [len(g) for g in grids]
-    ends = np.cumsum([g.shape[1] for g in grids])
-    L, C = _cg_fit(fam, FitOptions(max_atoms=math.prod(sizes), tol=1e-9, refit_tol=1e-13))[:2]
-    # per grid, the first row that each location's columns equal
-    at = [(L[:, None, e - g.shape[1]:e] == g).all(axis=2).argmax(axis=1)
-          for g, e in zip(grids, ends)]
-    rows = np.zeros((math.prod(sizes), fam.dim))
-    rows[np.ravel_multi_index(at, sizes)] = C
-    obj, _, gap = _duality_gap(fam, L, C)
-    return obj, rows, gap
-
-
-def grid_oracle(p: Problem, grid_per_dim: int):
-    """Solve the weight-grid discretization of the problem, certified.
-
-    The CG engine runs from the zero measure on the grid (the problem's
-    ``omega_grid`` when present, so grid-restricted fits and this oracle
-    share their candidate set) until the score is within 1e-9 relative of
-    lam > 0.  Returns (objective, coefficient matrix with a row per grid
-    point, relative duality gap).
-    """
-    _positive_lam(p.lam)
-    if p.spec.primal_norm not in (L1, L2):
-        raise ValueError("grid oracle supports l1 and l2 primal norms")
+def grid_oracle(p: Problem, opts: FitOptions):
+    """The grid fit of ``p`` and its duality gap on ``p.omega_grid``, whose
+    exhaustive search makes the gap a certificate.  Returns (state, dual
+    value, relative gap): the dual value is a lower bound on the grid
+    optimum and the state's last objective an upper one.  A problem with
+    no grid raises ValueError."""
     if p.omega_grid is None:
-        p = dataclasses.replace(
-            p, omega_grid=product_grid(p.feature.radius, p.feature.dw, grid_per_dim))
-    return _grid_solve(_flat_family(p, FitOptions()), (p.omega_grid,))
+        raise ValueError("grid_oracle needs a problem with an omega_grid")
+    state = fit(p, opts)
+    _, dual, gap = _duality_gap(_flat_family(p, opts), state.measure.W, state.measure.C)
+    return state, dual, gap
 
 
 # ------------------------------------------------------------------ export

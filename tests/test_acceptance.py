@@ -256,7 +256,10 @@ def test_acceptance_05_oracle_equivalence():
     states = _suite_states()
     worst = worst_dual = 0.0
     for (p, opts, _), state in zip(_suite(), states):
-        oracle_obj, _, dual_gap = grid_oracle(p, 7)
+        # the grid optimum: the grid fit at tol 1e-9 with the whole grid as budget
+        optimum, _, dual_gap = grid_oracle(
+            p, FitOptions(max_atoms=len(p.omega_grid), tol=1e-9, refit_tol=1e-13))
+        oracle_obj = optimum.objective_history[-1]
         gap = abs(state.objective_history[-1] - oracle_obj) / oracle_obj
         worst = max(worst, gap)
         worst_dual = max(worst_dual, dual_gap)

@@ -339,18 +339,27 @@ def test_verify_passes_and_reports_checks(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_verify_fault_injection_exits_4(capsys, monkeypatch):
-    monkeypatch.setenv("VVRKBS_FAULT_INJECT", "1e-6")
+@pytest.mark.parametrize("corruption", ["1e-6", "nan", "inf"])
+def test_verify_fault_injection_exits_4(capsys, monkeypatch, corruption):
+    # a NaN error, which max() would drop, fails its check as an infinite one
+    monkeypatch.setenv("VVRKBS_FAULT_INJECT", corruption)
     assert main(["verify", "--trials", "5"]) == 4
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["passed"] is False
     assert "reproducing" in captured.err
+    if corruption != "1e-6":
+        assert report["checks"][0]["max_error"] == math.inf
 
 
 def test_verify_rejects_bad_trials(capsys):
     assert main(["verify", "--trials", "0"]) == 1
     capsys.readouterr()
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--trials", "1", "--seed", "-1"]) == 1
+    assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_oracle_reports_small_gap(tmp_path, capsys):
@@ -543,6 +552,22 @@ def test_readme_example_runs_fit_oracle_and_predict(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out.endswith("\n") and out.count("\n") == 1
         assert isinstance(json.loads(out), dict)
+
+
+@pytest.mark.parametrize("grids", [True, False])
+def test_readme_hyper_example_runs_hyper_fit(tmp_path, capsys, grids):
+    # README's hyper-fit config, with its grids section and without it, on a
+    # small seeded dataset: each run exits 0 and prints one JSON object on one line
+    config, data = readme_example.write_hyper(tmp_path)
+    if not grids:
+        cfg = json.loads(pathlib.Path(config).read_text())
+        del cfg["grids"]
+        pathlib.Path(config).write_text(json.dumps(cfg))
+    assert main(["hyper-fit", "--config", config, "--data", data,
+                 "--out", str(tmp_path / "hyper_model.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["atom_count"] >= 1
 
 
 def _bom_inputs(command):

@@ -19,6 +19,7 @@ from vvrkbs.rkbs import RkbsFunction, evaluate
 from vvrkbs.solver import (
     FitOptions,
     Problem,
+    _duality_gap,
     fit,
     identity_measurement,
     lambda_max,
@@ -33,14 +34,13 @@ from vvrkbs.operator_learning import (
     function_form_tv_upper,
     hyper_evaluate,
     hyper_fit,
-    hyper_grid_oracle,
     hyper_model_from_json_dict,
     hyper_model_to_json_dict,
     hyper_objective,
     weight_form_tv,
 )
 from vvrkbs import operator_learning, solver
-from vvrkbs.operator_learning import _hyper_oracle_score, _hyper_score_grid
+from vvrkbs.operator_learning import _hyper_oracle_score, _hyper_score_grid, _product_family
 
 
 def _ones_table(dx_radius=1.0):
@@ -527,6 +527,16 @@ def test_hyper_fit_lambda_threshold():
     assert len(below.model.a) > 0
 
 
+def _product_grid_optimum(Z, Y, samp, phi, psi, spec, lam, wg, tg):
+    # hyper_fit on both grids at tol 1e-9 with the whole product as the atom
+    # budget, and its relative duality gap, a certificate on the grids
+    opts = FitOptions(max_atoms=len(wg) * len(tg), tol=1e-9, refit_tol=1e-13)
+    state = hyper_fit(Z, Y, samp, phi, psi, spec, lam, opts=opts, w_grid=wg, theta_grid=tg)
+    m = state.model
+    fam = _product_family(Z, Y, samp, phi, psi, spec, lam, opts, wg, tg)
+    return state, _duality_gap(fam, np.hstack([m.W, m.Theta]), m.V)[2]
+
+
 def test_hyper_fit_matches_product_grid_oracle():
     rng = np.random.default_rng(23)
     spec, phi, psi, Z, Xj, V, Y, wg, tg = _fit_instance(rng)
@@ -537,13 +547,10 @@ def test_hyper_fit_matches_product_grid_oracle():
         opts=FitOptions(max_atoms=14, tol=1e-6, refit_tol=1e-12),
         w_grid=wg, theta_grid=tg,
     )
-    obj_oracle, C, gap = hyper_grid_oracle(Z, Y, samp, phi, psi, spec, lam, wg, tg)
+    optimum, gap = _product_grid_optimum(Z, Y, samp, phi, psi, spec, lam, wg, tg)
+    obj_oracle = optimum.objective_history[-1]
     assert gap <= 1e-7
-    # row gw * len(tg) + gt of C is the payload of the pair (wg[gw], tg[gt])
-    on = np.flatnonzero(np.abs(C).sum(axis=1))
-    grid_model = HyperModel(np.ones(len(on)), wg[on // len(tg)], tg[on % len(tg)], C[on],
-                            phi, psi, spec)
-    assert hyper_objective(Z, Y, samp, grid_model, lam) == pytest.approx(obj_oracle, rel=1e-10)
+    assert hyper_objective(Z, Y, samp, optimum.model, lam) == pytest.approx(obj_oracle, rel=1e-10)
     assert state.objective_history[-1] <= obj_oracle * (1 + 1e-4)
     assert abs(state.objective_history[-1] - obj_oracle) / obj_oracle <= 1e-4
     # the reported objective matches the model-level recomputation
@@ -551,15 +558,15 @@ def test_hyper_fit_matches_product_grid_oracle():
     assert recomputed == pytest.approx(state.objective_history[-1], rel=1e-9)
 
 
-def test_hyper_grid_oracle_huge_lambda_returns_zero_with_no_gap():
+def test_hyper_grid_fit_huge_lambda_returns_zero_with_no_gap():
     # no atom enters, so the duality gap is taken on the empty product lift
     rng = np.random.default_rng(24)
     spec, phi, psi, Z, Xj, V, Y, wg, tg = _fit_instance(rng)
     samp = SampledMeasurement(Xj, V)
     lam = 1e6 * _lambda_max_sweep(spec, phi, psi, Z, Xj, V, Y, wg, tg)
-    obj, C, gap = hyper_grid_oracle(Z, Y, samp, phi, psi, spec, lam, wg, tg)
-    assert C.shape == (len(wg) * len(tg), spec.dim)
-    assert np.all(C == 0.0)
+    state, gap = _product_grid_optimum(Z, Y, samp, phi, psi, spec, lam, wg, tg)
+    obj = state.objective_history[-1]
+    assert len(state.model.a) == 0
     assert obj == pytest.approx(0.5 * float(np.sum(Y * Y)) / len(Z), rel=1e-12)
     # zero in exact arithmetic; primal and dual value round apart by ulps
     assert abs(gap) <= 4 * np.finfo(float).eps
@@ -890,24 +897,22 @@ def _oracle_instance():
         ("lam", np.inf, "lam must be finite and positive"),
     ],
 )
-@pytest.mark.parametrize("solve", ["hyper_fit", "hyper_grid_oracle"])
-def test_hyper_fit_and_grid_oracle_share_the_input_checks(solve, key, value, fault):
-    # each case breaks one input of an instance both functions solve
+def test_hyper_fit_checks_its_inputs(key, value, fault):
+    # each case breaks one input of an instance hyper_fit solves
     args = _oracle_instance()
-    getattr(operator_learning, solve)(**args)
+    hyper_fit(**args)
     args[key] = value
     with pytest.raises(ValueError, match=fault):
-        getattr(operator_learning, solve)(**args)
+        hyper_fit(**args)
 
 
-def test_grid_oracle_requires_positive_lambda_and_both_grids():
-    # lam = 0 is refused by both, as by the flat fit and grid_oracle
+def test_hyper_fit_requires_positive_lambda_and_both_grids():
+    # lam = 0 is refused, as by the flat fit and grid_oracle
     args = {**_oracle_instance(), "lam": 0.0}
-    for solve in (hyper_grid_oracle, hyper_fit):
-        with pytest.raises(ValueError, match="lam must be finite and positive"):
-            solve(**args)
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
+        hyper_fit(**args)
     with pytest.raises(ValueError, match="needs both w_grid and theta_grid"):
-        hyper_grid_oracle(**{**args, "theta_grid": None})
+        hyper_fit(**{**args, "lam": 0.05, "theta_grid": None})
 
 
 def test_measurement_factorization():

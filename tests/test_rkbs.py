@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -159,6 +160,22 @@ def test_verify_reproducing_corrupted_fails():
     f = _function(rng)
     report = verify_reproducing(f, trials=50, seed=5, corruption=1e-3)
     assert not report.passed
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("corruption", [math.nan, math.inf])
+def test_verify_reproducing_fails_on_a_non_finite_corruption(corruption, adjoint):
+    # the error is NaN, which max() would drop after a finite one; it counts
+    # as infinite, so the check fails
+    rng = np.random.default_rng(4)
+    f = _function(rng)
+    if adjoint:
+        rho = measure_from_arrays(rng.uniform(-1, 1, (4, 1)), rng.standard_normal((4, 2)),
+                                  conjugate(L2), radius=2.0)
+        f = RkbsFunction(rho, f.feature, L2, adjoint=True)
+    report = verify_reproducing(f, trials=5, seed=5, corruption=corruption)
+    assert not report.passed
+    assert report.max_rel_error == math.inf
 
 
 # ----------------------------------------------------------------- vv-RKHS

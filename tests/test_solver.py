@@ -544,13 +544,21 @@ def test_fit_single_point_soft_threshold_closed_form():
         assert got == pytest.approx(c_star, rel=1e-6)
 
 
+def _grid_optimum(p):
+    # the certified grid solve of verify's representer check: tol 1e-9 and
+    # an atom budget of the whole grid; (objective, measure, relative gap)
+    opts = FitOptions(max_atoms=len(p.omega_grid), tol=1e-9, refit_tol=1e-13)
+    state, _, gap = grid_oracle(p, opts)
+    return state.objective_history[-1], state.measure, gap
+
+
 def test_fit_matches_grid_oracle_l2_group():
     rng = np.random.default_rng(7)
     p = _neural_problem(rng, n=4, dim=2, norm="l2", grid_per_dim=7, lam=1.0)
     lam = 0.3 * lambda_max(p)
     p = dataclasses.replace(p, lam=lam)
     state = fit(p, FitOptions(max_atoms=40, tol=1e-6, refit_tol=1e-12))
-    ref_obj, _, gap = grid_oracle(p, 7)
+    ref_obj, _, gap = _grid_optimum(p)
     got = objective(p, state.measure)
     assert abs(got - ref_obj) / ref_obj <= 1e-4
     assert gap <= 1e-7
@@ -562,7 +570,7 @@ def test_fit_matches_grid_oracle_l1_norm():
     lam = 0.4 * lambda_max(p)
     p = dataclasses.replace(p, lam=lam)
     state = fit(p, FitOptions(max_atoms=40, tol=1e-6, refit_tol=1e-12))
-    ref_obj, _, gap = grid_oracle(p, 5)
+    ref_obj, _, gap = _grid_optimum(p)
     got = objective(p, state.measure)
     assert abs(got - ref_obj) / ref_obj <= 1e-4
     assert gap <= 1e-7
@@ -606,7 +614,7 @@ def test_fit_l1_norm_one_location_holds_one_row_of_two_axis_atoms():
     mu = state.measure
     assert mu.W.tolist() == [[0.6, 0.3]]
     assert np.count_nonzero(mu.C) == 2
-    ref_obj = grid_oracle(p, 1)[0]
+    ref_obj = _grid_optimum(p)[0]
     assert abs(objective(p, mu) - ref_obj) <= 1e-10 * ref_obj
 
 
@@ -667,7 +675,7 @@ def test_scalar_grid_solves_certify_after_wide_refits():
     # Newton steps finish such a refit on the narrow support it leaves.
     for seed in range(20):
         p = _neural_problem(np.random.default_rng(seed), n=2, dim=1, lam=0.02, grid_per_dim=5)
-        assert grid_oracle(p, 5)[2] <= 1e-9
+        assert _grid_optimum(p)[2] <= 1e-9
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -765,10 +773,10 @@ def test_grid_oracle_refits_its_working_set_by_newton_steps(monkeypatch):
     monkeypatch.setattr(solver, "_fista", counted_fista)
     p = _grid_teacher(0, 50)
     assert p.omega_grid.shape == (81, 3)
-    obj, C, gap = grid_oracle(p, 5)
+    obj, mu, gap = _grid_optimum(p)
     assert fista_calls == []
     assert sizes and all(k <= m for k, m in sizes)
-    assert C.shape == (81, 3)
+    assert all((p.omega_grid == w).all(axis=1).any() for w in mu.W)
     assert gap <= 1e-7
 
 
@@ -776,33 +784,39 @@ def test_grid_oracle_refits_its_working_set_by_newton_steps(monkeypatch):
 def test_grid_fit_and_its_dual_value_bracket_the_grid_optimum(seed):
     # on a grid the search is exhaustive, so the dual value of a grid fit's
     # duality gap is a lower bound on the grid optimum and the fit's
-    # objective an upper one
+    # objective an upper one; grid_oracle is that fit and its gap
     p = _grid_teacher(seed, 30)
     opts = FitOptions(max_atoms=40, tol=0.05, seed=seed)
-    state = fit(p, opts)
+    state, dual, gap = grid_oracle(p, opts)
+    assert state.objective_history == fit(p, opts).objective_history
+    assert (dual, gap) == _duality_gap(_flat_family(p, opts), state.measure.W,
+                                       state.measure.C)[1:]
     fit_obj = state.objective_history[-1]
-    _, dual, gap = _duality_gap(_flat_family(p, opts), state.measure.W, state.measure.C)
-    obj, C, oracle_gap = grid_oracle(p, 5)
+    obj, grid_mu, oracle_gap = _grid_optimum(p)
     assert dual <= obj * (1.0 + 1e-12)
     assert obj <= fit_obj * (1.0 + 1e-12)
     assert fit_obj - dual == pytest.approx(gap * fit_obj, rel=1e-9)
-    assert C.shape == (81, 3) and oracle_gap <= 1e-7
-    grid_mu = measure_from_arrays(p.omega_grid, C, p.spec, p.feature.radius)
+    assert oracle_gap <= 1e-7
     assert objective(p, grid_mu) == pytest.approx(obj, rel=1e-10)
 
 
 def test_grid_oracle_requires_positive_lam():
-    p = _neural_problem(np.random.default_rng(41), lam=0.0)
+    p = _neural_problem(np.random.default_rng(41), lam=0.0, grid_per_dim=5)
     with pytest.raises(ValueError, match="requires lam > 0"):
-        grid_oracle(p, 5)
+        grid_oracle(p, FitOptions())
 
+
+def test_grid_oracle_requires_a_grid():
+    p = _neural_problem(np.random.default_rng(41), lam=0.1)
+    with pytest.raises(ValueError, match="needs a problem with an omega_grid"):
+        grid_oracle(p, FitOptions())
 
 
 def test_grid_oracle_huge_lam_returns_zero():
     rng = np.random.default_rng(14)
-    p = _neural_problem(rng, n=3, lam=1e6)
-    obj, C, _ = grid_oracle(p, 5)
-    assert np.all(C == 0.0)
+    p = _neural_problem(rng, n=3, lam=1e6, grid_per_dim=5)
+    obj, mu, _ = _grid_optimum(p)
+    assert len(mu) == 0
     assert obj == pytest.approx(
         objective(p, empty_measure(p.spec, p.feature.radius)), rel=1e-12
     )
@@ -817,28 +831,27 @@ def test_grid_oracle_single_cell_soft_threshold():
     c_star = (phi * y - lam) / phi**2
     p = Problem([[x]], [[y]], identity_measurement(), lam, feat, spec,
                 omega_grid=w)
-    obj, C, _ = grid_oracle(p, 1)
-    assert C[0, 0] == pytest.approx(c_star, rel=1e-6)
+    obj, mu, _ = _grid_optimum(p)
+    assert mu.C[0, 0] == pytest.approx(c_star, rel=1e-6)
     by_hand = 0.5 * (phi * c_star - y) ** 2 + lam * abs(c_star)
     assert obj == pytest.approx(by_hand, rel=1e-10)
 
 
 def test_grid_oracle_objective_matches_reported_coefficients():
     rng = np.random.default_rng(15)
-    p = _neural_problem(rng, n=4, lam=0.08)
-    obj, C, _ = grid_oracle(p, 5)
-    grid = product_grid(p.feature.radius, 2, 5)
-    mu = measure_from_arrays(grid, C, p.spec, p.feature.radius)
+    p = _neural_problem(rng, n=4, lam=0.08, grid_per_dim=5)
+    obj, mu, _ = _grid_optimum(p)
     assert objective(p, mu) == pytest.approx(obj, rel=1e-10)
 
 
 def test_grid_oracle_rerun_identical():
     rng = np.random.default_rng(16)
-    p = _neural_problem(rng, n=3, lam=0.05)
-    o1, C1, _ = grid_oracle(p, 5)
-    o2, C2, _ = grid_oracle(p, 5)
+    p = _neural_problem(rng, n=3, lam=0.05, grid_per_dim=5)
+    o1, mu1, _ = _grid_optimum(p)
+    o2, mu2, _ = _grid_optimum(p)
     assert abs(o1 - o2) <= 1e-8
-    assert np.allclose(C1, C2, atol=1e-10)
+    assert np.array_equal(mu1.W, mu2.W)
+    assert np.allclose(mu1.C, mu2.C, atol=1e-10)
 
 
 # ------------------------------------------------------------- step rules

@@ -35,6 +35,10 @@ from vvrkbs.solver import (
 )
 
 
+# the grid optimum's options: tol 1e-9 and the 81-point grid as the atom budget
+TIGHT = FitOptions(max_atoms=81, tol=1e-9, refit_tol=1e-13)
+
+
 def _teacher_problem(seed, n=30, grid_per_dim=5):
     # four-atom teacher plus noise, neural tanh feature with the smooth window
     rng = np.random.default_rng(seed)
@@ -89,7 +93,7 @@ def test_step_rules_cut_refit_and_ascent_work(monkeypatch):
     for seed in range(10):
         p = _teacher_problem(seed)
         state = fit(p, FitOptions(max_atoms=20, seed=3))
-        grid_oracle(p, 5)
+        grid_oracle(p, TIGHT)
         q = dataclasses.replace(p, omega_grid=None)
         _random_ascents(q, residual_duals(q, state.measure))
 
@@ -294,17 +298,17 @@ def test_oracle_run_builds_its_grid_features_once(monkeypatch):
     builds = _grid_builds(monkeypatch, solver, [p.omega_grid for p in problems])
     for p in problems:
         fit(p, FitOptions(max_atoms=20, seed=3))
-        grid_oracle(p, 5)
+        grid_oracle(p, TIGHT)
     assert builds == [1, 1, 1]
 
 
 def test_oracle_command_runs_one_cg_solve(monkeypatch, tmp_path, capsys):
     # An oracle command fitted the grid-restricted problem and then continued
-    # that fit by grid_oracle, a second CG solve on the same grid.  It now runs
-    # the fit alone and reports the fit's duality gap.
-    solves, grid_solves = [], []
+    # that fit by a second CG solve on the same grid.  It now runs the fit
+    # alone, through grid_oracle, and reports the fit's duality gap.
+    solves, gaps = [], []
     _counted(monkeypatch, "_cg_fit", solves)
-    _counted(monkeypatch, "_grid_solve", grid_solves)
+    _counted(monkeypatch, "_duality_gap", gaps)
     p = _teacher_problem(0)
     rows = ["x0,x1,y0,y1,y2"] + [",".join(map(repr, [*x, *y]))
                                  for x, y in zip(p.X.tolist(), p.Y.tolist())]
@@ -317,7 +321,7 @@ def test_oracle_command_runs_one_cg_solve(monkeypatch, tmp_path, capsys):
     assert cli.main(["oracle", "--config", str(cfg), "--data", str(data)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["relative_gap"] <= 1e-4
-    assert len(solves) == 1 and grid_solves == []
+    assert len(solves) == 1 and len(gaps) == 1
 
 
 def _counted(monkeypatch, name, log):
