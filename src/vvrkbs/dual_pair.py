@@ -13,7 +13,8 @@ explicit witnesses (sign patterns for l1/linf, the normalized vector for
 l2), which is what makes the identities testable in exact-ish arithmetic.
 
 A twin operator is a bounded bilinear form T(u_dual, u) = u_dual^T M u.
-It induces a linear map on each factor (M and M^T) and its bilinear norm
+It induces a linear map on each factor, the matrix products M u and
+M^T u_dual of ``TwinOperator.matrix``, and its bilinear norm
 
     ||T|| = sup { |T(u_dual, u)| : ||u_dual||_dual <= 1, ||u||_primal <= 1 }
 
@@ -82,13 +83,6 @@ def _reals(value, what: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def conjugate_norm(norm: str) -> str:
-    """Conjugate exponent norm: l1 <-> linf, l2 <-> l2."""
-    if norm not in _CONJUGATE:
-        raise ValueError(f"unknown norm {norm!r}; expected one of {_NORMS}")
-    return _CONJUGATE[norm]
-
-
 @dataclass(frozen=True)
 class DualPairSpec:
     """A conjugate pair of norms on R^dim with the dot-product pairing.
@@ -112,10 +106,6 @@ class DualPairSpec:
     @property
     def dual_norm(self) -> str:
         return _CONJUGATE[self.primal_norm]
-
-    @property
-    def pairing_constant(self) -> float:
-        return 1.0
 
 
 def conjugate(spec: DualPairSpec) -> DualPairSpec:
@@ -239,38 +229,6 @@ class TwinOperator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-def twin_value(T: TwinOperator, u_dual, u) -> float:
-    """T(u_dual, u)."""
-    u_dual = np.asarray(u_dual, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (T.matrix.shape[1],) or u_dual.shape != (T.matrix.shape[0],):
-        raise ValueError(
-            f"operands of shape {u_dual.shape}, {u.shape} do not fit "
-            f"matrix of shape {T.matrix.shape}"
-        )
-    return float(u_dual @ T.matrix @ u)
-
-
-def twin_apply_primal(T: TwinOperator, u) -> np.ndarray:
-    """The induced map on U: <u_dual, T_U u> = T(u_dual, u)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (T.matrix.shape[1],):
-        raise ValueError(
-            f"vector of shape {u.shape} does not fit matrix {T.matrix.shape}"
-        )
-    return T.matrix @ u
-
-
-def twin_apply_dual(T: TwinOperator, u_dual) -> np.ndarray:
-    """The induced map on U_dual: <T_Udual u_dual, u> = T(u_dual, u)."""
-    u_dual = np.asarray(u_dual, dtype=float)
-    if u_dual.shape != (T.matrix.shape[0],):
-        raise ValueError(
-            f"vector of shape {u_dual.shape} does not fit matrix {T.matrix.shape}"
-        )
-    return T.matrix.T @ u_dual
 
 
 def induced_matrix_norm(matrix, norm: str) -> float:

@@ -350,12 +350,6 @@ def feature_column(f: FeatureMap, X):
     return value, gradient
 
 
-def grad_phi_w(f: FeatureMap, x, w) -> np.ndarray:
-    """d phi / dw at one (x, w); vector of length dw."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return grad_phi_w_batch(f, x[None, :], np.asarray(w, dtype=float))[0]
-
-
 # ------------------------------------------------- simple-function pairing
 
 def _cell_masses(measure, grid_per_dim: int):
@@ -398,20 +392,19 @@ def simple_approx_pairing(f: FeatureMap, rho, mu, grid_per_dim: int) -> float:
     return math.fsum((vals * gram).ravel().tolist())
 
 
-def grid_sup_abs(f: FeatureMap, x, radius: float, extra_ws=None) -> float:
+def grid_sup_abs(f: FeatureMap, x, radius: float, sites) -> float:
     """max |phi(x, .)| over the product grid of 9 points per dimension
-    on [-radius, radius]^dw, kept inside the weight ball, origin included.
-
-    ``extra_ws`` lets callers include specific weight sites (e.g. the
-    atoms of a measure) so bounds built from this estimate stay ordered.
+    on [-radius, radius]^dw, kept inside the weight ball, origin included,
+    and over the weight rows ``sites`` (the atoms of a measure), so bounds
+    built from this estimate stay ordered, also where the grid holds no
+    finite point (a radius above about 9e307, where 2 radius overflows).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    axes = [np.linspace(-radius, radius, 9)] * f.dw
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dw)
-    keep = np.sqrt(np.sum(grid * grid, axis=1)) <= radius + 1e-12
-    grid = grid[keep]
-    if extra_ws is not None and len(extra_ws):
-        grid = np.concatenate([grid, np.asarray(extra_ws, dtype=float)], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the filter drops inf and NaN points
+        axes = [np.linspace(-radius, radius, 9)] * f.dw
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dw)
+        keep = np.sqrt(np.sum(grid * grid, axis=1)) <= radius + 1e-12
+    grid = np.concatenate([grid[keep], np.asarray(sites, dtype=float)], axis=0)
     vals = phi_matrix(f, x[None, :], grid)[0]
     return float(np.max(np.abs(vals)))
 

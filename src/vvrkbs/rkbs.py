@@ -97,7 +97,7 @@ def b_norm_lower(f: RkbsFunction, probe_xs) -> float:
     best = 0.0
     for x in probe_xs:
         val = primal_norm_value(f.spec, evaluate(f, x))
-        sup = grid_sup_abs(f.feature, x, mu.radius, extra_ws=mu.W)
+        sup = grid_sup_abs(f.feature, x, mu.radius, mu.W)
         if sup > 1e-300:
             best = max(best, val / sup)
     return best
@@ -209,20 +209,6 @@ class GaussianKernel:
         f = FeatureMap("gaussian", dx=A.shape[1], radius=1.0, beta="one",
                        bandwidth=self.bandwidth)
         return phi_matrix(f, A, np.atleast_2d(B))
-
-
-@dataclass(frozen=True)
-class TabulatedKernel:
-    """Scalar kernel looked up from a feature table over X x X."""
-
-    feature: FeatureMap
-
-    def __post_init__(self):
-        if self.feature.kind != "tabulated":
-            raise ValueError("TabulatedKernel wraps a tabulated feature")
-
-    def pairwise(self, A, B) -> np.ndarray:
-        return phi_matrix(self.feature, np.atleast_2d(A), np.atleast_2d(B))
 
 
 @dataclass(frozen=True)

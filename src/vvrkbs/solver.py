@@ -94,10 +94,6 @@ def identity_measurement() -> MeasurementOp:
     return MeasurementOp("identity")
 
 
-def functionals_measurement(V) -> MeasurementOp:
-    return MeasurementOp("functionals", V)
-
-
 def measurement_dim(m: MeasurementOp, spec: DualPairSpec) -> int:
     if m.kind == "identity":
         return spec.dim
@@ -695,8 +691,11 @@ def _cg_fit(fam: _AtomFamily, opts: FitOptions):
     the N*d_meas bound is then reduced to it (``_reduce_support``), and the
     last history entry is the reduced state's objective.  Returns
     (locations, coalesced payload rows, objective history, certificate,
-    iterations, converged).
+    iterations, converged).  A norm other than l1 and l2, which has no
+    proximal map here, raises ValueError before any search.
     """
+    if fam.norm not in (L1, L2):
+        raise ValueError(f"fits support l1 and l2 primal norms, got {fam.norm!r}")
     L, C = np.zeros((0, fam.width)), np.zeros((0, fam.dim))  # locations, payload rows
     P = np.zeros_like(fam.Y)  # predictions of the current model
 
@@ -812,8 +811,6 @@ def fit(p: Problem, opts: FitOptions) -> SolverState:
     the first sets ``converged``.  Deterministic for a fixed seed.
     """
     _positive_lam(p.lam)
-    if p.spec.primal_norm not in (L1, L2):
-        raise ValueError("fit supports l1 and l2 primal norms")
     W, rows, history, certificate, iterations, converged = _cg_fit(_flat_family(p, opts), opts)
     return SolverState(
         measure=measure_from_arrays(W, rows, p.spec, p.feature.radius),

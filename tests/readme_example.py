@@ -5,7 +5,9 @@ README shows under `fit`, and DIR/train.csv, 12 rows drawn with seed 0, on
 which `vvrkbs fit`, `oracle` and `predict` run and exit 0; and
 DIR/hyper.json, the config README shows under `hyper-fit`, and
 DIR/tasks.csv, 12 task inputs drawn with seed 0, on which `vvrkbs
-hyper-fit` runs and exits 0.
+hyper-fit` runs and exits 0; and DIR/deeponet.json and DIR/basis.json, the
+config and data README shows under `deeponet`, on which `vvrkbs deeponet`
+runs and exits 0.
 """
 
 import json
@@ -19,10 +21,11 @@ import numpy as np
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def config(command: str = "fit") -> dict:
-    """The first JSON block of README's section on ``command``."""
+def config(command: str = "fit", block: int = 0) -> dict:
+    """JSON block ``block`` (the first by default) of README's section on
+    ``command``."""
     section = README.read_text().split(f"\n### {command}\n", 1)[1]
-    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    return json.loads(re.findall(r"```json\n(.*?)```", section, re.S)[block])
 
 
 def _inputs() -> list:
@@ -50,6 +53,15 @@ def write_hyper(directory) -> tuple:
     return str(directory / "hyper.json"), str(directory / "tasks.csv")
 
 
+def write_deeponet(directory) -> tuple:
+    """Writes deeponet.json and basis.json to ``directory``; returns their paths."""
+    directory = pathlib.Path(directory)
+    (directory / "deeponet.json").write_text(json.dumps(config("deeponet")))
+    (directory / "basis.json").write_text(json.dumps(config("deeponet", 1)))
+    return str(directory / "deeponet.json"), str(directory / "basis.json")
+
+
 if __name__ == "__main__":
     write(sys.argv[1])
     write_hyper(sys.argv[1])
+    write_deeponet(sys.argv[1])

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from test_feature import _pairing_instance
 
@@ -22,7 +21,6 @@ from vvrkbs.dual_pair import (
     operator_norm_dual,
     operator_norm_primal,
     twin_norm,
-    vector_norm,
 )
 from vvrkbs.feature import (
     FeatureMap,

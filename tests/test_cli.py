@@ -466,6 +466,23 @@ def _hyper_config():
     }
 
 
+@pytest.mark.parametrize("command", ["fit", "hyper-fit"])
+@pytest.mark.parametrize("lam", [0.05, 100.0])
+def test_a_linf_fit_exits_2_at_any_lambda(tmp_path, capsys, command, lam):
+    # hyper-fit exited 0 with an empty model above lambda_max, and 2 only
+    # below it, where the refit found no proximal map mid-run
+    cfg = _base_config() if command == "fit" else _hyper_config()
+    cfg["space"]["norm"] = "linf"
+    cfg["solver"]["lambda"] = lam
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(cfg))
+    data = _write(tmp_path, "data.csv", "\n".join(DATA_ROWS) + "\n")
+    out = tmp_path / "model.json"
+    assert main([command, "--config", cfg_path, "--data", data, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"{command} failed: fits support l1 and l2 primal norms, got 'linf'" in captured.err
+
+
 def test_hyper_fit_writes_model(tmp_path, capsys):
     cfg = _write(tmp_path, "hcfg.json", json.dumps(_hyper_config()))
     data = _write(tmp_path, "hdata.csv", "\n".join(DATA_ROWS) + "\n")
@@ -568,6 +585,18 @@ def test_readme_hyper_example_runs_hyper_fit(tmp_path, capsys, grids):
     out = capsys.readouterr().out
     assert out.endswith("\n") and out.count("\n") == 1
     assert json.loads(out)["atom_count"] >= 1
+
+
+def test_readme_deeponet_example_runs(tmp_path, capsys):
+    # README's deeponet config and data: the run exits 0, prints one JSON
+    # object on one line, and writes a model of one atom per (basis function,
+    # coefficient pair, basis atom)
+    config, data = readme_example.write_deeponet(tmp_path)
+    out = tmp_path / "hyper_model.json"
+    assert main(["deeponet", "--config", config, "--data", data, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == '{"atom_count": 4}\n'
+    assert len(json.loads(out.read_text())["atoms"]) == 4
 
 
 def _bom_inputs(command):

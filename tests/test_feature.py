@@ -18,7 +18,6 @@ from vvrkbs.feature import (
     feature_column,
     feature_from_json_dict,
     feature_to_json_dict,
-    grad_phi_w,
     grad_phi_w_batch,
     grid_sup_abs,
     _phi_row,
@@ -186,12 +185,12 @@ def test_grad_tanh_at_zero_preactivation():
     f = FeatureMap("neural", dx=2, radius=5.0, beta="one", activation="tanh")
     x = np.array([0.5, -1.5])
     w = np.zeros(3)  # preactivation 0, tanh'(0) = 1
-    assert np.allclose(grad_phi_w(f, x, w), np.append(x, 1.0), atol=1e-14)
+    assert np.allclose(grad_phi_w_batch(f, x[None, :], w)[0], np.append(x, 1.0), atol=1e-14)
 
 
 def test_grad_zero_outside_support():
     f = FeatureMap("neural", dx=1, radius=1.0, beta="smooth_bump", activation="tanh")
-    assert np.allclose(grad_phi_w(f, [0.3], [2.0, 1.0]), 0.0)
+    assert np.allclose(grad_phi_w_batch(f, [[0.3]], [2.0, 1.0])[0], 0.0)
 
 
 @pytest.mark.parametrize("act", ["tanh", "sigmoid", "gaussian_rbf"])
@@ -202,7 +201,7 @@ def test_grad_matches_central_differences_neural(act):
     for _ in range(200):
         x = rng.uniform(-1, 1, 2)
         w = rng.uniform(-0.9, 0.9, 3)  # strictly inside the ball
-        err = np.max(np.abs(grad_phi_w(f, x, w) - _central_diff(f, x, w)))
+        err = np.max(np.abs(grad_phi_w_batch(f, x[None, :], w)[0] - _central_diff(f, x, w)))
         worst = max(worst, err)
     assert worst <= 1e-4
 
@@ -215,7 +214,7 @@ def test_grad_matches_central_differences_relu_away_from_kink():
         w = rng.uniform(-0.9, 0.9, 3)
         if abs(np.dot(w[:2], x) + w[2]) < 1e-3:
             continue
-        err = np.max(np.abs(grad_phi_w(f, x, w) - _central_diff(f, x, w)))
+        err = np.max(np.abs(grad_phi_w_batch(f, x[None, :], w)[0] - _central_diff(f, x, w)))
         assert err <= 1e-4
 
 
@@ -225,7 +224,7 @@ def test_grad_matches_central_differences_gaussian():
     for _ in range(100):
         x = rng.uniform(-1, 1, 2)
         w = rng.uniform(-0.9, 0.9, 2)
-        err = np.max(np.abs(grad_phi_w(f, x, w) - _central_diff(f, x, w)))
+        err = np.max(np.abs(grad_phi_w_batch(f, x[None, :], w)[0] - _central_diff(f, x, w)))
         assert err <= 1e-4
 
 
@@ -239,7 +238,7 @@ def test_grad_tabulated_inside_cell():
         w_grid=[0.0, 2.0],
         values=[[0.0, 2.0], [4.0, 6.0]],
     )
-    g = grad_phi_w(f, [0.5], [1.0])
+    g = grad_phi_w_batch(f, [[0.5]], [1.0])[0]
     assert g[0] == pytest.approx(_central_diff(f, [0.5], [1.0])[0], abs=1e-9)
 
 
@@ -449,7 +448,7 @@ def test_simple_approx_zero_measure():
 def test_grid_sup_abs_dominates_atom_sites():
     f, _, mu = _pairing_instance()
     x = np.array([0.4])
-    s = grid_sup_abs(f, x, mu.radius, extra_ws=mu.W)
+    s = grid_sup_abs(f, x, mu.radius, mu.W)
     vals = phi_matrix(f, x[None, :], mu.W)[0]
     assert s >= np.max(np.abs(vals)) - 1e-15
 

@@ -290,7 +290,7 @@ def test_point_evaluation_bound():
         mu = _random_measure(rng, L2, 2.0, rng.integers(1, 6), 2)
         x = rng.uniform(-1, 1, 1)
         val = np.linalg.norm(integrate(f, mu, x))
-        sup = grid_sup_abs(f, x, mu.radius, extra_ws=mu.W)
+        sup = grid_sup_abs(f, x, mu.radius, mu.W)
         assert val <= sup * total_variation(mu) + 1e-12
 
 

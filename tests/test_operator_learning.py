@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 import pickle
@@ -511,6 +513,32 @@ def _lambda_max_sweep(spec, phi, psi, Z, Xj, V, Y, w_grid, theta_grid):
                     ) * V[jj]
             best = max(best, dual_norm_value(spec, q))
     return best
+
+
+@pytest.mark.parametrize("fitter", ["fit", "hyper_fit"])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_a_linf_fit_raises_before_any_search(monkeypatch, fitter, scale):
+    # no row norm but l1 and l2 has a proximal map; above lambda_max hyper_fit
+    # returned a certified empty model, and below it failed mid-run
+    rng = np.random.default_rng(29)
+    spec, phi, psi, Z, Xj, V, Y, wg, tg = _fit_instance(rng)
+    spec = DualPairSpec(spec.dim, "linf")
+    p = Problem(Z, Y @ V, identity_measurement(), 1.0, phi, spec, omega_grid=wg)
+    if fitter == "fit":
+        run = functools.partial(fit, dataclasses.replace(p, lam=scale * lambda_max(p)),
+                                FitOptions())
+    else:
+        lam = scale * _lambda_max_sweep(spec, phi, psi, Z, Xj, V, Y, wg, tg)
+        run = functools.partial(hyper_fit, Z, Y, SampledMeasurement(Xj, V), phi, psi, spec, lam,
+                                w_grid=wg, theta_grid=tg)
+
+    def searched(*args):
+        raise AssertionError("the atom search ran")
+
+    monkeypatch.setattr(solver, "lmo", searched)
+    monkeypatch.setattr(operator_learning, "_hyper_score_grid", searched)
+    with pytest.raises(ValueError, match="fits support l1 and l2 primal norms, got 'linf'"):
+        run()
 
 
 def test_hyper_fit_lambda_threshold():

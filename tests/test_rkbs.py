@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from vvrkbs.dual_pair import DualPairSpec, conjugate
-from vvrkbs.feature import FeatureMap
+from vvrkbs.feature import FeatureMap, phi_matrix
 from vvrkbs.measure import (
-    AtomicVectorMeasure,
     empty_measure,
     measure_from_arrays,
 )
 from vvrkbs.rkbs import (
     GaussianKernel,
     RkbsFunction,
-    RkhsModel,
-    TabulatedKernel,
     b_norm_lower,
     b_norm_upper,
     evaluate,
@@ -123,6 +120,20 @@ def test_norm_bracket_ordered_random():
             lo = b_norm_lower(f, probes)
             hi = b_norm_upper(f)
             assert lo <= hi + 1e-12
+
+
+def test_norm_bracket_ordered_at_a_radius_whose_grid_overflows():
+    # at radius 1e308, 2 radius overflows and the sup estimate's grid holds no
+    # finite point, so the estimate rests on the atom sites alone; it raised
+    # numpy's zero-size reduction error when the sites were optional
+    spec = DualPairSpec(2, "l2")
+    feat = FeatureMap("neural", dx=1, radius=1e308, beta="one", activation="tanh")
+    mu = measure_from_arrays([[0.5, 0.2], [-1.0, 3.0]], [[3.0, 4.0], [1.0, -1.0]], spec,
+                             radius=1e308)
+    f = RkbsFunction(mu, feat, spec)
+    lo = b_norm_lower(f, [[0.3], [-0.7]])
+    assert 0.0 < lo < math.inf
+    assert lo <= b_norm_upper(f)
 
 
 # ------------------------------------------------------- reproducing checks
@@ -267,13 +278,23 @@ def test_rkhs_rejects_a_lambda_that_is_negative_or_not_finite(lam):
         rkhs_fit([[0.0], [1.0]], [[1.0], [2.0]], GaussianKernel(1.0), lam)
 
 
+class _TableKernel:
+    # a scalar kernel looked up from a feature table over X x X: rkhs_fit
+    # takes any object with ``pairwise``
+    def __init__(self, feature):
+        self.feature = feature
+
+    def pairwise(self, A, B):
+        return phi_matrix(self.feature, np.atleast_2d(A), np.atleast_2d(B))
+
+
 def test_rkhs_tabulated_kernel():
     feat = FeatureMap(
         "tabulated", dx=1, radius=2.0, beta="one",
         x_grid=[-1.0, 0.0, 1.0], w_grid=[-1.0, 0.0, 1.0],
         values=np.eye(3) + 1.0,
     )
-    k = TabulatedKernel(feat)
+    k = _TableKernel(feat)
     model = rkhs_fit([[0.0], [1.0]], [[1.0], [2.0]], k, 0.5)
     assert rkhs_stationarity(model, [[1.0], [2.0]], 0.5) <= 1e-9
 

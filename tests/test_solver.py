@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vvrkbs.dual_pair import DualPairSpec, dual_norm_value, primal_witness
 from vvrkbs.feature import ACTIVATIONS, FeatureMap, eval_phi, grad_phi_w_batch, phi_matrix
-from vvrkbs.measure import empty_measure, measure_from_arrays, total_variation
+from vvrkbs.measure import empty_measure, measure_from_arrays
 from vvrkbs.solver import (
     FitOptions,
     MeasurementOp,
@@ -17,7 +17,6 @@ from vvrkbs.solver import (
     SolverState,
     export_network,
     fit,
-    functionals_measurement,
     grid_oracle,
     identity_measurement,
     lambda_max,
@@ -163,7 +162,7 @@ def test_problem_rejects_each_malformed_input(field, value, fault):
 
 def test_measurement_apply_and_adjoint():
     V = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
-    m = functionals_measurement(V)
+    m = MeasurementOp("functionals", V)
     U = np.array([[1.0, 2.0, 3.0]])
     assert np.allclose(measurement_apply(m, U), U @ V.T)
     G = np.array([[0.5, -1.0]])
@@ -700,9 +699,9 @@ def test_fit_invariant_under_functional_permutation():
     X = rng.uniform(-1, 1, (4, 1))
     grid = product_grid(1.5, 2, 5)
     perm = [2, 0, 1]
-    p1 = Problem(X, Y, functionals_measurement(V), 0.05, feat, spec,
+    p1 = Problem(X, Y, MeasurementOp("functionals", V), 0.05, feat, spec,
                  omega_grid=grid)
-    p2 = Problem(X, Y[:, perm], functionals_measurement(V[perm]), 0.05,
+    p2 = Problem(X, Y[:, perm], MeasurementOp("functionals", V[perm]), 0.05,
                  feat, spec, omega_grid=grid)
     o1 = objective(p1, fit(p1, FitOptions(max_atoms=15)).measure)
     o2 = objective(p2, fit(p2, FitOptions(max_atoms=15)).measure)
@@ -1025,11 +1024,12 @@ def _probe_product():
 PROBE_CASES = {
     "flat-identity": lambda: _probe_flat(None),
     "flat-functionals": lambda: _probe_flat(
-        functionals_measurement(np.random.default_rng(63).standard_normal((2, 3)))),
+        MeasurementOp("functionals", np.random.default_rng(63).standard_normal((2, 3)))),
     # scalar payloads, one design column per atom
     "flat-d1-identity": lambda: _probe_flat(None, dim=1, seed=61),
     "flat-d1-functionals": lambda: _probe_flat(
-        functionals_measurement(np.random.default_rng(64).standard_normal((2, 1))), dim=1, seed=61),
+        MeasurementOp("functionals", np.random.default_rng(64).standard_normal((2, 1))),
+        dim=1, seed=61),
     "product": _probe_product,
 }
 
@@ -1089,9 +1089,11 @@ NEWTON_CASES = {
     "l2-d1": lambda s: _flat_case(s, 10, 1, "l2", 6),
     "l1-d1": lambda s: _flat_case(s, 10, 1, "l1", 6),
     "functionals": lambda s: _flat_case(
-        s, 10, 3, "l2", 5, functionals_measurement(np.random.default_rng(s).standard_normal((2, 3)))),
+        s, 10, 3, "l2", 5,
+        MeasurementOp("functionals", np.random.default_rng(s).standard_normal((2, 3)))),
     "l1-functionals": lambda s: _flat_case(
-        s, 10, 3, "l1", 5, functionals_measurement(np.random.default_rng(s).standard_normal((3, 3)))),
+        s, 10, 3, "l1", 5,
+        MeasurementOp("functionals", np.random.default_rng(s).standard_normal((3, 3)))),
     "product": _product_case,
     "K-equals-N-dmeas": lambda s: _flat_case(s, 4, 3, "l2", 4),
     "duplicated-location": lambda s: _flat_case(s, 8, 2, "l2", 5, duplicate=True),
@@ -1145,7 +1147,8 @@ def test_group_refit_routes_wide_designs_to_fista(monkeypatch):
 SINGULAR_SINGLE_ENTRY_CASES = {
     # 2 functionals of 3 entries on 10 rows: rank 10 of the 15 columns
     "l1-functionals-2x3": lambda s: _flat_case(
-        s, 10, 3, "l1", 5, functionals_measurement(np.random.default_rng(s).standard_normal((2, 3)))),
+        s, 10, 3, "l1", 5,
+        MeasurementOp("functionals", np.random.default_rng(s).standard_normal((2, 3)))),
     "l1-duplicated-location": lambda s: _flat_case(s, 8, 2, "l1", 5, duplicate=True),
 }
 
