@@ -35,7 +35,7 @@ from .operator_learning import (SampledMeasurement, _check_hyper_grids, deeponet
                                 hyper_model_to_json_dict)
 from .rkbs import RkbsFunction
 from .solver import (FitOptions, Problem, SolverError, _grid_size, _positive_lam, export_network,
-                     fit, grid_oracle, identity_measurement, network_to_json_dict, product_grid)
+                     fit, grid_oracle, network_to_json_dict, product_grid)
 from .verify import run_invariant_checks
 
 EXIT_OK = 0
@@ -242,7 +242,7 @@ def _configured_fit(args, solve):
     X, Y = _read_dataset(args.data, feat.dx, spec.dim)
     try:
         omega = None if grid_per_dim is None else product_grid(feat.radius, feat.dw, grid_per_dim)
-        problem = Problem(X, Y, identity_measurement(), lam, feat, spec, omega_grid=omega)
+        problem = Problem(X, Y, lam, feat, spec, omega_grid=omega)
         start = time.monotonic()
         result = solve(problem, opts)
     except (ValueError, SolverError, MemoryError) as exc:  # a grid numpy cannot hold

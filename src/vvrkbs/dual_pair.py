@@ -68,6 +68,15 @@ def _real(value, what: str, positive: bool = False) -> float:
     return x
 
 
+def _radius(value) -> float:
+    """A weight ball's radius as a positive float (``_real``) whose square,
+    read by |w|^2 / R^2, is finite: at most sqrt(float max), about 1.34e154."""
+    r = _real(value, "radius", positive=True)
+    if not math.isfinite(r * r):
+        raise ValueError(f"radius must have a finite square, at most 1.34e154; got {r}")
+    return r
+
+
 def _reals(value, what: str) -> np.ndarray:
     """``value`` as a float array; a string, a boolean or None at any depth
     raises TypeError.  A float ndarray passes on its dtype alone."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dual_pair import _integer, _real, _reals
+from .dual_pair import _integer, _radius, _real, _reals
 
 # each activation, and its derivative at t from core = activation(t); relu's
 # at the kink (t == 0) is pinned to 0 for determinism
@@ -80,11 +80,11 @@ class FeatureMap:
     dx+1 for neural, dx for gaussian, 1 for tabulated), ``radius`` the
     Euclidean weight ball.  ``bandwidth`` applies to the gaussian kind;
     ``x_grid``/``w_grid``/``values`` to the tabulated kind.  Numeric fields
-    are stored converted: ``dx`` by ``_integer``, ``radius`` and
-    ``bandwidth`` (both finite and positive, whatever the kind) by ``_real``
-    and the tables, when given, as read-only float arrays by ``_reals``.
-    Two features are equal when their records (``feature_to_json_dict``)
-    are: the fields phi reads, the tables compared by value.
+    are stored converted: ``dx`` by ``_integer``, ``radius`` by ``_radius``,
+    ``bandwidth`` (finite and positive, whatever the kind) by ``_real`` and
+    the tables, when given, as read-only float arrays by ``_reals``.  Two
+    features are equal when their records (``feature_to_json_dict``) are:
+    the fields phi reads, the tables compared by value.
     """
 
     kind: str
@@ -99,8 +99,8 @@ class FeatureMap:
 
     def __post_init__(self):
         object.__setattr__(self, "dx", _integer(self.dx, "dx", 1))
-        for name in ("radius", "bandwidth"):
-            object.__setattr__(self, name, _real(getattr(self, name), name, positive=True))
+        object.__setattr__(self, "radius", _radius(self.radius))
+        object.__setattr__(self, "bandwidth", _real(self.bandwidth, "bandwidth", positive=True))
         for name in ("x_grid", "w_grid", "values"):
             if getattr(self, name) is not None or self.kind == "tabulated":
                 arr = np.array(_reals(getattr(self, name), name))
@@ -396,8 +396,8 @@ def grid_sup_abs(f: FeatureMap, x, radius: float, sites) -> float:
     """max |phi(x, .)| over the product grid of 9 points per dimension
     on [-radius, radius]^dw, kept inside the weight ball, origin included,
     and over the weight rows ``sites`` (the atoms of a measure), so bounds
-    built from this estimate stay ordered, also where the grid holds no
-    finite point (a radius above about 9e307, where 2 radius overflows).
+    built from this estimate stay ordered, also where grid points whose
+    squared norm overflows, near the largest radius, are dropped.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):  # the filter drops inf and NaN points

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_pair import DualPairSpec, _real, _reals, row_norms
+from .dual_pair import DualPairSpec, _radius, _reals, row_norms
 from .feature import phi_matrix
 
 MERGE_TOL = 1e-9   # linf distance on w below which atoms are merged
@@ -68,7 +68,7 @@ class AtomicVectorMeasure:
     may come as empty lists.  ``radius`` declares the Euclidean ball
     containing all locations; construction rejects a location outside it
     (tiny slack for roundoff), and a string, boolean or None anywhere in the
-    radius or the arrays (``_real``, ``_reals``).
+    radius or the arrays (``_radius``, ``_reals``).
     """
 
     W: np.ndarray
@@ -77,7 +77,7 @@ class AtomicVectorMeasure:
     radius: float
 
     def __post_init__(self):
-        radius = _real(self.radius, "radius", positive=True)
+        radius = _radius(self.radius)
         # a fixed layout, so matrix products do not round by the caller's
         W = np.array(_reals(self.W, "atom locations"), order="C")
         C = np.array(_reals(self.C, "payloads"), order="C")

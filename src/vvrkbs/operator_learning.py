@@ -49,6 +49,7 @@ from .solver import (
     _data_fit,
     _polish,
     _positive_lam,
+    _product_design,
 )
 
 PROBES = 32         # probe points of the function-form bound
@@ -256,15 +257,6 @@ class HyperFitState:
     iterations: int
     seed: int
     converged: bool
-
-
-def _product_design(Phi, Psi, V):
-    """Lifted design of sampled two-level predictions: entry ((n, j), (m, i))
-    is Phi[n, m] (Psi[j, m] V[j, i]), the prediction at task n and functional
-    j of the unit payload e_i at atom m, for Phi = phi(z_n, w_m),
-    Psi = psi(x_j, theta_m) and the functional rows V."""
-    shape = (Phi.shape[0] * Psi.shape[0], Phi.shape[1] * V.shape[1])
-    return (Phi[:, None, :, None] * (Psi[:, :, None] * V[:, None, :])).reshape(shape)
 
 
 def hyper_objective(Z, Y, sampling: SampledMeasurement, model: HyperModel, lam: float) -> float:

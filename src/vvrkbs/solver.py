@@ -4,19 +4,20 @@ The learning problem is
 
     min over mu   (1/2N) sum_n |M f_mu(x_n) - y_n|^2 + lam * |mu|_TV
 
-where f_mu integrates the feature map against an atomic vector measure.
-Atoms delta_w u are inserted by a linear maximization oracle over the
-extreme points of the primal unit ball; over w it scores a candidate set
-and, on a free problem, ascends from the best (ADCG), and on a sparse set
-from further ones while none beats the certification threshold.  On fixed
-atoms the problem is a group lasso on one matrix, the lifted design D, whose
-column (m, i) holds the predictions of the unit payload e_i at atom m.  Each
-round builds D once; the payloads are refit on it by proximal and Newton
-steps on the support (accelerated proximal descent for designs wider than
-the data, and for singular ones of single-entry groups), and the
-predictions are D times the payloads.  The same loop on a fixed weight
-grid, whose atom search is exhaustive, certifies the optimum by a duality
-gap; a free search's certificate is heuristic.
+where f_mu integrates the feature map against an atomic vector measure and
+M is the identity or a matrix of functionals.  Atoms delta_w u are inserted
+by a linear maximization oracle over the extreme points of the primal unit
+ball; over w it scores a candidate set and, on a free problem, ascends from
+the best (ADCG), and on a sparse set from further ones while none beats the
+certification threshold.  On fixed atoms the problem is a group lasso on
+one matrix, the lifted design D (``_product_design``), whose column (m, i)
+holds the predictions of the unit payload e_i at atom m.  Each round builds
+D once; the payloads are refit on it by proximal and Newton steps on the
+support (accelerated proximal descent for designs wider than the data, and
+for singular ones of single-entry groups), and the predictions are D times
+the payloads.  The same loop on a fixed weight grid, whose atom search is
+exhaustive, certifies the optimum by a duality gap; a free search's
+certificate is heuristic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .dual_pair import (
     _integer,
     _norm_and_witness,
     _real,
+    _reals,
     primal_witness,
     row_norms,
 )
@@ -61,61 +63,6 @@ class SolverError(RuntimeError):
     """Raised when descent or the atom search cannot proceed."""
 
 
-# ------------------------------------------------------------- measurement
-
-@dataclasses.dataclass(frozen=True)
-class MeasurementOp:
-    """Linear map from function values to observed components.
-
-    ``identity`` observes the full value (d_meas = d).  ``functionals``
-    observes (Mu)_j = <v_j, u> for the rows v_j of ``matrix``.
-    """
-
-    kind: str
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "functionals"):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if self.kind == "functionals":
-            if self.matrix is None:
-                raise ValueError("functionals measurement needs a matrix")
-            m = _frozen(self.matrix)
-            if m.ndim != 2 or m.shape[0] < 1:
-                raise ValueError("functional matrix must be 2-d and non-empty")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("functional matrix must be finite")
-            object.__setattr__(self, "matrix", m)
-        elif self.matrix is not None:
-            raise ValueError("identity measurement takes no matrix")
-
-
-def identity_measurement() -> MeasurementOp:
-    return MeasurementOp("identity")
-
-
-def measurement_dim(m: MeasurementOp, spec: DualPairSpec) -> int:
-    if m.kind == "identity":
-        return spec.dim
-    if m.matrix.shape[1] != spec.dim:
-        raise ValueError("functional rows do not match the space dimension")
-    return m.matrix.shape[0]
-
-
-def measurement_apply(m: MeasurementOp, U: np.ndarray) -> np.ndarray:
-    """Apply M to each row of U, (N, d) -> (N, d_meas)."""
-    if m.kind == "identity":
-        return U
-    return U @ m.matrix.T
-
-
-def measurement_adjoint(m: MeasurementOp, G: np.ndarray) -> np.ndarray:
-    """Pull rows of G back into the dual of the value space, (N, d_meas) -> (N, d)."""
-    if m.kind == "identity":
-        return G
-    return G @ m.matrix
-
-
 # ----------------------------------------------------------------- problem
 
 @dataclasses.dataclass(frozen=True)
@@ -124,27 +71,38 @@ class Problem:
 
     ``omega_grid`` optionally restricts the atom locations to a fixed
     finite set; the oracle then searches it exhaustively, which makes
-    the outer problem convex and certifiable.
+    the outer problem convex and certifiable.  ``functionals`` is None when
+    Y observes the full value; otherwise it is the read-only matrix M whose
+    rows v_j, of width spec.dim, observe Y[n, j] ~ <v_j, f(x_n)>.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    measurement: MeasurementOp
     lam: float
     feature: FeatureMap
     spec: DualPairSpec
     omega_grid: np.ndarray | None = None
+    functionals: np.ndarray | None = None
 
     def __post_init__(self):
         X = _frozen(np.atleast_2d(self.X))
         Y = _frozen(np.atleast_2d(self.Y))
+        M = self.functionals
+        if M is not None:
+            M = _frozen(_reals(M, "functionals"))
+            if M.ndim != 2 or not len(M) or M.shape[1] != self.spec.dim:
+                raise ValueError(f"functionals must be a non-empty (k, {self.spec.dim}) array, "
+                                 f"got shape {M.shape}")
+            if not np.isfinite(M).all():
+                raise ValueError("functionals must be finite")
+            object.__setattr__(self, "functionals", M)
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y differ in length")
         if X.shape[0] < 1:
             raise ValueError("need at least one data point")
         if X.shape[1] != self.feature.dx:
             raise ValueError("X width does not match the feature input dim")
-        if Y.shape[1] != measurement_dim(self.measurement, self.spec):
+        if Y.shape[1] != (self.spec.dim if M is None else len(M)):
             raise ValueError("Y width does not match the measurement output")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise ValueError("data must be finite")
@@ -184,14 +142,14 @@ _grid_size = functools.partial(_integer, what="grid_per_dim", low=1)  # a produc
 def product_grid(radius: float, dim: int, per_dim: int) -> np.ndarray:
     """Cell centers of a regular product grid on [-R, R]^dim, kept inside
     the radius-R ball: the ``omega_grid`` of the CLI's grid problems, of
-    per_dim points a dimension."""
+    per_dim points a dimension.  A center whose squared norm overflows lies
+    outside the ball, as R^2 is finite, and is dropped."""
     per_dim = _grid_size(per_dim)
     width = 2.0 * radius / per_dim
     axis = -radius + (np.arange(per_dim) + 0.5) * width
-    pts = np.stack(
-        np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius
+    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    with np.errstate(over="ignore"):
+        keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius
     return pts[keep]
 
 
@@ -199,8 +157,22 @@ def _predictions(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
     """M f_mu(x_n) for every data row, (N, d_meas)."""
     if not len(mu):
         return np.zeros_like(p.Y)
-    Phi = phi_matrix(p.feature, p.X, mu.W)
-    return measurement_apply(p.measurement, Phi @ mu.C)
+    U = phi_matrix(p.feature, p.X, mu.W) @ mu.C
+    return U if p.functionals is None else U @ p.functionals.T
+
+
+def _pull_back(p: Problem, G: np.ndarray) -> np.ndarray:
+    """Rows of G pulled back into the dual of the value space: G M, or G."""
+    return G if p.functionals is None else G @ p.functionals
+
+
+def _product_design(Phi, Psi, V):
+    """Lifted design of sampled two-level predictions: entry ((n, j), (m, i))
+    is Phi[n, m] (Psi[j, m] V[j, i]), the prediction at input n and functional
+    j of the unit payload e_i at atom m, for Phi = phi(z_n, w_m), the
+    functional rows V and Psi = psi(x_j, theta_m), all ones when flat."""
+    shape = (Phi.shape[0] * Psi.shape[0], Phi.shape[1] * V.shape[1])
+    return (Phi[:, None, :, None] * (Psi[:, :, None] * V[:, None, :])).reshape(shape)
 
 
 def _data_fit(R, n: int) -> float:
@@ -216,11 +188,11 @@ def objective(p: Problem, mu: AtomicVectorMeasure) -> float:
 
 
 def residual_duals(p: Problem, mu: AtomicVectorMeasure) -> np.ndarray:
-    """Residuals P - Y mapped through the measurement adjoint, rows eta_n.
+    """Residuals P - Y pulled back through the functionals, rows eta_n.
 
     Includes the 1/N data weight, so the oracle score compares directly
     against lam."""
-    return measurement_adjoint(p.measurement, _predictions(p, mu) - p.Y) / p.n_data
+    return _pull_back(p, _predictions(p, mu) - p.Y) / p.n_data
 
 
 # --------------------------------------------------------------------- lmo
@@ -772,22 +744,20 @@ def _flat_family(p: Problem, opts: FitOptions) -> _AtomFamily:
     ``_search_set`` of opts.seed, built here once for every round, up to
     the certification threshold lam (1 + opts.tol).
 
-    The lifted design is kron(Phi, M), M the measurement matrix (the
-    identity for the identity measurement): entry ((n, j), (m, i)) is
-    phi(x_n, w_m) M[j, i].
+    The lifted design is ``_product_design`` with a base level of ones and
+    the functionals M (the identity when the full value is observed):
+    entry ((n, j), (m, i)) is phi(x_n, w_m) M[j, i].
     """
-    m = p.measurement
-    M = np.eye(p.spec.dim) if m.kind == "identity" else m.matrix
+    M = np.eye(p.spec.dim) if p.functionals is None else p.functionals
 
     def lift(W):
-        Phi = phi_matrix(p.feature, p.X, W)
-        return (Phi[:, None, :, None] * M[:, None, :]).reshape(p.Y.size, len(W) * p.spec.dim)
+        return _product_design(phi_matrix(p.feature, p.X, W), np.ones((len(M), len(W))), M)
 
     candidates = _search_set(p, opts.seed)
     threshold = p.lam * (1.0 + opts.tol)
 
     def search(G):
-        w, _, score = lmo(p, measurement_adjoint(m, G) / p.n_data, candidates, threshold)
+        w, _, score = lmo(p, _pull_back(p, G) / p.n_data, candidates, threshold)
         return w, score
 
     return _AtomFamily(

@@ -39,8 +39,7 @@ from .operator_learning import (
     weight_form_tv,
 )
 from .rkbs import REPRODUCING_TOL, RkbsFunction, _worst, verify_reproducing
-from .solver import (FitOptions, Problem, fit, grid_oracle, identity_measurement, lambda_max,
-                     product_grid)
+from .solver import FitOptions, Problem, fit, grid_oracle, lambda_max, product_grid
 
 
 def _random_instance(rng):
@@ -183,7 +182,7 @@ def _check_solver_threshold():
     Y = np.array([[1.2]])
     w = np.array([[0.4, 0.1]])
     lam = 0.2
-    p = Problem(X, Y, identity_measurement(), lam, feat, spec, omega_grid=w)
+    p = Problem(X, Y, lam, feat, spec, omega_grid=w)
     state = fit(p, FitOptions(max_atoms=2, tol=1e-6, refit_tol=1e-14))
     phi = eval_phi(feat, X[0], w[0])
     expected = (phi * Y[0, 0] - lam) / (phi * phi)
@@ -227,9 +226,8 @@ def _check_representer(rng, trials):
     for _ in range(max(2, trials // 5)):
         feat = _random_feature(rng)
         n = int(rng.integers(1, 6))
-        p = Problem(rng.uniform(-1.0, 1.0, (n, feat.dx)), rng.standard_normal((n, 1)),
-                    identity_measurement(), 0.0, feat, DualPairSpec(1, "l2"),
-                    omega_grid=product_grid(feat.radius, feat.dw, 5))
+        p = Problem(rng.uniform(-1.0, 1.0, (n, feat.dx)), rng.standard_normal((n, 1)), 0.0,
+                    feat, DualPairSpec(1, "l2"), omega_grid=product_grid(feat.radius, feat.dw, 5))
         lam = float(rng.uniform(0.05, 0.5)) * lambda_max(p)
         opts = FitOptions(max_atoms=len(p.omega_grid), tol=1e-9, refit_tol=1e-13)
         state, _, gap = grid_oracle(dataclasses.replace(p, lam=lam), opts)

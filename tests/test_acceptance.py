@@ -59,7 +59,6 @@ from vvrkbs.solver import (
     export_network,
     fit,
     grid_oracle,
-    identity_measurement,
     lambda_max,
     network_apply,
     product_grid,
@@ -213,7 +212,7 @@ def _suite():
         assert len(grid) <= 81
         X = rng.uniform(-1.0, 1.0, (n, 1))
         Y = rng.standard_normal((n, d))
-        probe = Problem(X, Y, identity_measurement(), 1.0, feat, spec,
+        probe = Problem(X, Y, 1.0, feat, spec,
                         omega_grid=grid)
         lam_max = lambda_max(probe)
         p = dataclasses.replace(probe, lam=0.4 * lam_max)

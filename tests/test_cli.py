@@ -26,7 +26,6 @@ from vvrkbs.operator_learning import hyper_evaluate, hyper_model_from_json_dict
 from vvrkbs.solver import (
     FitOptions,
     Problem,
-    identity_measurement,
     lambda_max,
     lmo,
     product_grid,
@@ -130,7 +129,7 @@ def test_a_free_fit_certifies_only_what_a_sweep_confirms(tmp_path, capsys):
     X = rng.uniform(-1.0, 1.0, (20, 2))
     Y = phi_matrix(feat, X, rng.uniform(-0.8, 0.8, (4, 3))) @ rng.standard_normal((4, 3))
     Y = Y + 0.05 * rng.standard_normal((20, 3))
-    p = Problem(X, Y, identity_measurement(), 1.0, feat, DualPairSpec(3, "l2"),
+    p = Problem(X, Y, 1.0, feat, DualPairSpec(3, "l2"),
                 omega_grid=product_grid(2.0, 3, 9))
     p = dataclasses.replace(p, lam=0.05 * lambda_max(p), omega_grid=None)
     rows = ["x0,x1,y0,y1,y2"] + [",".join(map(repr, r)) for r in np.hstack([X, Y]).tolist()]
@@ -242,8 +241,7 @@ def test_fit_above_lambda_max_writes_empty_atoms(tmp_path, capsys):
     spec = DualPairSpec(2, "l2")
     data = np.array([[float(v) for v in row.split(",")] for row in DATA_ROWS[1:]])
     grid = product_grid(feat.radius, feat.dw, 5)
-    p = Problem(data[:, :1], data[:, 1:], identity_measurement(),
-                1.0, feat, spec, omega_grid=grid)
+    p = Problem(data[:, :1], data[:, 1:], 1.0, feat, spec, omega_grid=grid)
     lam_max = lambda_max(p)
     cfg, csv_path = _write_fixture(tmp_path, _base_config(**{"lambda": 1.05 * lam_max}))
     out = str(tmp_path / "empty.json")
@@ -827,6 +825,70 @@ def test_malformed_model_and_deeponet_files_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _radius_args(tmp_path, case, radius):
+    """The CLI arguments of ``case``, a command and the one radius it sets to
+    ``radius``: a config's feature, a model record's measure or feature, or
+    a deeponet payload's psi or basis record."""
+    data = _write(tmp_path, "data.csv", "\n".join(DATA_ROWS) + "\n")
+    out = str(tmp_path / "out")
+    command, where = case.split(":")
+    if command in ("fit", "oracle"):
+        cfg = _base_config(grid_per_dim=int(where))
+        cfg["feature"]["radius"] = radius
+        args = [command, "--config", _write(tmp_path, "cfg.json", json.dumps(cfg)), "--data", data]
+        return args + ["--out", out] if command == "fit" else args
+    if command == "hyper-fit":
+        cfg = _hyper_config()
+        cfg[where]["radius"] = radius
+        return [command, "--config", _write(tmp_path, "cfg.json", json.dumps(cfg)),
+                "--data", data, "--out", out]
+    if command == "predict":
+        cfg, model = _base_config(), _flat_model()
+        if where == "config":
+            cfg["feature"]["radius"] = radius
+        elif where == "model":
+            model["radius"] = radius
+        else:
+            model["feature"] = {**cfg["feature"], "radius": radius}
+        return [command, "--config", _write(tmp_path, "cfg.json", json.dumps(cfg)),
+                "--model", _write(tmp_path, "model.json", json.dumps(model)),
+                "--data", data, "--out", out]
+    cfg, payload = json.loads(json.dumps(DEEPONET_CONFIG)), _deeponet_payload()
+    held = {"phi": cfg["phi"], "psi": payload["psi"], "basis": payload["basis"][0]}
+    held[where]["radius"] = radius
+    return [command, "--config", _write(tmp_path, "cfg.json", json.dumps(cfg)),
+            "--data", _write(tmp_path, "payload.json", json.dumps(payload)), "--out", out]
+
+
+RADIUS_CASES = ["fit:5", "oracle:4", "oracle:5", "hyper-fit:phi", "hyper-fit:psi",
+                "predict:config", "predict:model", "deeponet:phi", "deeponet:psi",
+                "deeponet:basis"]
+
+
+@pytest.mark.parametrize("case", RADIUS_CASES + ["predict:model-feature"])
+def test_a_radius_whose_square_overflows_exits_2(tmp_path, capsys, case):
+    # |w|^2 / R^2 overflowed above about 1.34e154: an oracle on a valid
+    # config exited 2 on an empty grid (4 per dimension) or certified the
+    # origin alone (5), and numpy's overflow warning was a traceback under
+    # warnings as errors, as pyproject.toml has pytest run
+    assert main(_radius_args(tmp_path, case, 1e160)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "radius must have a finite square" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", RADIUS_CASES)
+def test_the_largest_radius_runs_every_command(tmp_path, capsys, case):
+    # the largest radius whose square is finite is accepted; the squared
+    # norms of grid points beyond the ball may overflow, but silently, as
+    # pytest turns warnings into errors
+    code = main(_radius_args(tmp_path, case, math.sqrt(sys.float_info.max)))
+    assert code in (0, 3), capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("d", [10**42, 10**400], ids=["1e42", "1e400"])

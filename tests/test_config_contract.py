@@ -20,7 +20,7 @@ from vvrkbs import cli
 from vvrkbs.dual_pair import DualPairSpec
 from vvrkbs.feature import FeatureMap
 from vvrkbs.operator_learning import SampledMeasurement, hyper_fit
-from vvrkbs.solver import FitOptions, Problem, fit, identity_measurement, product_grid
+from vvrkbs.solver import FitOptions, Problem, fit, product_grid
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 DATA = "x0,y0,y1\n0.1,0.9,-0.3\n-0.4,0.2,0.8\n0.7,-0.5,0.1\n"
@@ -74,7 +74,7 @@ def _api_solver(s):
                refit_max_iter=s["refit"]["max_iter"], refit_tol=s["refit"]["tol"])
     if s.get("grid_per_dim") is not None:
         product_grid(1.5, 2, s["grid_per_dim"])
-    problem = Problem(X, Y, identity_measurement(), s["lambda"],
+    problem = Problem(X, Y, s["lambda"],
                       FeatureMap(**FEATURE), DualPairSpec(2))
     fit(problem, FitOptions(max_atoms=1))
 

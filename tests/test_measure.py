@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,22 @@ def test_measure_rejects_each_malformed_array(field, value):
     args[field] = value
     with pytest.raises(ValueError):
         AtomicVectorMeasure(**args)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda r: FeatureMap("neural", dx=1, radius=r, beta="one", activation="tanh"),
+     lambda r: measure_from_arrays([[1e150, 0.0]], [[1.0, 0.0]], L2, r)],
+    ids=["feature", "measure"],
+)
+def test_a_radius_whose_square_overflows_is_rejected(build):
+    # |w|^2 / R^2 and sum w^2 overflowed above sqrt(float max), about
+    # 1.34e154: an atom at 1e160 failed the ball check of radius 2e160
+    assert build(1.34e154).radius == 1.34e154
+    assert build(math.sqrt(sys.float_info.max)).radius == math.sqrt(sys.float_info.max)
+    for radius in (1.35e154, 1e160, 1e300):
+        with pytest.raises(ValueError, match="^radius must have a finite square"):
+            build(radius)
 
 
 def test_measure_arrays_are_read_only_copies():

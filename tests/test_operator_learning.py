@@ -23,7 +23,6 @@ from vvrkbs.solver import (
     Problem,
     _duality_gap,
     fit,
-    identity_measurement,
     lambda_max,
     product_grid,
 )
@@ -523,7 +522,7 @@ def test_a_linf_fit_raises_before_any_search(monkeypatch, fitter, scale):
     rng = np.random.default_rng(29)
     spec, phi, psi, Z, Xj, V, Y, wg, tg = _fit_instance(rng)
     spec = DualPairSpec(spec.dim, "linf")
-    p = Problem(Z, Y @ V, identity_measurement(), 1.0, phi, spec, omega_grid=wg)
+    p = Problem(Z, Y @ V, 1.0, phi, spec, omega_grid=wg)
     if fitter == "fit":
         run = functools.partial(fit, dataclasses.replace(p, lam=scale * lambda_max(p)),
                                 FitOptions())
@@ -823,7 +822,7 @@ def test_two_level_fit_with_unit_base_feature_is_the_flat_fit(seed):
     grid = product_grid(phi.radius, phi.dw, 7)
 
     def problem(lam):
-        return Problem(Z, Y, identity_measurement(), lam, phi, spec,
+        return Problem(Z, Y, lam, phi, spec,
                        omega_grid=grid)
 
     lam = 0.2 * lambda_max(problem(1.0))

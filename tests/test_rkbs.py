@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -123,13 +124,14 @@ def test_norm_bracket_ordered_random():
 
 
 def test_norm_bracket_ordered_at_a_radius_whose_grid_overflows():
-    # at radius 1e308, 2 radius overflows and the sup estimate's grid holds no
-    # finite point, so the estimate rests on the atom sites alone; it raised
-    # numpy's zero-size reduction error when the sites were optional
+    # at the largest accepted radius, sqrt(float max), the squared norms of
+    # the sup estimate's box corners overflow, and the grid keeps only the
+    # points whose squared norm is finite, with the atom sites
+    radius = math.sqrt(sys.float_info.max)
     spec = DualPairSpec(2, "l2")
-    feat = FeatureMap("neural", dx=1, radius=1e308, beta="one", activation="tanh")
+    feat = FeatureMap("neural", dx=1, radius=radius, beta="one", activation="tanh")
     mu = measure_from_arrays([[0.5, 0.2], [-1.0, 3.0]], [[3.0, 4.0], [1.0, -1.0]], spec,
-                             radius=1e308)
+                             radius=radius)
     f = RkbsFunction(mu, feat, spec)
     lo = b_norm_lower(f, [[0.3], [-0.7]])
     assert 0.0 < lo < math.inf

@@ -11,18 +11,14 @@ from vvrkbs.feature import ACTIVATIONS, FeatureMap, eval_phi, grad_phi_w_batch, 
 from vvrkbs.measure import empty_measure, measure_from_arrays
 from vvrkbs.solver import (
     FitOptions,
-    MeasurementOp,
     Problem,
     SolverError,
     SolverState,
     export_network,
     fit,
     grid_oracle,
-    identity_measurement,
     lambda_max,
     lmo,
-    measurement_adjoint,
-    measurement_apply,
     network_apply,
     network_to_json_dict,
     objective,
@@ -66,20 +62,17 @@ def _neural_problem(
     norm="l2",
     lam=0.1,
     grid_per_dim=None,
-    measurement=None,
+    functionals=None,
 ):
     feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
     spec = DualPairSpec(dim, norm)
-    meas = measurement if measurement is not None else identity_measurement()
-    d_meas = dim if meas.kind == "identity" else meas.matrix.shape[0]
+    d_meas = dim if functionals is None else len(functionals)
     X = rng.uniform(-1.0, 1.0, (n, 1))
     Y = rng.standard_normal((n, d_meas))
     grid = None
     if grid_per_dim is not None:
         grid = product_grid(feat.radius, feat.dw, grid_per_dim)
-    return Problem(
-        X, Y, meas, lam, feat, spec, omega_grid=grid
-    )
+    return Problem(X, Y, lam, feat, spec, omega_grid=grid, functionals=functionals)
 
 
 # ------------------------------------------------------------------ losses
@@ -93,7 +86,7 @@ def test_squared_loss_values_and_grad():
     # the oracle reads the residuals P - Y, here at the zero measure
     spec = DualPairSpec(2, "l2")
     feat = FeatureMap("neural", dx=1, radius=1.0, activation="tanh")
-    p = Problem([[0.1], [0.2]], Y, identity_measurement(), 0.5, feat, spec)
+    p = Problem([[0.1], [0.2]], Y, 0.5, feat, spec)
     assert np.array_equal(residual_duals(p, empty_measure(spec, 1.0)), -Y / 2)
 
 
@@ -149,8 +142,7 @@ def test_fit_options_reject_negative_and_non_finite_tolerances(field, value):
 def test_problem_rejects_each_malformed_input(field, value, fault):
     # each case breaks one input of an otherwise valid grid-restricted problem
     feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
-    args = {"X": [[0.1]], "Y": [[1.0, 0.0]],
-            "measurement": identity_measurement(), "lam": 0.1, "feature": feat,
+    args = {"X": [[0.1]], "Y": [[1.0, 0.0]], "lam": 0.1, "feature": feat,
             "spec": DualPairSpec(2, "l2"), "omega_grid": [[0.1, 0.2]]}
     Problem(**args)
     args[field] = value
@@ -161,21 +153,35 @@ def test_problem_rejects_each_malformed_input(field, value, fault):
 # ------------------------------------------------------------- measurement
 
 def test_measurement_apply_and_adjoint():
+    # the functionals observe M f(x_n) = V f(x_n), and the residuals pull
+    # back through V^T: predictions U V^T, residual duals G V / N
     V = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
-    m = MeasurementOp("functionals", V)
-    U = np.array([[1.0, 2.0, 3.0]])
-    assert np.allclose(measurement_apply(m, U), U @ V.T)
-    G = np.array([[0.5, -1.0]])
-    assert np.allclose(measurement_adjoint(m, G), G @ V)
+    p = _neural_problem(np.random.default_rng(7), n=4, dim=3, functionals=V)
+    mu = measure_from_arrays([[0.3, -0.2], [-0.5, 0.4]], [[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]],
+                             p.spec, p.feature.radius)
+    U = phi_matrix(p.feature, p.X, mu.W) @ mu.C
+    assert np.array_equal(solver._predictions(p, mu), U @ V.T)
+    G = U @ V.T - p.Y
+    assert np.array_equal(residual_duals(p, mu), G @ V / p.n_data)
 
 
 def test_measurement_validation():
-    with pytest.raises(ValueError):
-        MeasurementOp("identity", np.eye(2))
-    with pytest.raises(ValueError):
-        MeasurementOp("functionals")
-    with pytest.raises(ValueError):
-        MeasurementOp("averages")
+    # a functionals matrix is 2-d, non-empty, finite, of numbers and of the
+    # value space's width
+    feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
+    Problem([[0.1]], [[1.0]], 0.1, feat, DualPairSpec(3), functionals=[[1.0, 0.0, 2.0]])
+    shape = r"functionals must be a non-empty \(k, 3\) array"
+    for functionals, error, fault in [
+        ([1.0, 0.0, 2.0], ValueError, shape),
+        (np.zeros((0, 3)), ValueError, shape),
+        ([[1.0, 0.0]], ValueError, shape),
+        ([[1.0, math.nan, 0.0]], ValueError, "functionals must be finite"),
+        ([[1.0, -math.inf, 0.0]], ValueError, "functionals must be finite"),
+        ([[1.0, "0", 0.0]], TypeError, "functionals must hold numbers only"),
+        ([[1.0, True, 0.0]], TypeError, "functionals must hold numbers only"),
+    ]:
+        with pytest.raises(error, match=fault):
+            Problem([[0.1]], [[1.0]], 0.1, feat, DualPairSpec(3), functionals=functionals)
 
 
 # --------------------------------------------------------------- objective
@@ -195,7 +201,7 @@ def test_objective_perfect_fit_no_penalty_is_zero():
     c = np.array([1.0, -2.0])
     X = np.array([[0.1], [0.7], [-0.4]])
     Y = phi_matrix(feat, X, w[None, :]) * c[None, :]
-    p = Problem(X, Y, identity_measurement(), 0.0, feat, spec)
+    p = Problem(X, Y, 0.0, feat, spec)
     mu = measure_from_arrays([w], [c], spec, feat.radius)
     assert objective(p, mu) == pytest.approx(0.0, abs=1e-15)
 
@@ -206,7 +212,7 @@ def test_objective_tiny_instance_by_hand():
     X = np.array([[-1.0], [0.5]])
     Y = np.array([[1.0], [-0.5]])
     w, c, lam = 0.25, 0.8, 0.7
-    p = Problem(X, Y, identity_measurement(), lam, feat, spec)
+    p = Problem(X, Y, lam, feat, spec)
     mu = measure_from_arrays([[w]], [[c]], spec, feat.radius)
 
     def table_phi(x, wv):
@@ -238,7 +244,7 @@ def test_lmo_single_point_l1_ball_picks_basis_vector():
     feat = FeatureMap("neural", dx=1, radius=1.5, beta="one", activation="tanh")
     spec = DualPairSpec(2, "l1")
     p = Problem(
-        [[0.3]], [[1.0, 0.0]], identity_measurement(), 0.1, feat, spec,
+        [[0.3]], [[1.0, 0.0]], 0.1, feat, spec,
         omega_grid=product_grid(1.5, 2, 3),
     )
     eta = np.array([[1.0, 0.0]])
@@ -262,7 +268,7 @@ def test_lmo_matches_exhaustive_enumeration():
     grid = product_grid(1.5, 2, 3)
     X = np.array([[-0.8], [0.1], [0.9]])
     p = Problem(
-        X, np.zeros((3, 2)), identity_measurement(), 0.1, feat, spec,
+        X, np.zeros((3, 2)), 0.1, feat, spec,
         omega_grid=grid,
     )
     eta = np.array([[0.4, -1.1], [-0.3, 0.2], [0.9, 0.5]])
@@ -369,7 +375,7 @@ def test_a_sparse_set_backs_its_certificate_with_more_polishes(monkeypatch):
     feat = FeatureMap("neural", dx=4, radius=2.0, activation="tanh")
     X = rng.uniform(-1.0, 1.0, (20, 4))
     Y = phi_matrix(feat, X, solver._ball_points(rng, 6, 5, 1.4)) @ rng.standard_normal((6, 2))
-    p = Problem(X, Y, identity_measurement(), 1.0, feat, DualPairSpec(2, "l2"))
+    p = Problem(X, Y, 1.0, feat, DualPairSpec(2, "l2"))
     p = dataclasses.replace(p, lam=0.05 * lambda_max(p))
     opts = FitOptions(tol=0.05, seed=11)
     threshold = p.lam * (1.0 + opts.tol)
@@ -476,7 +482,7 @@ def test_oracle_score_matches_the_feature_calls_bitwise(feat, norm, seed):
     rng = np.random.default_rng(seed)
     n, dim = int(rng.integers(1, 30)), int(rng.integers(1, 4))
     X = rng.uniform(-1.0, 1.0, (n, feat.dx))
-    p = Problem(X, np.zeros((n, dim)), identity_measurement(), 0.1, feat,
+    p = Problem(X, np.zeros((n, dim)), 0.1, feat,
                 DualPairSpec(dim, norm))
     eta = rng.standard_normal((n, dim))
     value, direction = _oracle_score(p, eta)
@@ -529,7 +535,7 @@ def test_fit_single_point_soft_threshold_closed_form():
     phi = math.tanh(0.6 * x + 0.3)
     c_star = (phi * y - lam) / phi**2  # positive branch of the optimality
     p = Problem(
-        [[x]], [[y]], identity_measurement(), lam, feat, spec,
+        [[x]], [[y]], lam, feat, spec,
         omega_grid=w[None, :],
     )
     for norm in ("l2", "l1"):
@@ -606,7 +612,7 @@ def test_fit_l1_norm_one_location_holds_one_row_of_two_axis_atoms():
     rng = np.random.default_rng(21)
     X = rng.uniform(-1.0, 1.0, (8, 1))
     Y = np.tanh(0.6 * X + 0.3) * [2.0, -1.5] + 0.05 * rng.standard_normal((8, 2))
-    p = Problem(X, Y, identity_measurement(), 0.02, feat, DualPairSpec(2, "l1"),
+    p = Problem(X, Y, 0.02, feat, DualPairSpec(2, "l1"),
                 omega_grid=[[0.6, 0.3]])
     state = fit(p, FitOptions(max_atoms=5, tol=1e-8, refit_tol=1e-15))
     assert state.converged
@@ -699,10 +705,8 @@ def test_fit_invariant_under_functional_permutation():
     X = rng.uniform(-1, 1, (4, 1))
     grid = product_grid(1.5, 2, 5)
     perm = [2, 0, 1]
-    p1 = Problem(X, Y, MeasurementOp("functionals", V), 0.05, feat, spec,
-                 omega_grid=grid)
-    p2 = Problem(X, Y[:, perm], MeasurementOp("functionals", V[perm]), 0.05,
-                 feat, spec, omega_grid=grid)
+    p1 = Problem(X, Y, 0.05, feat, spec, omega_grid=grid, functionals=V)
+    p2 = Problem(X, Y[:, perm], 0.05, feat, spec, omega_grid=grid, functionals=V[perm])
     o1 = objective(p1, fit(p1, FitOptions(max_atoms=15)).measure)
     o2 = objective(p2, fit(p2, FitOptions(max_atoms=15)).measure)
     assert abs(o1 - o2) <= 1e-10
@@ -748,7 +752,7 @@ def _grid_teacher(seed, n):
     W = rng.uniform(-0.8, 0.8, (4, 3))
     Y = phi_matrix(feat, X, W) @ rng.standard_normal((4, 3))
     Y = Y + 0.05 * rng.standard_normal((n, 3))
-    p = Problem(X, Y, identity_measurement(), 1.0, feat,
+    p = Problem(X, Y, 1.0, feat,
                 DualPairSpec(3, "l2"), omega_grid=product_grid(2.0, 3, 5))
     return dataclasses.replace(p, lam=0.05 * lambda_max(p))
 
@@ -828,7 +832,7 @@ def test_grid_oracle_single_cell_soft_threshold():
     x, y, lam = 0.4, 2.0, 0.1
     phi = math.tanh(0.6 * x + 0.3)
     c_star = (phi * y - lam) / phi**2
-    p = Problem([[x]], [[y]], identity_measurement(), lam, feat, spec,
+    p = Problem([[x]], [[y]], lam, feat, spec,
                 omega_grid=w)
     obj, mu, _ = _grid_optimum(p)
     assert mu.C[0, 0] == pytest.approx(c_star, rel=1e-6)
@@ -999,13 +1003,13 @@ def _unit_probe(predict, k, dim):
     return np.stack([predict(E).ravel() for E in units], axis=1)
 
 
-def _probe_flat(measurement, dim=3, seed=60):
+def _probe_flat(functionals, dim=3, seed=60):
     rng = np.random.default_rng(seed)
-    p = _neural_problem(rng, n=7, dim=dim, measurement=measurement)
+    p = _neural_problem(rng, n=7, dim=dim, functionals=functionals)
     W = rng.uniform(-1.0, 1.0, (4, p.feature.dw))
     Phi = phi_matrix(p.feature, p.X, W)
     return _flat_family(p, FitOptions()), W, _unit_probe(
-        lambda C: measurement_apply(p.measurement, Phi @ C), 4, dim)
+        lambda C: Phi @ C if functionals is None else Phi @ C @ p.functionals.T, 4, dim)
 
 
 def _probe_product():
@@ -1024,11 +1028,11 @@ def _probe_product():
 PROBE_CASES = {
     "flat-identity": lambda: _probe_flat(None),
     "flat-functionals": lambda: _probe_flat(
-        MeasurementOp("functionals", np.random.default_rng(63).standard_normal((2, 3)))),
+        np.random.default_rng(63).standard_normal((2, 3))),
     # scalar payloads, one design column per atom
     "flat-d1-identity": lambda: _probe_flat(None, dim=1, seed=61),
     "flat-d1-functionals": lambda: _probe_flat(
-        MeasurementOp("functionals", np.random.default_rng(64).standard_normal((2, 1))),
+        np.random.default_rng(64).standard_normal((2, 1)),
         dim=1, seed=61),
     "product": _probe_product,
 }
@@ -1046,6 +1050,21 @@ def test_lift_is_the_unit_payload_probe(case):
     assert (D + 0.0).tobytes() == (probe + 0.0).tobytes()
 
 
+@pytest.mark.parametrize("functionals", [None, np.array([[0.5, -1.0, 0.0], [-2.0, 0.0, 1.5]])],
+                         ids=["identity", "functionals"])
+def test_flat_lift_is_kron_of_phi_and_the_functionals_bit_for_bit(functionals):
+    # the product design with a base level of ones multiplies each entry of
+    # Phi by M[j, i] once, so every bit, the sign of zero included, is that
+    # of kron(Phi, M); the atom at the origin gives zero columns of tanh
+    rng = np.random.default_rng(65)
+    p = _neural_problem(rng, n=5, dim=3, functionals=functionals)
+    W = np.vstack([rng.uniform(-1.0, 1.0, (3, p.feature.dw)), np.zeros(p.feature.dw)])
+    M = np.eye(3) if functionals is None else p.functionals
+    Phi = phi_matrix(p.feature, p.X, W)
+    kron = (Phi[:, None, :, None] * M[:, None, :]).reshape(p.Y.size, len(W) * 3)
+    assert _flat_family(p, FitOptions()).lift(W).tobytes() == kron.tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(PROBE_CASES))
 def test_lift_of_no_atoms_has_no_columns(case):
     fam = PROBE_CASES[case]()[0]
@@ -1061,9 +1080,9 @@ def _at_fraction(fam, D, frac):
     return dataclasses.replace(fam, lam=frac * float(np.max(row_norms(pulled, dual))))
 
 
-def _flat_case(seed, n, dim, norm, k, measurement=None, duplicate=False):
+def _flat_case(seed, n, dim, norm, k, functionals=None, duplicate=False):
     rng = np.random.default_rng(seed)
-    p = _neural_problem(rng, n=n, dim=dim, norm=norm, measurement=measurement)
+    p = _neural_problem(rng, n=n, dim=dim, norm=norm, functionals=functionals)
     fam = _flat_family(p, FitOptions())
     W = rng.uniform(-1.0, 1.0, (k - duplicate, p.feature.dw))
     if duplicate:
@@ -1090,10 +1109,10 @@ NEWTON_CASES = {
     "l1-d1": lambda s: _flat_case(s, 10, 1, "l1", 6),
     "functionals": lambda s: _flat_case(
         s, 10, 3, "l2", 5,
-        MeasurementOp("functionals", np.random.default_rng(s).standard_normal((2, 3)))),
+        np.random.default_rng(s).standard_normal((2, 3))),
     "l1-functionals": lambda s: _flat_case(
         s, 10, 3, "l1", 5,
-        MeasurementOp("functionals", np.random.default_rng(s).standard_normal((3, 3)))),
+        np.random.default_rng(s).standard_normal((3, 3))),
     "product": _product_case,
     "K-equals-N-dmeas": lambda s: _flat_case(s, 4, 3, "l2", 4),
     "duplicated-location": lambda s: _flat_case(s, 8, 2, "l2", 5, duplicate=True),
@@ -1148,7 +1167,7 @@ SINGULAR_SINGLE_ENTRY_CASES = {
     # 2 functionals of 3 entries on 10 rows: rank 10 of the 15 columns
     "l1-functionals-2x3": lambda s: _flat_case(
         s, 10, 3, "l1", 5,
-        MeasurementOp("functionals", np.random.default_rng(s).standard_normal((2, 3)))),
+        np.random.default_rng(s).standard_normal((2, 3))),
     "l1-duplicated-location": lambda s: _flat_case(s, 8, 2, "l1", 5, duplicate=True),
 }
 

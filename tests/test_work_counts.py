@@ -28,7 +28,6 @@ from vvrkbs.solver import (
     Problem,
     fit,
     grid_oracle,
-    identity_measurement,
     lambda_max,
     product_grid,
     residual_duals,
@@ -48,7 +47,7 @@ def _teacher_problem(seed, n=30, grid_per_dim=5):
     Y = phi_matrix(feat, X, W) @ rng.standard_normal((4, 3))
     Y = Y + 0.05 * rng.standard_normal((n, 3))
     grid = product_grid(feat.radius, feat.dw, grid_per_dim)
-    p = Problem(X, Y, identity_measurement(), 1.0, feat,
+    p = Problem(X, Y, 1.0, feat,
                 DualPairSpec(3, "l2"), omega_grid=grid)
     return dataclasses.replace(p, lam=0.05 * lambda_max(p))
 
@@ -231,7 +230,7 @@ def test_a_free_search_polishes_once_unless_a_sparse_set_would_certify(monkeypat
     feat = FeatureMap("neural", dx=3, radius=2.0, activation="tanh")  # dw = 4: sparse
     X = rng.uniform(-1.0, 1.0, (30, 3))
     Y = phi_matrix(feat, X, rng.uniform(-0.8, 0.8, (4, 4))) @ rng.standard_normal((4, 2))
-    q = Problem(X, Y, identity_measurement(), 1.0, feat, DualPairSpec(2, "l2"),
+    q = Problem(X, Y, 1.0, feat, DualPairSpec(2, "l2"),
                 omega_grid=product_grid(2.0, 4, 5))
     q = dataclasses.replace(q, lam=0.05 * lambda_max(q), omega_grid=None)
     check(fit(q, FitOptions(max_atoms=20, seed=3)), False)
